@@ -12,9 +12,19 @@ const (
 	// FlagPrecisionSingle computes in float32; the default is float64.
 	FlagPrecisionSingle Flags = 1 << iota
 	// FlagVectorSSE uses the 4-state unrolled (SSE-style) kernels on the
-	// CPU resource. Ignored for non-nucleotide state counts.
+	// unthreaded CPU implementation. Ignored for non-nucleotide state
+	// counts. Without it (and without a threading flag) the CPU resource
+	// runs the serial implementation on the generic loop-over-states
+	// kernels, the baseline of the paper's speedup figures. Combining it
+	// with a threading flag changes nothing: the threaded implementations
+	// are built on the vectorised kernels already.
 	FlagVectorSSE
 	// FlagThreadingFutures uses per-operation asynchronous tasks (§VI-A).
+	// Like every threading flag it selects how work is partitioned, not
+	// which kernels run: all four threaded implementations are layered on
+	// the vectorised path, as BEAGLE's are, and execute the kernels
+	// specialised for the state count (4-state unrolled for nucleotides,
+	// generic otherwise).
 	FlagThreadingFutures
 	// FlagThreadingThreadCreate creates threads per call across site
 	// patterns (§VI-B).

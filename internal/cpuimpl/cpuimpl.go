@@ -1,8 +1,9 @@
 // Package cpuimpl provides the host CPU implementations of the library,
 // reproducing the paper's CPU lineage (§IV-D, §VI):
 //
-//   - Serial: the original single-threaded implementation, the baseline of
-//     every speedup figure in the paper;
+//   - Serial: the original single-threaded implementation on the generic
+//     loop-over-states kernels, the baseline of every speedup figure in the
+//     paper;
 //   - SSE: the serial implementation with the 4-state unrolled kernels, the
 //     analogue of the SSE intrinsics path (falls back to the generic kernels
 //     for non-nucleotide state counts, as BEAGLE's SSE path does);
@@ -20,6 +21,11 @@
 //     dispatched onto the same persistent pool, so wide trees with small
 //     pattern counts (where pure pattern chunking degrades to serial) still
 //     saturate the workers through operation-level concurrency.
+//
+// The threaded strategies are layered on the vectorised path, as BEAGLE's
+// are: which kernels run is decided by the state count (kernels.ForStateCount),
+// bound once per engine, and is the same for SSE and all four threaded modes.
+// Only Serial stays on the generic kernels.
 package cpuimpl
 
 import (
@@ -27,7 +33,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -107,6 +112,7 @@ func New(cfg engine.Config, mode Mode) (engine.Engine, error) {
 type Engine[T kernels.Real] struct {
 	*engine.Storage[T]
 	mode        Mode
+	kern        kernels.Set[T]
 	threads     int
 	minPatterns int
 	pool        *workerPool
@@ -114,10 +120,12 @@ type Engine[T kernels.Real] struct {
 	tr          *trace.Tracer
 	lane        int32
 	closed      bool
-	// scratch holds the reuse-filtered operation list between batches so
-	// the skip path of a full-schedule resubmission allocates nothing once
-	// warmed up.
-	scratch []engine.Operation
+	// resolved holds the current batch's validated operations between
+	// batches, so resubmitting a schedule (including the reuse filter's skip
+	// path) allocates nothing once warmed up.
+	resolved []resolvedOp[T]
+	// site is the per-pattern scratch of the root integration.
+	site []float64
 }
 
 func newEngine[T kernels.Real](cfg engine.Config, mode Mode) *Engine[T] {
@@ -132,11 +140,17 @@ func newEngine[T kernels.Real](cfg engine.Config, mode Mode) *Engine[T] {
 	e := &Engine[T]{
 		Storage:     engine.NewStorage[T](cfg),
 		mode:        mode,
+		kern:        kernels.Generic[T](),
 		threads:     threads,
 		minPatterns: minPat,
 		tel:         cfg.Telemetry,
 		tr:          cfg.Trace,
 		lane:        int32(cfg.TraceLane),
+	}
+	// Serial is the paper's baseline and the reference other engines are
+	// compared against, so it alone keeps the generic kernels.
+	if mode != Serial {
+		e.kern = kernels.ForStateCount[T](cfg.Dims.StateCount)
 	}
 	if mode == ThreadPool || mode == ThreadPoolHybrid {
 		e.pool = newWorkerPool(threads, mode.String())
@@ -162,106 +176,89 @@ func (e *Engine[T]) Close() error {
 	return nil
 }
 
-// runOp executes one partial-likelihoods operation for patterns [lo, hi),
-// selecting the kernel by operand kinds and mode.
-func (e *Engine[T]) runOp(op engine.Operation, lo, hi int) error {
-	d := e.Cfg.Dims
-	dest, err := e.DestPartials(op.Dest)
-	if err != nil {
-		return err
-	}
-	m1, m2, err := e.OpMatrices(op)
-	if err != nil {
-		return err
-	}
-	k1, s1, p1, err := e.ChildOperand(op.Child1)
-	if err != nil {
-		return err
-	}
-	k2, s2, p2, err := e.ChildOperand(op.Child2)
-	if err != nil {
-		return err
-	}
-	// Normalize so a compact-states operand, if any, comes first.
-	if k1 == engine.OperandPartials && k2 == engine.OperandStates {
-		k1, k2 = k2, k1
-		s1, s2 = s2, s1
-		p1, p2 = p2, p1
-		m1, m2 = m2, m1
-	}
-	useSSE := e.mode == SSE && d.StateCount == 4
-	switch {
-	case k1 == engine.OperandStates && k2 == engine.OperandStates:
-		if useSSE {
-			kernels.StatesStates4(dest, s1, m1, s2, m2, d, lo, hi)
-		} else {
-			kernels.StatesStates(dest, s1, m1, s2, m2, d, lo, hi)
-		}
-	case k1 == engine.OperandStates:
-		if useSSE {
-			kernels.StatesPartials4(dest, s1, m1, p2, m2, d, lo, hi)
-		} else {
-			kernels.StatesPartials(dest, s1, m1, p2, m2, d, lo, hi)
-		}
-	default:
-		if useSSE {
-			kernels.PartialsPartials4(dest, p1, m1, p2, m2, d, lo, hi)
-		} else {
-			kernels.PartialsPartials(dest, p1, m1, p2, m2, d, lo, hi)
-		}
-	}
-	// Fixed scaling first: previously written factors are applied to the
-	// fresh partials, then an optional rescale captures the residual.
-	if op.DestScaleRead != engine.None {
-		scale, err := e.CumulativeScale(op.DestScaleRead)
-		if err != nil {
-			return err
-		}
-		kernels.ApplyReadScale(dest, scale, d, lo, hi)
-	}
-	if op.DestScaleWrite != engine.None {
-		scale, err := e.ScaleWriteTarget(op.DestScaleWrite)
-		if err != nil {
-			return err
-		}
-		kernels.RescalePartials(dest, scale, d, lo, hi)
-	}
-	return nil
+// resolvedOp is one operation with every buffer it touches looked up: what
+// the runners execute. The embedded indices remain for the dependency
+// analysis and the reuse filter.
+type resolvedOp[T kernels.Real] struct {
+	engine.Operation
+	dest   []T
+	s1, s2 []int32 // compact-state operands; s2 only when both children are
+	p1, p2 []T     // partials operands
+	m1, m2 []T
+	// readScale and writeScale are nil when the operation asks for neither.
+	readScale, writeScale []float64
 }
 
-// validateOps pre-checks every operation so threaded execution cannot fail
-// mid-flight.
-func (e *Engine[T]) validateOps(ops []engine.Operation) error {
+// resolve validates every operation and looks its buffers up, once per batch
+// and in submission order (the documented dependency order: a child must hold
+// data or be the destination of an earlier listed operation). Destinations
+// and rescale targets are allocated on the way. A failure anywhere fails the
+// whole batch before any kernel has run, so the runners cannot fail.
+func (e *Engine[T]) resolve(ops []engine.Operation) ([]resolvedOp[T], error) {
+	out := e.resolved[:0]
+	if cap(out) < len(ops) {
+		out = make([]resolvedOp[T], 0, len(ops))
+	}
 	for _, op := range ops {
-		if _, err := e.DestPartials(op.Dest); err != nil {
-			return err
+		r := resolvedOp[T]{Operation: op}
+		var err error
+		if r.dest, err = e.DestPartials(op.Dest); err != nil {
+			return nil, err
 		}
-		if _, _, err := e.OpMatrices(op); err != nil {
-			return err
+		if r.m1, r.m2, err = e.OpMatrices(op); err != nil {
+			return nil, err
 		}
-		if _, _, _, err := e.ChildOperand(op.Child1); err != nil {
-			// The child may be the destination of an earlier op in this
-			// batch; DestPartials above has already allocated those.
-			return err
+		if _, r.s1, r.p1, err = e.ChildOperand(op.Child1); err != nil {
+			return nil, err
 		}
-		if _, _, _, err := e.ChildOperand(op.Child2); err != nil {
-			return err
+		if _, r.s2, r.p2, err = e.ChildOperand(op.Child2); err != nil {
+			return nil, err
+		}
+		// Normalize so a compact-states operand, if any, comes first.
+		if r.s1 == nil && r.s2 != nil {
+			r.s1, r.s2 = r.s2, r.s1
+			r.p1, r.p2 = r.p2, r.p1
+			r.m1, r.m2 = r.m2, r.m1
 		}
 		if op.DestScaleWrite != engine.None {
-			if _, err := e.ScaleWriteTarget(op.DestScaleWrite); err != nil {
-				return err
+			if r.writeScale, err = e.ScaleWriteTarget(op.DestScaleWrite); err != nil {
+				return nil, err
 			}
 		}
 		if op.DestScaleRead != engine.None {
 			// The read buffer must exist before the batch: either written by
-			// an earlier batch, or allocated above by an earlier listed
-			// operation's DestScaleWrite.
-			if _, err := e.CumulativeScale(op.DestScaleRead); err != nil {
-				return err
+			// an earlier batch, or allocated above by this or an earlier
+			// listed operation's DestScaleWrite.
+			if r.readScale, err = e.CumulativeScale(op.DestScaleRead); err != nil {
+				return nil, err
 			}
 		}
+		out = append(out, r)
 	}
-	return nil
+	e.resolved = out
+	return out, nil
+}
+
+// exec runs one resolved operation for patterns [lo, hi) with the engine's
+// bound kernels.
+func (e *Engine[T]) exec(r *resolvedOp[T], lo, hi int) {
+	d := e.Cfg.Dims
+	switch {
+	case r.s2 != nil:
+		e.kern.StatesStates(r.dest, r.s1, r.m1, r.s2, r.m2, d, lo, hi)
+	case r.s1 != nil:
+		e.kern.StatesPartials(r.dest, r.s1, r.m1, r.p2, r.m2, d, lo, hi)
+	default:
+		e.kern.PartialsPartials(r.dest, r.p1, r.m1, r.p2, r.m2, d, lo, hi)
+	}
+	// Fixed scaling first: previously written factors are applied to the
+	// fresh partials, then an optional rescale captures the residual.
+	if r.readScale != nil {
+		kernels.ApplyReadScale(r.dest, r.readScale, d, lo, hi)
+	}
+	if r.writeScale != nil {
+		kernels.RescalePartials(r.dest, r.writeScale, d, lo, hi)
+	}
 }
 
 // UpdatePartials executes the operation list with the engine's strategy.
@@ -269,34 +266,29 @@ func (e *Engine[T]) UpdatePartials(ops []engine.Operation) error {
 	if e.closed {
 		return ErrClosed
 	}
-	// Allocate destinations in order first so later validation of children
-	// that are earlier destinations succeeds.
-	for _, op := range ops {
-		if _, err := e.DestPartials(op.Dest); err != nil {
-			return err
-		}
-	}
-	if err := e.validateOps(ops); err != nil {
+	rops, err := e.resolve(ops)
+	if err != nil {
 		return err
 	}
 	// Incremental re-evaluation: drop operations whose destination already
 	// holds the result of an identical computation over unchanged inputs.
 	// Decisions run in submission order — the documented dependency order —
 	// so an admitted ancestor dirties its dependents before they are
-	// decided. Validation above covered the full list, so skipping cannot
-	// hide an invalid operation.
+	// decided. resolve covered the full list, so skipping cannot hide an
+	// invalid operation, and the tracker's version bumps cannot be followed
+	// by a validation failure.
 	var skipped int
 	if e.Reuse.Enabled() {
-		kept := e.scratch[:0]
-		for _, op := range ops {
+		kept := rops[:0]
+		for i := range rops {
+			op := &rops[i].Operation
 			if e.Reuse.ShouldComputeOp(op.Dest, op.Child1, op.Child1Mat,
 				op.Child2, op.Child2Mat, op.DestScaleWrite, op.DestScaleRead) {
-				kept = append(kept, op)
+				kept = append(kept, rops[i])
 			}
 		}
-		e.scratch = kept
-		skipped = len(ops) - len(kept)
-		ops = kept
+		skipped = len(rops) - len(kept)
+		rops = kept
 	}
 	// Telemetry/trace fast paths: one atomic load each when disabled, no
 	// timestamps taken.
@@ -313,42 +305,29 @@ func (e *Engine[T]) UpdatePartials(ops []engine.Operation) error {
 		tbatch = e.tr.NextBatch()
 		tstart = e.tr.Now()
 	}
-	p := e.Cfg.Dims.PatternCount
-	var err error
 	switch e.mode {
 	case Serial, SSE:
-		for _, op := range ops {
-			if err = e.runOp(op, 0, p); err != nil {
-				break
-			}
-		}
+		e.runSerial(rops)
 	case Futures:
-		err = e.runFutures(ops, batch, tbatch)
+		e.runFutures(rops, batch, tbatch)
 	case ThreadCreate:
-		for _, op := range ops {
-			if err = e.runThreadCreate(op); err != nil {
-				break
-			}
+		for i := range rops {
+			e.runThreadCreate(&rops[i])
 		}
 	case ThreadPool:
-		for _, op := range ops {
-			if err = e.runThreadPool(op, tbatch); err != nil {
-				break
-			}
+		for i := range rops {
+			e.runThreadPool(&rops[i], tbatch)
 		}
 	case ThreadPoolHybrid:
-		err = e.runHybrid(ops, batch, tbatch)
-	}
-	if err != nil {
-		return err
+		e.runHybrid(rops, batch, tbatch)
 	}
 	if !start.IsZero() {
-		e.tel.Record(telemetry.KernelPartials, len(ops), time.Since(start))
-		e.tel.AddFlops(flops.PartialsOp(e.Cfg.Dims) * float64(len(ops)))
+		e.tel.Record(telemetry.KernelPartials, len(rops), time.Since(start))
+		e.tel.AddFlops(flops.PartialsOp(e.Cfg.Dims) * float64(len(rops)))
 	}
 	if traceOn {
 		e.tr.Record(trace.Span{Kind: trace.KindBatch, Lane: e.lane, Batch: tbatch,
-			Start: tstart, Dur: e.tr.Now() - tstart, Arg0: int64(len(ops)), Arg1: int64(skipped)})
+			Start: tstart, Dur: e.tr.Now() - tstart, Arg0: int64(len(rops)), Arg1: int64(skipped)})
 	}
 	return nil
 }
@@ -357,118 +336,122 @@ func (e *Engine[T]) UpdatePartials(ops []engine.Operation) error {
 // value (Enabled false) when the engine was built without Config.Reuse.
 func (e *Engine[T]) ReuseStats() reuse.Stats { return e.Reuse.Stats() }
 
+// eachChunk calls f for every non-empty span of the equal n-way split of the
+// patterns [0, p).
+func eachChunk(p, n int, f func(lo, hi int)) {
+	for w := 0; w < n; w++ {
+		if lo, hi := w*p/n, (w+1)*p/n; lo < hi {
+			f(lo, hi)
+		}
+	}
+}
+
+// levelClock brackets one dependency level for the batch tracer and the span
+// tracer; the zero value (both disabled) takes no timestamps.
+type levelClock struct {
+	start   time.Time
+	tstart  int64
+	traceOn bool
+}
+
+func (e *Engine[T]) beginLevel() (c levelClock) {
+	if e.tel.Enabled() {
+		c.start = time.Now()
+	}
+	if c.traceOn = e.tr.Enabled(); c.traceOn {
+		c.tstart = e.tr.Now()
+	}
+	return c
+}
+
+func (e *Engine[T]) endLevel(c levelClock, batch, tbatch uint64, level, ops, tasks int) {
+	if !c.start.IsZero() {
+		e.tel.TraceLevel(batch, level, ops, tasks, time.Since(c.start))
+	}
+	if c.traceOn {
+		e.tr.Record(trace.Span{Kind: trace.KindLevel, Lane: e.lane, Batch: tbatch,
+			Start: c.tstart, Dur: e.tr.Now() - c.tstart, Arg0: int64(level), Arg1: int64(ops)})
+	}
+}
+
+// runSerial executes the operations one after another on the calling
+// goroutine, each over its full pattern range.
+func (e *Engine[T]) runSerial(ops []resolvedOp[T]) {
+	p := e.Cfg.Dims.PatternCount
+	for i := range ops {
+		e.exec(&ops[i], 0, p)
+	}
+}
+
 // runFutures executes operations level by level; operations within a level
 // are independent in the tree topology and run concurrently, each as one
 // asynchronous task computing its full pattern range (§VI-A).
-func (e *Engine[T]) runFutures(ops []engine.Operation, batch, tbatch uint64) error {
-	levels := opLevels(ops)
-	errs := make([]error, len(ops))
-	idx := 0
-	traceOn := e.tr.Enabled()
-	for li, level := range levels {
-		var lstart time.Time
-		if e.tel.Enabled() {
-			lstart = time.Now()
-		}
-		var ltstart int64
-		if traceOn {
-			ltstart = e.tr.Now()
-		}
+func (e *Engine[T]) runFutures(ops []resolvedOp[T], batch, tbatch uint64) {
+	p := e.Cfg.Dims.PatternCount
+	for li, level := range opLevels(ops) {
+		c := e.beginLevel()
 		var wg sync.WaitGroup
-		for _, op := range level {
-			wg.Add(1)
-			go func(op engine.Operation, slot int) {
+		wg.Add(len(level))
+		for _, r := range level {
+			go func(r *resolvedOp[T]) {
 				defer wg.Done()
-				errs[slot] = e.runOp(op, 0, e.Cfg.Dims.PatternCount)
-			}(op, idx)
-			idx++
+				e.exec(r, 0, p)
+			}(r)
 		}
 		wg.Wait()
-		if !lstart.IsZero() {
-			e.tel.TraceLevel(batch, li, len(level), len(level), time.Since(lstart))
-		}
-		if traceOn {
-			e.tr.Record(trace.Span{Kind: trace.KindLevel, Lane: e.lane, Batch: tbatch,
-				Start: ltstart, Dur: e.tr.Now() - ltstart, Arg0: int64(li), Arg1: int64(len(level))})
-		}
+		e.endLevel(c, batch, tbatch, li, len(level), len(level))
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // runThreadCreate spawns fresh goroutines for one operation, partitioning
 // the patterns into equal chunks (§VI-B). Below the minimum pattern count it
 // stays serial.
-func (e *Engine[T]) runThreadCreate(op engine.Operation) error {
+func (e *Engine[T]) runThreadCreate(r *resolvedOp[T]) {
 	p := e.Cfg.Dims.PatternCount
 	if p < e.minPatterns || e.threads < 2 {
-		return e.runOp(op, 0, p)
+		e.exec(r, 0, p)
+		return
 	}
-	n := e.threads
-	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
-		lo := w * p / n
-		hi := (w + 1) * p / n
-		if lo == hi {
-			continue
-		}
+	eachChunk(p, e.threads, func(lo, hi int) {
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func() {
 			defer wg.Done()
-			errs[w] = e.runOp(op, lo, hi)
-		}(w, lo, hi)
-	}
+			e.exec(r, lo, hi)
+		}()
+	})
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+}
+
+// submit queues patterns [lo, hi) of one operation on the worker pool,
+// recording a task span on the executing worker's lane when tracing.
+func (e *Engine[T]) submit(wg *sync.WaitGroup, r *resolvedOp[T], lo, hi int, traceOn bool, tbatch uint64) {
+	wg.Add(1)
+	e.pool.submit(func(worker int) {
+		defer wg.Done()
+		if !traceOn {
+			e.exec(r, lo, hi)
+			return
 		}
-	}
-	return nil
+		ts := e.tr.Now()
+		e.exec(r, lo, hi)
+		e.tr.Record(trace.Span{Kind: trace.KindTask, Lane: int32(worker), Batch: tbatch,
+			Start: ts, Dur: e.tr.Now() - ts, Arg0: int64(hi - lo)})
+	})
 }
 
 // runThreadPool dispatches one operation's pattern chunks onto the
 // persistent worker pool (§VI-C).
-func (e *Engine[T]) runThreadPool(op engine.Operation, tbatch uint64) error {
+func (e *Engine[T]) runThreadPool(r *resolvedOp[T], tbatch uint64) {
 	p := e.Cfg.Dims.PatternCount
 	if p < e.minPatterns || e.threads < 2 {
-		return e.runOp(op, 0, p)
+		e.exec(r, 0, p)
+		return
 	}
-	n := e.threads
-	errs := make([]error, n)
 	traceOn := e.tr.Enabled()
 	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
-		lo := w * p / n
-		hi := (w + 1) * p / n
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		e.pool.submit(func(worker int) {
-			defer wg.Done()
-			if traceOn {
-				ts := e.tr.Now()
-				errs[w] = e.runOp(op, lo, hi)
-				e.tr.Record(trace.Span{Kind: trace.KindTask, Lane: int32(worker), Batch: tbatch,
-					Start: ts, Dur: e.tr.Now() - ts, Arg0: int64(hi - lo)})
-				return
-			}
-			errs[w] = e.runOp(op, lo, hi)
-		})
-	}
+	eachChunk(p, e.threads, func(lo, hi int) { e.submit(&wg, r, lo, hi, traceOn, tbatch) })
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // runHybrid executes operations level by level like runFutures, but instead
@@ -478,45 +461,15 @@ func (e *Engine[T]) runThreadPool(op engine.Operation, tbatch uint64) error {
 // concurrency), narrow levels split patterns until the pool is saturated,
 // and no chunk is cut below HybridMinChunk patterns — so small-pattern
 // problems with independent operations no longer fall back to serial.
-func (e *Engine[T]) runHybrid(ops []engine.Operation, batch, tbatch uint64) error {
-	p := e.Cfg.Dims.PatternCount
-	if e.threads < 2 {
-		if !e.tel.Enabled() && !e.tr.Enabled() {
-			for _, op := range ops {
-				if err := e.runOp(op, 0, p); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		// Single-threaded fallback: still report the dependency leveling so
-		// the batch tracer stays meaningful on one-core hosts.
-		traceOn := e.tr.Enabled()
-		for li, level := range opLevels(ops) {
-			lstart := time.Now()
-			var ltstart int64
-			if traceOn {
-				ltstart = e.tr.Now()
-			}
-			for _, op := range level {
-				if err := e.runOp(op, 0, p); err != nil {
-					return err
-				}
-			}
-			e.tel.TraceLevel(batch, li, len(level), len(level), time.Since(lstart))
-			if traceOn {
-				e.tr.Record(trace.Span{Kind: trace.KindLevel, Lane: e.lane, Batch: tbatch,
-					Start: ltstart, Dur: e.tr.Now() - ltstart, Arg0: int64(li), Arg1: int64(len(level))})
-			}
-		}
-		return nil
+func (e *Engine[T]) runHybrid(ops []resolvedOp[T], batch, tbatch uint64) {
+	if e.threads < 2 && !e.tel.Enabled() && !e.tr.Enabled() {
+		// Nothing to overlap and nobody watching the leveling: skip it.
+		e.runSerial(ops)
+		return
 	}
 	for li, level := range opLevels(ops) {
-		if err := e.runHybridLevel(level, batch, tbatch, li); err != nil {
-			return err
-		}
+		e.runHybridLevel(level, batch, tbatch, li)
 	}
-	return nil
 }
 
 // HybridChunks returns how many pattern chunks each operation of a level is
@@ -536,73 +489,31 @@ func HybridChunks(levelWidth, patterns, threads int) int {
 
 // runHybridLevel dispatches one dependency level's (operation, chunk) tasks
 // and waits for the barrier at the end of the level.
-func (e *Engine[T]) runHybridLevel(level []engine.Operation, batch, tbatch uint64, levelIdx int) error {
+func (e *Engine[T]) runHybridLevel(level []*resolvedOp[T], batch, tbatch uint64, levelIdx int) {
 	p := e.Cfg.Dims.PatternCount
-	var lstart time.Time
-	if e.tel.Enabled() {
-		lstart = time.Now()
-	}
-	traceOn := e.tr.Enabled()
-	var ltstart int64
-	if traceOn {
-		ltstart = e.tr.Now()
-	}
-	if len(level) == 1 && p < e.minPatterns {
-		// A single small operation gains nothing from chunking; stay serial,
-		// exactly as the plain thread-pool strategy does.
-		err := e.runOp(level[0], 0, p)
-		if err == nil {
-			if !lstart.IsZero() {
-				e.tel.TraceLevel(batch, levelIdx, 1, 1, time.Since(lstart))
-			}
-			if traceOn {
-				e.tr.Record(trace.Span{Kind: trace.KindLevel, Lane: e.lane, Batch: tbatch,
-					Start: ltstart, Dur: e.tr.Now() - ltstart, Arg0: int64(levelIdx), Arg1: 1})
-			}
+	c := e.beginLevel()
+	var tasks int
+	if e.threads < 2 || (len(level) == 1 && p < e.minPatterns) {
+		// One worker, or a single small operation that gains nothing from
+		// chunking: stay on the calling goroutine, exactly as the plain
+		// thread-pool strategy does. The leveling is still reported so the
+		// batch tracer stays meaningful on one-core hosts.
+		for _, r := range level {
+			e.exec(r, 0, p)
 		}
-		return err
-	}
-	chunks := HybridChunks(len(level), p, e.threads)
-	errs := make([]error, len(level)*chunks)
-	tasks := 0
-	var wg sync.WaitGroup
-	for i, op := range level {
-		for c := 0; c < chunks; c++ {
-			lo := c * p / chunks
-			hi := (c + 1) * p / chunks
-			if lo == hi {
-				continue
-			}
-			slot := i*chunks + c
-			tasks++
-			wg.Add(1)
-			e.pool.submit(func(worker int) {
-				defer wg.Done()
-				if traceOn {
-					ts := e.tr.Now()
-					errs[slot] = e.runOp(op, lo, hi)
-					e.tr.Record(trace.Span{Kind: trace.KindTask, Lane: int32(worker), Batch: tbatch,
-						Start: ts, Dur: e.tr.Now() - ts, Arg0: int64(hi - lo)})
-					return
-				}
-				errs[slot] = e.runOp(op, lo, hi)
+		tasks = len(level)
+	} else {
+		n := HybridChunks(len(level), p, e.threads)
+		var wg sync.WaitGroup
+		for _, r := range level {
+			eachChunk(p, n, func(lo, hi int) {
+				tasks++
+				e.submit(&wg, r, lo, hi, c.traceOn, tbatch)
 			})
 		}
+		wg.Wait()
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	if !lstart.IsZero() {
-		e.tel.TraceLevel(batch, levelIdx, len(level), tasks, time.Since(lstart))
-	}
-	if traceOn {
-		e.tr.Record(trace.Span{Kind: trace.KindLevel, Lane: e.lane, Batch: tbatch,
-			Start: ltstart, Dur: e.tr.Now() - ltstart, Arg0: int64(levelIdx), Arg1: int64(len(level))})
-	}
-	return nil
+	e.endLevel(c, batch, tbatch, levelIdx, len(level), tasks)
 }
 
 // opLevels groups operations into dependency levels so that all operations
@@ -620,7 +531,7 @@ func (e *Engine[T]) runHybridLevel(level []engine.Operation, batch, tbatch uint6
 // Partials and scale buffers are distinct index spaces and are tracked
 // separately. This is the single dependency analyzer used by both the
 // Futures and the ThreadPoolHybrid strategies.
-func opLevels(ops []engine.Operation) [][]engine.Operation {
+func opLevels[T kernels.Real](ops []resolvedOp[T]) [][]*resolvedOp[T] {
 	partialsWriter := make(map[int]int) // partials buffer -> level of last writer
 	partialsReader := make(map[int]int) // partials buffer -> highest reading level
 	scaleWriter := make(map[int]int)    // scale buffer -> level of last writer
@@ -636,8 +547,9 @@ func opLevels(ops []engine.Operation) [][]engine.Operation {
 			m[buf] = l
 		}
 	}
-	var out [][]engine.Operation
-	for _, op := range ops {
+	var out [][]*resolvedOp[T]
+	for i := range ops {
+		op := &ops[i]
 		l := 0
 		l = after(l, partialsWriter, op.Child1) // RAW
 		l = after(l, partialsWriter, op.Child2) // RAW
@@ -668,7 +580,7 @@ func opLevels(ops []engine.Operation) [][]engine.Operation {
 }
 
 // SiteLogLikelihoods returns per-pattern root log likelihoods
-// (log site likelihood plus accumulated scale factors).
+// (log site likelihood plus accumulated scale factors) in a fresh slice.
 func (e *Engine[T]) SiteLogLikelihoods(rootBuf, cumScaleBuf int) ([]float64, error) {
 	site, scale, err := e.siteLikelihoods(rootBuf, cumScaleBuf)
 	if err != nil {
@@ -714,7 +626,10 @@ func (e *Engine[T]) CalculateRootLogLikelihoods(rootBuf, cumScaleBuf int) (float
 	return lnL, nil
 }
 
-func (e *Engine[T]) siteLikelihoods(rootBuf, cumScaleBuf int) (site, scale []float64, err error) {
+// siteLikelihoods computes the per-pattern root likelihoods into the
+// engine-owned scratch, valid until the next call, and returns them with the
+// cumulative scale buffer (nil for None).
+func (e *Engine[T]) siteLikelihoods(rootBuf, cumScaleBuf int) ([]float64, []float64, error) {
 	if e.closed {
 		return nil, nil, ErrClosed
 	}
@@ -725,27 +640,24 @@ func (e *Engine[T]) siteLikelihoods(rootBuf, cumScaleBuf int) (site, scale []flo
 	if kind != engine.OperandPartials {
 		return nil, nil, fmt.Errorf("cpuimpl: root buffer %d holds compact states", rootBuf)
 	}
-	scale, err = e.CumulativeScale(cumScaleBuf)
+	scale, err := e.CumulativeScale(cumScaleBuf)
 	if err != nil {
 		return nil, nil, err
 	}
 	d := e.Cfg.Dims
-	site = make([]float64, d.PatternCount)
-	if (e.mode == ThreadPool || e.mode == ThreadPoolHybrid) && d.PatternCount >= e.minPatterns && e.threads > 1 {
-		n := e.threads
+	if cap(e.site) < d.PatternCount {
+		e.site = make([]float64, d.PatternCount)
+	}
+	site := e.site[:d.PatternCount]
+	if e.pool != nil && d.PatternCount >= e.minPatterns && e.threads > 1 {
 		var wg sync.WaitGroup
-		for w := 0; w < n; w++ {
-			lo := w * d.PatternCount / n
-			hi := (w + 1) * d.PatternCount / n
-			if lo == hi {
-				continue
-			}
+		eachChunk(d.PatternCount, e.threads, func(lo, hi int) {
 			wg.Add(1)
 			e.pool.submit(func(int) {
 				defer wg.Done()
 				kernels.SiteLikelihoods(site, root, e.CatWts, e.Freqs, d, lo, hi)
 			})
-		}
+		})
 		wg.Wait()
 	} else {
 		kernels.SiteLikelihoods(site, root, e.CatWts, e.Freqs, d, 0, d.PatternCount)
@@ -857,7 +769,5 @@ func (e *Engine[T]) CalculateEdgeDerivatives(parentBuf, childBuf, matrix, d1Matr
 
 // Modes returns all CPU modes in presentation order.
 func Modes() []Mode {
-	m := []Mode{Serial, SSE, Futures, ThreadCreate, ThreadPool, ThreadPoolHybrid}
-	sort.Slice(m, func(i, j int) bool { return m[i] < m[j] })
-	return m
+	return []Mode{Serial, SSE, Futures, ThreadCreate, ThreadPool, ThreadPoolHybrid}
 }

@@ -19,6 +19,24 @@ import (
 	"gobeagle/internal/tree"
 )
 
+// levelsOf runs opLevels over bare (unresolved) operations: the dependency
+// analysis reads only the buffer indices.
+func levelsOf(ops []engine.Operation) [][]engine.Operation {
+	rops := make([]resolvedOp[float64], len(ops))
+	for i, op := range ops {
+		rops[i].Operation = op
+	}
+	var out [][]engine.Operation
+	for _, level := range opLevels(rops) {
+		var l []engine.Operation
+		for _, r := range level {
+			l = append(l, r.Operation)
+		}
+		out = append(out, l)
+	}
+	return out
+}
+
 // levelOf returns the level index opLevels assigned to the operation with
 // the given destination, requiring it to appear exactly once.
 func levelOf(t *testing.T, levels [][]engine.Operation, dest int) int {
@@ -49,7 +67,7 @@ func TestOpLevelsHazards(t *testing.T) {
 	}
 
 	t.Run("raw", func(t *testing.T) {
-		levels := opLevels([]engine.Operation{
+		levels := levelsOf([]engine.Operation{
 			op(4, 0, 1, engine.None),
 			op(5, 4, 2, engine.None), // reads 4 → after its writer
 			op(6, 2, 3, engine.None), // independent → level 0
@@ -66,7 +84,7 @@ func TestOpLevelsHazards(t *testing.T) {
 	})
 
 	t.Run("waw-and-war", func(t *testing.T) {
-		levels := opLevels([]engine.Operation{
+		levels := levelsOf([]engine.Operation{
 			op(4, 0, 1, engine.None), // writes 4
 			op(5, 4, 2, engine.None), // reads 4
 			op(4, 2, 3, engine.None), // rewrites 4: WAW with op 0, WAR with op 1
@@ -90,7 +108,7 @@ func TestOpLevelsHazards(t *testing.T) {
 	})
 
 	t.Run("war-without-waw", func(t *testing.T) {
-		levels := opLevels([]engine.Operation{
+		levels := levelsOf([]engine.Operation{
 			op(5, 4, 2, engine.None), // reads 4 (never written in this batch)
 			op(4, 2, 3, engine.None), // overwrites 4: pure WAR
 		})
@@ -103,7 +121,7 @@ func TestOpLevelsHazards(t *testing.T) {
 	})
 
 	t.Run("scale-waw", func(t *testing.T) {
-		levels := opLevels([]engine.Operation{
+		levels := levelsOf([]engine.Operation{
 			op(4, 0, 1, 0), // rescales into scale buffer 0
 			op(5, 2, 3, 0), // different dest, same scale buffer: WAW
 		})
@@ -117,7 +135,7 @@ func TestOpLevelsHazards(t *testing.T) {
 
 	t.Run("scale-buffers-are-not-partials", func(t *testing.T) {
 		// Scale buffer 5 must not alias partials buffer 5: distinct spaces.
-		levels := opLevels([]engine.Operation{
+		levels := levelsOf([]engine.Operation{
 			op(4, 0, 1, 5),           // writes scale buffer 5
 			op(5, 2, 3, engine.None), // writes partials buffer 5
 		})
@@ -134,7 +152,7 @@ func TestOpLevelsHazards(t *testing.T) {
 			op(6, 4, 5, engine.None),
 		}
 		total := 0
-		for _, level := range opLevels(ops) {
+		for _, level := range levelsOf(ops) {
 			total += len(level)
 		}
 		if total != len(ops) {

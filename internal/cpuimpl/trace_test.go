@@ -2,7 +2,6 @@ package cpuimpl
 
 import (
 	"testing"
-	"time"
 
 	"gobeagle/internal/engine"
 	"gobeagle/internal/trace"
@@ -90,54 +89,7 @@ func TestTraceDisabledAndNilRecordNothing(t *testing.T) {
 
 // TestTraceDisabledOverhead is the tracer's counterpart of
 // TestTelemetryDisabledOverhead: an engine carrying a disabled tracer must
-// run UpdatePartials within noise of an engine with no tracer at all. The
-// threshold matches the telemetry test's deliberately loose 50% so shared-CI
-// scheduler noise cannot flake it; the per-call budget is pinned by
-// BenchmarkDisabledGuard in internal/trace.
+// run UpdatePartials within noise of an engine with no tracer at all.
 func TestTraceDisabledOverhead(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing comparison skipped in -short mode")
-	}
-	tr, m, rates, ps := telemetryProblem(t)
-
-	eval := func(tc *trace.Tracer) time.Duration {
-		cfg := testConfig(tr, 4, ps.PatternCount(), 4, false)
-		cfg.Trace = tc
-		e, err := New(cfg, Serial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer e.Close()
-		sched := tr.FullSchedule()
-		ops := make([]engine.Operation, len(sched.Ops))
-		for i, op := range sched.Ops {
-			ops[i] = engine.Operation{
-				Dest: op.Dest, DestScaleWrite: engine.None, DestScaleRead: engine.None,
-				Child1: op.Child1, Child1Mat: op.Child1Mat,
-				Child2: op.Child2, Child2Mat: op.Child2Mat,
-			}
-		}
-		driveEngine(t, e, tr, m, rates, ps, true, false)
-		best := time.Duration(1<<63 - 1)
-		for rep := 0; rep < 30; rep++ {
-			start := time.Now()
-			if err := e.UpdatePartials(ops); err != nil {
-				t.Fatal(err)
-			}
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return best
-	}
-
-	baseline := eval(nil)
-	disabled := eval(trace.New())
-	if baseline <= 0 {
-		t.Skip("timer resolution too coarse for comparison")
-	}
-	if ratio := float64(disabled) / float64(baseline); ratio > 1.5 {
-		t.Errorf("disabled tracer overhead %.1f%% (baseline %v, disabled %v)",
-			100*(ratio-1), baseline, disabled)
-	}
+	disabledOverhead(t, "tracer", func(cfg *engine.Config) { cfg.Trace = trace.New() })
 }

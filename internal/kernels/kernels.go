@@ -17,6 +17,9 @@
 //     (§VII-B1, Table IV);
 //   - 4-state unrolled kernels, the analogue of the SSE code path.
 //
+// Host implementations do not pick among these per call: they bind one Set
+// at construction, from the state-count table ForStateCount or Generic.
+//
 // Buffer layouts (identical everywhere):
 //
 //	partials:  [category][pattern][state]   idx = (c·P + p)·S + s

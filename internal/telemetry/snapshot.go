@@ -46,9 +46,17 @@ type HistogramBucket struct {
 	Count      uint64
 }
 
-// Snapshot is a consistent-enough point-in-time view of a collector:
-// each counter is read atomically, so totals from concurrent recording may
-// disagree transiently by in-flight operations but never corrupt.
+// Snapshot is a view of a collector that is exact at quiescence and monotone
+// in flight. Recording updates each counter as an independent atomic and a
+// snapshot reads them one by one, without a sequence guard. Taken while no
+// recording is in progress, every figure is exact and the figures agree
+// (Ops, Calls, Total and the histogram describe the same calls). Taken
+// concurrently with recording, each figure is individually valid and never
+// moves backwards between successive snapshots (Min never rises), but figures
+// may differ from each other by the calls in flight: Calls can be ahead of
+// the histogram's sample count, Ops ahead of Calls. Consumers that divide one
+// figure by another (means, rates) should expect that skew, not an error.
+// Instance.Stats and the /metrics exporters inherit this guarantee.
 type Snapshot struct {
 	Implementation string
 	Strategy       string
@@ -79,7 +87,9 @@ func (s Snapshot) Kernel(k Kernel) KernelStats {
 }
 
 // Snapshot captures the collector's current state. Safe to call
-// concurrently with recording; a nil collector yields a zero snapshot.
+// concurrently with recording, with the guarantee the Snapshot type
+// documents: exact at quiescence, monotone in flight. A nil collector yields
+// a zero snapshot.
 func (c *Collector) Snapshot() Snapshot {
 	if c == nil {
 		return Snapshot{}

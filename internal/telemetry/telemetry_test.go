@@ -194,8 +194,11 @@ func TestReset(t *testing.T) {
 }
 
 // TestConcurrentRecording hammers every mutating entry point from many
-// goroutines (run under -race in CI) and checks the final counters are exact
-// and snapshots taken mid-flight stay internally consistent.
+// goroutines (run under -race in CI) and checks the documented snapshot
+// guarantee: exact at quiescence, monotone in flight. A record updates its
+// counters as independent atomics, so a snapshot taken mid-flight may see a
+// call's ops before its histogram bucket; what it may never see is a counter
+// going backwards or past what the writers will ever record.
 func TestConcurrentRecording(t *testing.T) {
 	c := New()
 	c.SetEnabled(true)
@@ -203,13 +206,20 @@ func TestConcurrentRecording(t *testing.T) {
 		goroutines = 8
 		iters      = 500
 		opsPerCall = 3
+		calls      = goroutines * iters
 	)
+	inHistogram := func(ks KernelStats) (n uint64) {
+		for _, b := range ks.Histogram {
+			n += b.Count
+		}
+		return n
+	}
 	var writers, reader sync.WaitGroup
 	stop := make(chan struct{})
-	// Concurrent snapshotter: invariants must hold at every instant.
 	reader.Add(1)
 	go func() {
 		defer reader.Done()
+		var prev Snapshot
 		for {
 			select {
 			case <-stop:
@@ -217,23 +227,23 @@ func TestConcurrentRecording(t *testing.T) {
 			default:
 			}
 			snap := c.Snapshot()
-			p := snap.Kernel(KernelPartials)
-			if p.Ops != opsPerCall*p.Calls {
-				t.Errorf("snapshot ops %d != %d*calls %d", p.Ops, opsPerCall, p.Calls)
+			p, q := snap.Kernel(KernelPartials), prev.Kernel(KernelPartials)
+			switch {
+			case p.Calls < q.Calls || p.Ops < q.Ops || p.Total < q.Total || p.Max < q.Max ||
+				inHistogram(p) < inHistogram(q) || snap.Batches < prev.Batches || snap.TotalFlops < prev.TotalFlops:
+				t.Errorf("snapshot went backwards:\n was %+v\n now %+v", prev, snap)
 				return
-			}
-			if len(snap.Levels) > TraceCapacity {
+			case q.Min > 0 && p.Min > q.Min: // zero: the first call's minimum is not stored yet
+				t.Errorf("snapshot minimum rose from %v to %v", q.Min, p.Min)
+				return
+			case p.Calls > calls || p.Ops > calls*opsPerCall || inHistogram(p) > calls || snap.Batches > calls:
+				t.Errorf("snapshot exceeds what the writers record: %+v", snap)
+				return
+			case len(snap.Levels) > TraceCapacity:
 				t.Errorf("snapshot retained %d levels", len(snap.Levels))
 				return
 			}
-			var inHist uint64
-			for _, b := range p.Histogram {
-				inHist += b.Count
-			}
-			if inHist != p.Calls {
-				t.Errorf("histogram holds %d samples, calls %d", inHist, p.Calls)
-				return
-			}
+			prev = snap
 		}
 	}()
 	for g := 0; g < goroutines; g++ {
@@ -252,18 +262,28 @@ func TestConcurrentRecording(t *testing.T) {
 	close(stop)
 	reader.Wait()
 
+	// Quiescent: every figure is exact and the figures agree with each other.
 	snap := c.Snapshot()
 	p := snap.Kernel(KernelPartials)
-	if p.Calls != goroutines*iters {
-		t.Fatalf("calls = %d, want %d", p.Calls, goroutines*iters)
+	if p.Calls != calls {
+		t.Fatalf("calls = %d, want %d", p.Calls, calls)
 	}
-	if p.Ops != goroutines*iters*opsPerCall {
-		t.Fatalf("ops = %d, want %d", p.Ops, goroutines*iters*opsPerCall)
+	if p.Ops != calls*opsPerCall {
+		t.Fatalf("ops = %d, want %d", p.Ops, calls*opsPerCall)
 	}
-	if snap.Batches != goroutines*iters {
-		t.Fatalf("batches = %d, want %d", snap.Batches, goroutines*iters)
+	if n := inHistogram(p); n != calls {
+		t.Fatalf("histogram holds %d samples, want %d", n, calls)
 	}
-	if want := float64(goroutines * iters * 10); math.Abs(snap.TotalFlops-want) > 1e-6 {
+	if p.Min != time.Microsecond || p.Max != iters*time.Microsecond {
+		t.Fatalf("min/max = %v/%v, want %v/%v", p.Min, p.Max, time.Microsecond, iters*time.Microsecond)
+	}
+	if want := goroutines * time.Duration(iters*(iters+1)/2) * time.Microsecond; p.Total != want {
+		t.Fatalf("total = %v, want %v", p.Total, want)
+	}
+	if snap.Batches != calls {
+		t.Fatalf("batches = %d, want %d", snap.Batches, calls)
+	}
+	if want := float64(calls * 10); math.Abs(snap.TotalFlops-want) > 1e-6 {
 		t.Fatalf("TotalFlops = %v, want %v", snap.TotalFlops, want)
 	}
 	if len(snap.Levels) != TraceCapacity {

@@ -62,7 +62,9 @@ func buildEngine(cfg engine.Config, rsc *Resource, flags Flags) (engine.Engine, 
 	return nil, fmt.Errorf("gobeagle: no implementation available for resource %q with flags %v", rsc.Name, flags)
 }
 
-// cpuMode maps flags to the CPU execution strategy.
+// cpuMode maps flags to the CPU execution strategy. A threading flag wins
+// over FlagVectorSSE without losing it: every threaded strategy runs the
+// state-count-specialised kernels the SSE mode does.
 func cpuMode(flags Flags) cpuimpl.Mode {
 	switch {
 	case flags&FlagThreadingThreadPoolHybrid != 0:

@@ -34,6 +34,11 @@ go -C "$ROOT" run ./cmd/beaglevet -stock=false ./...
 section "go test -race -short ./..."
 go -C "$ROOT" test -race -short -timeout "$TIMEOUT" ./...
 
+# The telemetry snapshot guarantee (exact at quiescence, monotone in flight)
+# only fails intermittently when broken, so it is run many times.
+section "telemetry TestConcurrentRecording -race -count=200"
+go -C "$ROOT" test -race -run TestConcurrentRecording -count=200 ./internal/telemetry
+
 run() {
     section "genomictest -check $*"
     go -C "$ROOT" run ./cmd/genomictest -check "$@"
@@ -70,6 +75,13 @@ rm -f "$trace_tmp"
 # must be bit-identical to dedicated-instance evaluation.
 section "beagled -selfcheck"
 go -C "$ROOT" run ./cmd/beagled -selfcheck
+
+# Measured-benchmark smoke: two 4-state workloads of bench/mark, every timed
+# result checked against the serial reference; a wrong result exits non-zero.
+section "beaglemark smoke"
+mark_tmp=$(mktemp)
+go -C "$ROOT" run ./bench/mark -workload nuc_large,deep_small -seconds 2 -out "$mark_tmp" >/dev/null
+rm -f "$mark_tmp"
 
 SECTION="done"
 echo "all checks passed"

@@ -146,7 +146,12 @@ type LevelTrace struct {
 
 // Stats returns the instance's telemetry snapshot. Safe to call while other
 // goroutines drive the instance's sibling instances; note the instance
-// itself is still single-goroutine for computation methods.
+// itself is still single-goroutine for computation methods. The snapshot is
+// exact at quiescence and monotone in flight: read while a computation is
+// recording, each counter is valid and never decreases from one call to the
+// next, but two counters may differ by the operations in flight (a kernel's
+// Calls can be ahead of its histogram). The /metrics endpoint of ServeDebug
+// renders this snapshot and carries the same guarantee.
 func (in *Instance) Stats() Stats {
 	snap := in.tel.Snapshot()
 	out := Stats{
