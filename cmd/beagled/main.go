@@ -40,7 +40,6 @@ func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8380", "listen address (use :0 for an ephemeral port)")
 		portFile     = flag.String("port-file", "", "write the bound address to this file once listening (for test harnesses)")
-		window       = flag.Duration("window", def.Window, "micro-batch coalescing window (0 disables the wait)")
 		maxBatch     = flag.Int("max-batch", def.MaxBatch, "maximum requests merged into one scheduler submission")
 		initialSlots = flag.Int("initial-slots", def.InitialSlots, "slot capacity a fresh warm instance starts with")
 		queue        = flag.Int("queue", def.QueueDepth, "admission queue depth per warm instance (full queue answers 429)")
@@ -69,7 +68,6 @@ func main() {
 	logger := slog.New(handler).With("component", "beagled")
 
 	opts := serve.DefaultOptions()
-	opts.Window = *window
 	opts.MaxBatch = *maxBatch
 	opts.InitialSlots = *initialSlots
 	opts.QueueDepth = *queue
@@ -111,8 +109,7 @@ func main() {
 
 	select {
 	case bound := <-ready:
-		logger.Info("serving", "url", "http://"+bound.String(),
-			"window", opts.Window.String(), "max_batch", opts.MaxBatch,
+		logger.Info("serving", "url", "http://"+bound.String(), "max_batch", opts.MaxBatch,
 			"pool", opts.MaxCalculators, "workers", len(opts.Workers),
 			"trace", opts.Trace, "pprof", opts.Pprof)
 		if *portFile != "" {

@@ -130,12 +130,6 @@ func Serve(clients, requests int) ([]ServeRow, float64, error) {
 	run := func(pooled bool, rate float64, budget, warmup int) (loadgen.Report, error) {
 		opts := serve.DefaultOptions()
 		opts.DisablePool = !pooled
-		// Pure sweep coalescing: under load the executor batches whatever has
-		// queued behind the running batch, without holding sparse requests
-		// hostage to a timer. The daemon default keeps a small window (it
-		// improves fill for sparse cross-tenant traffic); for a saturating
-		// load test the window only adds a latency floor.
-		opts.Window = 0
 		s := serve.NewServer(opts)
 		defer s.Close()
 		var mu sync.Mutex

@@ -41,10 +41,10 @@ type job struct {
 // growth) exactly as the sts OnlineCalculator recycles buffer ids.
 //
 // A single executor goroutine drains the queue, coalescing up to MaxBatch
-// requests arriving within the batch window into one merged UpdatePartials
-// submission; per-request state (tips, model, matrices, pattern weights) is
-// loaded around it. All instance access happens on the executor, so the
-// instance's single-goroutine contract holds.
+// requests that queued while the previous batch ran into one merged
+// UpdatePartials submission; per-request state (tips, model, matrices,
+// pattern weights) is loaded around it. All instance access happens on the
+// executor, so the instance's single-goroutine contract holds.
 type Calculator struct {
 	key   PoolKey
 	opts  Options
@@ -75,8 +75,9 @@ type Calculator struct {
 	slotCap   atomic.Int64 // slots.Capacity() mirrored for concurrent readers
 }
 
-// newCalculator builds a cold calculator for one pool key and starts its
-// executor. The instance itself is built lazily on the first batch.
+// newCalculator builds a cold calculator for one pool key; the caller starts
+// its executor with go c.run(). The instance itself is built lazily on the
+// first batch.
 func newCalculator(key PoolKey, opts Options, tr *trace.Tracer) *Calculator {
 	c := &Calculator{
 		key:     key,
@@ -89,7 +90,6 @@ func newCalculator(key PoolKey, opts Options, tr *trace.Tracer) *Calculator {
 	}
 	c.lastUsed.Store(time.Now().UnixNano())
 	c.slotCap.Store(int64(c.slots.Capacity()))
-	go c.run()
 	return c
 }
 
@@ -124,8 +124,10 @@ func (c *Calculator) close() {
 // wait blocks until the executor has finalized the instance.
 func (c *Calculator) wait() { <-c.closed }
 
-// run is the executor loop: wait for one job, then hold the batch window
-// open to coalesce compatible arrivals up to MaxBatch.
+// run is the executor loop. It is work-conserving: it takes one job, sweeps
+// in whatever else is already queued up to MaxBatch, and runs. Batches form
+// exactly when requests arrive while a batch is running — which is when
+// merging buys throughput — and an idle executor never holds a request.
 func (c *Calculator) run() {
 	defer close(c.closed)
 	for {
@@ -137,30 +139,13 @@ func (c *Calculator) run() {
 			return
 		}
 		batch := []*job{first}
-		if c.opts.MaxBatch > 1 && c.opts.Window > 0 {
-			timer := time.NewTimer(c.opts.Window)
-		collect:
-			for len(batch) < c.opts.MaxBatch {
-				select {
-				case j := <-c.queue:
-					batch = append(batch, j)
-				case <-timer.C:
-					break collect
-				case <-c.closing:
-					break collect
-				}
-			}
-			timer.Stop()
-		} else {
-			// No window: still sweep up whatever is already queued.
-			sweeping := true
-			for sweeping && len(batch) < c.opts.MaxBatch {
-				select {
-				case j := <-c.queue:
-					batch = append(batch, j)
-				default:
-					sweeping = false
-				}
+	sweep:
+		for len(batch) < c.opts.MaxBatch {
+			select {
+			case j := <-c.queue:
+				batch = append(batch, j)
+			default:
+				break sweep
 			}
 		}
 		c.runBatch(batch)
@@ -403,7 +388,7 @@ func (c *Calculator) loadJob(slot int, req *compiled) error {
 		scratch[p] = c.key.States
 	}
 	for tip := 0; tip < req.tips; tip++ {
-		copy(scratch, req.tipStates[tip])
+		req.aln.tipStates(req.rowOf[tip], scratch)
 		if err := inst.SetTipStates(slot*c.key.Tips+tip, scratch); err != nil {
 			return err
 		}
@@ -453,7 +438,7 @@ func (c *Calculator) integrate(slot int, j *job) error {
 		return err
 	}
 	weights := make([]float64, c.key.Patterns)
-	copy(weights, req.weights)
+	copy(weights, req.aln.weights)
 	if err := inst.SetPatternWeights(weights); err != nil {
 		return err
 	}
@@ -469,7 +454,7 @@ func (c *Calculator) integrate(slot int, j *job) error {
 			return err
 		}
 		out := make([]float64, req.sites)
-		for site, p := range req.siteOf {
+		for site, p := range req.aln.siteOf {
 			out[site] = perPattern[p]
 		}
 		j.resp.SiteLogLikelihoods = out

@@ -1,8 +1,12 @@
 package serve
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
-	"hash/fnv"
+	"io"
+	"math"
+	"slices"
 	"strings"
 
 	"gobeagle/internal/linalg"
@@ -109,13 +113,12 @@ type compiled struct {
 	freqs      []float64
 	rates      []float64
 	catWeights []float64
-	tipStates  [][]int // [tip][pattern], exact length patterns
-	weights    []float64
+	aln        *alignment // compressed patterns, weights and site map; shared, read-only
+	rowOf      []int      // tip index -> alignment row
 	sched      *tree.Schedule
 	rootLeft   int
 	rootRight  int
 	rootLen    float64
-	siteOf     []int // site -> pattern index
 	wantSite   bool
 	wantDeriv  bool
 }
@@ -152,42 +155,123 @@ func buildModel(spec ModelSpec) (*substmodel.Model, error) {
 	}
 }
 
-// modelHash content-addresses a model spec for the eigen cache: identical
-// parameters hash identically across requests (rate categories scale branch
-// lengths, not the decomposition, so they stay out of the key).
-func modelHash(spec ModelSpec) string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%g|%g|%v|%v", strings.ToUpper(spec.Type), spec.Kappa, spec.Omega, spec.Rates, spec.Frequencies)
-	return fmt.Sprintf("%016x", h.Sum64())
+// modelKey renders a model spec as the exact canonical byte string the eigen
+// cache is keyed by: every field length-prefixed, floats by bit pattern, so
+// two specs share a key only when they are the same spec (rate categories
+// scale branch lengths, not the decomposition, so they stay out of it).
+func modelKey(spec ModelSpec) string {
+	typ := strings.ToUpper(spec.Type)
+	b := binary.LittleEndian.AppendUint64(nil, uint64(len(typ)))
+	b = append(b, typ...)
+	for _, fs := range [][]float64{{spec.Kappa, spec.Omega}, spec.Rates, spec.Frequencies} {
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(fs)))
+		for _, f := range fs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+		}
+	}
+	return string(b)
+}
+
+// alignment is the compressed, tree-independent form of a request's
+// alignment, and what the compile cache stores. Rows are the tree's tips in
+// name order, so any Newick over the same named sequences maps onto it.
+// Pattern p's state for row k is the width little-endian bytes at
+// cols[(p*rows+k)*width]; width is 1 when every state fits a byte, else 2.
+type alignment struct {
+	rows, width int
+	cols        []byte    // unique columns, ordered by first appearance
+	weights     []float64 // per-pattern multiplicity
+	siteOf      []int     // site -> pattern index
+}
+
+// tipStates widens row k into out, one state index per pattern.
+func (a *alignment) tipStates(k int, out []int) {
+	for p := range a.weights {
+		i := (p*a.rows + k) * a.width
+		out[p] = int(a.cols[i])
+		if a.width == 2 {
+			out[p] |= int(a.cols[i+1]) << 8
+		}
+	}
 }
 
 // compressColumns collapses identical alignment columns into unique patterns
-// (ordered by first appearance) with multiplicities, returning the
-// site-to-pattern mapping used to expand per-pattern results back to sites.
-func compressColumns(seqs [][]int, sites int) (patterns [][]int, weights []float64, siteOf []int) {
-	tips := len(seqs)
-	index := make(map[string]int)
-	siteOf = make([]int, sites)
-	var sb strings.Builder
-	col := make([]int, tips)
-	for site := 0; site < sites; site++ {
-		sb.Reset()
-		for tip := 0; tip < tips; tip++ {
-			col[tip] = seqs[tip][site]
-			fmt.Fprintf(&sb, "%d,", col[tip])
+// (ordered by first appearance) with multiplicities and the site-to-pattern
+// mapping used to expand per-pattern results back to sites. Columns are keyed
+// by their raw state bytes. States beyond 16 bits are stored as 0xffff: any
+// value at or above the model's state count means full ambiguity.
+func compressColumns(seqs [][]int) *alignment {
+	a := &alignment{rows: len(seqs), width: 1, siteOf: make([]int, len(seqs[0]))}
+	for _, seq := range seqs {
+		for _, v := range seq {
+			if v > math.MaxUint8 {
+				a.width = 2
+			}
 		}
-		k := sb.String()
-		p, seen := index[k]
-		if !seen {
-			p = len(patterns)
-			index[k] = p
-			patterns = append(patterns, append([]int(nil), col...))
-			weights = append(weights, 0)
-		}
-		weights[p]++
-		siteOf[site] = p
 	}
-	return patterns, weights, siteOf
+	index := make(map[string]int)
+	col := make([]byte, a.rows*a.width)
+	for site := range a.siteOf {
+		for k, seq := range seqs {
+			v := min(seq[site], math.MaxUint16)
+			col[k*a.width] = byte(v)
+			if a.width == 2 {
+				col[2*k+1] = byte(v >> 8)
+			}
+		}
+		p, seen := index[string(col)]
+		if !seen {
+			p = len(a.weights)
+			index[string(col)] = p
+			a.cols = append(a.cols, col...)
+			a.weights = append(a.weights, 0)
+		}
+		a.weights[p]++
+		a.siteOf[site] = p
+	}
+	return a
+}
+
+// alignmentFor returns the compressed alignment of the request's rows for
+// the given tips (sorted by name), decoding and compressing only when no
+// request with the same content was compiled before. The cache key is a
+// SHA-256 over the state count and the length-framed (name, row) pairs, so a
+// hit needs no comparison against the stored content.
+func (s *Server) alignmentFor(req *EvaluateRequest, byName []*tree.Node, stateCount int) (*alignment, error) {
+	h := sha256.New()
+	word := make([]byte, 8)
+	put := func(v int) {
+		binary.LittleEndian.PutUint64(word, uint64(v))
+		h.Write(word)
+	}
+	put(stateCount)
+	put(len(byName))
+	for _, tip := range byName {
+		raw, chars, err := tipRow(req, tip.Name)
+		if err != nil {
+			return nil, err
+		}
+		put(len(tip.Name))
+		io.WriteString(h, tip.Name)
+		put(len(raw))
+		for _, v := range raw {
+			put(v)
+		}
+		put(len(chars))
+		io.WriteString(h, chars)
+	}
+	var key [sha256.Size]byte
+	h.Sum(key[:0])
+	if a, ok := s.alignments.get(key); ok {
+		return a, nil
+	}
+	seqs, err := decodeSequences(req, byName, stateCount)
+	if err != nil {
+		return nil, err
+	}
+	a := compressColumns(seqs)
+	s.alignments.add(key, a, int64(cap(a.cols)+8*cap(a.weights)+8*cap(a.siteOf)))
+	return a, nil
 }
 
 // compile validates a request against the server's limits and produces its
@@ -216,16 +300,21 @@ func (s *Server) compile(req *EvaluateRequest) (*compiled, error) {
 		rates = substmodel.SingleRate()
 	}
 
-	seqs, sites, err := decodeSequences(req, tr, model.StateCount)
+	if len(req.Sequences) == 0 && len(req.States) == 0 {
+		return nil, fmt.Errorf("request has neither sequences nor states")
+	}
+	byName := append([]*tree.Node(nil), tr.Tips()...)
+	slices.SortFunc(byName, func(a, b *tree.Node) int { return strings.Compare(a.Name, b.Name) })
+	aln, err := s.alignmentFor(req, byName, model.StateCount)
 	if err != nil {
 		return nil, err
 	}
-	patterns, weights, siteOf := compressColumns(seqs, sites)
-	if len(patterns) > s.opts.MaxPatterns {
-		return nil, fmt.Errorf("alignment compresses to %d patterns, server limit is %d", len(patterns), s.opts.MaxPatterns)
+	patterns := len(aln.weights)
+	if patterns > s.opts.MaxPatterns {
+		return nil, fmt.Errorf("alignment compresses to %d patterns, server limit is %d", patterns, s.opts.MaxPatterns)
 	}
 
-	eigen, err := s.eigenFor(modelHash(req.Model), model)
+	eigen, err := s.eigenFor(req.Model, model)
 	if err != nil {
 		return nil, err
 	}
@@ -239,87 +328,78 @@ func (s *Server) compile(req *EvaluateRequest) (*compiled, error) {
 		return nil, fmt.Errorf("precision must be \"double\" or \"single\", got %q", req.Precision)
 	}
 
-	tipStates := make([][]int, tr.TipCount)
-	for tip := 0; tip < tr.TipCount; tip++ {
-		states := make([]int, len(patterns))
-		for p, pat := range patterns {
-			states[p] = pat[tip]
-		}
-		tipStates[tip] = states
+	rowOf := make([]int, tr.TipCount)
+	for k, tip := range byName {
+		rowOf[tip.Index] = k
 	}
 
 	c := &compiled{
 		key: PoolKey{
 			States:     model.StateCount,
-			Patterns:   bucketPatterns(len(patterns)),
+			Patterns:   bucketPatterns(patterns),
 			Tips:       bucketTips(tr.TipCount),
 			Categories: len(rates.Rates),
 			Single:     single,
 			Flags:      s.opts.Flags,
 		},
 		tips:       tr.TipCount,
-		patterns:   len(patterns),
-		sites:      sites,
+		patterns:   patterns,
+		sites:      len(aln.siteOf),
 		eigen:      eigen,
 		freqs:      model.Frequencies,
 		rates:      rates.Rates,
 		catWeights: rates.Weights,
-		tipStates:  tipStates,
-		weights:    weights,
+		aln:        aln,
+		rowOf:      rowOf,
 		sched:      tr.FullSchedule(),
 		rootLeft:   tr.Root.Left.Index,
 		rootRight:  tr.Root.Right.Index,
 		rootLen:    tr.Root.Left.Length + tr.Root.Right.Length,
-		siteOf:     siteOf,
 		wantSite:   req.SiteLogLikelihoods,
 		wantDeriv:  req.EdgeDerivatives,
 	}
 	return c, nil
 }
 
-// decodeSequences turns the request's character sequences or raw state
-// indices into per-tip state sequences in tree tip order.
-func decodeSequences(req *EvaluateRequest, tr *tree.Tree, stateCount int) ([][]int, int, error) {
-	if len(req.Sequences) == 0 && len(req.States) == 0 {
-		return nil, 0, fmt.Errorf("request has neither sequences nor states")
+// tipRow returns a tip's alignment row as it arrived on the wire: raw state
+// indices when the request lists the name under states, else its characters.
+func tipRow(req *EvaluateRequest, name string) (raw []int, chars string, err error) {
+	if raw, ok := req.States[name]; ok {
+		return raw, "", nil
 	}
-	seqs := make([][]int, tr.TipCount)
-	sites := -1
-	for _, tip := range tr.Tips() {
-		name := tip.Name
-		var states []int
-		if raw, ok := req.States[name]; ok {
-			states = make([]int, len(raw))
-			for i, v := range raw {
-				if v < 0 {
-					return nil, 0, fmt.Errorf("tip %q: negative state %d at site %d", name, v, i)
-				}
-				states[i] = v
-			}
-		} else if chars, ok := req.Sequences[name]; ok {
-			decoded, err := decodeCharacters(chars, stateCount)
-			if err != nil {
-				return nil, 0, fmt.Errorf("tip %q: %w", name, err)
-			}
-			states = decoded
-		} else {
-			return nil, 0, fmt.Errorf("no sequence for tip %q", name)
-		}
-		if sites == -1 {
-			sites = len(states)
-		} else if len(states) != sites {
-			return nil, 0, fmt.Errorf("tip %q has %d sites, want %d (alignment must be rectangular)", name, len(states), sites)
-		}
-		seqs[tip.Index] = states
+	if chars, ok := req.Sequences[name]; ok {
+		return nil, chars, nil
 	}
-	if sites <= 0 {
-		return nil, 0, fmt.Errorf("alignment has no sites")
-	}
-	return seqs, sites, nil
+	return nil, "", fmt.Errorf("no sequence for tip %q", name)
 }
 
-// decodeCharacters maps an aligned character string to state indices via the
-// library's FASTA alphabet tables (4 = IUPAC nucleotide, 20 = amino acid).
-func decodeCharacters(chars string, stateCount int) ([]int, error) {
-	return seqgen.DecodeSequence(chars, stateCount)
+// decodeSequences turns the request's character sequences (via the library's
+// FASTA alphabet tables: 4 = IUPAC nucleotide, 20 = amino acid) or raw state
+// indices into one state sequence per tip, in the order the tips are given.
+func decodeSequences(req *EvaluateRequest, tips []*tree.Node, stateCount int) ([][]int, error) {
+	seqs := make([][]int, len(tips))
+	for k, tip := range tips {
+		states, chars, err := tipRow(req, tip.Name)
+		if err != nil {
+			return nil, err
+		}
+		if states == nil {
+			if states, err = seqgen.DecodeSequence(chars, stateCount); err != nil {
+				return nil, fmt.Errorf("tip %q: %w", tip.Name, err)
+			}
+		}
+		for i, v := range states {
+			if v < 0 {
+				return nil, fmt.Errorf("tip %q: negative state %d at site %d", tip.Name, v, i)
+			}
+		}
+		seqs[k] = states
+		if len(states) != len(seqs[0]) {
+			return nil, fmt.Errorf("tip %q has %d sites, want %d (alignment must be rectangular)", tip.Name, len(states), len(seqs[0]))
+		}
+	}
+	if len(seqs[0]) == 0 {
+		return nil, fmt.Errorf("alignment has no sites")
+	}
+	return seqs, nil
 }

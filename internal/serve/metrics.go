@@ -15,6 +15,7 @@ type serveSource struct{ s *Server }
 func (src serveSource) Metrics() []metricsx.Sample {
 	s := src.s
 	pool := s.pool.Stats()
+	eigens, alignments := s.eigens.stats(), s.alignments.stats()
 	samples := []metricsx.Sample{
 		{Name: "beagled_requests_total", Help: "evaluate requests admitted", Type: "counter",
 			Value: float64(s.requests.Load())},
@@ -37,9 +38,17 @@ func (src serveSource) Metrics() []metricsx.Sample {
 		{Name: "beagled_pool_evictions_total", Help: "calculators evicted by the LRU cap", Type: "counter",
 			Value: float64(pool.Evictions)},
 		{Name: "beagled_eigen_cache_hits_total", Help: "eigendecompositions served from the model cache", Type: "counter",
-			Value: float64(s.eigenHits.Load())},
+			Value: float64(eigens.Hits)},
 		{Name: "beagled_eigen_cache_misses_total", Help: "eigendecompositions computed on cache miss", Type: "counter",
-			Value: float64(s.eigenMisses.Load())},
+			Value: float64(eigens.Misses)},
+		{Name: "beagled_compile_cache_hits_total", Help: "alignments served compressed from the compile cache", Type: "counter",
+			Value: float64(alignments.Hits)},
+		{Name: "beagled_compile_cache_misses_total", Help: "alignments decoded and compressed on cache miss", Type: "counter",
+			Value: float64(alignments.Misses)},
+		{Name: "beagled_compile_cache_evictions_total", Help: "alignments evicted by the compile cache's entry and byte bounds", Type: "counter",
+			Value: float64(alignments.Evictions)},
+		{Name: "beagled_compile_cache_bytes", Help: "bytes of compressed alignments held by the compile cache", Type: "gauge",
+			Value: float64(alignments.Bytes)},
 		{Name: "beagled_slow_retained", Help: "requests retained by the tail-latency sampler", Type: "gauge",
 			Value: float64(len(s.slow.Snapshot()))},
 		{Name: "beagled_trace_spans", Help: "spans currently retained by the serve-layer tracer", Type: "gauge",
@@ -71,6 +80,7 @@ func (src serveSource) Metrics() []metricsx.Sample {
 
 func (src serveSource) Vars() map[string]any {
 	s := src.s
+	eigens := s.eigens.stats()
 	return map[string]any{
 		"requests":           s.requests.Load(),
 		"rejected_queue":     s.rejectQueue.Load(),
@@ -78,10 +88,10 @@ func (src serveSource) Vars() map[string]any {
 		"bad_requests":       s.badRequests.Load(),
 		"eval_errors":        s.evalErrors.Load(),
 		"inflight":           s.inflight.Load(),
-		"eigen_cache_hits":   s.eigenHits.Load(),
-		"eigen_cache_misses": s.eigenMisses.Load(),
+		"eigen_cache_hits":   eigens.Hits,
+		"eigen_cache_misses": eigens.Misses,
+		"compile_cache":      s.alignments.stats(),
 		"pool":               s.pool.Stats(),
-		"window_us":          s.opts.Window.Microseconds(),
 		"max_batch":          s.opts.MaxBatch,
 		"quota_rps":          s.opts.QuotaRPS,
 		"pool_disabled":      s.opts.DisablePool,

@@ -89,6 +89,7 @@ func (p *Pool) Get(key PoolKey) (*Calculator, bool) {
 	}
 	p.misses.Add(1)
 	c := newCalculator(key, p.opts, p.tr)
+	go c.run()
 	p.calcs[key] = c
 	p.order = append(p.order, key)
 	for p.opts.MaxCalculators > 0 && len(p.calcs) > p.opts.MaxCalculators {

@@ -12,6 +12,7 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -35,11 +36,9 @@ import (
 // Options configures a Server. The zero value is unusable; start from
 // DefaultOptions.
 type Options struct {
-	// Window is how long the micro-batcher holds the first request of a
-	// batch open for compatible arrivals; 0 disables the wait (queued
-	// requests still coalesce).
-	Window time.Duration
-	// MaxBatch caps the requests merged into one scheduler submission.
+	// MaxBatch caps the requests merged into one scheduler submission. The
+	// executor never waits for a batch to fill: it merges whatever queued
+	// while the previous batch ran.
 	MaxBatch int
 	// InitialSlots is the slot capacity a fresh calculator starts with;
 	// bursts grow it by the golden ratio up to MaxBatch.
@@ -106,7 +105,6 @@ type Options struct {
 // DefaultOptions returns the daemon's default tuning.
 func DefaultOptions() Options {
 	return Options{
-		Window:            2 * time.Millisecond,
 		MaxBatch:          32,
 		InitialSlots:      4,
 		QueueDepth:        1024,
@@ -142,10 +140,11 @@ type Server struct {
 	fedMu      sync.Mutex
 	fedTargets map[string]string
 
-	eigenMu     sync.Mutex
-	eigenCache  map[string]*linalg.EigenDecomposition
-	eigenHits   atomic.Uint64
-	eigenMisses atomic.Uint64
+	// The compile step's content-addressed memos, shared by all tenants:
+	// eigendecompositions by exact model spec (modelKey) and compressed
+	// alignments by content digest (alignmentFor).
+	eigens     *lru[string, *linalg.EigenDecomposition]
+	alignments *lru[[sha256.Size]byte, *alignment]
 
 	requests    atomic.Uint64 // admitted evaluate requests
 	rejectQueue atomic.Uint64 // 429: queue full
@@ -159,9 +158,6 @@ type Server struct {
 // from DefaultOptions.
 func NewServer(opts Options) *Server {
 	def := DefaultOptions()
-	if opts.Window < 0 {
-		opts.Window = 0
-	}
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = def.MaxBatch
 	}
@@ -209,7 +205,8 @@ func NewServer(opts Options) *Server {
 		slow:       NewSlowSampler(opts.SlowN),
 		logger:     logger,
 		fedTargets: map[string]string{},
-		eigenCache: map[string]*linalg.EigenDecomposition{},
+		eigens:     newLRU[string, *linalg.EigenDecomposition](maxEigenCache, maxCompileCacheBytes),
+		alignments: newLRU[[sha256.Size]byte, *alignment](maxAlignmentCache, maxCompileCacheBytes),
 	}
 	s.pool = NewPool(opts, tr)
 	s.mux = s.buildMux()
@@ -514,8 +511,10 @@ func (s *Server) evaluateDirect(c *compiled) (*EvaluateResponse, error) {
 // with tree-native buffer indices — the reference execution pooled serving
 // must match bit-for-bit.
 func evaluateOn(inst *gobeagle.Instance, c *compiled, nodes int) (*EvaluateResponse, error) {
+	states := make([]int, c.patterns) // SetTipStates copies
 	for tip := 0; tip < c.tips; tip++ {
-		if err := inst.SetTipStates(tip, c.tipStates[tip]); err != nil {
+		c.aln.tipStates(c.rowOf[tip], states)
+		if err := inst.SetTipStates(tip, states); err != nil {
 			return nil, err
 		}
 	}
@@ -524,7 +523,7 @@ func evaluateOn(inst *gobeagle.Instance, c *compiled, nodes int) (*EvaluateRespo
 		inst.SetCategoryRates(c.rates),
 		inst.SetCategoryWeights(c.catWeights),
 		inst.SetStateFrequencies(c.freqs),
-		inst.SetPatternWeights(c.weights),
+		inst.SetPatternWeights(c.aln.weights),
 	}
 	for _, err := range steps {
 		if err != nil {
@@ -565,7 +564,7 @@ func evaluateOn(inst *gobeagle.Instance, c *compiled, nodes int) (*EvaluateRespo
 			return nil, err
 		}
 		out := make([]float64, c.sites)
-		for site, p := range c.siteOf {
+		for site, p := range c.aln.siteOf {
 			out[site] = perPattern[p]
 		}
 		resp.SiteLogLikelihoods = out
@@ -587,31 +586,26 @@ func evaluateOn(inst *gobeagle.Instance, c *compiled, nodes int) (*EvaluateRespo
 	return resp, nil
 }
 
-// eigenFor serves an eigendecomposition from the content-addressed model
-// cache, decomposing on miss. The cache is bounded; a full cache drops all
-// entries (decompositions are cheap enough to rebuild, and steady-state
-// serving uses a handful of models).
-const maxEigenCache = 256
+// Bounds of the compile caches: entries each, and bytes each.
+const (
+	maxEigenCache        = 256
+	maxAlignmentCache    = 256
+	maxCompileCacheBytes = 64 << 20
+)
 
-func (s *Server) eigenFor(hash string, model *substmodel.Model) (*linalg.EigenDecomposition, error) {
-	s.eigenMu.Lock()
-	if ed, ok := s.eigenCache[hash]; ok {
-		s.eigenMu.Unlock()
-		s.eigenHits.Add(1)
+// eigenFor serves the model's eigendecomposition from the cache keyed by its
+// exact spec, decomposing on miss.
+func (s *Server) eigenFor(spec ModelSpec, model *substmodel.Model) (*linalg.EigenDecomposition, error) {
+	key := modelKey(spec)
+	if ed, ok := s.eigens.get(key); ok {
 		return ed, nil
 	}
-	s.eigenMu.Unlock()
-	s.eigenMisses.Add(1)
 	ed, err := model.Eigen()
 	if err != nil {
 		return nil, err
 	}
-	s.eigenMu.Lock()
-	if len(s.eigenCache) >= maxEigenCache {
-		s.eigenCache = map[string]*linalg.EigenDecomposition{}
-	}
-	s.eigenCache[hash] = ed
-	s.eigenMu.Unlock()
+	n := int64(model.StateCount)
+	s.eigens.add(key, ed, int64(len(key))+8*(n+2*n*n))
 	return ed, nil
 }
 
@@ -719,8 +713,7 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string, ready chan<- n
 	if ready != nil {
 		ready <- ln.Addr()
 	}
-	s.logger.Info("serving",
-		"addr", ln.Addr().String(), "window", s.opts.Window.String(),
+	s.logger.Info("serving", "addr", ln.Addr().String(),
 		"max_batch", s.opts.MaxBatch, "workers", len(s.opts.Workers), "trace", s.opts.Trace)
 	srv := &http.Server{
 		Handler:           s,

@@ -63,7 +63,6 @@ func testRequest(tips, sites int, seed int64, gamma bool) *EvaluateRequest {
 func newTestServer(t *testing.T, mutate func(*Options)) *Server {
 	t.Helper()
 	opts := DefaultOptions()
-	opts.Window = time.Millisecond
 	opts.Threads = 1
 	if mutate != nil {
 		mutate(&opts)
@@ -211,7 +210,6 @@ func TestPoolLRUEviction(t *testing.T) {
 // other through the shared instance's global state.
 func TestConcurrentServedBitIdentical(t *testing.T) {
 	pooled := newTestServer(t, func(o *Options) {
-		o.Window = 2 * time.Millisecond
 		o.InitialSlots = 2 // force golden-ratio growth under load
 	})
 	direct := newTestServer(t, func(o *Options) { o.DisablePool = true })

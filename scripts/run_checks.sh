@@ -76,11 +76,12 @@ rm -f "$trace_tmp"
 section "beagled -selfcheck"
 go -C "$ROOT" run ./cmd/beagled -selfcheck
 
-# Measured-benchmark smoke: two 4-state workloads of bench/mark, every timed
-# result checked against the serial reference; a wrong result exits non-zero.
+# Measured-benchmark smoke: two 4-state workloads and the HTTP serving
+# workload of bench/mark, every timed result checked against the serial
+# reference or a dedicated instance; a wrong result exits non-zero.
 section "beaglemark smoke"
 mark_tmp=$(mktemp)
-go -C "$ROOT" run ./bench/mark -workload nuc_large,deep_small -seconds 2 -out "$mark_tmp" >/dev/null
+go -C "$ROOT" run ./bench/mark -workload nuc_large,deep_small,serve_http -seconds 2 -out "$mark_tmp" >/dev/null
 rm -f "$mark_tmp"
 
 SECTION="done"
