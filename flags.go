@@ -11,20 +11,24 @@ type Flags uint64
 const (
 	// FlagPrecisionSingle computes in float32; the default is float64.
 	FlagPrecisionSingle Flags = 1 << iota
-	// FlagVectorSSE uses the 4-state unrolled (SSE-style) kernels on the
-	// unthreaded CPU implementation. Ignored for non-nucleotide state
-	// counts. Without it (and without a threading flag) the CPU resource
-	// runs the serial implementation on the generic loop-over-states
-	// kernels, the baseline of the paper's speedup figures. Combining it
-	// with a threading flag changes nothing: the threaded implementations
-	// are built on the vectorised kernels already.
+	// FlagVectorSSE runs the unthreaded CPU implementation on the kernels
+	// specialised for the state count: 4-state unrolled (SSE-style) for
+	// nucleotides, the AVX2 wide-state kernels for 5 to 64 states (amino
+	// acids, codons) on amd64 CPUs that have AVX2, generic otherwise.
+	// Without it (and without a threading flag) the CPU resource runs the
+	// serial implementation on the generic loop-over-states kernels, the
+	// baseline of the paper's speedup figures. Combining it with a
+	// threading flag changes nothing: the threaded implementations are
+	// built on the vectorised kernels already.
 	FlagVectorSSE
 	// FlagThreadingFutures uses per-operation asynchronous tasks (§VI-A).
 	// Like every threading flag it selects how work is partitioned, not
 	// which kernels run: all four threaded implementations are layered on
 	// the vectorised path, as BEAGLE's are, and execute the kernels
 	// specialised for the state count (4-state unrolled for nucleotides,
-	// generic otherwise).
+	// AVX2 wide-state for 5 to 64 states where the CPU has AVX2, generic
+	// otherwise). Every specialisation reproduces the generic kernels'
+	// results bit for bit on amd64.
 	FlagThreadingFutures
 	// FlagThreadingThreadCreate creates threads per call across site
 	// patterns (§VI-B).

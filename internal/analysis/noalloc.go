@@ -28,6 +28,12 @@ import (
 //   - calls to same-package functions that are not themselves annotated
 //     //beagle:noalloc (the contract is verified per function, so it must
 //     cover the whole same-package call tree).
+//
+// The check is syntactic, so it also flags constructs that look allocating
+// and are not — boxing a value only to type-switch on it, an allocation on a
+// path the contract excludes. Such a site can be waived with a trailing or
+// immediately-preceding //beagle:allow noalloc <reason>; the function's
+// testing.AllocsPerRun guard (see allocguard) is what then holds it to zero.
 var NoAlloc = &Analyzer{
 	Name: "noalloc",
 	Doc:  "reject allocating constructs in //beagle:noalloc functions",
@@ -37,8 +43,13 @@ var NoAlloc = &Analyzer{
 func runNoAlloc(pass *Pass) error {
 	// Pre-pass: which functions in this package carry the annotation?
 	annotated := map[*types.Func]bool{}
-	var marked []*ast.FuncDecl
+	type markedFunc struct {
+		fd     *ast.FuncDecl
+		allows []allowance // the waivers of fd's file
+	}
+	var marked []markedFunc
 	for _, f := range pass.Files {
+		allows := fileAllowances(pass.Fset, f)
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || !hasDirective(fd.Doc, NoAllocDirective) {
@@ -47,23 +58,28 @@ func runNoAlloc(pass *Pass) error {
 			if obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
 				annotated[obj] = true
 			}
-			marked = append(marked, fd)
+			marked = append(marked, markedFunc{fd, allows})
 		}
 	}
-	for _, fd := range marked {
-		if fd.Body == nil {
-			continue
+	for _, m := range marked {
+		if m.fd.Body == nil {
+			continue // assembly: nothing to inspect, the runtime guard covers it
 		}
-		checkNoAllocBody(pass, fd, annotated)
+		checkNoAllocBody(pass, m.fd, annotated, m.allows)
 	}
 	return nil
 }
 
-func checkNoAllocBody(pass *Pass, fd *ast.FuncDecl, annotated map[*types.Func]bool) {
+func checkNoAllocBody(pass *Pass, fd *ast.FuncDecl, annotated map[*types.Func]bool, allows []allowance) {
 	info := pass.TypesInfo
 	name := fd.Name.Name
 	report := func(pos token.Pos, format string, args ...any) {
-		pass.Reportf(pos, "%s is //beagle:noalloc: "+format, append([]any{name}, args...)...)
+		switch waived, hasReason := allowedAt(allows, "noalloc", pass.Fset.Position(pos).Line); {
+		case !waived:
+			pass.Reportf(pos, "%s is //beagle:noalloc: "+format, append([]any{name}, args...)...)
+		case !hasReason:
+			pass.Reportf(pos, "%s noalloc waiver needs a reason", AllowDirective)
+		}
 	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {

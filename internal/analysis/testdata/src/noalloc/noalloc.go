@@ -249,6 +249,23 @@ func DecideHeapBuildsKey(dest int) *opKey {
 	return &opKey{dest: dest} // want `address of composite literal escapes`
 }
 
+// A type switch on a boxed value is allocating syntax that does not allocate
+// when the value stays in the frame; a reasoned waiver accepts it, an
+// unreasoned one is itself reported.
+//
+//beagle:noalloc
+func DecideWaivedBoxing(dest int) bool {
+	_, ok := any(dest).(int) //beagle:allow noalloc boxed only to be asserted back; the AllocsPerRun guard holds it to zero
+	return ok
+}
+
+//beagle:noalloc
+func DecideWaivedWithoutReason(dest int) bool {
+	//beagle:allow noalloc
+	_, ok := any(dest).(int) // want `//beagle:allow noalloc waiver needs a reason`
+	return ok
+}
+
 // CleanDecide is the shape the real decision path must keep: compare the
 // stored signature's input versions against the live counters, overwrite the
 // signature slot in place on a miss (a value struct literal, not a pointer),

@@ -31,6 +31,19 @@ func Exported() {
 `,
 		},
 		{
+			analyzer: analysis.NoAlloc,
+			check:    "noalloc",
+			src: `package p
+
+//beagle:noalloc
+func F(n int) bool {
+	//beagle:allow noalloc
+	_, ok := any(n).(int)
+	return ok
+}
+`,
+		},
+		{
 			analyzer: analysis.LockOrder,
 			check:    "lockorder",
 			src: `package p

@@ -56,12 +56,15 @@ type evalResult struct {
 }
 
 // TestKernelBinding pins, for every mode, state count and precision, which
-// kernel family the engine binds (Serial: generic; every other mode:
-// specialised exactly when the state count has a specialisation), and that
-// the binding is invisible in the results: SSE and the four threaded modes
-// agree bit for bit, and with the Serial baseline to rounding, unscaled, with
+// kernel family the engine binds (Serial: generic; every other mode: what the
+// state-count table holds — unrolled4 at 4 states, and above that wide where
+// VecMatT is assembly and generic where it is not, so the test passes both
+// ways and logs which it saw), and that the binding is invisible in the
+// results: SSE and the four threaded modes agree bit for bit, unscaled, with
 // every operation rescaling (DestScaleWrite) and with every operation
-// re-applying its stored factors (DestScaleRead).
+// re-applying its stored factors (DestScaleRead); with the Serial baseline
+// they agree bit for bit at 20 and 61 states — the wide family reproduces the
+// generic kernels exactly — and to rounding at 4.
 func TestKernelBinding(t *testing.T) {
 	models := map[int]func() (*substmodel.Model, error){
 		4:  func() (*substmodel.Model, error) { return substmodel.NewHKY85(2.5, []float64{0.3, 0.2, 0.25, 0.25}) },
@@ -69,6 +72,13 @@ func TestKernelBinding(t *testing.T) {
 		61: func() (*substmodel.Model, error) { return substmodel.NewGY94(2, 0.3, nil) },
 	}
 	for _, states := range []int{4, 20, 61} {
+		table := kernels.ForStateCount[float64](states).Family
+		switch {
+		case states == 4 && table != kernels.FamilyUnrolled4,
+			states != 4 && table != kernels.FamilyWide && table != kernels.FamilyGeneric:
+			t.Fatalf("%d states: state-count table holds the %q kernels", states, table)
+		}
+		t.Logf("%d states: every mode but Serial binds the %q kernels", states, table)
 		rng := rand.New(rand.NewSource(int64(states)))
 		tr, err := tree.Random(rng, 8, 0.12)
 		if err != nil {
@@ -88,12 +98,15 @@ func TestKernelBinding(t *testing.T) {
 		}
 		for _, single := range []bool{false, true} {
 			t.Run(fmt.Sprintf("states=%d/single=%v", states, single), func(t *testing.T) {
-				// Serial runs other kernels than the rest when a
-				// specialisation exists, so it may differ by rounding (it
-				// does not on amd64, where Go never fuses multiply-adds).
+				// At 4 states Serial runs other kernels than the rest, so it
+				// may differ by rounding (it does not on amd64, where Go
+				// never fuses multiply-adds). Above 4 nothing may differ.
 				tol := 1e-13
 				if single {
 					tol = 1e-5
+				}
+				if states != 4 {
+					tol = 0
 				}
 				var serial, first map[string]evalResult
 				for _, mode := range Modes() {
@@ -102,8 +115,8 @@ func TestKernelBinding(t *testing.T) {
 						t.Fatal(err)
 					}
 					want := kernels.FamilyGeneric
-					if mode != Serial && states == 4 {
-						want = kernels.FamilyUnrolled4
+					if mode != Serial {
+						want = table
 					}
 					if got := boundFamily(t, e); got != want {
 						t.Errorf("%v: bound kernel family %q, want %q", mode, got, want)

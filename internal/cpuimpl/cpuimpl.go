@@ -4,9 +4,10 @@
 //   - Serial: the original single-threaded implementation on the generic
 //     loop-over-states kernels, the baseline of every speedup figure in the
 //     paper;
-//   - SSE: the serial implementation with the 4-state unrolled kernels, the
-//     analogue of the SSE intrinsics path (falls back to the generic kernels
-//     for non-nucleotide state counts, as BEAGLE's SSE path does);
+//   - SSE: the serial implementation on the vectorised kernels, the analogue
+//     of the SSE intrinsics path: 4-state unrolled for nucleotides, the AVX2
+//     wide-state family for 5 to 64 states where the CPU has AVX2, generic
+//     otherwise;
 //   - Futures: concurrency across independent operations in the tree
 //     (§VI-A) — operations are grouped into dependency levels and each
 //     operation of a level runs as its own asynchronous task;
@@ -23,9 +24,13 @@
 //     saturate the workers through operation-level concurrency.
 //
 // The threaded strategies are layered on the vectorised path, as BEAGLE's
-// are: which kernels run is decided by the state count (kernels.ForStateCount),
-// bound once per engine, and is the same for SSE and all four threaded modes.
-// Only Serial stays on the generic kernels.
+// are: which kernels run is decided by the state count and the CPU
+// (kernels.ForStateCount), bound once per engine, and is the same for SSE and
+// all four threaded modes. Only Serial stays on the generic kernels, as the
+// reference: the wide-state family reproduces it bit for bit, so above 4
+// states every mode returns Serial's exact result. The wide kernels keep
+// their scratch (one transposed matrix) on the calling goroutine's stack, so
+// nothing here owns or plumbs it: a pool worker's stack grows once and stays.
 package cpuimpl
 
 import (

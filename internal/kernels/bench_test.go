@@ -8,7 +8,8 @@ import (
 // Ablation micro-benchmarks for the kernel-variant design choices DESIGN.md
 // calls out: generic loop kernels vs the 4-state unrolled (SSE-style) path,
 // FMA vs plain accumulation, and the x86 loop style vs the GPU per-entry
-// style on a CPU.
+// style on a CPU. The wide-state (amino-acid, codon) kernels are measured in
+// bench_wide_test.go, in GFLOPS.
 
 func benchProblem(s, pat, cat int) *problem[float64] {
 	return newProblem[float64](rand.New(rand.NewSource(1)), s, pat, cat)
@@ -51,22 +52,6 @@ func BenchmarkPartialsPartialsEntryStyle4State(b *testing.B) {
 		for w := 0; w < n; w++ {
 			PartialsPartialsEntry(dest, pr.p1, pr.m1, pr.p2, pr.m2, pr.d, w)
 		}
-	}
-}
-
-func BenchmarkPartialsPartialsAmino(b *testing.B) {
-	pr := benchProblem(20, 512, 4)
-	dest := make([]float64, pr.d.PartialsLen())
-	for i := 0; i < b.N; i++ {
-		PartialsPartials(dest, pr.p1, pr.m1, pr.p2, pr.m2, pr.d, 0, 512)
-	}
-}
-
-func BenchmarkPartialsPartialsCodon(b *testing.B) {
-	pr := benchProblem(61, 128, 1)
-	dest := make([]float64, pr.d.PartialsLen())
-	for i := 0; i < b.N; i++ {
-		PartialsPartials(dest, pr.p1, pr.m1, pr.p2, pr.m2, pr.d, 0, 128)
 	}
 }
 

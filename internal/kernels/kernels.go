@@ -15,10 +15,44 @@
 //     style with one thread per partials entry (Fig. 2);
 //   - fused-multiply-add variants used when a device advertises fast FMA
 //     (§VII-B1, Table IV);
-//   - 4-state unrolled kernels, the analogue of the SSE code path.
+//   - 4-state unrolled kernels, the analogue of the SSE code path;
+//   - wide-state kernels for 5 to MaxWideStates states (amino acids,
+//     codons), the analogue of BEAGLE's hand-vectorised CPU path.
 //
 // Host implementations do not pick among these per call: they bind one Set
 // at construction, from the state-count table ForStateCount or Generic.
+//
+// The wide family and UpdateTransitionMatrix rest on one vectorised
+// primitive, VecMatT: acc[i] = Σ_j mt[j·stride+i]·v[j], AVX2 assembly on
+// amd64 (selected once, from CPUID and XGETBV; -tags purego forces the Go
+// body) and a Go loop of the same shape elsewhere. Three decisions shape it:
+//
+//   - Lanes run across the outputs i, not along the sum over j. A partials
+//     entry is a dot product, and splitting a dot product over lanes means
+//     adding partial sums in an order the scalar kernel never uses. With one
+//     output per lane every lane performs the scalar kernel's own sequence
+//     — start at +0, then multiply, add, for j ascending — so results are
+//     the generic kernels' bit for bit, and an engine, a shard worker or a
+//     journal replay may mix families freely. The price is that the matrix
+//     must be read transposed.
+//   - No fused multiply-add. VFMADD rounds once where MULSD, ADDSD round
+//     twice, which would change results against the generic kernels (the Go
+//     compiler never fuses on amd64), against every pinned answer, and
+//     between hosts with and without FMA. Separate VMULPD/VADDPD already
+//     saturate both vector ports.
+//   - The transposed, lane-padded matrix is scratch on the stack of the
+//     kernel call, rebuilt per call and per category, not a second copy
+//     beside every matrix buffer. A call covers a pattern chunk, so the S²
+//     transposition is a percent or two of its S²·patterns work; a resident
+//     copy would double matrix memory, add an invalidation rule to every
+//     matrix setter, and have to be shipped or rebuilt by every backend
+//     that forwards buffers. The scratch is bounded by MaxWideStates.
+//
+// Without the assembly the wide family is no faster than the generic loop (the
+// accumulators live in memory), so ForStateCount enters it only where the
+// assembly runs. UpdateTransitionMatrix uses the primitive on every
+// platform: there the old loop walked V⁻¹ by columns, and reading it by rows
+// wins even in Go.
 //
 // Buffer layouts (identical everywhere):
 //

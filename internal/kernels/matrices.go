@@ -146,26 +146,88 @@ func TransitionMatrixRow[T Real](out []T, e *Eigen, edgeLength float64, catRates
 // kernel behind the library's UpdateTransitionMatrices, which the paper
 // notes also runs on the accelerator to minimize host↔device transfers.
 // Small negative entries arising from round-off are clamped to zero.
+//
+// Entry (i, j) is Σ_k (V[i][k]·e^{λ_k t})·V⁻¹[k][j], k ascending. Wide state
+// counts build a whole row at once — row_i = Σ_k w_k·V⁻¹[k][:] through
+// VecMatT, V⁻¹'s rows read contiguously — and the rest keep the entry-wise
+// loop, which is faster at 4 states; both perform the same operations in the
+// same order for every entry. Scratch is on the stack up to MaxWideStates.
+//
+//beagle:noalloc
 func UpdateTransitionMatrix[T Real](out []T, e *Eigen, edgeLength float64, catRates []float64) {
 	s := e.StateCount
-	tmp := make([]float64, s) // exp(λ_k·t·r) scratch
+	if isWide(s) {
+		updateTransitionMatrixWide(out, e, edgeLength, catRates)
+		return
+	}
+	var expBuf [minWideStates - 1]float64 // what is not wide is at most 4 states, or beyond MaxWideStates
+	exp := expBuf[:]                      // exp(λ_k·t·r)
+	if s > len(exp) {
+		exp = make([]float64, s) //beagle:allow noalloc state counts beyond MaxWideStates have no fixed-size scratch; no model in use has one
+	}
+	// exp's length known and V⁻¹'s slice header in a local: the inner loop is
+	// four iterations at 4 states, and a bounds check or a reload per
+	// iteration is a measurable share of it.
+	exp = exp[:s]
+	inv := e.InverseVectors
 	for c, r := range catRates {
 		t := edgeLength * r
 		for k, v := range e.Values {
-			tmp[k] = math.Exp(v * t)
+			exp[k] = math.Exp(v * t)
 		}
-		base := c * s * s
+		dst := out[c*s*s : (c+1)*s*s]
 		for i := 0; i < s; i++ {
 			vi := e.Vectors[i*s : (i+1)*s]
 			for j := 0; j < s; j++ {
 				var sum float64
-				for k := 0; k < s; k++ {
-					sum += vi[k] * tmp[k] * e.InverseVectors[k*s+j]
+				for k, x := range exp {
+					sum += vi[k] * x * inv[k*s+j]
 				}
 				if sum < 0 {
 					sum = 0
 				}
-				out[base+i*s+j] = T(sum)
+				dst[i*s+j] = T(sum)
+			}
+		}
+	}
+}
+
+// updateTransitionMatrixWide is UpdateTransitionMatrix's row-at-a-time form
+// for isWide state counts. V⁻¹ is copied once per call into stack scratch
+// with its rows padded to the lane multiple, which is the layout VecMatT
+// takes: the "transposed matrix" of the product row_i = wᵀ·V⁻¹ is V⁻¹ itself.
+//
+//beagle:noalloc
+func updateTransitionMatrixWide[T Real](out []T, e *Eigen, edgeLength float64, catRates []float64) {
+	s := e.StateCount
+	var (
+		invBuf               [MaxWideStates * MaxWideStates]float64
+		expBuf, wBuf, rowBuf [MaxWideStates]float64
+	)
+	stride := padStride[float64](s)
+	inv, exp, w, row := invBuf[:s*stride], expBuf[:s], wBuf[:s], rowBuf[:stride]
+	for k := 0; k < s; k++ {
+		copy(inv[k*stride:k*stride+s], e.InverseVectors[k*s:(k+1)*s])
+	}
+	for c, r := range catRates {
+		t := edgeLength * r
+		for k, v := range e.Values {
+			exp[k] = math.Exp(v * t)
+		}
+		base := c * s * s
+		for i := 0; i < s; i++ {
+			vi := e.Vectors[i*s : (i+1)*s]
+			for k := range w {
+				w[k] = vi[k] * exp[k]
+			}
+			VecMatT(row, inv, w, s, stride)
+			dst := out[base+i*s : base+(i+1)*s]
+			for j := range dst {
+				sum := row[j]
+				if sum < 0 {
+					sum = 0
+				}
+				dst[j] = T(sum)
 			}
 		}
 	}

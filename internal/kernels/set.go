@@ -4,6 +4,7 @@ package kernels
 const (
 	FamilyGeneric   = "generic"
 	FamilyUnrolled4 = "unrolled4"
+	FamilyWide      = "wide"
 )
 
 // Set is the partial-likelihoods kernel family an implementation binds once
@@ -11,7 +12,8 @@ const (
 // is a property of the problem (its state count), not of how the
 // implementation partitions or schedules the work.
 type Set[T Real] struct {
-	// Family names the bound kernels (FamilyGeneric, FamilyUnrolled4).
+	// Family names the bound kernels (FamilyGeneric, FamilyUnrolled4,
+	// FamilyWide).
 	Family           string
 	PartialsPartials func(dest, p1, m1, p2, m2 []T, d Dims, lo, hi int)
 	StatesPartials   func(dest []T, s1 []int32, m1 []T, p2, m2 []T, d Dims, lo, hi int)
@@ -30,14 +32,25 @@ func Generic[T Real]() Set[T] {
 
 // ForStateCount is the state-count table: the kernels specialised for
 // stateCount where a specialisation exists, the generic kernels otherwise.
+// The wide family is entered only where VecMatT runs as assembly — on its
+// portable body it is no faster than the generic loop — so the choice is a
+// function of the state count and the CPU, and of nothing else; it computes
+// the generic kernels' results bit for bit.
 func ForStateCount[T Real](stateCount int) Set[T] {
-	switch stateCount {
-	case 4:
+	switch {
+	case stateCount == 4:
 		return Set[T]{
 			Family:           FamilyUnrolled4,
 			PartialsPartials: PartialsPartials4[T],
 			StatesPartials:   StatesPartials4[T],
 			StatesStates:     StatesStates4[T],
+		}
+	case isWide(stateCount) && vecMatAccelerated:
+		return Set[T]{
+			Family:           FamilyWide,
+			PartialsPartials: PartialsPartialsWide[T],
+			StatesPartials:   StatesPartialsWide[T],
+			StatesStates:     StatesStates[T], // two table look-ups per entry: nothing to vectorise
 		}
 	}
 	return Generic[T]()

@@ -6,10 +6,18 @@ import (
 )
 
 // TestForStateCount pins the state-count table: nucleotide data binds the
-// unrolled family, every other state count the generic one, and whatever is
-// bound computes what the generic kernels compute.
+// unrolled family; wider state counts up to MaxWideStates bind the wide
+// family where VecMatT runs as assembly and the generic one where it does not
+// (another architecture, a CPU without AVX2, -tags purego); everything else is
+// generic; and whatever is bound computes what the generic kernels compute.
 func TestForStateCount(t *testing.T) {
-	for states, want := range map[int]string{4: FamilyUnrolled4, 20: FamilyGeneric, 61: FamilyGeneric, 5: FamilyGeneric} {
+	wide := FamilyGeneric
+	if vecMatAccelerated {
+		wide = FamilyWide
+	}
+	t.Logf("VecMatT accelerated: %v; wide state counts bind %q", vecMatAccelerated, wide)
+	for states, want := range map[int]string{2: FamilyGeneric, 4: FamilyUnrolled4, 5: wide, 20: wide, 61: wide,
+		MaxWideStates: wide, MaxWideStates + 1: FamilyGeneric} {
 		set, gen := ForStateCount[float64](states), Generic[float64]()
 		if set.Family != want {
 			t.Errorf("%d states: family %q, want %q", states, set.Family, want)

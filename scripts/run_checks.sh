@@ -34,6 +34,17 @@ go -C "$ROOT" run ./cmd/beaglevet -stock=false ./...
 section "go test -race -short ./..."
 go -C "$ROOT" test -race -short -timeout "$TIMEOUT" ./...
 
+# The wide-state kernels are AVX2 assembly selected by CPUID at start-up; on a
+# host without AVX2 every test passes on the generic kernels, so say which
+# family this host binds.
+section "bound kernel family"
+go -C "$ROOT" test -run 'TestKernelBinding|TestForStateCount' -v ./internal/kernels ./internal/cpuimpl | grep -E 'binds|accelerated|^(ok|FAIL|---)'
+
+# The portable path — the Go body of the vectorised primitive and the
+# generic-kernel binding every other architecture gets — on this host.
+section "go test -tags purego ./internal/kernels ./internal/cpuimpl"
+go -C "$ROOT" test -tags purego -timeout "$TIMEOUT" ./internal/kernels ./internal/cpuimpl
+
 # The telemetry snapshot guarantee (exact at quiescence, monotone in flight)
 # only fails intermittently when broken, so it is run many times.
 section "telemetry TestConcurrentRecording -race -count=200"
@@ -76,12 +87,13 @@ rm -f "$trace_tmp"
 section "beagled -selfcheck"
 go -C "$ROOT" run ./cmd/beagled -selfcheck
 
-# Measured-benchmark smoke: two 4-state workloads and the HTTP serving
-# workload of bench/mark, every timed result checked against the serial
-# reference or a dedicated instance; a wrong result exits non-zero.
+# Measured-benchmark smoke: two 4-state workloads, the 61-state codon
+# workload (the vectorised kernels against the generic Serial reference) and
+# the HTTP serving workload of bench/mark, every timed result checked against
+# the serial reference or a dedicated instance; a wrong result exits non-zero.
 section "beaglemark smoke"
 mark_tmp=$(mktemp)
-go -C "$ROOT" run ./bench/mark -workload nuc_large,deep_small,serve_http -seconds 2 -out "$mark_tmp" >/dev/null
+go -C "$ROOT" run ./bench/mark -workload nuc_large,codon,deep_small,serve_http -seconds 2 -out "$mark_tmp" >/dev/null
 rm -f "$mark_tmp"
 
 SECTION="done"
