@@ -166,3 +166,42 @@ func TestInstanceSurface(t *testing.T) {
 		t.Fatal("device instance must expose its queue")
 	}
 }
+
+// TestFinalizeTwiceOnAccelerators pins Finalize's documented contract on the
+// device-backed implementations: idempotent, and computation afterwards
+// returns an error instead of panicking on released device buffers.
+func TestFinalizeTwiceOnAccelerators(t *testing.T) {
+	device.ResetPlatforms()
+	pr := newReuseProblem(t, 107, 6, 120)
+	for _, r := range []struct{ name, framework string }{
+		{"Quadro P5000", "CUDA"},
+		{"Radeon R9 Nano", "OpenCL"},
+	} {
+		t.Run(r.framework+"/"+r.name, func(t *testing.T) {
+			rsc, err := FindResource(r.name, r.framework)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inst, err := NewInstance(pr.config(rsc.ID, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			pr.setup(t, inst)
+			pr.evalFull(t, inst)
+			for i := 0; i < 2; i++ {
+				if err := inst.Finalize(); err != nil {
+					t.Fatalf("Finalize #%d: %v", i+1, err)
+				}
+			}
+			op := pr.tr.FullSchedule().Ops[0]
+			err = inst.UpdatePartials([]Operation{{
+				Destination: op.Dest, DestScaleWrite: None, DestScaleRead: None,
+				Child1: op.Child1, Child1Matrix: op.Child1Mat,
+				Child2: op.Child2, Child2Matrix: op.Child2Mat,
+			}})
+			if err == nil {
+				t.Fatal("UpdatePartials after Finalize succeeded")
+			}
+		})
+	}
+}

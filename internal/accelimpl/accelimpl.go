@@ -12,10 +12,24 @@
 //     computes a whole pattern, avoids explicit local memory, and takes a
 //     configurable work-group size in patterns (§VII-B2, Table V).
 //
-// All data lives in device buffers; transition-matrix computation, partials
-// updates, rescaling and site-likelihood integration all run as device
-// kernels so that only scalar results cross the host↔device boundary, as the
-// paper's design requires (§IV-F).
+// The buffers are engine.Storage's — the same store, setters, getters, batch
+// planning, reuse filter and pattern migration every CPU engine runs on; this
+// package declares none of them. What it adds is only what is the
+// accelerator's own: variant and device checks, work-group geometry, the FMA
+// and roofline costs, kernel launches through device.Queue, one pooled device
+// allocation for the transition matrices addressed through sub-buffers
+// (§VII-A), and two charges that make the shared store behave as device
+// memory: its footprint is reserved against the device's memory after every
+// call that can allocate, and every setter, getter and migration is charged
+// to the queue as the host↔device copy it models. Transition-matrix
+// computation, partials updates, rescaling and site-likelihood integration
+// all run as device kernels, so that only scalar results need cross the
+// boundary, as the paper's design requires (§IV-F).
+//
+// In UpdatePartials the memory check sits between the store's validation and
+// its reuse decision: the reservation needs the destinations validation
+// allocated, and a batch the device cannot hold must fail before the reuse
+// tracker records it as computed.
 package accelimpl
 
 import (
@@ -25,7 +39,6 @@ import (
 	"gobeagle/internal/device"
 	"gobeagle/internal/engine"
 	"gobeagle/internal/kernels"
-	"gobeagle/internal/reuse"
 )
 
 // Variant selects the hardware-specific kernel configuration.
@@ -96,63 +109,39 @@ func New(cfg engine.Config, variant Variant, dev *device.Device) (engine.Engine,
 	return newEngine[float64](cfg, variant, dev)
 }
 
-// Engine is an accelerator implementation of engine.Engine.
+// Engine is an accelerator implementation of engine.Engine: the shared
+// store, executed by device kernels and accounted as device memory.
 type Engine[T kernels.Real] struct {
-	cfg     engine.Config
+	*engine.Storage[T]
 	variant Variant
 	dev     *device.Device
 	q       *device.Queue
 
-	partials   []*device.Buffer[T]
-	tipStates  []*device.Buffer[int32]
-	matrixPool *device.Buffer[T]
-	matrices   []*device.Buffer[T] // sub-buffer views into matrixPool
-	matSet     []bool
-	scale      []*device.Buffer[float64]
-	siteBuf    *device.Buffer[float64]
-
-	eigens   []*kernels.Eigen
-	catRates []float64
-	catWts   []float64
-	freqs    []float64
-	patWts   []float64
+	// matrixPool is the one device allocation behind every transition
+	// matrix; matrixViews are its per-matrix sub-buffers. The store's
+	// Matrices[m] is matrixViews[m]'s data from the moment m is computed or
+	// set.
+	matrixPool  *device.Buffer[T]
+	matrixViews []*device.Buffer[T]
+	// site is the per-pattern staging buffer the integration kernels write
+	// and the host downloads.
+	site []float64
+	// reserved is the device memory currently claimed for the store's
+	// buffers and the staging buffer.
+	reserved int64
 
 	useFMA     bool
 	groupPats  int // patterns per work-group after local-memory limits
 	efficiency float64
-	closed     bool
-
-	// reuse is the incremental re-evaluation tracker (nil unless
-	// cfg.Reuse); scratch holds the filtered operation list between
-	// batches so the skip path allocates nothing once warmed up.
-	reuse   *reuse.Tracker
-	scratch []engine.Operation
 }
 
 func newEngine[T kernels.Real](cfg engine.Config, variant Variant, dev *device.Device) (*Engine[T], error) {
 	e := &Engine[T]{
-		cfg:      cfg,
-		variant:  variant,
-		dev:      dev,
-		q:        dev.NewQueue(cfg.SinglePrecision),
-		eigens:   make([]*kernels.Eigen, cfg.EigenBuffers),
-		catRates: make([]float64, cfg.Dims.CategoryCount),
-		catWts:   make([]float64, cfg.Dims.CategoryCount),
-		freqs:    make([]float64, cfg.Dims.StateCount),
-		patWts:   make([]float64, cfg.Dims.PatternCount),
-	}
-	for i := range e.catRates {
-		e.catRates[i] = 1
-		e.catWts[i] = 1 / float64(cfg.Dims.CategoryCount)
-	}
-	for i := range e.freqs {
-		e.freqs[i] = 1 / float64(cfg.Dims.StateCount)
-	}
-	for i := range e.patWts {
-		e.patWts[i] = 1
-	}
-	if cfg.Reuse {
-		e.reuse = reuse.New(cfg.PartialsBuffers, cfg.MatrixBuffers, cfg.ScaleBuffers)
+		Storage: engine.NewStorage[T](cfg),
+		variant: variant,
+		dev:     dev,
+		q:       dev.NewQueue(cfg.SinglePrecision),
+		site:    make([]float64, cfg.Dims.PatternCount),
 	}
 	e.q.SetTracer(cfg.Trace, int32(cfg.TraceLane))
 
@@ -184,57 +173,51 @@ func newEngine[T kernels.Real](cfg engine.Config, variant Variant, dev *device.D
 		e.groupPats = dev.Desc.MaxPatternsPerGroup(req, cfg.Dims.StateCount, cfg.SinglePrecision)
 	}
 
-	// Device allocations.
-	d := cfg.Dims
-	e.partials = make([]*device.Buffer[T], cfg.PartialsBuffers)
-	e.tipStates = make([]*device.Buffer[int32], cfg.TipCount)
-	e.scale = make([]*device.Buffer[float64], cfg.ScaleBuffers)
-	var err error
-	e.siteBuf, err = device.Alloc[float64](dev, d.PatternCount)
-	if err != nil {
-		return nil, err
-	}
 	// Transition matrices are pooled into one allocation with an aligned
 	// stride per matrix, addressed through framework-appropriate
 	// sub-buffers (§VII-A): pointer arithmetic under CUDA,
 	// clCreateSubBuffer under OpenCL.
-	stride := e.alignedStride(d.MatrixLen())
-	e.matrixPool, err = device.Alloc[T](dev, stride*cfg.MatrixBuffers)
-	if err != nil {
-		e.freeAll()
+	n := cfg.Dims.MatrixLen()
+	stride := e.alignedStride(n)
+	var err error
+	if e.matrixPool, err = device.Alloc[T](dev, stride*cfg.MatrixBuffers); err != nil {
 		return nil, err
 	}
-	e.matrices = make([]*device.Buffer[T], cfg.MatrixBuffers)
-	e.matSet = make([]bool, cfg.MatrixBuffers)
-	for i := range e.matrices {
-		var sub *device.Buffer[T]
+	e.matrixViews = make([]*device.Buffer[T], cfg.MatrixBuffers)
+	for i := range e.matrixViews {
 		if dev.Framework == device.CUDA {
-			sub, err = e.matrixPool.SubCUDA(i*stride, d.MatrixLen())
+			e.matrixViews[i], err = e.matrixPool.SubCUDA(i*stride, n)
 		} else {
-			sub, err = e.matrixPool.SubOpenCL(i*stride, d.MatrixLen())
+			e.matrixViews[i], err = e.matrixPool.SubOpenCL(i*stride, n)
 		}
 		if err != nil {
-			e.freeAll()
+			e.release()
 			return nil, err
 		}
-		e.matrices[i] = sub
+	}
+	if err := e.reserve(); err != nil {
+		e.release()
+		return nil, err
 	}
 	return e, nil
+}
+
+// elemSize is the size in bytes of one element of the engine's precision.
+func (e *Engine[T]) elemSize() int {
+	var zero T
+	if _, ok := any(zero).(float32); ok {
+		return 4
+	}
+	return 8
 }
 
 // alignedStride rounds a matrix length up so every sub-buffer origin
 // satisfies the device's base alignment.
 func (e *Engine[T]) alignedStride(n int) int {
-	var zero T
-	elem := 8
-	if _, ok := any(zero).(float32); ok {
-		elem = 4
-	}
-	align := e.dev.Desc.BaseAlign
-	if align <= elem {
+	per := e.dev.Desc.BaseAlign / e.elemSize()
+	if per <= 1 {
 		return n
 	}
-	per := align / elem
 	return (n + per - 1) / per * per
 }
 
@@ -250,85 +233,50 @@ func (e *Engine[T]) Queue() *device.Queue { return e.q }
 // device limits, for tests and benchmark reporting.
 func (e *Engine[T]) GroupPatterns() int { return e.groupPats }
 
-func (e *Engine[T]) freeAll() {
-	for _, b := range e.partials {
-		if b != nil {
-			b.Free()
-		}
+// reserve brings the device's accounting in line with what the store holds
+// now — partials, compact tip states, scale buffers — plus the site staging
+// buffer, and fails when the device cannot hold it. It runs after every call
+// that can allocate or resize a buffer.
+//
+// An engine that hit out-of-memory keeps the buffers the store allocated for
+// the failed call (zero-filled, as any lazily allocated destination is), but
+// its reservation stays at the last footprint that fit, so the device never
+// accounts more than its memory. Calls that allocate nothing still work; any
+// call that reserves fails the same way until the footprint shrinks again
+// (SetTipPartials over compact states, DetachPatterns) — in practice such an
+// engine is good for reading results back and Close.
+func (e *Engine[T]) reserve() error {
+	want := int64(len(e.site)) * 8
+	for _, b := range e.Partials {
+		want += int64(len(b)) * int64(e.elemSize())
 	}
-	for _, b := range e.tipStates {
-		if b != nil {
-			b.Free()
-		}
+	for _, b := range e.TipStates {
+		want += int64(len(b)) * 4
 	}
-	for _, b := range e.scale {
-		if b != nil {
-			b.Free()
-		}
+	for _, b := range e.Scale {
+		want += int64(len(b)) * 8
 	}
-	if e.siteBuf != nil {
-		e.siteBuf.Free()
+	if err := e.dev.Reserve(want - e.reserved); err != nil {
+		return err
 	}
+	e.reserved = want
+	return nil
+}
+
+// release returns everything the engine holds on the device.
+func (e *Engine[T]) release() {
+	e.dev.Reserve(-e.reserved) // a release cannot fail
+	e.reserved = 0
 	if e.matrixPool != nil {
-		e.matrixPool.Free()
+		e.matrixPool.Free() // held since construction and freed once: cannot fail
+		e.matrixPool = nil
 	}
 }
 
-// Close releases all device memory.
+// Close releases all device memory. Close is idempotent; every method called
+// afterwards returns engine.ErrClosed from the store.
 func (e *Engine[T]) Close() error {
-	if e.closed {
-		return errors.New("accelimpl: engine already closed")
-	}
-	e.closed = true
-	e.freeAll()
+	e.Storage.Close()
+	e.release()
 	return nil
-}
-
-func (e *Engine[T]) checkPartialsIndex(buf int) error {
-	if buf < 0 || buf >= len(e.partials) {
-		return fmt.Errorf("accelimpl: partials buffer %d out of range [0,%d)", buf, len(e.partials))
-	}
-	return nil
-}
-
-func (e *Engine[T]) checkMatrixIndex(m int) error {
-	if m < 0 || m >= len(e.matrices) {
-		return fmt.Errorf("accelimpl: matrix buffer %d out of range [0,%d)", m, len(e.matrices))
-	}
-	return nil
-}
-
-func (e *Engine[T]) checkScaleIndex(b int) error {
-	if b < 0 || b >= len(e.scale) {
-		return fmt.Errorf("accelimpl: scale buffer %d out of range [0,%d)", b, len(e.scale))
-	}
-	return nil
-}
-
-func (e *Engine[T]) ensurePartials(buf int) (*device.Buffer[T], error) {
-	if err := e.checkPartialsIndex(buf); err != nil {
-		return nil, err
-	}
-	if e.partials[buf] == nil {
-		b, err := device.Alloc[T](e.dev, e.cfg.Dims.PartialsLen())
-		if err != nil {
-			return nil, err
-		}
-		e.partials[buf] = b
-	}
-	return e.partials[buf], nil
-}
-
-func (e *Engine[T]) ensureScale(buf int) (*device.Buffer[float64], error) {
-	if err := e.checkScaleIndex(buf); err != nil {
-		return nil, err
-	}
-	if e.scale[buf] == nil {
-		b, err := device.Alloc[float64](e.dev, e.cfg.Dims.PatternCount)
-		if err != nil {
-			return nil, err
-		}
-		e.scale[buf] = b
-	}
-	return e.scale[buf], nil
 }

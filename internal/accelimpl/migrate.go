@@ -1,259 +1,64 @@
 package accelimpl
 
-import (
-	"fmt"
-
-	"gobeagle/internal/device"
-	"gobeagle/internal/engine"
-	"gobeagle/internal/kernels"
-)
+import "gobeagle/internal/engine"
 
 // The accelerator engines support the pattern-range migration behind
-// multi-device rebalancing: per-pattern device buffers (partials, compact
-// tip states, scale factors, the site-likelihood staging buffer) are staged
-// through the host, reallocated at the new pattern count, and re-uploaded.
-// Every copy goes through the command queue, so the modeled device clock
-// charges the real host↔device traffic a rebalance costs — the reason the
-// rebalancer only migrates when the predicted steady-state win exceeds its
-// hysteresis threshold.
+// multi-device rebalancing with the store's own split and splice. What the
+// device adds is the cost: every live per-pattern buffer (partials, compact
+// tip states, scale factors) is staged through the host — downloaded at the
+// old pattern count, re-uploaded at the new one — and the site staging buffer
+// is reallocated. Every copy is charged to the command queue, so the modeled
+// device clock carries the real host↔device traffic a rebalance costs — the
+// reason the rebalancer only migrates when the predicted steady-state win
+// exceeds its hysteresis threshold.
 
 // DetachPatterns removes n patterns from one end of the engine's range and
 // returns their state; the engine keeps at least one pattern.
 func (e *Engine[T]) DetachPatterns(fromHigh bool, n int) (*engine.PatternBlock, error) {
-	if e.closed {
-		return nil, fmt.Errorf("accelimpl: engine is closed")
-	}
-	d := e.cfg.Dims
-	p := d.PatternCount
-	if n <= 0 || n >= p {
-		return nil, fmt.Errorf("accelimpl: cannot detach %d of %d patterns", n, p)
-	}
-	lo, hi := p-n, p
-	keepLo, keepHi := 0, lo
-	if !fromHigh {
-		lo, hi = 0, n
-		keepLo, keepHi = n, p
-	}
-	keep := keepHi - keepLo
-
-	blk := &engine.PatternBlock{
-		Patterns:  n,
-		TipStates: make([][]int32, len(e.tipStates)),
-		Partials:  make([][]float64, len(e.partials)),
-		Weights:   append([]float64(nil), e.patWts[lo:hi]...),
-		Scale:     make([][]float64, len(e.scale)),
-	}
-
-	for t, buf := range e.tipStates {
-		if buf == nil {
-			continue
-		}
-		host := make([]int32, p)
-		if err := device.CopyFromDevice(e.q, host, buf); err != nil {
-			return nil, err
-		}
-		blk.TipStates[t] = append([]int32(nil), host[lo:hi]...)
-		nb, err := reallocUpload(e, buf, host[keepLo:keepHi])
-		if err != nil {
-			return nil, err
-		}
-		e.tipStates[t] = nb
-	}
-	for b, buf := range e.partials {
-		if buf == nil {
-			continue
-		}
-		host := make([]T, d.PartialsLen())
-		if err := device.CopyFromDevice(e.q, host, buf); err != nil {
-			return nil, err
-		}
-		out := make([]float64, d.CategoryCount*n*d.StateCount)
-		kept := make([]T, d.CategoryCount*keep*d.StateCount)
-		for c := 0; c < d.CategoryCount; c++ {
-			src := host[(c*p+lo)*d.StateCount : (c*p+hi)*d.StateCount]
-			for i, v := range src {
-				out[c*n*d.StateCount+i] = float64(v)
-			}
-			copy(kept[c*keep*d.StateCount:], host[(c*p+keepLo)*d.StateCount:(c*p+keepHi)*d.StateCount])
-		}
-		blk.Partials[b] = out
-		nb, err := reallocUpload(e, buf, kept)
-		if err != nil {
-			return nil, err
-		}
-		e.partials[b] = nb
-	}
-	for b, buf := range e.scale {
-		if buf == nil {
-			continue
-		}
-		host := make([]float64, p)
-		if err := device.CopyFromDevice(e.q, host, buf); err != nil {
-			return nil, err
-		}
-		blk.Scale[b] = append([]float64(nil), host[lo:hi]...)
-		nb, err := reallocUpload(e, buf, host[keepLo:keepHi])
-		if err != nil {
-			return nil, err
-		}
-		e.scale[b] = nb
-	}
-	if err := e.resizeSiteBuf(keep); err != nil {
+	before := e.Cfg.Dims.PatternCount
+	blk, err := e.Storage.DetachPatterns(fromHigh, n)
+	if err != nil {
 		return nil, err
 	}
-	e.patWts = append([]float64(nil), e.patWts[keepLo:keepHi]...)
-	e.cfg.Dims.PatternCount = keep
-	return blk, nil
+	return blk, e.restaged(before)
 }
 
 // AttachPatterns inserts a detached block at one end of the engine's range.
 func (e *Engine[T]) AttachPatterns(atHigh bool, blk *engine.PatternBlock) error {
-	if e.closed {
-		return fmt.Errorf("accelimpl: engine is closed")
-	}
-	if blk == nil || blk.Patterns <= 0 {
-		return fmt.Errorf("accelimpl: cannot attach an empty pattern block")
-	}
-	if len(blk.TipStates) != len(e.tipStates) || len(blk.Partials) != len(e.partials) || len(blk.Scale) != len(e.scale) {
-		return fmt.Errorf("accelimpl: pattern block geometry (%d/%d/%d buffers) does not match engine (%d/%d/%d)",
-			len(blk.TipStates), len(blk.Partials), len(blk.Scale),
-			len(e.tipStates), len(e.partials), len(e.scale))
-	}
-	d := e.cfg.Dims
-	p, n := d.PatternCount, blk.Patterns
-	if len(blk.Weights) != n {
-		return fmt.Errorf("accelimpl: pattern block carries %d weights for %d patterns", len(blk.Weights), n)
-	}
-	for t := range e.tipStates {
-		if (e.tipStates[t] == nil) != (blk.TipStates[t] == nil) {
-			return fmt.Errorf("accelimpl: tip-state buffer %d occupancy mismatch in pattern block", t)
-		}
-	}
-	for b := range e.partials {
-		if (e.partials[b] == nil) != (blk.Partials[b] == nil) {
-			return fmt.Errorf("accelimpl: partials buffer %d occupancy mismatch in pattern block", b)
-		}
-	}
-	for b := range e.scale {
-		if (e.scale[b] == nil) != (blk.Scale[b] == nil) {
-			return fmt.Errorf("accelimpl: scale buffer %d occupancy mismatch in pattern block", b)
-		}
-	}
-
-	for t, buf := range e.tipStates {
-		if buf == nil {
-			continue
-		}
-		host := make([]int32, p)
-		if err := device.CopyFromDevice(e.q, host, buf); err != nil {
-			return err
-		}
-		merged := make([]int32, 0, p+n)
-		if atHigh {
-			merged = append(append(merged, host...), blk.TipStates[t]...)
-		} else {
-			merged = append(append(merged, blk.TipStates[t]...), host...)
-		}
-		nb, err := reallocUpload(e, buf, merged)
-		if err != nil {
-			return err
-		}
-		e.tipStates[t] = nb
-	}
-	for b, buf := range e.partials {
-		if buf == nil {
-			continue
-		}
-		host := make([]T, d.PartialsLen())
-		if err := device.CopyFromDevice(e.q, host, buf); err != nil {
-			return err
-		}
-		merged := make([]T, d.CategoryCount*(p+n)*d.StateCount)
-		for c := 0; c < d.CategoryCount; c++ {
-			dst := merged[c*(p+n)*d.StateCount : (c+1)*(p+n)*d.StateCount]
-			old := host[c*p*d.StateCount : (c+1)*p*d.StateCount]
-			add := blk.Partials[b][c*n*d.StateCount : (c+1)*n*d.StateCount]
-			if atHigh {
-				copy(dst, old)
-				for i, v := range add {
-					dst[len(old)+i] = T(v)
-				}
-			} else {
-				for i, v := range add {
-					dst[i] = T(v)
-				}
-				copy(dst[len(add):], old)
-			}
-		}
-		nb, err := reallocUpload(e, buf, merged)
-		if err != nil {
-			return err
-		}
-		e.partials[b] = nb
-	}
-	for b, buf := range e.scale {
-		if buf == nil {
-			continue
-		}
-		host := make([]float64, p)
-		if err := device.CopyFromDevice(e.q, host, buf); err != nil {
-			return err
-		}
-		merged := make([]float64, 0, p+n)
-		if atHigh {
-			merged = append(append(merged, host...), blk.Scale[b]...)
-		} else {
-			merged = append(append(merged, blk.Scale[b]...), host...)
-		}
-		nb, err := reallocUpload(e, buf, merged)
-		if err != nil {
-			return err
-		}
-		e.scale[b] = nb
-	}
-	if err := e.resizeSiteBuf(p + n); err != nil {
+	before := e.Cfg.Dims.PatternCount
+	if err := e.Storage.AttachPatterns(atHigh, blk); err != nil {
 		return err
 	}
-	merged := make([]float64, 0, p+n)
-	if atHigh {
-		merged = append(append(merged, e.patWts...), blk.Weights...)
-	} else {
-		merged = append(append(merged, blk.Weights...), e.patWts...)
-	}
-	e.patWts = merged
-	e.cfg.Dims.PatternCount = p + n
-	return nil
+	return e.restaged(before)
 }
 
-// reallocUpload frees a device buffer and replaces it with a fresh
-// allocation holding the given host data, charging the upload to the queue.
-func reallocUpload[T device.Elem, U kernels.Real](e *Engine[U], old *device.Buffer[T], host []T) (*device.Buffer[T], error) {
-	if err := old.Free(); err != nil {
-		return nil, err
+// restaged accounts for a migration the store has just performed from the
+// given pattern count: it charges each live buffer's round trip, resizes the
+// staging buffer (its contents are produced fresh by every integration) and
+// reserves the new footprint.
+func (e *Engine[T]) restaged(before int) error {
+	after := e.Cfg.Dims.PatternCount
+	perPattern := e.Cfg.Dims.CategoryCount * e.Cfg.Dims.StateCount
+	for _, b := range e.TipStates {
+		if b != nil {
+			e.transferred(before, 4)
+			e.transferred(after, 4)
+		}
 	}
-	nb, err := device.Alloc[T](e.dev, len(host))
-	if err != nil {
-		return nil, err
+	for _, b := range e.Partials {
+		if b != nil {
+			e.transferred(before*perPattern, e.elemSize())
+			e.transferred(after*perPattern, e.elemSize())
+		}
 	}
-	if err := device.CopyToDevice(e.q, nb, host); err != nil {
-		nb.Free()
-		return nil, err
+	for _, b := range e.Scale {
+		if b != nil {
+			e.transferred(before, 8)
+			e.transferred(after, 8)
+		}
 	}
-	return nb, nil
-}
-
-// resizeSiteBuf reallocates the site-likelihood staging buffer for a new
-// pattern count; its contents are produced fresh by every integration call.
-func (e *Engine[T]) resizeSiteBuf(patterns int) error {
-	if err := e.siteBuf.Free(); err != nil {
-		return err
-	}
-	nb, err := device.Alloc[float64](e.dev, patterns)
-	if err != nil {
-		return err
-	}
-	e.siteBuf = nb
-	return nil
+	e.site = make([]float64, after)
+	return e.reserve()
 }
 
 var _ engine.PatternMigrator = (*Engine[float64])(nil)

@@ -1,6 +1,7 @@
 package accelimpl
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"gobeagle/internal/cpuimpl"
 	"gobeagle/internal/device"
 	"gobeagle/internal/engine"
+	"gobeagle/internal/kernels"
 	"gobeagle/internal/seqgen"
 	"gobeagle/internal/substmodel"
 	"gobeagle/internal/tree"
@@ -162,36 +164,279 @@ func TestAccelSurfaceParityWithCPU(t *testing.T) {
 	}
 }
 
-func TestAccelSurfaceErrors(t *testing.T) {
+// storeBackend is one kind of store-backed engine the contract below is held
+// to: the serial CPU reference and each accelerator variant.
+type storeBackend struct {
+	name string
+	new  func(t *testing.T, cfg engine.Config) engine.Engine
+}
+
+func storeBackends() []storeBackend {
+	out := []storeBackend{{"CPU-serial", func(t *testing.T, cfg engine.Config) engine.Engine {
+		e, err := cpuimpl.New(cfg, cpuimpl.Serial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}}}
+	for _, i := range []int{0, 2, 4} { // one device per variant: CUDA, OpenCL-GPU, OpenCL-x86
+		vc := variantCases[i]
+		out = append(out, storeBackend{vc.name, func(t *testing.T, cfg engine.Config) engine.Engine {
+			return newCase(t, vc, cfg)
+		}})
+	}
+	return out
+}
+
+// Geometry of the contract engines: four tips (so buffers 4–6 are internal),
+// spare matrices 6–9 that are never computed, a second eigen slot that is never
+// filled, four scale buffers.
+const (
+	contractPatterns = 10
+	contractCats     = 2
+)
+
+// contractEngine returns a loaded engine that has not run a batch: tips 0 and
+// 1 hold compact states, tips 2 and 3 expanded partials, matrices 0–5 are
+// computed, internal buffers and every scale buffer are untouched.
+func contractEngine(t *testing.T, b storeBackend) engine.Engine {
+	t.Helper()
 	device.ResetPlatforms()
-	rng := rand.New(rand.NewSource(92))
-	tr, _ := tree.Random(rng, 4, 0.1)
-	dev, _ := device.FindDevice(device.OpenCL, "Radeon R9 Nano")
-	cfg := testConfig(tr, 4, 10, 1, false)
-	e, err := New(cfg, OpenCLGPU, dev)
+	cfg := engine.Config{
+		TipCount: 4, PartialsBuffers: 7, MatrixBuffers: 10, EigenBuffers: 2, ScaleBuffers: 4,
+		Dims: kernels.Dims{StateCount: 4, PatternCount: contractPatterns, CategoryCount: contractCats},
+	}
+	e := b.new(t, cfg)
+	t.Cleanup(func() { e.Close() })
+	m, _ := substmodel.NewHKY85(2, []float64{0.3, 0.2, 0.25, 0.25})
+	ed, err := m.Eigen()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
-	if err := e.SetPartials(0, make([]float64, 3)); err == nil {
-		t.Error("wrong partials length must error")
+	rates, _ := substmodel.GammaRates(0.5, contractCats)
+	ps, _ := seqgen.RandomPatterns(rand.New(rand.NewSource(92)), 4, 4, contractPatterns)
+	for _, err := range []error{
+		e.SetEigenDecomposition(0, ed.Values, ed.Vectors.Data, ed.InverseVectors.Data),
+		e.SetCategoryRates(rates.Rates),
+		e.SetCategoryWeights(rates.Weights),
+		e.SetTipStates(0, ps.TipStates(0)),
+		e.SetTipStates(1, ps.TipStates(1)),
+		e.SetTipPartials(2, ps.TipPartials(2)),
+		e.SetTipPartials(3, ps.TipPartials(3)),
+		e.UpdateTransitionMatrices(0, []int{0, 1, 2, 3, 4, 5}, []float64{0.1, 0.2, 0.3, 0.1, 0.2, 0.3}),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := e.SetTransitionMatrix(0, make([]float64, 3)); err == nil {
-		t.Error("wrong matrix length must error")
+	return e
+}
+
+// contractOp is an operation whose matrices are its children's own.
+func contractOp(dest, c1, c2 int) engine.Operation {
+	return engine.Operation{Dest: dest, DestScaleWrite: engine.None, DestScaleRead: engine.None,
+		Child1: c1, Child1Mat: c1, Child2: c2, Child2Mat: c2}
+}
+
+// contractStep is one call and whether every backend must refuse it.
+type contractStep struct {
+	what   string
+	call   func(e engine.Engine) error
+	reject bool
+}
+
+// contractCases is the accept/reject contract of the shared store as seen
+// through an engine; each case runs its steps in order on a fresh
+// contractEngine.
+func contractCases() map[string][]contractStep {
+	const none = engine.None
+	batch := func(ops ...engine.Operation) func(engine.Engine) error {
+		return func(e engine.Engine) error { return e.UpdatePartials(ops) }
 	}
-	if err := e.SetTransitionMatrix(99, make([]float64, cfg.Dims.MatrixLen())); err == nil {
-		t.Error("bad matrix index must error")
+	with := func(op engine.Operation, edit func(*engine.Operation)) engine.Operation {
+		edit(&op)
+		return op
 	}
-	if _, err := e.SiteLogLikelihoods(0, engine.None); err == nil {
-		t.Error("unset root buffer must error")
+	root := func(buf, cum int) func(engine.Engine) error {
+		return func(e engine.Engine) error { _, err := e.SiteLogLikelihoods(buf, cum); return err }
 	}
-	if _, _, _, err := e.CalculateEdgeDerivatives(0, 1, 0, 1, engine.None, engine.None); err == nil {
-		t.Error("unloaded buffers must error")
+	states, tipPartials := make([]int, contractPatterns), make([]float64, contractPatterns*4)
+	partials, matrix := make([]float64, contractCats*contractPatterns*4), make([]float64, contractCats*16)
+	cases := map[string][]contractStep{
+		"destination holds compact tip states":   {{"op into tip 0", batch(contractOp(0, 2, 3)), true}},
+		"uncomputed matrix":                      {{"op through matrix 8", batch(with(contractOp(4, 0, 1), func(op *engine.Operation) { op.Child2Mat = 8 })), true}},
+		"child with no data":                     {{"op reading buffer 5", batch(contractOp(4, 5, 1)), true}},
+		"child computed by a later listed op":    {{"parent before child", batch(contractOp(5, 4, 2), contractOp(4, 0, 1)), true}},
+		"child computed by an earlier listed op": {{"child before parent", batch(contractOp(4, 0, 1), contractOp(5, 4, 2)), false}},
+		"read-scale of an unwritten buffer":      {{"read 2", batch(with(contractOp(4, 0, 1), func(op *engine.Operation) { op.DestScaleRead = 2 })), true}},
+		"read-scale of a buffer an earlier listed op rescales into": {{"write 0 then read 0", batch(
+			with(contractOp(4, 0, 1), func(op *engine.Operation) { op.DestScaleWrite = 0 }),
+			with(contractOp(5, 2, 3), func(op *engine.Operation) { op.DestScaleRead = 0 })), false}},
+		"tip states after tip partials and back": {
+			{"root on expanded tip 2", root(2, none), false},
+			{"compact states over it", func(e engine.Engine) error { return e.SetTipStates(2, states) }, false},
+			{"root on compact tip 2", root(2, none), true},
+			{"op into compact tip 2", batch(contractOp(2, 0, 1)), true},
+			{"partials over it", func(e engine.Engine) error { return e.SetTipPartials(2, tipPartials) }, false},
+			{"root on expanded tip 2 again", root(2, none), false},
+			{"op into expanded tip 2", batch(contractOp(2, 0, 1)), false},
+		},
+		"wrong lengths": {
+			{"SetTipStates", func(e engine.Engine) error { return e.SetTipStates(0, states[:3]) }, true},
+			{"SetTipPartials", func(e engine.Engine) error { return e.SetTipPartials(0, tipPartials[:3]) }, true},
+			{"SetPartials", func(e engine.Engine) error { return e.SetPartials(0, partials[:3]) }, true},
+			{"SetTransitionMatrix", func(e engine.Engine) error { return e.SetTransitionMatrix(0, matrix[:3]) }, true},
+			{"SetCategoryRates", func(e engine.Engine) error { return e.SetCategoryRates([]float64{1}) }, true},
+			{"UpdateTransitionMatrices", func(e engine.Engine) error { return e.UpdateTransitionMatrices(0, []int{0, 1}, []float64{0.1}) }, true},
+			{"negative edge length", func(e engine.Engine) error { return e.UpdateTransitionMatrices(0, []int{0}, []float64{-0.1}) }, true},
+		},
+		"unset buffers": {
+			{"matrices from empty eigen slot 1", func(e engine.Engine) error { return e.UpdateTransitionMatrices(1, []int{0}, []float64{0.1}) }, true},
+			{"derivatives from empty eigen slot 1", func(e engine.Engine) error {
+				return e.UpdateTransitionDerivatives(1, []int{6}, nil, []float64{0.1})
+			}, true},
+			{"root on internal buffer 4", root(4, none), true},
+			{"GetPartials 4", func(e engine.Engine) error { _, err := e.GetPartials(4); return err }, true},
+			{"GetTransitionMatrix 8", func(e engine.Engine) error { _, err := e.GetTransitionMatrix(8); return err }, true},
+			{"root with unwritten cumulative buffer", root(2, 1), true},
+			{"accumulate an unwritten buffer", func(e engine.Engine) error { return e.AccumulateScaleFactors([]int{1}, 0) }, true},
+			{"edge on compact tips", func(e engine.Engine) error { _, err := e.CalculateEdgeLogLikelihoods(0, 1, 0, none); return err }, true},
+			{"edge through uncomputed matrix", func(e engine.Engine) error { _, err := e.CalculateEdgeLogLikelihoods(2, 3, 8, none); return err }, true},
+			{"edge on expanded tips", func(e engine.Engine) error { _, err := e.CalculateEdgeLogLikelihoods(2, 3, 0, none); return err }, false},
+			{"derivatives through uncomputed matrices", func(e engine.Engine) error {
+				_, _, _, err := e.CalculateEdgeDerivatives(2, 3, 0, 8, none, none)
+				return err
+			}, true},
+		},
 	}
-	if err := e.UpdateTransitionDerivatives(0, []int{0}, nil, []float64{0.1}); err == nil {
-		t.Error("empty eigen slot must error")
+	// An out-of-range index on every method, one call per indexed argument.
+	const bad = 99
+	var outOfRange []contractStep
+	add := func(what string, call func(e engine.Engine) error) {
+		outOfRange = append(outOfRange, contractStep{what, call, true})
 	}
-	if err := e.UpdateTransitionDerivatives(99, []int{0}, nil, []float64{0.1}); err == nil {
-		t.Error("bad eigen slot must error")
+	add("SetTipStates", func(e engine.Engine) error { return e.SetTipStates(bad, states) })
+	add("SetTipStates on an internal buffer", func(e engine.Engine) error { return e.SetTipStates(4, states) })
+	add("SetTipPartials", func(e engine.Engine) error { return e.SetTipPartials(-1, tipPartials) })
+	add("SetPartials", func(e engine.Engine) error { return e.SetPartials(bad, partials) })
+	add("GetPartials", func(e engine.Engine) error { _, err := e.GetPartials(bad); return err })
+	add("SetEigenDecomposition", func(e engine.Engine) error {
+		return e.SetEigenDecomposition(bad, make([]float64, 4), make([]float64, 16), make([]float64, 16))
+	})
+	add("SetTransitionMatrix", func(e engine.Engine) error { return e.SetTransitionMatrix(bad, matrix) })
+	add("GetTransitionMatrix", func(e engine.Engine) error { _, err := e.GetTransitionMatrix(-1); return err })
+	add("UpdateTransitionMatrices eigen", func(e engine.Engine) error { return e.UpdateTransitionMatrices(bad, []int{0}, []float64{0.1}) })
+	add("UpdateTransitionMatrices matrix", func(e engine.Engine) error { return e.UpdateTransitionMatrices(0, []int{bad}, []float64{0.1}) })
+	add("UpdateTransitionDerivatives eigen", func(e engine.Engine) error { return e.UpdateTransitionDerivatives(bad, []int{6}, nil, []float64{0.1}) })
+	add("UpdateTransitionDerivatives d1", func(e engine.Engine) error { return e.UpdateTransitionDerivatives(0, []int{bad}, nil, []float64{0.1}) })
+	add("UpdateTransitionDerivatives d2", func(e engine.Engine) error {
+		return e.UpdateTransitionDerivatives(0, []int{6}, []int{bad}, []float64{0.1})
+	})
+	for field, edit := range map[string]func(*engine.Operation){
+		"Dest":           func(op *engine.Operation) { op.Dest = bad },
+		"Child1":         func(op *engine.Operation) { op.Child1 = -2 },
+		"Child2":         func(op *engine.Operation) { op.Child2 = bad },
+		"Child1Mat":      func(op *engine.Operation) { op.Child1Mat = bad },
+		"Child2Mat":      func(op *engine.Operation) { op.Child2Mat = -2 },
+		"DestScaleWrite": func(op *engine.Operation) { op.DestScaleWrite = bad },
+		"DestScaleRead":  func(op *engine.Operation) { op.DestScaleRead = bad },
+	} {
+		add("UpdatePartials "+field, batch(with(contractOp(4, 0, 1), edit)))
+	}
+	add("ResetScaleFactors", func(e engine.Engine) error { return e.ResetScaleFactors(bad) })
+	add("AccumulateScaleFactors source", func(e engine.Engine) error { return e.AccumulateScaleFactors([]int{bad}, 0) })
+	add("AccumulateScaleFactors target", func(e engine.Engine) error { return e.AccumulateScaleFactors(nil, bad) })
+	add("CalculateRootLogLikelihoods root", func(e engine.Engine) error { _, err := e.CalculateRootLogLikelihoods(bad, none); return err })
+	add("CalculateRootLogLikelihoods scale", func(e engine.Engine) error { _, err := e.CalculateRootLogLikelihoods(2, bad); return err })
+	add("SiteLogLikelihoods", root(bad, none))
+	add("CalculateEdgeLogLikelihoods parent", func(e engine.Engine) error { _, err := e.CalculateEdgeLogLikelihoods(bad, 3, 0, none); return err })
+	add("CalculateEdgeLogLikelihoods child", func(e engine.Engine) error { _, err := e.CalculateEdgeLogLikelihoods(2, bad, 0, none); return err })
+	add("CalculateEdgeLogLikelihoods matrix", func(e engine.Engine) error { _, err := e.CalculateEdgeLogLikelihoods(2, 3, bad, none); return err })
+	add("CalculateEdgeLogLikelihoods scale", func(e engine.Engine) error { _, err := e.CalculateEdgeLogLikelihoods(2, 3, 0, bad); return err })
+	add("CalculateEdgeDerivatives d1", func(e engine.Engine) error {
+		_, _, _, err := e.CalculateEdgeDerivatives(2, 3, 0, bad, none, none)
+		return err
+	})
+	add("CalculateEdgeDerivatives d2", func(e engine.Engine) error {
+		_, _, _, err := e.CalculateEdgeDerivatives(2, 3, 0, 1, bad, none)
+		return err
+	})
+	cases["index out of range"] = outOfRange
+	return cases
+}
+
+// TestAccelSurfaceErrors holds every store-backed engine — the serial CPU
+// reference and the three accelerator variants — to one accept/reject
+// contract: the store they share decides, so no backend may differ.
+func TestAccelSurfaceErrors(t *testing.T) {
+	for _, b := range storeBackends() {
+		for name, steps := range contractCases() {
+			t.Run(b.name+"/"+name, func(t *testing.T) {
+				e := contractEngine(t, b)
+				for _, st := range steps {
+					if err := st.call(e); (err != nil) != st.reject {
+						t.Errorf("%s: err = %v, want rejected = %v", st.what, err, st.reject)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestUseAfterClose mirrors cpuimpl's test of the same name on the store's
+// whole surface: Close is idempotent and afterwards every computation,
+// setter, getter and migration method returns the shared sentinel rather than
+// touching released buffers.
+func TestUseAfterClose(t *testing.T) {
+	for _, b := range storeBackends() {
+		t.Run(b.name, func(t *testing.T) {
+			e := contractEngine(t, b)
+			if err := e.UpdatePartials([]engine.Operation{contractOp(4, 0, 1)}); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				if err := e.Close(); err != nil {
+					t.Fatalf("Close #%d: %v", i+1, err)
+				}
+			}
+			const none = engine.None
+			states, tipPartials := make([]int, contractPatterns), make([]float64, contractPatterns*4)
+			partials, matrix := make([]float64, contractCats*contractPatterns*4), make([]float64, contractCats*16)
+			mig := e.(engine.PatternMigrator)
+			for what, call := range map[string]func() error{
+				"SetTipStates":   func() error { return e.SetTipStates(0, states) },
+				"SetTipPartials": func() error { return e.SetTipPartials(0, tipPartials) },
+				"SetPartials":    func() error { return e.SetPartials(4, partials) },
+				"GetPartials":    func() error { _, err := e.GetPartials(4); return err },
+				"SetEigenDecomposition": func() error {
+					return e.SetEigenDecomposition(0, make([]float64, 4), make([]float64, 16), make([]float64, 16))
+				},
+				"SetCategoryRates":            func() error { return e.SetCategoryRates([]float64{1, 1}) },
+				"SetCategoryWeights":          func() error { return e.SetCategoryWeights([]float64{0.5, 0.5}) },
+				"SetStateFrequencies":         func() error { return e.SetStateFrequencies([]float64{0.25, 0.25, 0.25, 0.25}) },
+				"SetPatternWeights":           func() error { return e.SetPatternWeights(make([]float64, contractPatterns)) },
+				"SetTransitionMatrix":         func() error { return e.SetTransitionMatrix(0, matrix) },
+				"GetTransitionMatrix":         func() error { _, err := e.GetTransitionMatrix(0); return err },
+				"UpdateTransitionMatrices":    func() error { return e.UpdateTransitionMatrices(0, []int{0}, []float64{0.1}) },
+				"UpdateTransitionDerivatives": func() error { return e.UpdateTransitionDerivatives(0, []int{6}, []int{7}, []float64{0.1}) },
+				"UpdatePartials":              func() error { return e.UpdatePartials([]engine.Operation{contractOp(4, 0, 1)}) },
+				"UpdatePartials, empty batch": func() error { return e.UpdatePartials(nil) },
+				"ResetScaleFactors":           func() error { return e.ResetScaleFactors(0) },
+				"AccumulateScaleFactors":      func() error { return e.AccumulateScaleFactors(nil, 0) },
+				"CalculateRootLogLikelihoods": func() error { _, err := e.CalculateRootLogLikelihoods(4, none); return err },
+				"SiteLogLikelihoods":          func() error { _, err := e.SiteLogLikelihoods(4, none); return err },
+				"CalculateEdgeLogLikelihoods": func() error { _, err := e.CalculateEdgeLogLikelihoods(2, 3, 0, none); return err },
+				"CalculateEdgeDerivatives":    func() error { _, _, _, err := e.CalculateEdgeDerivatives(2, 3, 0, 1, none, none); return err },
+				"DetachPatterns":              func() error { _, err := mig.DetachPatterns(true, 2); return err },
+				"AttachPatterns":              func() error { return mig.AttachPatterns(true, &engine.PatternBlock{Patterns: 1}) },
+			} {
+				if err := call(); !errors.Is(err, engine.ErrClosed) {
+					t.Errorf("%s after Close = %v, want engine.ErrClosed", what, err)
+				}
+			}
+		})
+	}
+	if !errors.Is(cpuimpl.ErrClosed, engine.ErrClosed) {
+		t.Error("cpuimpl.ErrClosed is not the shared sentinel")
 	}
 }

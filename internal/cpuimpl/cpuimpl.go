@@ -34,7 +34,6 @@
 package cpuimpl
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -44,7 +43,6 @@ import (
 	"gobeagle/internal/engine"
 	"gobeagle/internal/flops"
 	"gobeagle/internal/kernels"
-	"gobeagle/internal/reuse"
 	"gobeagle/internal/telemetry"
 	"gobeagle/internal/trace"
 )
@@ -93,8 +91,9 @@ const DefaultMinPatterns = 512
 // yields 16 concurrent tasks instead of degrading to serial execution.
 const HybridMinChunk = 64
 
-// ErrClosed is returned by computation methods invoked after Close.
-var ErrClosed = errors.New("cpuimpl: engine is closed")
+// ErrClosed is returned by every method invoked after Close; it is the
+// sentinel all backends share.
+var ErrClosed = engine.ErrClosed
 
 // New creates a CPU engine with the given mode, instantiated for the
 // precision requested in the configuration.
@@ -124,11 +123,6 @@ type Engine[T kernels.Real] struct {
 	tel         *telemetry.Collector
 	tr          *trace.Tracer
 	lane        int32
-	closed      bool
-	// resolved holds the current batch's validated operations between
-	// batches, so resubmitting a schedule (including the reuse filter's skip
-	// path) allocates nothing once warmed up.
-	resolved []resolvedOp[T]
 	// site is the per-pattern scratch of the root integration.
 	site []float64
 }
@@ -166,14 +160,11 @@ func newEngine[T kernels.Real](cfg engine.Config, mode Mode) *Engine[T] {
 // Name identifies the implementation.
 func (e *Engine[T]) Name() string { return e.mode.String() }
 
-// Close shuts down the worker pool, if any. Close is idempotent; computation
-// methods called after Close return ErrClosed instead of panicking on the
-// torn-down pool.
+// Close shuts down the worker pool, if any. Close is idempotent; methods
+// called after Close return ErrClosed (the store refuses them) instead of
+// panicking on the torn-down pool.
 func (e *Engine[T]) Close() error {
-	if e.closed {
-		return nil
-	}
-	e.closed = true
+	e.Storage.Close()
 	if e.pool != nil {
 		e.pool.close()
 		e.pool = nil
@@ -181,120 +172,36 @@ func (e *Engine[T]) Close() error {
 	return nil
 }
 
-// resolvedOp is one operation with every buffer it touches looked up: what
-// the runners execute. The embedded indices remain for the dependency
-// analysis and the reuse filter.
-type resolvedOp[T kernels.Real] struct {
-	engine.Operation
-	dest   []T
-	s1, s2 []int32 // compact-state operands; s2 only when both children are
-	p1, p2 []T     // partials operands
-	m1, m2 []T
-	// readScale and writeScale are nil when the operation asks for neither.
-	readScale, writeScale []float64
-}
-
-// resolve validates every operation and looks its buffers up, once per batch
-// and in submission order (the documented dependency order: a child must hold
-// data or be the destination of an earlier listed operation). Destinations
-// and rescale targets are allocated on the way. A failure anywhere fails the
-// whole batch before any kernel has run, so the runners cannot fail.
-func (e *Engine[T]) resolve(ops []engine.Operation) ([]resolvedOp[T], error) {
-	out := e.resolved[:0]
-	if cap(out) < len(ops) {
-		out = make([]resolvedOp[T], 0, len(ops))
-	}
-	for _, op := range ops {
-		r := resolvedOp[T]{Operation: op}
-		var err error
-		if r.dest, err = e.DestPartials(op.Dest); err != nil {
-			return nil, err
-		}
-		if r.m1, r.m2, err = e.OpMatrices(op); err != nil {
-			return nil, err
-		}
-		if _, r.s1, r.p1, err = e.ChildOperand(op.Child1); err != nil {
-			return nil, err
-		}
-		if _, r.s2, r.p2, err = e.ChildOperand(op.Child2); err != nil {
-			return nil, err
-		}
-		// Normalize so a compact-states operand, if any, comes first.
-		if r.s1 == nil && r.s2 != nil {
-			r.s1, r.s2 = r.s2, r.s1
-			r.p1, r.p2 = r.p2, r.p1
-			r.m1, r.m2 = r.m2, r.m1
-		}
-		if op.DestScaleWrite != engine.None {
-			if r.writeScale, err = e.ScaleWriteTarget(op.DestScaleWrite); err != nil {
-				return nil, err
-			}
-		}
-		if op.DestScaleRead != engine.None {
-			// The read buffer must exist before the batch: either written by
-			// an earlier batch, or allocated above by this or an earlier
-			// listed operation's DestScaleWrite.
-			if r.readScale, err = e.CumulativeScale(op.DestScaleRead); err != nil {
-				return nil, err
-			}
-		}
-		out = append(out, r)
-	}
-	e.resolved = out
-	return out, nil
-}
-
 // exec runs one resolved operation for patterns [lo, hi) with the engine's
 // bound kernels.
-func (e *Engine[T]) exec(r *resolvedOp[T], lo, hi int) {
+func (e *Engine[T]) exec(r *engine.ResolvedOp[T], lo, hi int) {
 	d := e.Cfg.Dims
 	switch {
-	case r.s2 != nil:
-		e.kern.StatesStates(r.dest, r.s1, r.m1, r.s2, r.m2, d, lo, hi)
-	case r.s1 != nil:
-		e.kern.StatesPartials(r.dest, r.s1, r.m1, r.p2, r.m2, d, lo, hi)
+	case r.S2 != nil:
+		e.kern.StatesStates(r.Out, r.S1, r.M1, r.S2, r.M2, d, lo, hi)
+	case r.S1 != nil:
+		e.kern.StatesPartials(r.Out, r.S1, r.M1, r.P2, r.M2, d, lo, hi)
 	default:
-		e.kern.PartialsPartials(r.dest, r.p1, r.m1, r.p2, r.m2, d, lo, hi)
+		e.kern.PartialsPartials(r.Out, r.P1, r.M1, r.P2, r.M2, d, lo, hi)
 	}
 	// Fixed scaling first: previously written factors are applied to the
 	// fresh partials, then an optional rescale captures the residual.
-	if r.readScale != nil {
-		kernels.ApplyReadScale(r.dest, r.readScale, d, lo, hi)
+	if r.ReadScale != nil {
+		kernels.ApplyReadScale(r.Out, r.ReadScale, d, lo, hi)
 	}
-	if r.writeScale != nil {
-		kernels.RescalePartials(r.dest, r.writeScale, d, lo, hi)
+	if r.WriteScale != nil {
+		kernels.RescalePartials(r.Out, r.WriteScale, d, lo, hi)
 	}
 }
 
 // UpdatePartials executes the operation list with the engine's strategy.
 func (e *Engine[T]) UpdatePartials(ops []engine.Operation) error {
-	if e.closed {
-		return ErrClosed
-	}
-	rops, err := e.resolve(ops)
+	rops, err := e.Resolve(ops)
 	if err != nil {
 		return err
 	}
-	// Incremental re-evaluation: drop operations whose destination already
-	// holds the result of an identical computation over unchanged inputs.
-	// Decisions run in submission order — the documented dependency order —
-	// so an admitted ancestor dirties its dependents before they are
-	// decided. resolve covered the full list, so skipping cannot hide an
-	// invalid operation, and the tracker's version bumps cannot be followed
-	// by a validation failure.
-	var skipped int
-	if e.Reuse.Enabled() {
-		kept := rops[:0]
-		for i := range rops {
-			op := &rops[i].Operation
-			if e.Reuse.ShouldComputeOp(op.Dest, op.Child1, op.Child1Mat,
-				op.Child2, op.Child2Mat, op.DestScaleWrite, op.DestScaleRead) {
-				kept = append(kept, rops[i])
-			}
-		}
-		skipped = len(rops) - len(kept)
-		rops = kept
-	}
+	rops = e.DropUnchanged(rops)
+	skipped := len(ops) - len(rops)
 	// Telemetry/trace fast paths: one atomic load each when disabled, no
 	// timestamps taken.
 	var start time.Time
@@ -337,10 +244,6 @@ func (e *Engine[T]) UpdatePartials(ops []engine.Operation) error {
 	return nil
 }
 
-// ReuseStats snapshots the incremental re-evaluation counters; the zero
-// value (Enabled false) when the engine was built without Config.Reuse.
-func (e *Engine[T]) ReuseStats() reuse.Stats { return e.Reuse.Stats() }
-
 // eachChunk calls f for every non-empty span of the equal n-way split of the
 // patterns [0, p).
 func eachChunk(p, n int, f func(lo, hi int)) {
@@ -381,7 +284,7 @@ func (e *Engine[T]) endLevel(c levelClock, batch, tbatch uint64, level, ops, tas
 
 // runSerial executes the operations one after another on the calling
 // goroutine, each over its full pattern range.
-func (e *Engine[T]) runSerial(ops []resolvedOp[T]) {
+func (e *Engine[T]) runSerial(ops []engine.ResolvedOp[T]) {
 	p := e.Cfg.Dims.PatternCount
 	for i := range ops {
 		e.exec(&ops[i], 0, p)
@@ -391,14 +294,14 @@ func (e *Engine[T]) runSerial(ops []resolvedOp[T]) {
 // runFutures executes operations level by level; operations within a level
 // are independent in the tree topology and run concurrently, each as one
 // asynchronous task computing its full pattern range (§VI-A).
-func (e *Engine[T]) runFutures(ops []resolvedOp[T], batch, tbatch uint64) {
+func (e *Engine[T]) runFutures(ops []engine.ResolvedOp[T], batch, tbatch uint64) {
 	p := e.Cfg.Dims.PatternCount
 	for li, level := range opLevels(ops) {
 		c := e.beginLevel()
 		var wg sync.WaitGroup
 		wg.Add(len(level))
 		for _, r := range level {
-			go func(r *resolvedOp[T]) {
+			go func(r *engine.ResolvedOp[T]) {
 				defer wg.Done()
 				e.exec(r, 0, p)
 			}(r)
@@ -411,7 +314,7 @@ func (e *Engine[T]) runFutures(ops []resolvedOp[T], batch, tbatch uint64) {
 // runThreadCreate spawns fresh goroutines for one operation, partitioning
 // the patterns into equal chunks (§VI-B). Below the minimum pattern count it
 // stays serial.
-func (e *Engine[T]) runThreadCreate(r *resolvedOp[T]) {
+func (e *Engine[T]) runThreadCreate(r *engine.ResolvedOp[T]) {
 	p := e.Cfg.Dims.PatternCount
 	if p < e.minPatterns || e.threads < 2 {
 		e.exec(r, 0, p)
@@ -430,7 +333,7 @@ func (e *Engine[T]) runThreadCreate(r *resolvedOp[T]) {
 
 // submit queues patterns [lo, hi) of one operation on the worker pool,
 // recording a task span on the executing worker's lane when tracing.
-func (e *Engine[T]) submit(wg *sync.WaitGroup, r *resolvedOp[T], lo, hi int, traceOn bool, tbatch uint64) {
+func (e *Engine[T]) submit(wg *sync.WaitGroup, r *engine.ResolvedOp[T], lo, hi int, traceOn bool, tbatch uint64) {
 	wg.Add(1)
 	e.pool.submit(func(worker int) {
 		defer wg.Done()
@@ -447,7 +350,7 @@ func (e *Engine[T]) submit(wg *sync.WaitGroup, r *resolvedOp[T], lo, hi int, tra
 
 // runThreadPool dispatches one operation's pattern chunks onto the
 // persistent worker pool (§VI-C).
-func (e *Engine[T]) runThreadPool(r *resolvedOp[T], tbatch uint64) {
+func (e *Engine[T]) runThreadPool(r *engine.ResolvedOp[T], tbatch uint64) {
 	p := e.Cfg.Dims.PatternCount
 	if p < e.minPatterns || e.threads < 2 {
 		e.exec(r, 0, p)
@@ -466,7 +369,7 @@ func (e *Engine[T]) runThreadPool(r *resolvedOp[T], tbatch uint64) {
 // concurrency), narrow levels split patterns until the pool is saturated,
 // and no chunk is cut below HybridMinChunk patterns — so small-pattern
 // problems with independent operations no longer fall back to serial.
-func (e *Engine[T]) runHybrid(ops []resolvedOp[T], batch, tbatch uint64) {
+func (e *Engine[T]) runHybrid(ops []engine.ResolvedOp[T], batch, tbatch uint64) {
 	if e.threads < 2 && !e.tel.Enabled() && !e.tr.Enabled() {
 		// Nothing to overlap and nobody watching the leveling: skip it.
 		e.runSerial(ops)
@@ -494,7 +397,7 @@ func HybridChunks(levelWidth, patterns, threads int) int {
 
 // runHybridLevel dispatches one dependency level's (operation, chunk) tasks
 // and waits for the barrier at the end of the level.
-func (e *Engine[T]) runHybridLevel(level []*resolvedOp[T], batch, tbatch uint64, levelIdx int) {
+func (e *Engine[T]) runHybridLevel(level []*engine.ResolvedOp[T], batch, tbatch uint64, levelIdx int) {
 	p := e.Cfg.Dims.PatternCount
 	c := e.beginLevel()
 	var tasks int
@@ -536,7 +439,7 @@ func (e *Engine[T]) runHybridLevel(level []*resolvedOp[T], batch, tbatch uint64,
 // Partials and scale buffers are distinct index spaces and are tracked
 // separately. This is the single dependency analyzer used by both the
 // Futures and the ThreadPoolHybrid strategies.
-func opLevels[T kernels.Real](ops []resolvedOp[T]) [][]*resolvedOp[T] {
+func opLevels[T kernels.Real](ops []engine.ResolvedOp[T]) [][]*engine.ResolvedOp[T] {
 	partialsWriter := make(map[int]int) // partials buffer -> level of last writer
 	partialsReader := make(map[int]int) // partials buffer -> highest reading level
 	scaleWriter := make(map[int]int)    // scale buffer -> level of last writer
@@ -552,7 +455,7 @@ func opLevels[T kernels.Real](ops []resolvedOp[T]) [][]*resolvedOp[T] {
 			m[buf] = l
 		}
 	}
-	var out [][]*resolvedOp[T]
+	var out [][]*engine.ResolvedOp[T]
 	for i := range ops {
 		op := &ops[i]
 		l := 0
@@ -635,15 +538,9 @@ func (e *Engine[T]) CalculateRootLogLikelihoods(rootBuf, cumScaleBuf int) (float
 // engine-owned scratch, valid until the next call, and returns them with the
 // cumulative scale buffer (nil for None).
 func (e *Engine[T]) siteLikelihoods(rootBuf, cumScaleBuf int) ([]float64, []float64, error) {
-	if e.closed {
-		return nil, nil, ErrClosed
-	}
-	kind, _, root, err := e.ChildOperand(rootBuf)
+	root, err := e.PartialsOperand(rootBuf)
 	if err != nil {
 		return nil, nil, err
-	}
-	if kind != engine.OperandPartials {
-		return nil, nil, fmt.Errorf("cpuimpl: root buffer %d holds compact states", rootBuf)
 	}
 	scale, err := e.CumulativeScale(cumScaleBuf)
 	if err != nil {
@@ -673,24 +570,7 @@ func (e *Engine[T]) siteLikelihoods(rootBuf, cumScaleBuf int) ([]float64, []floa
 // CalculateEdgeLogLikelihoods integrates across a single branch between the
 // parent-side and child-side partials buffers.
 func (e *Engine[T]) CalculateEdgeLogLikelihoods(parentBuf, childBuf, matrix, cumScaleBuf int) (float64, error) {
-	if e.closed {
-		return 0, ErrClosed
-	}
-	pk, _, parent, err := e.ChildOperand(parentBuf)
-	if err != nil {
-		return 0, err
-	}
-	ck, _, child, err := e.ChildOperand(childBuf)
-	if err != nil {
-		return 0, err
-	}
-	if pk != engine.OperandPartials || ck != engine.OperandPartials {
-		return 0, fmt.Errorf("cpuimpl: edge likelihood requires partials buffers (use SetTipPartials for tips)")
-	}
-	if matrix < 0 || matrix >= len(e.Matrices) || e.Matrices[matrix] == nil {
-		return 0, fmt.Errorf("cpuimpl: matrix buffer %d not available", matrix)
-	}
-	scale, err := e.CumulativeScale(cumScaleBuf)
+	parent, child, m, scale, err := e.EdgeOperands(parentBuf, childBuf, matrix, cumScaleBuf)
 	if err != nil {
 		return 0, err
 	}
@@ -700,7 +580,7 @@ func (e *Engine[T]) CalculateEdgeLogLikelihoods(parentBuf, childBuf, matrix, cum
 	}
 	d := e.Cfg.Dims
 	site := make([]float64, d.PatternCount)
-	kernels.EdgeSiteLikelihoods(site, parent, child, e.Matrices[matrix], e.CatWts, e.Freqs, d, 0, d.PatternCount)
+	kernels.EdgeSiteLikelihoods(site, parent, child, m, e.CatWts, e.Freqs, d, 0, d.PatternCount)
 	lnL := kernels.RootLogLikelihood(site, e.PatWts, scale, 0, d.PatternCount)
 	if !start.IsZero() {
 		e.tel.Record(telemetry.KernelEdge, 1, time.Since(start))
@@ -713,43 +593,19 @@ func (e *Engine[T]) CalculateEdgeLogLikelihoods(parentBuf, childBuf, matrix, cum
 // the branch length. matrix, d1Matrix (and d2Matrix unless None) must have
 // been computed by UpdateTransitionMatrices / UpdateTransitionDerivatives.
 func (e *Engine[T]) CalculateEdgeDerivatives(parentBuf, childBuf, matrix, d1Matrix, d2Matrix, cumScaleBuf int) (float64, float64, float64, error) {
-	if e.closed {
-		return 0, 0, 0, ErrClosed
-	}
-	pk, _, parent, err := e.ChildOperand(parentBuf)
+	parent, child, m, scale, err := e.EdgeOperands(parentBuf, childBuf, matrix, cumScaleBuf)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	ck, _, child, err := e.ChildOperand(childBuf)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if pk != engine.OperandPartials || ck != engine.OperandPartials {
-		return 0, 0, 0, fmt.Errorf("cpuimpl: edge derivatives require partials buffers")
-	}
-	getMat := func(idx int) ([]T, error) {
-		if idx < 0 || idx >= len(e.Matrices) || e.Matrices[idx] == nil {
-			return nil, fmt.Errorf("cpuimpl: matrix buffer %d not available", idx)
-		}
-		return e.Matrices[idx], nil
-	}
-	m, err := getMat(matrix)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	m1, err := getMat(d1Matrix)
+	m1, err := e.Matrix(d1Matrix)
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	var m2 []T
 	if d2Matrix != engine.None {
-		if m2, err = getMat(d2Matrix); err != nil {
+		if m2, err = e.Matrix(d2Matrix); err != nil {
 			return 0, 0, 0, err
 		}
-	}
-	scale, err := e.CumulativeScale(cumScaleBuf)
-	if err != nil {
-		return 0, 0, 0, err
 	}
 	var start time.Time
 	if e.tel.Enabled() {

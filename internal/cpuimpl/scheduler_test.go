@@ -22,7 +22,7 @@ import (
 // levelsOf runs opLevels over bare (unresolved) operations: the dependency
 // analysis reads only the buffer indices.
 func levelsOf(ops []engine.Operation) [][]engine.Operation {
-	rops := make([]resolvedOp[float64], len(ops))
+	rops := make([]engine.ResolvedOp[float64], len(ops))
 	for i, op := range ops {
 		rops[i].Operation = op
 	}

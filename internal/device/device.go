@@ -23,6 +23,20 @@ func (d *Device) Parallelism() int { return d.parallelism }
 // AllocatedBytes returns the bytes currently allocated on the device.
 func (d *Device) AllocatedBytes() int64 { return atomic.LoadInt64(&d.allocated) }
 
+// Reserve is the device's one memory accounting: a positive delta claims
+// bytes and fails, claiming nothing, when the device's memory would be
+// exceeded; a negative delta releases them. Buffer allocation goes through it,
+// and so does an engine whose buffers live in a store the device does not
+// hand out.
+func (d *Device) Reserve(delta int64) error {
+	if total := atomic.AddInt64(&d.allocated, delta); delta > 0 && total > d.Desc.MemoryBytes {
+		atomic.AddInt64(&d.allocated, -delta)
+		return fmt.Errorf("device: out of memory on %s (%d bytes requested, %d in use, %d total)",
+			d.Desc.Name, delta, d.AllocatedBytes(), d.Desc.MemoryBytes)
+	}
+	return nil
+}
+
 // Fission returns a sub-device restricted to n compute units, the OpenCL
 // device-fission feature the paper uses for the multicore scaling benchmark
 // (Fig. 5). The sub-device shares no allocation accounting with its parent.
@@ -67,11 +81,8 @@ func Alloc[T Elem](d *Device, n int) (*Buffer[T], error) {
 		return nil, errors.New("device: allocation size must be positive")
 	}
 	var zero T
-	bytes := int64(n) * int64(elemSize(zero))
-	if atomic.AddInt64(&d.allocated, bytes) > d.Desc.MemoryBytes {
-		atomic.AddInt64(&d.allocated, -bytes)
-		return nil, fmt.Errorf("device: out of memory on %s (%d bytes requested, %d in use, %d total)",
-			d.Desc.Name, bytes, d.AllocatedBytes(), d.Desc.MemoryBytes)
+	if err := d.Reserve(int64(n) * int64(elemSize(zero))); err != nil {
+		return nil, err
 	}
 	return &Buffer[T]{dev: d, data: make([]T, n)}, nil
 }
@@ -95,9 +106,9 @@ func (b *Buffer[T]) Free() error {
 		return errors.New("device: double free")
 	}
 	var zero T
-	atomic.AddInt64(&b.dev.allocated, -int64(len(b.data))*int64(elemSize(zero)))
+	bytes := int64(len(b.data)) * int64(elemSize(zero))
 	b.data = nil
-	return nil
+	return b.dev.Reserve(-bytes)
 }
 
 // Len returns the element count.

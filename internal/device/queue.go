@@ -143,7 +143,8 @@ func CopyToDevice[T Elem](q *Queue, dst *Buffer[T], src []T) error {
 	start := time.Now()
 	copy(dst.data, src)
 	q.hostNanos.Add(int64(time.Since(start)))
-	chargeTransfer(q, len(src), dst)
+	var zero T
+	q.ChargeTransfer(int64(len(src)) * int64(elemSize(zero)))
 	return nil
 }
 
@@ -158,13 +159,16 @@ func CopyFromDevice[T Elem](q *Queue, dst []T, src *Buffer[T]) error {
 	start := time.Now()
 	copy(dst, src.data)
 	q.hostNanos.Add(int64(time.Since(start)))
-	chargeTransfer(q, len(dst), src)
+	var zero T
+	q.ChargeTransfer(int64(len(dst)) * int64(elemSize(zero)))
 	return nil
 }
 
-func chargeTransfer[T Elem](q *Queue, n int, b *Buffer[T]) {
-	var zero T
-	bytes := int64(n) * int64(elemSize(zero))
+// ChargeTransfer charges one host↔device copy of the given size to the
+// transfer counters and the modeled clock. The buffer copy calls charge
+// through it; an engine whose data crosses the boundary without a Buffer
+// charges the crossing here directly.
+func (q *Queue) ChargeTransfer(bytes int64) {
 	q.bytesMoved.Add(bytes)
 	q.transfers.Add(1)
 	charge := int64(q.modelTransfer(float64(bytes)))

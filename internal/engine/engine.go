@@ -1,9 +1,24 @@
 // Package engine defines the internal contract every library implementation
 // fulfils — the Go analogue of BEAGLE's implementation base-code layer
-// (Fig. 1/Fig. 3 of the paper). The public API package selects and drives an
-// Engine; the cpuimpl package provides the serial, SSE-style and threaded
-// models, and the accelimpl package provides the accelerator model running on
-// the simulated CUDA/OpenCL device framework.
+// (Fig. 1/Fig. 3 of the paper) — and the one base every implementation is
+// built on. The public API package selects and drives an Engine; the cpuimpl
+// package provides the serial, SSE-style and threaded models, and the
+// accelimpl package provides the accelerator model running on the simulated
+// CUDA/OpenCL device framework.
+//
+// Storage is the only buffer store and the only place a batch is planned:
+// both backends embed it and inherit its setters, getters, index and
+// occupancy checks, pattern migration, use-after-Close refusal (ErrClosed),
+// the single validate-and-resolve pass over an operation list (Resolve) and
+// the single reuse filter (DropUnchanged). A backend adds how resolved
+// operations execute — kernel family and threading in cpuimpl; kernel
+// launches, device-memory reservation and transfer charges in accelimpl — and
+// the store knows nothing of either. The one seam is UpdateMatricesWith,
+// because an accelerator computes a transition matrix in a device kernel.
+// Resolve and DropUnchanged are separate calls so that a backend with its own
+// reason to refuse a batch (accelimpl: the destinations Resolve allocated do
+// not fit in device memory) can do so after validation and before the reuse
+// tracker records the batch as computed.
 //
 // As in the BEAGLE C API, all values cross this boundary as float64; an
 // implementation built for single precision converts at the edge.

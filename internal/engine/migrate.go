@@ -60,6 +60,9 @@ func blockRange(patterns int, fromHigh bool, n int) (lo, hi int) {
 // their tip states, partials, weights and scale factors. The storage keeps
 // at least one pattern.
 func (s *Storage[T]) DetachPatterns(fromHigh bool, n int) (*PatternBlock, error) {
+	if s.closed {
+		return nil, ErrClosed
+	}
 	p := s.Cfg.Dims.PatternCount
 	if n <= 0 || n >= p {
 		return nil, fmt.Errorf("engine: cannot detach %d of %d patterns", n, p)
@@ -117,6 +120,9 @@ func (s *Storage[T]) DetachPatterns(fromHigh bool, n int) (*PatternBlock, error)
 // for a buffer the storage has never seen (or vice versa) indicates the two
 // engines diverged and is an error.
 func (s *Storage[T]) AttachPatterns(atHigh bool, blk *PatternBlock) error {
+	if s.closed {
+		return ErrClosed
+	}
 	if blk == nil || blk.Patterns <= 0 {
 		return fmt.Errorf("engine: cannot attach an empty pattern block")
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -10,13 +11,17 @@ import (
 	"gobeagle/internal/trace"
 )
 
-// Storage is the flexibly indexed buffer store shared by host-side
-// implementations: partials, compact tip states, transition matrices,
+// ErrClosed is returned by every method of an engine after Close, whatever
+// the backend.
+var ErrClosed = errors.New("engine: engine is closed")
+
+// Storage is the flexibly indexed buffer store behind every implementation,
+// host or accelerator: partials, compact tip states, transition matrices,
 // eigendecompositions, rate/weight/frequency vectors and scale buffers. It
-// provides the full setter half of the Engine interface with validation, so
-// concrete engines only implement execution strategy. All public setters take
-// float64 and convert to the engine precision T at this boundary, exactly as
-// the BEAGLE C API does.
+// provides the full setter half of the Engine interface with validation and
+// plans every operation batch (plan.go), so concrete engines only implement
+// execution strategy. All public setters take float64 and convert to the
+// engine precision T at this boundary, exactly as the BEAGLE C API does.
 type Storage[T kernels.Real] struct {
 	Cfg       Config
 	Partials  [][]T
@@ -30,9 +35,15 @@ type Storage[T kernels.Real] struct {
 	Scale     [][]float64
 	// Reuse is the incremental re-evaluation tracker, nil unless
 	// Cfg.Reuse. Every mutating setter below reports its invalidation to
-	// it (all tracker methods are no-ops on nil), and implementations
-	// consult it to skip unchanged work.
+	// it (all tracker methods are no-ops on nil), and DropUnchanged consults
+	// it to skip unchanged work.
 	Reuse *reuse.Tracker
+
+	closed bool
+	// resolved holds the current batch's resolved operations between
+	// batches, so resubmitting a schedule (including the reuse filter's skip
+	// path) allocates nothing once warmed up.
+	resolved []ResolvedOp[T]
 }
 
 // NewStorage allocates a buffer store for the given configuration; the
@@ -68,31 +79,60 @@ func NewStorage[T kernels.Real](cfg Config) *Storage[T] {
 	return s
 }
 
-func (s *Storage[T]) checkPartialsIndex(buf int) error {
-	if buf < 0 || buf >= len(s.Partials) {
-		return fmt.Errorf("engine: partials buffer %d out of range [0,%d)", buf, len(s.Partials))
+// Close marks the store closed: every later call on it returns ErrClosed
+// rather than touching buffers the backend may have released. Closing twice
+// is fine.
+func (s *Storage[T]) Close() error {
+	s.closed = true
+	return nil
+}
+
+// index is the store's one bounds check, and where a closed store refuses
+// every indexed access.
+func (s *Storage[T]) index(what string, i, n int) error {
+	if s.closed {
+		return ErrClosed
+	}
+	if i < 0 || i >= n {
+		return fmt.Errorf("engine: %s %d out of range [0,%d)", what, i, n)
 	}
 	return nil
+}
+
+func (s *Storage[T]) checkPartialsIndex(buf int) error {
+	return s.index("partials buffer", buf, len(s.Partials))
 }
 
 func (s *Storage[T]) checkMatrixIndex(m int) error {
-	if m < 0 || m >= len(s.Matrices) {
-		return fmt.Errorf("engine: matrix buffer %d out of range [0,%d)", m, len(s.Matrices))
-	}
-	return nil
+	return s.index("matrix buffer", m, len(s.Matrices))
 }
 
 func (s *Storage[T]) checkScaleIndex(b int) error {
-	if b < 0 || b >= len(s.Scale) {
-		return fmt.Errorf("engine: scale buffer %d out of range [0,%d)", b, len(s.Scale))
+	return s.index("scale buffer", b, len(s.Scale))
+}
+
+// toPrecision converts values arriving over the float64 API to the engine
+// precision; toFloat64 is the way back.
+func toPrecision[T kernels.Real](values []float64) []T {
+	out := make([]T, len(values))
+	for i, v := range values {
+		out[i] = T(v)
 	}
-	return nil
+	return out
+}
+
+func toFloat64[T kernels.Real](values []T) []float64 {
+	out := make([]float64, len(values))
+	for i, v := range values {
+		out[i] = float64(v)
+	}
+	return out
 }
 
 // SetTipStates stores compact states for tip buffer buf.
 func (s *Storage[T]) SetTipStates(buf int, states []int) error {
-	if buf < 0 || buf >= s.Cfg.TipCount {
-		return fmt.Errorf("engine: tip buffer %d out of range [0,%d)", buf, s.Cfg.TipCount)
+	if err := s.index("tip buffer", buf, s.Cfg.TipCount); err != nil {
+		return err
 	}
 	if len(states) != s.Cfg.Dims.PatternCount {
 		return fmt.Errorf("engine: tip states length %d, want %d", len(states), s.Cfg.Dims.PatternCount)
@@ -116,8 +156,8 @@ func (s *Storage[T]) SetTipStates(buf int, states []int) error {
 // SetTipPartials stores per-pattern partials for a tip, replicating across
 // categories.
 func (s *Storage[T]) SetTipPartials(buf int, partials []float64) error {
-	if buf < 0 || buf >= s.Cfg.TipCount {
-		return fmt.Errorf("engine: tip buffer %d out of range [0,%d)", buf, s.Cfg.TipCount)
+	if err := s.index("tip buffer", buf, s.Cfg.TipCount); err != nil {
+		return err
 	}
 	d := s.Cfg.Dims
 	if len(partials) != d.PatternCount*d.StateCount {
@@ -141,15 +181,10 @@ func (s *Storage[T]) SetPartials(buf int, partials []float64) error {
 	if err := s.checkPartialsIndex(buf); err != nil {
 		return err
 	}
-	d := s.Cfg.Dims
-	if len(partials) != d.PartialsLen() {
-		return fmt.Errorf("engine: partials length %d, want %d", len(partials), d.PartialsLen())
+	if len(partials) != s.Cfg.Dims.PartialsLen() {
+		return fmt.Errorf("engine: partials length %d, want %d", len(partials), s.Cfg.Dims.PartialsLen())
 	}
-	full := make([]T, len(partials))
-	for i, v := range partials {
-		full[i] = T(v)
-	}
-	s.Partials[buf] = full
+	s.Partials[buf] = toPrecision[T](partials)
 	if buf < s.Cfg.TipCount {
 		s.TipStates[buf] = nil
 	}
@@ -162,21 +197,16 @@ func (s *Storage[T]) GetPartials(buf int) ([]float64, error) {
 	if err := s.checkPartialsIndex(buf); err != nil {
 		return nil, err
 	}
-	p := s.Partials[buf]
-	if p == nil {
+	if s.Partials[buf] == nil {
 		return nil, fmt.Errorf("engine: partials buffer %d has not been computed or set", buf)
 	}
-	out := make([]float64, len(p))
-	for i, v := range p {
-		out[i] = float64(v)
-	}
-	return out, nil
+	return toFloat64(s.Partials[buf]), nil
 }
 
 // SetEigenDecomposition stores a decomposition in an eigen slot.
 func (s *Storage[T]) SetEigenDecomposition(slot int, values, vectors, inverseVectors []float64) error {
-	if slot < 0 || slot >= len(s.Eigens) {
-		return fmt.Errorf("engine: eigen slot %d out of range [0,%d)", slot, len(s.Eigens))
+	if err := s.index("eigen slot", slot, len(s.Eigens)); err != nil {
+		return err
 	}
 	n := s.Cfg.Dims.StateCount
 	if len(values) != n || len(vectors) != n*n || len(inverseVectors) != n*n {
@@ -193,44 +223,37 @@ func (s *Storage[T]) SetEigenDecomposition(slot int, values, vectors, inverseVec
 	return nil
 }
 
-// SetCategoryRates sets per-category relative rates.
-func (s *Storage[T]) SetCategoryRates(rates []float64) error {
-	if len(rates) != s.Cfg.Dims.CategoryCount {
-		return fmt.Errorf("engine: %d category rates, want %d", len(rates), s.Cfg.Dims.CategoryCount)
+// setModelVector overwrites one of the fixed-length model vectors.
+func (s *Storage[T]) setModelVector(dst, src []float64, what string) error {
+	if s.closed {
+		return ErrClosed
 	}
-	copy(s.CatRates, rates)
+	if len(src) != len(dst) {
+		return fmt.Errorf("engine: %d %s, want %d", len(src), what, len(dst))
+	}
+	copy(dst, src)
 	s.Reuse.InvalidateModel()
 	return nil
+}
+
+// SetCategoryRates sets per-category relative rates.
+func (s *Storage[T]) SetCategoryRates(rates []float64) error {
+	return s.setModelVector(s.CatRates, rates, "category rates")
 }
 
 // SetCategoryWeights sets per-category mixture weights.
 func (s *Storage[T]) SetCategoryWeights(weights []float64) error {
-	if len(weights) != s.Cfg.Dims.CategoryCount {
-		return fmt.Errorf("engine: %d category weights, want %d", len(weights), s.Cfg.Dims.CategoryCount)
-	}
-	copy(s.CatWts, weights)
-	s.Reuse.InvalidateModel()
-	return nil
+	return s.setModelVector(s.CatWts, weights, "category weights")
 }
 
 // SetStateFrequencies sets the stationary distribution π.
 func (s *Storage[T]) SetStateFrequencies(freqs []float64) error {
-	if len(freqs) != s.Cfg.Dims.StateCount {
-		return fmt.Errorf("engine: %d frequencies, want %d", len(freqs), s.Cfg.Dims.StateCount)
-	}
-	copy(s.Freqs, freqs)
-	s.Reuse.InvalidateModel()
-	return nil
+	return s.setModelVector(s.Freqs, freqs, "frequencies")
 }
 
 // SetPatternWeights sets per-pattern multiplicities.
 func (s *Storage[T]) SetPatternWeights(weights []float64) error {
-	if len(weights) != s.Cfg.Dims.PatternCount {
-		return fmt.Errorf("engine: %d pattern weights, want %d", len(weights), s.Cfg.Dims.PatternCount)
-	}
-	copy(s.PatWts, weights)
-	s.Reuse.InvalidateModel()
-	return nil
+	return s.setModelVector(s.PatWts, weights, "pattern weights")
 }
 
 // SetTransitionMatrix stores an explicit transition matrix buffer.
@@ -241,50 +264,85 @@ func (s *Storage[T]) SetTransitionMatrix(matrix int, values []float64) error {
 	if len(values) != s.Cfg.Dims.MatrixLen() {
 		return fmt.Errorf("engine: matrix length %d, want %d", len(values), s.Cfg.Dims.MatrixLen())
 	}
-	m := make([]T, len(values))
-	for i, v := range values {
-		m[i] = T(v)
-	}
-	s.Matrices[matrix] = m
+	s.Matrices[matrix] = toPrecision[T](values)
 	s.Reuse.InvalidateMatrix(matrix)
 	return nil
 }
 
 // GetTransitionMatrix retrieves a matrix buffer as float64.
 func (s *Storage[T]) GetTransitionMatrix(matrix int) ([]float64, error) {
+	m, err := s.Matrix(matrix)
+	if err != nil {
+		return nil, err
+	}
+	return toFloat64(m), nil
+}
+
+// Matrix returns a matrix buffer something is about to read; it must have
+// been computed or set.
+func (s *Storage[T]) Matrix(matrix int) ([]T, error) {
 	if err := s.checkMatrixIndex(matrix); err != nil {
 		return nil, err
 	}
-	m := s.Matrices[matrix]
-	if m == nil {
+	if s.Matrices[matrix] == nil {
 		return nil, fmt.Errorf("engine: matrix buffer %d has not been computed or set", matrix)
 	}
-	out := make([]float64, len(m))
-	for i, v := range m {
-		out[i] = float64(v)
-	}
-	return out, nil
+	return s.Matrices[matrix], nil
 }
 
-// UpdateTransitionMatrices computes the listed matrices from an eigen slot.
+// matrixRequest validates what UpdateTransitionMatrices and
+// UpdateTransitionDerivatives share: a filled eigen slot, and one
+// non-negative edge length per in-range matrix of every list.
+func (s *Storage[T]) matrixRequest(eigenSlot int, edgeLengths []float64, lists ...[]int) (*kernels.Eigen, error) {
+	if err := s.index("eigen slot", eigenSlot, len(s.Eigens)); err != nil {
+		return nil, err
+	}
+	if s.Eigens[eigenSlot] == nil {
+		return nil, fmt.Errorf("engine: eigen slot %d is empty", eigenSlot)
+	}
+	for _, list := range lists {
+		if len(list) != len(edgeLengths) {
+			return nil, fmt.Errorf("engine: %d matrices but %d edge lengths", len(list), len(edgeLengths))
+		}
+		for _, m := range list {
+			if err := s.checkMatrixIndex(m); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for _, t := range edgeLengths {
+		if t < 0 {
+			return nil, fmt.Errorf("engine: negative edge length %v", t)
+		}
+	}
+	return s.Eigens[eigenSlot], nil
+}
+
+// UpdateTransitionMatrices computes the listed matrices from an eigen slot
+// on the host.
 func (s *Storage[T]) UpdateTransitionMatrices(eigenSlot int, matrices []int, edgeLengths []float64) error {
-	if eigenSlot < 0 || eigenSlot >= len(s.Eigens) {
-		return fmt.Errorf("engine: eigen slot %d out of range [0,%d)", eigenSlot, len(s.Eigens))
+	return s.UpdateMatricesWith(eigenSlot, matrices, edgeLengths, s.computeMatrix)
+}
+
+func (s *Storage[T]) computeMatrix(m int, e *kernels.Eigen, edgeLength float64) error {
+	if s.Matrices[m] == nil {
+		s.Matrices[m] = make([]T, s.Cfg.Dims.MatrixLen())
 	}
-	e := s.Eigens[eigenSlot]
-	if e == nil {
-		return fmt.Errorf("engine: eigen slot %d is empty", eigenSlot)
-	}
-	if len(matrices) != len(edgeLengths) {
-		return fmt.Errorf("engine: %d matrices but %d edge lengths", len(matrices), len(edgeLengths))
-	}
-	for i, m := range matrices {
-		if err := s.checkMatrixIndex(m); err != nil {
-			return err
-		}
-		if edgeLengths[i] < 0 {
-			return fmt.Errorf("engine: negative edge length %v", edgeLengths[i])
-		}
+	kernels.UpdateTransitionMatrix(s.Matrices[m], e, edgeLength, s.CatRates)
+	return nil
+}
+
+// UpdateMatricesWith is UpdateTransitionMatrices with the computation of one
+// matrix left to the backend — the one step of the store an accelerator
+// replaces, because it computes matrices in a device kernel. compute must
+// leave Matrices[m] holding P(rate_c·edgeLength) for every category; the
+// request validation, the content-addressed reuse decision and the telemetry
+// stay here.
+func (s *Storage[T]) UpdateMatricesWith(eigenSlot int, matrices []int, edgeLengths []float64,
+	compute func(m int, e *kernels.Eigen, edgeLength float64) error) error {
+	e, err := s.matrixRequest(eigenSlot, edgeLengths, matrices)
+	if err != nil {
+		return err
 	}
 	var start time.Time
 	if s.Cfg.Telemetry.Enabled() {
@@ -302,10 +360,9 @@ func (s *Storage[T]) UpdateTransitionMatrices(eigenSlot int, matrices []int, edg
 		if !s.Reuse.ShouldComputeMatrix(m, eigenSlot, edgeLengths[i]) {
 			continue
 		}
-		if s.Matrices[m] == nil {
-			s.Matrices[m] = make([]T, s.Cfg.Dims.MatrixLen())
+		if err := compute(m, e, edgeLengths[i]); err != nil {
+			return err
 		}
-		kernels.UpdateTransitionMatrix(s.Matrices[m], e, edgeLengths[i], s.CatRates)
 		computed++
 	}
 	if !start.IsZero() && computed > 0 {
@@ -321,31 +378,13 @@ func (s *Storage[T]) UpdateTransitionMatrices(eigenSlot int, matrices []int, edg
 // UpdateTransitionDerivatives computes derivative matrices from an eigen
 // slot into ordinary matrix buffers, as BEAGLE's derivative indices do.
 func (s *Storage[T]) UpdateTransitionDerivatives(eigenSlot int, d1Matrices, d2Matrices []int, edgeLengths []float64) error {
-	if eigenSlot < 0 || eigenSlot >= len(s.Eigens) {
-		return fmt.Errorf("engine: eigen slot %d out of range [0,%d)", eigenSlot, len(s.Eigens))
+	lists := [][]int{d1Matrices, d2Matrices}
+	if d2Matrices == nil {
+		lists = lists[:1]
 	}
-	e := s.Eigens[eigenSlot]
-	if e == nil {
-		return fmt.Errorf("engine: eigen slot %d is empty", eigenSlot)
-	}
-	if len(d1Matrices) != len(edgeLengths) {
-		return fmt.Errorf("engine: %d derivative matrices but %d edge lengths", len(d1Matrices), len(edgeLengths))
-	}
-	if d2Matrices != nil && len(d2Matrices) != len(d1Matrices) {
-		return fmt.Errorf("engine: %d second-derivative matrices for %d first", len(d2Matrices), len(d1Matrices))
-	}
-	for i, m := range d1Matrices {
-		if err := s.checkMatrixIndex(m); err != nil {
-			return err
-		}
-		if d2Matrices != nil {
-			if err := s.checkMatrixIndex(d2Matrices[i]); err != nil {
-				return err
-			}
-		}
-		if edgeLengths[i] < 0 {
-			return fmt.Errorf("engine: negative edge length %v", edgeLengths[i])
-		}
+	e, err := s.matrixRequest(eigenSlot, edgeLengths, lists...)
+	if err != nil {
+		return err
 	}
 	var start time.Time
 	if s.Cfg.Telemetry.Enabled() {
@@ -356,24 +395,21 @@ func (s *Storage[T]) UpdateTransitionDerivatives(eigenSlot int, d1Matrices, d2Ma
 	if traceOn {
 		tstart = s.Cfg.Trace.Now()
 	}
-	for i, m := range d1Matrices {
+	// Derivative kernels overwrite ordinary matrix buffers, so any
+	// content-addressed transition-matrix entry for them is stale.
+	target := func(m int) []T {
 		if s.Matrices[m] == nil {
 			s.Matrices[m] = make([]T, s.Cfg.Dims.MatrixLen())
 		}
+		s.Reuse.InvalidateMatrix(m)
+		return s.Matrices[m]
+	}
+	for i, m := range d1Matrices {
 		var d2 []T
 		if d2Matrices != nil {
-			if s.Matrices[d2Matrices[i]] == nil {
-				s.Matrices[d2Matrices[i]] = make([]T, s.Cfg.Dims.MatrixLen())
-			}
-			d2 = s.Matrices[d2Matrices[i]]
+			d2 = target(d2Matrices[i])
 		}
-		kernels.UpdateTransitionDerivatives(s.Matrices[m], d2, e, edgeLengths[i], s.CatRates)
-		// Derivative kernels overwrite ordinary matrix buffers, so any
-		// content-addressed transition-matrix entry for them is stale.
-		s.Reuse.InvalidateMatrix(m)
-		if d2Matrices != nil {
-			s.Reuse.InvalidateMatrix(d2Matrices[i])
-		}
+		kernels.UpdateTransitionDerivatives(target(m), d2, e, edgeLengths[i], s.CatRates)
 	}
 	if !start.IsZero() {
 		s.Cfg.Telemetry.Record(telemetry.KernelDerivatives, len(d1Matrices), time.Since(start))
@@ -387,39 +423,41 @@ func (s *Storage[T]) UpdateTransitionDerivatives(eigenSlot int, d1Matrices, d2Ma
 
 // ResetScaleFactors zeroes (and allocates if needed) a scale buffer.
 func (s *Storage[T]) ResetScaleFactors(scaleBuf int) error {
-	if err := s.checkScaleIndex(scaleBuf); err != nil {
+	buf, err := s.ScaleWriteTarget(scaleBuf)
+	if err != nil {
 		return err
 	}
+	for i := range buf {
+		buf[i] = 0
+	}
 	s.Reuse.InvalidateScale(scaleBuf)
-	if s.Scale[scaleBuf] == nil {
-		s.Scale[scaleBuf] = make([]float64, s.Cfg.Dims.PatternCount)
-		return nil
-	}
-	for i := range s.Scale[scaleBuf] {
-		s.Scale[scaleBuf][i] = 0
-	}
 	return nil
+}
+
+// ScaleFactors validates the scale buffers AccumulateScaleFactors sums and
+// returns them with the cumulative buffer they are added into, allocated if
+// needed.
+func (s *Storage[T]) ScaleFactors(scaleBufs []int, cumBuf int) (factors [][]float64, cum []float64, err error) {
+	if err := s.checkScaleIndex(cumBuf); err != nil {
+		return nil, nil, err
+	}
+	factors = make([][]float64, len(scaleBufs))
+	for i, b := range scaleBufs {
+		if factors[i], err = s.writtenScale(b); err != nil {
+			return nil, nil, err
+		}
+	}
+	cum, err = s.ScaleWriteTarget(cumBuf)
+	return factors, cum, err
 }
 
 // AccumulateScaleFactors sums the listed scale buffers into cumBuf.
 func (s *Storage[T]) AccumulateScaleFactors(scaleBufs []int, cumBuf int) error {
-	if err := s.checkScaleIndex(cumBuf); err != nil {
+	factors, cum, err := s.ScaleFactors(scaleBufs, cumBuf)
+	if err != nil {
 		return err
 	}
-	factors := make([][]float64, 0, len(scaleBufs))
-	for _, b := range scaleBufs {
-		if err := s.checkScaleIndex(b); err != nil {
-			return err
-		}
-		if s.Scale[b] == nil {
-			return fmt.Errorf("engine: scale buffer %d has not been written", b)
-		}
-		factors = append(factors, s.Scale[b])
-	}
-	if s.Scale[cumBuf] == nil {
-		s.Scale[cumBuf] = make([]float64, s.Cfg.Dims.PatternCount)
-	}
-	kernels.AccumulateScaleFactors(s.Scale[cumBuf], factors, 0, s.Cfg.Dims.PatternCount)
+	kernels.AccumulateScaleFactors(cum, factors, 0, s.Cfg.Dims.PatternCount)
 	s.Reuse.InvalidateScale(cumBuf)
 	return nil
 }
@@ -436,19 +474,24 @@ func (s *Storage[T]) ScaleWriteTarget(scaleBuf int) ([]float64, error) {
 	return s.Scale[scaleBuf], nil
 }
 
+// writtenScale returns a scale buffer something is about to read.
+func (s *Storage[T]) writtenScale(scaleBuf int) ([]float64, error) {
+	if err := s.checkScaleIndex(scaleBuf); err != nil {
+		return nil, err
+	}
+	if s.Scale[scaleBuf] == nil {
+		return nil, fmt.Errorf("engine: scale buffer %d has not been written", scaleBuf)
+	}
+	return s.Scale[scaleBuf], nil
+}
+
 // CumulativeScale returns the scale buffer for likelihood integration, or
 // nil when cumScaleBuf is None.
 func (s *Storage[T]) CumulativeScale(cumScaleBuf int) ([]float64, error) {
 	if cumScaleBuf == None {
 		return nil, nil
 	}
-	if err := s.checkScaleIndex(cumScaleBuf); err != nil {
-		return nil, err
-	}
-	if s.Scale[cumScaleBuf] == nil {
-		return nil, fmt.Errorf("engine: scale buffer %d has not been written", cumScaleBuf)
-	}
-	return s.Scale[cumScaleBuf], nil
+	return s.writtenScale(cumScaleBuf)
 }
 
 // OperandKind classifies an operation child as compact states or partials.
@@ -476,6 +519,38 @@ func (s *Storage[T]) ChildOperand(buf int) (OperandKind, []int32, []T, error) {
 	return OperandPartials, nil, s.Partials[buf], nil
 }
 
+// PartialsOperand returns a buffer the root, edge and derivative
+// integrations read: it must hold partials, not compact tip states.
+func (s *Storage[T]) PartialsOperand(buf int) ([]T, error) {
+	kind, _, partials, err := s.ChildOperand(buf)
+	if err != nil {
+		return nil, err
+	}
+	if kind != OperandPartials {
+		return nil, fmt.Errorf("engine: buffer %d holds compact tip states, the integration needs partials (use SetTipPartials for tips)", buf)
+	}
+	return partials, nil
+}
+
+// EdgeOperands returns what an integration across one branch reads: the
+// partials on either side, the branch's matrix and the cumulative scale
+// buffer (nil for None).
+func (s *Storage[T]) EdgeOperands(parentBuf, childBuf, matrix, cumScaleBuf int) (parent, child, m []T, scale []float64, err error) {
+	if parent, err = s.PartialsOperand(parentBuf); err != nil {
+		return nil, nil, nil, nil, err
+	}
+	if child, err = s.PartialsOperand(childBuf); err != nil {
+		return nil, nil, nil, nil, err
+	}
+	if m, err = s.Matrix(matrix); err != nil {
+		return nil, nil, nil, nil, err
+	}
+	if scale, err = s.CumulativeScale(cumScaleBuf); err != nil {
+		return nil, nil, nil, nil, err
+	}
+	return parent, child, m, scale, nil
+}
+
 // DestPartials returns (allocating if needed) a destination partials buffer.
 func (s *Storage[T]) DestPartials(buf int) ([]T, error) {
 	if err := s.checkPartialsIndex(buf); err != nil {
@@ -492,16 +567,11 @@ func (s *Storage[T]) DestPartials(buf int) ([]T, error) {
 
 // OpMatrices validates and returns the two matrices of an operation.
 func (s *Storage[T]) OpMatrices(op Operation) (m1, m2 []T, err error) {
-	if err := s.checkMatrixIndex(op.Child1Mat); err != nil {
+	if m1, err = s.Matrix(op.Child1Mat); err != nil {
 		return nil, nil, err
 	}
-	if err := s.checkMatrixIndex(op.Child2Mat); err != nil {
+	if m2, err = s.Matrix(op.Child2Mat); err != nil {
 		return nil, nil, err
-	}
-	m1 = s.Matrices[op.Child1Mat]
-	m2 = s.Matrices[op.Child2Mat]
-	if m1 == nil || m2 == nil {
-		return nil, nil, fmt.Errorf("engine: operation uses uncomputed matrices %d/%d", op.Child1Mat, op.Child2Mat)
 	}
 	return m1, m2, nil
 }

@@ -19,9 +19,12 @@ type Eigen struct {
 // dP/dt = V·(rΛ)·exp(Λrt)·V⁻¹ and d²P/dt² = V·(rΛ)²·exp(Λrt)·V⁻¹.
 // These feed CalculateEdgeLogLikelihoods' derivative outputs, which
 // maximum-likelihood programs use for Newton-style branch optimization.
+//
+//beagle:noalloc
 func UpdateTransitionDerivatives[T Real](d1, d2 []T, e *Eigen, edgeLength float64, catRates []float64) {
 	s := e.StateCount
-	exp := make([]float64, s)
+	var expBuf [MaxWideStates]float64
+	exp := expScratch(expBuf[:], s)
 	for c, r := range catRates {
 		t := edgeLength * r
 		for k, v := range e.Values {
@@ -113,6 +116,8 @@ func ReduceEdgeDerivatives(siteL, siteD1, siteD2, patternWeights []float64, lo, 
 // matrices be computed on the accelerator so branch-length changes move no
 // data across the host↔device boundary (§IV-F). The per-item exponentials
 // are recomputed redundantly, as a GPU kernel would.
+//
+//beagle:noalloc
 func TransitionMatrixRow[T Real](out []T, e *Eigen, edgeLength float64, catRates []float64, workItem int) {
 	s := e.StateCount
 	c := workItem / s
@@ -125,7 +130,8 @@ func TransitionMatrixRow[T Real](out []T, e *Eigen, edgeLength float64, catRates
 	vi := e.Vectors[i*s : (i+1)*s]
 	// Per-item exponential staging (each work-item computes its own copy,
 	// as a GPU kernel would into registers or local memory).
-	expv := make([]float64, s)
+	var expBuf [MaxWideStates]float64
+	expv := expScratch(expBuf[:], s)
 	for k := 0; k < s; k++ {
 		expv[k] = math.Exp(e.Values[k] * t)
 	}
@@ -139,6 +145,17 @@ func TransitionMatrixRow[T Real](out []T, e *Eigen, edgeLength float64, catRates
 		}
 		out[base+i*s+j] = T(sum)
 	}
+}
+
+// expScratch returns the exp(λt) scratch for s states: the caller's stack
+// buffer cut to length, or a heap slice for the state counts beyond it.
+//
+//beagle:noalloc
+func expScratch(stack []float64, s int) []float64 {
+	if s > len(stack) {
+		return make([]float64, s) //beagle:allow noalloc state counts beyond MaxWideStates have no fixed-size scratch; no model in use has one
+	}
+	return stack[:s]
 }
 
 // UpdateTransitionMatrix fills out (length C·S·S) with the transition

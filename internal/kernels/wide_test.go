@@ -144,7 +144,8 @@ func TestUpdateTransitionMatrixMatchesLoop(t *testing.T) {
 }
 
 // TestWideKernelsAllocateNothing is the runtime half of the wide kernels'
-// and UpdateTransitionMatrix's //beagle:noalloc contract: the scratch must
+// and the matrix kernels' (UpdateTransitionMatrix, its device-side row form
+// and the derivative matrices) //beagle:noalloc contract: the scratch must
 // stay on the stack for every state count up to MaxWideStates.
 func TestWideKernelsAllocateNothing(t *testing.T) {
 	for _, s := range []int{4, 20, 61, MaxWideStates} {
@@ -162,9 +163,13 @@ func TestWideKernelsAllocateNothing(t *testing.T) {
 			StatesPartialsWide(dest32, pr32.s1, pr32.m1, pr32.p2, pr32.m2, pr32.d, 0, 8)
 			UpdateTransitionMatrix(mat, e, 0.1, rates)
 			UpdateTransitionMatrix(mat32, e, 0.1, rates)
+			TransitionMatrixRow(mat, e, 0.1, rates, s+1)
+			TransitionMatrixRow(mat32, e, 0.1, rates, s+1)
+			UpdateTransitionDerivatives(mat, nil, e, 0.1, rates)
+			UpdateTransitionDerivatives(mat32, mat32, e, 0.1, rates)
 		})
 		if allocs != 0 {
-			t.Errorf("S=%d: wide kernels and UpdateTransitionMatrix allocate %.1f times per run, want 0", s, allocs)
+			t.Errorf("S=%d: wide and matrix kernels allocate %.1f times per run, want 0", s, allocs)
 		}
 	}
 }

@@ -40,10 +40,14 @@ section() {
 }
 
 # fig4smoke throughput is computed from the calibrated device and CPU
-# performance models, so it is deterministic and gated at the default 10%.
+# performance models, so it is deterministic: every host reproduces the
+# committed records exactly. It is therefore gated at 1e-6 — any drift in
+# launch geometry, transfer counts or kernel efficiency on the accelerator
+# path is a change to the model and must fail here, where the default 10%
+# would hide it. (Not 0: -compare reads a tolerance <= 0 as "use the default".)
 if wanted fig4smoke; then
     section "gate fig4smoke"
-    go -C "$ROOT" run ./cmd/beaglebench -experiment fig4smoke -compare "$BASELINES" $JSON_ARGS >/dev/null
+    go -C "$ROOT" run ./cmd/beaglebench -experiment fig4smoke -compare "$BASELINES" -tolerance 1e-6 $JSON_ARGS >/dev/null
 fi
 
 # rebalance speedups are measured wall-clock ratios with a few percent of
