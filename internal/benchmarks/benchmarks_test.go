@@ -37,7 +37,7 @@ func TestProblemVerifyOnHostAndDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := HostEval(p, 0, 1); err != nil {
+	if err := HostEval(p, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := DeviceEval(p, "Radeon R9 Nano", "OpenCL", 0, 0, 1); err != nil {

@@ -4,19 +4,20 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strings"
 	"text/tabwriter"
 )
 
-// This file implements the benchmark regression gate: a committed baseline
-// BENCH_<experiment>.json is compared record-by-record against a fresh run,
-// and per-record throughput deltas beyond a noise tolerance fail the gate.
-// Records are matched on their full configuration identity (device,
-// implementation, strategy and problem shape); the compared metric is
-// effective GFLOPS when present and the speedup factor otherwise (the
-// rebalance and fig6 experiments report speedups, not GFLOPS).
+// This file implements the modeled-number gate: a committed baseline
+// BENCH_<experiment>.json is compared record-by-record against a fresh run.
+// Every record is model output and therefore deterministic, so the gate is an
+// equality check: a record that moved in either direction fails it. Records
+// are matched on their full configuration identity (device, implementation,
+// strategy and problem shape); the compared metric is effective GFLOPS when
+// present and the speedup factor otherwise (fig6 reports speedups).
 
 // ReadReport loads a machine-readable BENCH_<experiment>.json report.
 func ReadReport(path string) (Report, error) {
@@ -57,17 +58,16 @@ type Delta struct {
 	Unit    string  `json:"unit"`
 	Base    float64 `json:"base"`
 	Current float64 `json:"current"`
-	// Change is the relative delta (Current-Base)/Base; negative means the
-	// current run is slower.
+	// Change is the relative delta (Current-Base)/Base.
 	Change float64 `json:"change"`
-	// Regression marks deltas below the gate's tolerance.
-	Regression bool `json:"regression"`
+	// Drift marks a record that no longer reproduces its baseline:
+	// |Change| beyond Tolerance, up or down.
+	Drift bool `json:"drift"`
 }
 
 // Comparison is the full result of gating one experiment.
 type Comparison struct {
 	Experiment string  `json:"experiment"`
-	Tolerance  float64 `json:"tolerance"`
 	Deltas     []Delta `json:"deltas"`
 	// Missing lists baseline records absent from the current run (a gate
 	// failure: silently dropped coverage must not pass); Added lists new
@@ -76,41 +76,39 @@ type Comparison struct {
 	Added   []string `json:"added,omitempty"`
 }
 
-// Regressions counts deltas that tripped the gate.
-func (c Comparison) Regressions() int {
+// Drifted counts deltas that tripped the gate.
+func (c Comparison) Drifted() int {
 	n := 0
 	for _, d := range c.Deltas {
-		if d.Regression {
+		if d.Drift {
 			n++
 		}
 	}
 	return n
 }
 
-// Failed reports whether the gate should fail the run: any regression beyond
-// tolerance, or baseline records the current run no longer produces.
-func (c Comparison) Failed() bool { return c.Regressions() > 0 || len(c.Missing) > 0 }
+// Failed reports whether the gate should fail the run: any record that
+// drifted, or baseline records the current run no longer produces.
+func (c Comparison) Failed() bool { return c.Drifted() > 0 || len(c.Missing) > 0 }
 
-// DefaultTolerance is the gate's relative noise allowance: a record must be
-// more than 10% below its baseline to count as a regression.
-const DefaultTolerance = 0.10
+// Tolerance is the gate's one constant: a modeled number reproduces its
+// baseline when it is within this relative distance of it, which absorbs the
+// JSON round trip and nothing a change to the models could produce.
+const Tolerance = 1e-6
 
-// Compare gates a current report against its baseline. tolerance ≤ 0 uses
-// DefaultTolerance. Records with a zero baseline metric are compared only
-// for presence (a ratio against zero is meaningless).
-func Compare(baseline, current Report, tolerance float64) (Comparison, error) {
+// Compare gates a current report against its baseline. Records with a zero
+// baseline metric are compared only for presence (a ratio against zero is
+// meaningless).
+func Compare(baseline, current Report) (Comparison, error) {
 	if baseline.Experiment != current.Experiment {
 		return Comparison{}, fmt.Errorf("benchmarks: comparing %q against baseline %q",
 			current.Experiment, baseline.Experiment)
-	}
-	if tolerance <= 0 {
-		tolerance = DefaultTolerance
 	}
 	cur := make(map[string]Record, len(current.Records))
 	for _, r := range current.Records {
 		cur[recordKey(r)] = r
 	}
-	cmp := Comparison{Experiment: baseline.Experiment, Tolerance: tolerance}
+	cmp := Comparison{Experiment: baseline.Experiment}
 	seen := map[string]bool{}
 	for _, base := range baseline.Records {
 		key := recordKey(base)
@@ -128,8 +126,8 @@ func Compare(baseline, current Report, tolerance float64) (Comparison, error) {
 		change := (nowVal - baseVal) / baseVal
 		cmp.Deltas = append(cmp.Deltas, Delta{
 			Key: key, Unit: unit, Base: baseVal, Current: nowVal,
-			Change:     change,
-			Regression: change < -tolerance,
+			Change: change,
+			Drift:  math.Abs(change) > Tolerance,
 		})
 	}
 	for _, r := range current.Records {
@@ -137,36 +135,32 @@ func Compare(baseline, current Report, tolerance float64) (Comparison, error) {
 			cmp.Added = append(cmp.Added, key)
 		}
 	}
-	sort.Slice(cmp.Deltas, func(i, j int) bool { return cmp.Deltas[i].Change < cmp.Deltas[j].Change })
+	// Largest move first, in either direction, so drifted records lead.
+	sort.SliceStable(cmp.Deltas, func(i, j int) bool {
+		return math.Abs(cmp.Deltas[i].Change) > math.Abs(cmp.Deltas[j].Change)
+	})
 	return cmp, nil
 }
 
-// PrintComparison renders the gate result; regressions and missing records
-// first, then the best and worst deltas.
+// PrintComparison renders the gate result: missing records, then every
+// drifted record with its direction.
 func PrintComparison(w io.Writer, c Comparison) {
 	status := "PASS"
 	if c.Failed() {
 		status = "FAIL"
 	}
-	fmt.Fprintf(w, "benchmark gate [%s]: %s — %d records compared, %d regressions beyond %.0f%%, %d missing\n",
-		c.Experiment, status, len(c.Deltas), c.Regressions(), c.Tolerance*100, len(c.Missing))
+	fmt.Fprintf(w, "benchmark gate [%s]: %s — %d records compared, %d drifted beyond %.0e (either direction), %d missing\n",
+		c.Experiment, status, len(c.Deltas), c.Drifted(), Tolerance, len(c.Missing))
 	for _, key := range c.Missing {
 		fmt.Fprintf(w, "  MISSING %s\n", key)
 	}
 	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
-	shown := 0
 	for _, d := range c.Deltas {
-		// Regressions always print; healthy deltas only the five largest moves.
-		if !d.Regression && shown >= 5 {
+		if !d.Drift {
 			break
 		}
-		mark := " "
-		if d.Regression {
-			mark = "REGRESSION"
-		}
-		fmt.Fprintf(tw, "  %s\t%s\t%.3f -> %.3f %s\t%+.1f%%\n",
-			mark, shortKey(d.Key), d.Base, d.Current, d.Unit, d.Change*100)
-		shown++
+		fmt.Fprintf(tw, "  DRIFT\t%s\t%.6f -> %.6f %s\t%+.4f%%\n",
+			shortKey(d.Key), d.Base, d.Current, d.Unit, d.Change*100)
 	}
 	tw.Flush()
 	if len(c.Added) > 0 {

@@ -19,68 +19,77 @@ func gateReport() Report {
 			{Device: "Xeon", Implementation: "OpenCL-x86", Strategy: "device",
 				Model: "nucleotide", Precision: "single", States: 4, Patterns: 1000,
 				Categories: 4, Tips: 16, GFLOPS: 98},
-			{Device: "synthetic", Implementation: "adaptive", Strategy: "multi-device",
-				Model: "nucleotide", Precision: "double", States: 4, Patterns: 1024,
-				Categories: 4, Tips: 16, Speedup: 2.5},
+			{Implementation: "MrBayes-BEAGLE", Model: "nucleotide", Precision: "double",
+				States: 4, Speedup: 2.5},
 		},
 	}
 }
 
-// TestCompareDetectsInjectedSlowdown is the gate's acceptance test: a 20%
-// slowdown on one record must trip the default 10% tolerance, while 5% noise
-// must not.
+// TestCompareDetectsInjectedSlowdown is the gate's acceptance test. Every
+// gated record is model output, so the gate is an equality check: a record
+// that moved by 0.1% must trip it whether it went down or up (a dropped
+// transfer charge makes modeled GFLOPS rise), and an identical report must
+// pass.
 func TestCompareDetectsInjectedSlowdown(t *testing.T) {
 	base := gateReport()
 
-	slowed := gateReport()
-	slowed.Records[0].GFLOPS *= 0.8 // injected 20% regression
-	cmp, err := Compare(base, slowed, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cmp.Failed() || cmp.Regressions() != 1 {
-		t.Fatalf("20%% slowdown not gated: %+v", cmp)
-	}
-	var reg Delta
-	for _, d := range cmp.Deltas {
-		if d.Regression {
-			reg = d
+	for _, factor := range []float64{0.8, 0.999, 1.001} {
+		moved := gateReport()
+		moved.Records[0].GFLOPS *= factor
+		cmp, err := Compare(base, moved)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !cmp.Failed() || cmp.Drifted() != 1 {
+			t.Fatalf("x%v on one record not gated: %+v", factor, cmp)
+		}
+		// Drifted records lead the list.
+		d := cmp.Deltas[0]
+		if !d.Drift || !strings.Contains(d.Key, "R9 Nano") {
+			t.Errorf("x%v: wrong record flagged: %+v", factor, d)
+		}
+		if (d.Change > 0) != (factor > 1) {
+			t.Errorf("x%v: change %+v has the wrong sign", factor, d.Change)
 		}
 	}
-	if !strings.Contains(reg.Key, "R9 Nano") {
-		t.Errorf("wrong record flagged: %q", reg.Key)
-	}
 
-	noisy := gateReport()
-	for i := range noisy.Records {
-		noisy.Records[i].GFLOPS *= 0.95 // 5% noise, within tolerance
-		noisy.Records[i].Speedup *= 0.95
-	}
-	cmp, err = Compare(base, noisy, 0)
+	cmp, err := Compare(base, gateReport())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cmp.Failed() {
-		t.Fatalf("5%% noise tripped the gate: %+v", cmp)
+	if cmp.Failed() || cmp.Drifted() != 0 || len(cmp.Deltas) != len(base.Records) {
+		t.Fatalf("identical report tripped the gate: %+v", cmp)
+	}
+
+	// The JSON round trip of a committed baseline is far inside Tolerance.
+	rounded := gateReport()
+	for i := range rounded.Records {
+		rounded.Records[i].GFLOPS *= 1 + 1e-9
+		rounded.Records[i].Speedup *= 1 - 1e-9
+	}
+	if cmp, err = Compare(base, rounded); err != nil || cmp.Failed() {
+		t.Fatalf("1e-9 rounding tripped the gate: %+v, %v", cmp, err)
 	}
 }
 
-// TestCompareSpeedupMetric checks speedup-unit records (rebalance, fig6) are
-// gated on their speedup factor.
+// TestCompareSpeedupMetric checks speedup-unit records (fig6) are gated on
+// their speedup factor, in both directions.
 func TestCompareSpeedupMetric(t *testing.T) {
 	base := gateReport()
-	cur := gateReport()
-	cur.Records[2].Speedup = 1.0 // adaptive speedup collapsed
-	cmp, err := Compare(base, cur, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmp.Regressions() != 1 {
-		t.Fatalf("speedup regression not detected: %+v", cmp)
-	}
-	for _, d := range cmp.Deltas {
-		if d.Regression && d.Unit != "speedup" {
-			t.Errorf("regression gated on unit %q, want speedup", d.Unit)
+	for _, speedup := range []float64{1.0, 2.5025} {
+		cur := gateReport()
+		cur.Records[2].Speedup = speedup
+		cmp, err := Compare(base, cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cmp.Drifted() != 1 {
+			t.Fatalf("speedup 2.5 -> %v not detected: %+v", speedup, cmp)
+		}
+		for _, d := range cmp.Deltas {
+			if d.Drift && d.Unit != "speedup" {
+				t.Errorf("drift gated on unit %q, want speedup", d.Unit)
+			}
 		}
 	}
 }
@@ -89,7 +98,7 @@ func TestCompareMissingRecordFailsGate(t *testing.T) {
 	base := gateReport()
 	cur := gateReport()
 	cur.Records = cur.Records[:2] // coverage silently dropped
-	cmp, err := Compare(base, cur, 0)
+	cmp, err := Compare(base, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +107,7 @@ func TestCompareMissingRecordFailsGate(t *testing.T) {
 	}
 
 	// The reverse — new records with no baseline — is informational only.
-	cmp, err = Compare(Report{Experiment: "fig4smoke", Records: base.Records[:2]}, base, 0)
+	cmp, err = Compare(Report{Experiment: "fig4smoke", Records: base.Records[:2]}, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,8 +119,8 @@ func TestCompareMissingRecordFailsGate(t *testing.T) {
 func TestCompareExperimentMismatch(t *testing.T) {
 	base := gateReport()
 	other := gateReport()
-	other.Experiment = "rebalance"
-	if _, err := Compare(base, other, 0); err == nil {
+	other.Experiment = "fig4"
+	if _, err := Compare(base, other); err == nil {
 		t.Fatal("cross-experiment comparison must error")
 	}
 }
@@ -144,25 +153,33 @@ func TestReadReportRoundTrip(t *testing.T) {
 
 func TestPrintComparisonShowsRegressions(t *testing.T) {
 	base := gateReport()
-	cur := gateReport()
-	cur.Records[0].GFLOPS *= 0.5
-	cmp, err := Compare(base, cur, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	PrintComparison(&buf, cmp)
-	out := buf.String()
-	if !strings.Contains(out, "FAIL") || !strings.Contains(out, "REGRESSION") {
-		t.Errorf("comparison output missing failure markers:\n%s", out)
+	for _, tc := range []struct {
+		factor float64
+		change string
+	}{{0.5, "-50.0000%"}, {1.001, "+0.1000%"}} {
+		cur := gateReport()
+		cur.Records[0].GFLOPS *= tc.factor
+		cmp, err := Compare(base, cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Reset()
+		PrintComparison(&buf, cmp)
+		out := buf.String()
+		for _, want := range []string{"FAIL", "DRIFT", "R9 Nano", tc.change} {
+			if !strings.Contains(out, want) {
+				t.Errorf("x%v: comparison output missing %q:\n%s", tc.factor, want, out)
+			}
+		}
 	}
-	cmpOK, err := Compare(base, gateReport(), 0)
+	cmpOK, err := Compare(base, gateReport())
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf.Reset()
 	PrintComparison(&buf, cmpOK)
-	if !strings.Contains(buf.String(), "PASS") {
+	if !strings.Contains(buf.String(), "PASS") || strings.Contains(buf.String(), "DRIFT") {
 		t.Errorf("clean comparison not marked PASS:\n%s", buf.String())
 	}
 }

@@ -27,7 +27,7 @@ func Fig5() ([]Fig5Point, error) {
 	}
 	// Real execution pass for both implementations at a restricted thread
 	// count, verifying the fission path works end to end.
-	if _, err := HostEval(p, gobeagle.FlagPrecisionSingle|gobeagle.FlagThreadingThreadPool, 1); err != nil {
+	if err := HostEval(p, gobeagle.FlagPrecisionSingle|gobeagle.FlagThreadingThreadPool); err != nil {
 		return nil, err
 	}
 	rsc, err := gobeagle.FindResource("Xeon E5-2680v4 x2", "OpenCL")

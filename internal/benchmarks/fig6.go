@@ -80,7 +80,7 @@ func Fig6() ([]Fig6Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := HostEval(vp, gobeagle.FlagThreadingThreadPool, 1); err != nil {
+		if err := HostEval(vp, gobeagle.FlagThreadingThreadPool); err != nil {
 			return nil, err
 		}
 		if _, err := DeviceEval(vp, "FirePro S9170", "OpenCL", 0, 0, 1); err != nil {

@@ -7,13 +7,15 @@ import (
 	"path/filepath"
 )
 
-// Record is one machine-readable benchmark measurement: the effective
+// Record is one machine-readable benchmark result: the modeled effective
 // throughput (or speedup) of one (device, strategy, problem-shape)
-// configuration. Fields that do not apply to an experiment are omitted.
+// configuration. Every value comes from the calibrated device and CPU models,
+// so a record is deterministic; wall-clock measurement lives in bench/mark.
+// Fields that do not apply to an experiment are omitted.
 type Record struct {
-	// Device names the hardware the measurement ran on (or was modeled
-	// for); Implementation the library implementation; Strategy the CPU
-	// scheduling strategy or "device".
+	// Device names the hardware the number is modeled for; Implementation
+	// the library implementation; Strategy the CPU scheduling strategy or
+	// "device".
 	Device         string `json:"device,omitempty"`
 	Implementation string `json:"implementation,omitempty"`
 	Strategy       string `json:"strategy,omitempty"`
@@ -30,14 +32,6 @@ type Record struct {
 	// accounting; Speedup is relative to the experiment's stated baseline.
 	GFLOPS  float64 `json:"gflops,omitempty"`
 	Speedup float64 `json:"speedup,omitempty"`
-	// Serving-layer results (the serve experiment): request latency
-	// percentiles and throughput under concurrent load. Informational —
-	// absolute latencies are too machine-dependent to gate; the gated
-	// serve record carries the pooled-vs-per-request p99 ratio in Speedup.
-	P50Ms float64 `json:"p50_ms,omitempty"`
-	P95Ms float64 `json:"p95_ms,omitempty"`
-	P99Ms float64 `json:"p99_ms,omitempty"`
-	RPS   float64 `json:"rps,omitempty"`
 }
 
 // Report is the machine-readable form of one experiment, written as

@@ -141,28 +141,20 @@ func accelModeledEvalTime(p *Problem, dev *device.Device, flags gobeagle.Flags, 
 }
 
 // HostEval really executes one problem on a host-CPU implementation and
-// reports measured wall-clock throughput. On single-core build machines the
-// threaded strategies cannot express parallelism, so the per-table
-// experiments report the CPUModel numbers instead and use this only to
-// verify the configuration executes correctly.
-func HostEval(p *Problem, flags gobeagle.Flags, reps int) (float64, error) {
+// verifies its log likelihood. The per-table experiments report the CPUModel
+// numbers — wall-clock throughput is bench/mark's job — and use this only to
+// check that the configuration they model executes correctly.
+func HostEval(p *Problem, flags gobeagle.Flags) error {
 	inst, err := gobeagle.NewInstance(p.InstanceConfig(0, flags))
 	if err != nil {
-		return 0, err
+		return err
 	}
 	defer inst.Finalize()
 	if err := p.Load(inst); err != nil {
-		return 0, err
+		return err
 	}
 	if err := p.Verify(inst); err != nil {
-		return 0, fmt.Errorf("benchmarks: %s: %w", inst.Implementation(), err)
+		return fmt.Errorf("benchmarks: %s: %w", inst.Implementation(), err)
 	}
-	_, _, ops, _ := p.Schedule()
-	start := time.Now()
-	for r := 0; r < reps; r++ {
-		if err := inst.UpdatePartials(ops); err != nil {
-			return 0, err
-		}
-	}
-	return flops.GFLOPS(p.FlopsPerEval()*float64(reps), time.Since(start)), nil
+	return nil
 }

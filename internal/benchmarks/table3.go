@@ -44,7 +44,7 @@ func Table3(verifyPatterns int) ([]Table3Row, error) {
 				return nil, err
 			}
 			for _, flags := range table3Flags {
-				if _, err := HostEval(vp, flags|gobeagle.FlagPrecisionSingle, 1); err != nil {
+				if err := HostEval(vp, flags|gobeagle.FlagPrecisionSingle); err != nil {
 					return nil, err
 				}
 			}
@@ -110,7 +110,7 @@ func Table3Hybrid(verify bool) ([]HybridRow, error) {
 			}
 			if verify {
 				for _, flags := range table3Flags {
-					if _, err := HostEval(p, flags|gobeagle.FlagPrecisionSingle, 1); err != nil {
+					if err := HostEval(p, flags|gobeagle.FlagPrecisionSingle); err != nil {
 						return nil, err
 					}
 				}

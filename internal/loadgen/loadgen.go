@@ -1,14 +1,14 @@
 // Package loadgen is a closed-loop load generator for the serving layer: N
 // concurrent workers each issue requests back-to-back against a target
 // function (an HTTP client or an in-process Server), and the run reports
-// throughput and the latency distribution (p50/p95/p99). It is used by the
-// serve benchmark experiment and by cmd/beagleload, and deliberately knows
-// nothing about HTTP or phylogenetics — callers inject the request function.
+// throughput and the latency distribution (p50/p95/p99). It is used by
+// cmd/beagleload, and deliberately knows nothing about HTTP or phylogenetics
+// — callers inject the request function. (The measured serving benchmark,
+// bench/mark's serve_http workload, carries its own open-loop generator.)
 package loadgen
 
 import (
 	"context"
-	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -32,8 +32,7 @@ type RequestFunc func(ctx context.Context, worker, seq int) Result
 
 // Options configures a run.
 type Options struct {
-	// Concurrency is the number of workers: the closed-loop clients, or the
-	// in-flight cap under open-loop load.
+	// Concurrency is the number of closed-loop workers.
 	Concurrency int
 	// Requests is the total request budget across all workers; the run ends
 	// when it is exhausted (or the context is cancelled).
@@ -41,18 +40,6 @@ type Options struct {
 	// WarmupRequests are issued and discarded before measurement begins,
 	// letting the target's pool warm up and the JIT-ish layers settle.
 	WarmupRequests int
-	// RatePerSec switches the measured phase to open-loop load: requests are
-	// assigned intended arrival times at this aggregate rate, and latency is
-	// measured from the intended arrival to completion (coordinated-omission
-	// corrected, as in wrk2) — so a target that falls behind is charged its
-	// backlog instead of silently throttling the generator. 0 keeps the
-	// closed loop, where latency is pure service time.
-	RatePerSec float64
-	// Poisson draws exponential inter-arrival gaps instead of a uniform
-	// spacing (open-loop only), stressing the target with realistic bursts.
-	Poisson bool
-	// Seed makes the Poisson arrival process deterministic.
-	Seed int64
 }
 
 // Report summarizes a run.
@@ -107,11 +94,7 @@ func Run(ctx context.Context, opts Options, fn RequestFunc) Report {
 	}
 
 	start := time.Now()
-	if opts.RatePerSec > 0 {
-		runOpenLoop(ctx, opts, fn, record)
-	} else {
-		runPhase(ctx, opts.Concurrency, opts.Requests, fn, record)
-	}
+	runPhase(ctx, opts.Concurrency, opts.Requests, fn, record)
 	rep.Elapsed = time.Since(start)
 
 	rep.Requests = len(latencies)
@@ -156,51 +139,6 @@ func runPhase(ctx context.Context, workers, budget int, fn RequestFunc, record f
 				if r.Latency == 0 {
 					r.Latency = time.Since(start)
 				}
-				if record != nil {
-					record(r)
-				}
-				seq++
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// runOpenLoop issues requests at intended arrival times computed up front
-// from the configured rate. Workers pull the next intended time, sleep until
-// it if they are early, and measure latency from the intended arrival — a
-// worker running late (all workers busy: the target is backlogged) charges
-// the delay to the request rather than quietly stretching the schedule.
-func runOpenLoop(ctx context.Context, opts Options, fn RequestFunc, record func(Result)) {
-	rng := rand.New(rand.NewSource(opts.Seed))
-	interval := float64(time.Second) / opts.RatePerSec
-	arrivals := make(chan time.Time, opts.Requests)
-	t := time.Now()
-	for i := 0; i < opts.Requests; i++ {
-		gap := interval
-		if opts.Poisson {
-			gap = rng.ExpFloat64() * interval
-		}
-		t = t.Add(time.Duration(gap))
-		arrivals <- t
-	}
-	close(arrivals)
-
-	var wg sync.WaitGroup
-	for w := 0; w < opts.Concurrency; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			seq := 0
-			for intended := range arrivals {
-				if ctx.Err() != nil {
-					return
-				}
-				if wait := time.Until(intended); wait > 0 {
-					time.Sleep(wait)
-				}
-				r := fn(ctx, w, seq)
-				r.Latency = time.Since(intended)
 				if record != nil {
 					record(r)
 				}

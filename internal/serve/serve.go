@@ -5,9 +5,9 @@
 // micro-batching that coalesces compatible small queries into the wide
 // scheduler submissions the CPU strategies are good at, admission control
 // (bounded queues answering 429 on overload) and per-tenant token-bucket
-// quotas. cmd/beagled wraps this package in a daemon; internal/benchmarks'
-// serve experiment load-tests it against a one-instance-per-request
-// baseline.
+// quotas. cmd/beagled wraps this package in a daemon; bench/mark's
+// serve_http workload load-tests it over HTTP and checks every served answer
+// against a dedicated instance.
 package serve
 
 import (

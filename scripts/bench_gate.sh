@@ -1,94 +1,20 @@
 #!/bin/sh
-# Benchmark regression gate: reruns the gated experiments and compares each
-# record against the committed baselines in bench/baselines/, failing (exit
-# nonzero) on any throughput regression beyond tolerance or on baseline
-# records the current run no longer produces. Used by the CI bench-smoke and
-# serve-smoke jobs; regenerate baselines with scripts/bench_baseline.sh after
-# intentional performance changes.
+# Modeled-number gate: reruns fig4smoke and fails (exit nonzero) unless every
+# record reproduces the committed bench/baselines/BENCH_fig4smoke.json, or if
+# a baseline record is no longer produced.
 #
-# Usage: bench_gate.sh [section]
-#   With no argument every gated experiment runs; with a section name
-#   (fig4smoke, rebalance, distshard, mcmcreuse, serve) only that gate runs.
-#   With BENCH_GATE_JSON=dir set, each gated run also writes its
-#   BENCH_<experiment>.json there (the CI artifact), so CI gates and
-#   produces the report in a single run.
+# fig4smoke throughput is computed from the calibrated device and CPU
+# performance models, so it is deterministic: every host reproduces the
+# committed records exactly. -compare therefore checks equality (within 1e-6,
+# in either direction) — any drift in launch geometry, transfer counts or
+# kernel efficiency on the accelerator path is a change to the model and must
+# fail here. Wall-clock performance is not gated by a committed baseline;
+# compare two commits on one host with scripts/bench_pair.sh.
+#
+# After a change that means to move a modeled number, regenerate with
+#   go run ./cmd/beaglebench -experiment fig4smoke -json bench/baselines
+# and commit the diff.
 set -eu
 
 ROOT=$(CDPATH='' cd -- "$(dirname -- "$0")/.." && pwd)
-BASELINES="$ROOT/bench/baselines"
-ONLY="${1:-}"
-JSON_ARGS=""
-if [ -n "${BENCH_GATE_JSON:-}" ]; then
-    JSON_ARGS="-json $BENCH_GATE_JSON"
-fi
-
-if [ ! -d "$BASELINES" ]; then
-    echo "bench_gate: no baselines at $BASELINES (run scripts/bench_baseline.sh)" >&2
-    exit 1
-fi
-
-SECTION="startup"
-trap 'status=$?; if [ "$status" -ne 0 ]; then echo "FAILED in section: $SECTION (exit $status)" >&2; fi' EXIT
-
-wanted() {
-    [ -z "$ONLY" ] || [ "$ONLY" = "$1" ]
-}
-
-section() {
-    SECTION=$1
-    echo "== $SECTION"
-}
-
-# fig4smoke throughput is computed from the calibrated device and CPU
-# performance models, so it is deterministic: every host reproduces the
-# committed records exactly. It is therefore gated at 1e-6 — any drift in
-# launch geometry, transfer counts or kernel efficiency on the accelerator
-# path is a change to the model and must fail here, where the default 10%
-# would hide it. (Not 0: -compare reads a tolerance <= 0 as "use the default".)
-if wanted fig4smoke; then
-    section "gate fig4smoke"
-    go -C "$ROOT" run ./cmd/beaglebench -experiment fig4smoke -compare "$BASELINES" -tolerance 1e-6 $JSON_ARGS >/dev/null
-fi
-
-# rebalance speedups are measured wall-clock ratios with a few percent of
-# scheduler noise; 30% tolerance still catches the failure this experiment
-# guards against — the adaptive speedup collapsing toward 1.0 (a -55% move).
-if wanted rebalance; then
-    section "gate rebalance"
-    go -C "$ROOT" run ./cmd/beaglebench -experiment rebalance -compare "$BASELINES" -tolerance 0.30 $JSON_ARGS >/dev/null
-fi
-
-# distshard compares distributed sharding over loopback workers against the
-# local multi-device and single-engine baselines. On a small host the ratios
-# sit near 1.0 and the remote phase just below it (wire overhead, no extra
-# cores), so the 50% tolerance gates the failure that matters: the RPC layer
-# regressing until the sharded path collapses (speedup toward 0.2-0.3). The
-# experiment also hard-fails on any non-bit-identical root, tolerance aside.
-if wanted distshard; then
-    section "gate distshard"
-    go -C "$ROOT" run ./cmd/beaglebench -experiment distshard -compare "$BASELINES" -tolerance 0.50 $JSON_ARGS >/dev/null
-fi
-
-# mcmcreuse speedups are wall-clock ratios on shared CI hosts; the baseline
-# reuse-on speedup is ~7.7x, so a generous 35% tolerance (floor ~5x) still
-# catches the regression this gate exists for — incremental re-evaluation
-# degrading toward full recomputation (speedup 1.0, a -87% move).
-if wanted mcmcreuse; then
-    section "gate mcmcreuse"
-    go -C "$ROOT" run ./cmd/beaglebench -experiment mcmcreuse -compare "$BASELINES" -tolerance 0.35 $JSON_ARGS >/dev/null
-fi
-
-# serve gates the pooled-vs-per-request p99 tail-latency ratio. Open-loop
-# latency tails on shared single-core runners are the noisiest metric we
-# gate, so the tolerance is wide (60%; baseline ~2x -> floor ~0.8x). It still
-# catches the failure that matters: the pooled path regressing to *worse*
-# tails than naive one-instance-per-request serving. (On multicore hosts the
-# batch submissions engage the thread pool and the measured gap widens; see
-# EXPERIMENTS.md.)
-if wanted serve; then
-    section "gate serve"
-    go -C "$ROOT" run ./cmd/beaglebench -experiment serve -compare "$BASELINES" -tolerance 0.60 $JSON_ARGS >/dev/null
-fi
-
-SECTION="done"
-echo "benchmark gate passed"
+go -C "$ROOT" run ./cmd/beaglebench -experiment fig4smoke -compare "$ROOT/bench/baselines"

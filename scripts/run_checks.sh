@@ -69,11 +69,11 @@ run -states 61 -taxa 6 -patterns 100 -categories 1 -precision double
 run -states 61 -taxa 6 -patterns 100 -categories 1 -precision single
 
 # Modeled-number gate: fig4smoke is computed from the device and CPU models and
-# is deterministic, so it must reproduce the committed baseline exactly (1e-6);
-# a refactor of the accelerator path that moves a launch, a transfer or an
-# efficiency shows up here in five seconds.
+# is deterministic, so it must reproduce the committed baseline exactly (1e-6,
+# up or down); a refactor of the accelerator path that moves a launch, a
+# transfer or an efficiency shows up here in five seconds.
 section "bench gate fig4smoke (modeled, exact)"
-sh "$ROOT/scripts/bench_gate.sh" fig4smoke
+sh "$ROOT/scripts/bench_gate.sh"
 
 # Telemetry smoke: -stats must report per-kernel counts without breaking
 # the benchmark path.
@@ -94,13 +94,14 @@ rm -f "$trace_tmp"
 section "beagled -selfcheck"
 go -C "$ROOT" run ./cmd/beagled -selfcheck
 
-# Measured-benchmark smoke: two 4-state workloads, the 61-state codon
-# workload (the vectorised kernels against the generic Serial reference) and
-# the HTTP serving workload of bench/mark, every timed result checked against
-# the serial reference or a dedicated instance; a wrong result exits non-zero.
+# Measured-benchmark smoke: all six bench/mark workloads, every timed result
+# checked — the 4-state and 61-state workloads against the serial reference,
+# the reuse chain against the dirty-schedule oracle and full recomputation,
+# served answers against a dedicated instance, the root sharded over two
+# loopback workers == one engine; a wrong result exits non-zero.
 section "beaglemark smoke"
 mark_tmp=$(mktemp)
-go -C "$ROOT" run ./bench/mark -workload nuc_large,codon,deep_small,serve_http -seconds 2 -out "$mark_tmp" >/dev/null
+go -C "$ROOT" run ./bench/mark -workload nuc_large,codon,deep_small,mcmc_reuse,serve_http,dist_2worker -seconds 2 -out "$mark_tmp" >/dev/null
 rm -f "$mark_tmp"
 
 SECTION="done"
