@@ -161,8 +161,8 @@ func writeTrace(inst *gobeagle.Instance, path string) error {
 }
 
 // printStats renders the telemetry snapshot: per-kernel op counts and
-// timings, cumulative effective GFLOPS, and the most recent scheduler
-// dependency-level traces for the leveled strategies.
+// timings, cumulative effective GFLOPS, and the most recent scheduler phase
+// traces of the threaded strategies.
 func printStats(s gobeagle.Stats) {
 	fmt.Printf("telemetry: %s (%s), %d batches, %.3g effective flops, %.2f GFLOPS cumulative\n",
 		s.Implementation, s.Strategy, s.Batches, s.TotalFlops, s.EffectiveGFLOPS)

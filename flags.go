@@ -21,7 +21,9 @@ const (
 	// threading flag changes nothing: the threaded implementations are
 	// built on the vectorised kernels already.
 	FlagVectorSSE
-	// FlagThreadingFutures uses per-operation asynchronous tasks (§VI-A).
+	// FlagThreadingFutures uses per-operation asynchronous tasks (§VI-A):
+	// each dependency level of a batch is one phase, every operation of the
+	// level one goroutine over all patterns.
 	// Like every threading flag it selects how work is partitioned, not
 	// which kernels run: all four threaded implementations are layered on
 	// the vectorised path, as BEAGLE's are, and execute the kernels
@@ -30,17 +32,19 @@ const (
 	// otherwise). Every specialisation reproduces the generic kernels'
 	// results bit for bit on amd64.
 	FlagThreadingFutures
-	// FlagThreadingThreadCreate creates threads per call across site
-	// patterns (§VI-B).
+	// FlagThreadingThreadCreate creates threads per batch across site
+	// patterns (§VI-B): one fresh goroutine per pattern slab, each running
+	// the whole operation list over its slab; below 512 patterns the batch
+	// runs on the calling goroutine.
 	FlagThreadingThreadCreate
-	// FlagThreadingThreadPool uses a persistent worker pool (§VI-C); the
+	// FlagThreadingThreadPool runs the same pattern slabs on a persistent
+	// worker pool (§VI-C), which also integrates the root; the
 	// best-performing CPU threading model in the paper.
 	FlagThreadingThreadPool
-	// FlagThreadingThreadPoolHybrid combines operation-level concurrency
-	// with pattern chunking on the persistent pool: every (operation,
-	// pattern-chunk) pair of a dependency level is dispatched as one pool
-	// task, so small-pattern problems with independent operations still
-	// parallelize instead of degrading to serial.
+	// FlagThreadingThreadPoolHybrid runs pattern slabs on the persistent
+	// pool with no whole-problem threshold: one slab per 64 patterns, up to
+	// the thread count, so small-pattern problems still parallelize instead
+	// of degrading to serial.
 	FlagThreadingThreadPoolHybrid
 	// FlagDisableFMA builds accelerator kernels without fused multiply–add,
 	// the Table IV ablation.

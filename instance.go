@@ -62,7 +62,7 @@ type Config struct {
 	ResourceID int
 	// Flags select precision, vectorization, threading and kernel options.
 	// At most one FlagThreading* flag may be set; FlagThreadingThreadPoolHybrid
-	// selects the op×pattern hybrid scheduler on the persistent pool.
+	// selects pattern slabs on the persistent pool with no pattern threshold.
 	Flags Flags
 	// Threads bounds CPU worker threads (0 = all hardware threads).
 	Threads int

@@ -87,6 +87,24 @@ func TestCPUModelOrderings(t *testing.T) {
 	}
 }
 
+func TestHybridChunksPolicy(t *testing.T) {
+	cases := []struct {
+		width, patterns, threads, want int
+	}{
+		{8, 10000, 56, 7},  // wide level, plenty of patterns: saturate pool
+		{1, 10000, 56, 56}, // single op: pure pattern chunking
+		{8, 128, 56, 2},    // small patterns: chunk bounded by HybridMinChunk
+		{16, 128, 8, 1},    // level already wider than the pool
+		{1, 1, 8, 1},       // degenerate: never below one chunk
+	}
+	for _, c := range cases {
+		if got := hybridChunks(c.width, c.patterns, c.threads); got != c.want {
+			t.Errorf("hybridChunks(%d, %d, %d) = %d, want %d",
+				c.width, c.patterns, c.threads, got, c.want)
+		}
+	}
+}
+
 func TestTable3Shape(t *testing.T) {
 	rows, err := Table3(64)
 	if err != nil {

@@ -159,12 +159,13 @@ func (m CPUModel) EvalTime(mode cpuimpl.Mode, w int, p *Problem, single bool) ti
 		per := math.Max(opSec/float64(w), bwSec) + float64(w)*m.PoolDispatchNs*1e-9
 		total = nOps * per
 	case cpuimpl.ThreadPoolHybrid:
-		// Operation- and pattern-level parallelism compose on the shared
-		// pool: each dependency level runs width×chunks tasks, so a level is
-		// bounded by its compute spread over the busy workers, by the DRAM
-		// floor of its concurrent operations, and by per-task dispatch.
-		// Unlike the plain pool there is no whole-problem pattern threshold:
-		// only a lone small operation stays serial.
+		// The paper-style per-call hybrid schedule: operation- and
+		// pattern-level parallelism compose on the shared pool, each
+		// dependency level running width×chunks tasks, so a level is bounded
+		// by its compute spread over the busy workers, by the DRAM floor of
+		// its concurrent operations, and by per-task dispatch. Unlike the
+		// plain pool there is no whole-problem pattern threshold: only a lone
+		// small operation stays serial.
 		if w == 1 {
 			total = nOps * opSec
 			break
@@ -175,7 +176,7 @@ func (m CPUModel) EvalTime(mode cpuimpl.Mode, w int, p *Problem, single bool) ti
 				total += opSec
 				continue
 			}
-			chunks := cpuimpl.HybridChunks(width, pat, w)
+			chunks := hybridChunks(width, pat, w)
 			tasks := float64(width * chunks)
 			busy := math.Min(float64(w), tasks)
 			total += math.Max(float64(width)*opSec/busy, float64(width)*bwSec) +
@@ -183,6 +184,22 @@ func (m CPUModel) EvalTime(mode cpuimpl.Mode, w int, p *Problem, single bool) ti
 		}
 	}
 	return time.Duration(total * float64(time.Second))
+}
+
+// hybridChunks returns how many pattern chunks the modeled hybrid schedule
+// splits each operation of a level into: enough tasks to cover the worker
+// count, bounded so that no chunk spans fewer than cpuimpl.HybridMinChunk
+// patterns (and always at least one). This is the paper-style per-level
+// schedule the Table III rows model; the engine itself runs pattern slabs.
+func hybridChunks(levelWidth, patterns, threads int) int {
+	chunks := (threads + levelWidth - 1) / levelWidth
+	if maxChunks := (patterns + cpuimpl.HybridMinChunk - 1) / cpuimpl.HybridMinChunk; chunks > maxChunks {
+		chunks = maxChunks
+	}
+	if chunks < 1 {
+		chunks = 1
+	}
+	return chunks
 }
 
 // ThroughputGF returns the modeled throughput of the strategy in effective

@@ -2,7 +2,7 @@ package cpuimpl
 
 // Tests for the two once-only decisions of an engine: which kernel family it
 // binds at construction, and the per-batch validate-and-resolve pass every
-// runner executes from.
+// plan executes from.
 
 import (
 	"fmt"
@@ -314,13 +314,15 @@ func TestChildMustPrecedeItsReader(t *testing.T) {
 // TestResubmissionDoesNotAllocate extends the public-API AllocsPerRun guard
 // (TestUpdatePartialsDoesNotAllocate) to the engine: once the resolved-op
 // scratch is warm, resubmitting a schedule allocates nothing on the
-// reuse-filtered skip path, and nothing on the serial execution path either.
+// reuse-filtered skip path, nothing on the serial execution path, and nothing
+// when the pool modes run the batch as two slabs on their workers.
 func TestResubmissionDoesNotAllocate(t *testing.T) {
 	tr, m, rates, ps := telemetryProblem(t)
 	ops := scheduleOps(tr, noScale, noScale)
 	for _, reuseOn := range []bool{true, false} {
-		for _, mode := range []Mode{Serial, SSE} {
+		for _, mode := range []Mode{Serial, SSE, ThreadPool, ThreadPoolHybrid} {
 			cfg := testConfig(tr, 4, ps.PatternCount(), 4, false)
+			cfg.Threads, cfg.MinPatternsWork = 2, 1 // force threading
 			cfg.Reuse = reuseOn
 			e, err := New(cfg, mode)
 			if err != nil {
@@ -346,42 +348,47 @@ func TestResubmissionDoesNotAllocate(t *testing.T) {
 }
 
 // TestRootLikelihoodDoesNotAllocate pins the engine-owned site scratch:
-// integrating the root allocates nothing once warm, while SiteLogLikelihoods
-// still hands out a slice the caller owns.
+// integrating the root allocates nothing once warm — inline, and as a slab
+// phase on the pool modes' workers — while SiteLogLikelihoods still hands out
+// a slice the caller owns.
 func TestRootLikelihoodDoesNotAllocate(t *testing.T) {
 	tr, m, rates, ps := telemetryProblem(t)
-	e, err := New(testConfig(tr, 4, ps.PatternCount(), 4, false), Serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	want := driveEngine(t, e, tr, m, rates, ps, true, false)
-	root := tr.FullSchedule().Root
-	var got float64
-	if allocs := testing.AllocsPerRun(50, func() { got, _ = e.CalculateRootLogLikelihoods(root, engine.None) }); allocs != 0 {
-		t.Errorf("CalculateRootLogLikelihoods allocates %.1f times per call, want 0", allocs)
-	}
-	if got != want {
-		t.Errorf("lnL %v on the warm scratch, %v cold", got, want)
-	}
-	a, err := e.SiteLogLikelihoods(root, engine.None)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keep := append([]float64(nil), a...)
-	if _, err := e.CalculateRootLogLikelihoods(root, engine.None); err != nil {
-		t.Fatal(err)
-	}
-	b, err := e.SiteLogLikelihoods(root, engine.None)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &a[0] == &b[0] {
-		t.Error("SiteLogLikelihoods returned the same backing array twice")
-	}
-	for i := range a {
-		if a[i] != keep[i] {
-			t.Fatalf("a returned site slice changed under a later call at %d", i)
+	for _, mode := range []Mode{Serial, ThreadPool, ThreadPoolHybrid} {
+		cfg := testConfig(tr, 4, ps.PatternCount(), 4, false)
+		cfg.Threads, cfg.MinPatternsWork = 2, 1 // force threading
+		e, err := New(cfg, mode)
+		if err != nil {
+			t.Fatal(err)
 		}
+		want := driveEngine(t, e, tr, m, rates, ps, true, false)
+		root := tr.FullSchedule().Root
+		var got float64
+		if allocs := testing.AllocsPerRun(50, func() { got, _ = e.CalculateRootLogLikelihoods(root, engine.None) }); allocs != 0 {
+			t.Errorf("%v: CalculateRootLogLikelihoods allocates %.1f times per call, want 0", mode, allocs)
+		}
+		if got != want {
+			t.Errorf("%v: lnL %v on the warm scratch, %v cold", mode, got, want)
+		}
+		a, err := e.SiteLogLikelihoods(root, engine.None)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keep := append([]float64(nil), a...)
+		if _, err := e.CalculateRootLogLikelihoods(root, engine.None); err != nil {
+			t.Fatal(err)
+		}
+		b, err := e.SiteLogLikelihoods(root, engine.None)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &a[0] == &b[0] {
+			t.Errorf("%v: SiteLogLikelihoods returned the same backing array twice", mode)
+		}
+		for i := range a {
+			if a[i] != keep[i] {
+				t.Fatalf("%v: a returned site slice changed under a later call at %d", mode, i)
+			}
+		}
+		e.Close()
 	}
 }

@@ -1,27 +1,35 @@
 // Package cpuimpl provides the host CPU implementations of the library,
-// reproducing the paper's CPU lineage (§IV-D, §VI):
+// reproducing the paper's CPU lineage (§IV-D, §VI) as six plans of one
+// executor. A phase runs n tasks and returns at one barrier: inline when n is
+// 1, on the persistent worker pool in the pool modes, on fresh goroutines
+// otherwise. Every kernel a batch runs (partials, ApplyReadScale,
+// RescalePartials) is independent per pattern, so a task that runs the whole
+// resolved list in submission order over its own pattern slab meets every
+// read/write hazard between the operations with no barrier between them:
 //
-//   - Serial: the original single-threaded implementation on the generic
+//   - Serial: one inline slab over all patterns on the generic
 //     loop-over-states kernels, the baseline of every speedup figure in the
 //     paper;
-//   - SSE: the serial implementation on the vectorised kernels, the analogue
-//     of the SSE intrinsics path: 4-state unrolled for nucleotides, the AVX2
-//     wide-state family for 5 to 64 states where the CPU has AVX2, generic
-//     otherwise;
+//   - SSE: the same plan on the vectorised kernels, the analogue of the SSE
+//     intrinsics path: 4-state unrolled for nucleotides, the AVX2 wide-state
+//     family for 5 to 64 states where the CPU has AVX2, generic otherwise;
 //   - Futures: concurrency across independent operations in the tree
-//     (§VI-A) — operations are grouped into dependency levels and each
-//     operation of a level runs as its own asynchronous task;
-//   - ThreadCreate: per-call goroutine creation partitioning the site
-//     patterns into equal chunks, with a minimum pattern count below which
-//     execution stays serial (§VI-B);
-//   - ThreadPool: a persistent worker pool used for both the
-//     partial-likelihoods operations and the root likelihood integration
-//     (§VI-C), the design that won in Table III;
-//   - ThreadPoolHybrid: the fusion of the futures and thread-pool designs —
-//     every (operation, pattern-chunk) pair of a dependency level is
-//     dispatched onto the same persistent pool, so wide trees with small
-//     pattern counts (where pure pattern chunking degrades to serial) still
-//     saturate the workers through operation-level concurrency.
+//     (§VI-A) — one phase per dependency level, each operation of the level
+//     one task over all patterns on its own goroutine;
+//   - ThreadCreate: one phase of Threads slabs on fresh goroutines, and one
+//     inline slab below a minimum pattern count (§VI-B);
+//   - ThreadPool: the same slabs on a persistent worker pool, which also
+//     runs the root likelihood integration (§VI-C), the design that won in
+//     Table III;
+//   - ThreadPoolHybrid: slabs on the pool with no whole-problem threshold,
+//     min(Threads, ⌈patterns / HybridMinChunk⌉) of them, so small pattern
+//     counts still use the workers instead of degrading to serial.
+//
+// The paper cuts each operation into pattern chunks because BEAGLE's C API
+// hands the CPU one call at a time; this engine receives the whole list, so
+// the threaded plans pay one hand-off and one barrier per batch, not per
+// operation. (The modeled Table III rows in internal/benchmarks keep the
+// paper's per-call schedules.)
 //
 // The threaded strategies are layered on the vectorised path, as BEAGLE's
 // are: which kernels run is decided by the state count and the CPU
@@ -85,10 +93,9 @@ func (m Mode) String() string {
 // serial (the paper uses 512).
 const DefaultMinPatterns = 512
 
-// HybridMinChunk is the smallest pattern span the hybrid scheduler will cut
-// an operation into. Unlike DefaultMinPatterns it bounds the chunk, not the
-// whole problem: a 128-pattern level of 8 independent operations still
-// yields 16 concurrent tasks instead of degrading to serial execution.
+// HybridMinChunk is the smallest pattern slab the hybrid plan cuts. Unlike
+// DefaultMinPatterns it bounds the slab, not the whole problem: a
+// 128-pattern batch still runs as two slabs instead of serially.
 const HybridMinChunk = 64
 
 // ErrClosed is returned by every method invoked after Close; it is the
@@ -125,6 +132,14 @@ type Engine[T kernels.Real] struct {
 	lane        int32
 	// site is the per-pattern scratch of the root integration.
 	site []float64
+
+	// The three tasks are bound once, so a phase allocates nothing; they
+	// read the call's state below, set before each phase.
+	slabTask, opTask, siteTask task
+	batch                      []engine.ResolvedOp[T]  // slabTask: the resolved list
+	level                      []*engine.ResolvedOp[T] // opTask: one dependency level
+	root                       []T                     // siteTask: the root partials
+	telBatch, traceBatch       uint64                  // the batch's ids, 0 when not recording
 }
 
 func newEngine[T kernels.Real](cfg engine.Config, mode Mode) *Engine[T] {
@@ -154,6 +169,7 @@ func newEngine[T kernels.Real](cfg engine.Config, mode Mode) *Engine[T] {
 	if mode == ThreadPool || mode == ThreadPoolHybrid {
 		e.pool = newWorkerPool(threads, mode.String())
 	}
+	e.slabTask, e.opTask, e.siteTask = e.runSlab, e.runOp, e.siteSlab
 	return e
 }
 
@@ -194,7 +210,7 @@ func (e *Engine[T]) exec(r *engine.ResolvedOp[T], lo, hi int) {
 	}
 }
 
-// UpdatePartials executes the operation list with the engine's strategy.
+// UpdatePartials executes the operation list with the engine's plan.
 func (e *Engine[T]) UpdatePartials(ops []engine.Operation) error {
 	rops, err := e.Resolve(ops)
 	if err != nil {
@@ -205,223 +221,129 @@ func (e *Engine[T]) UpdatePartials(ops []engine.Operation) error {
 	// Telemetry/trace fast paths: one atomic load each when disabled, no
 	// timestamps taken.
 	var start time.Time
-	var batch uint64
+	e.telBatch, e.traceBatch = 0, 0
 	if e.tel.Enabled() {
-		batch = e.tel.NextBatch()
+		e.telBatch = e.tel.NextBatch()
 		start = time.Now()
 	}
 	var tstart int64
-	var tbatch uint64
 	traceOn := e.tr.Enabled()
 	if traceOn {
-		tbatch = e.tr.NextBatch()
+		e.traceBatch = e.tr.NextBatch()
 		tstart = e.tr.Now()
 	}
-	switch e.mode {
-	case Serial, SSE:
-		e.runSerial(rops)
-	case Futures:
-		e.runFutures(rops, batch, tbatch)
-	case ThreadCreate:
-		for i := range rops {
-			e.runThreadCreate(&rops[i])
+	e.batch = rops
+	switch {
+	case len(rops) == 0:
+	case e.mode == Serial || e.mode == SSE: // one inline slab, not traced as a phase
+		e.phase(1, e.slabTask)
+	case e.mode == Futures:
+		for li, level := range opLevels(rops) {
+			e.level = level
+			e.levelPhase(li, len(level), len(level), e.opTask)
 		}
-	case ThreadPool:
-		for i := range rops {
-			e.runThreadPool(&rops[i], tbatch)
-		}
-	case ThreadPoolHybrid:
-		e.runHybrid(rops, batch, tbatch)
+	default:
+		e.levelPhase(0, len(rops), e.slabs(), e.slabTask)
 	}
 	if !start.IsZero() {
 		e.tel.Record(telemetry.KernelPartials, len(rops), time.Since(start))
 		e.tel.AddFlops(flops.PartialsOp(e.Cfg.Dims) * float64(len(rops)))
 	}
 	if traceOn {
-		e.tr.Record(trace.Span{Kind: trace.KindBatch, Lane: e.lane, Batch: tbatch,
+		e.tr.Record(trace.Span{Kind: trace.KindBatch, Lane: e.lane, Batch: e.traceBatch,
 			Start: tstart, Dur: e.tr.Now() - tstart, Arg0: int64(len(rops)), Arg1: int64(skipped)})
 	}
 	return nil
 }
 
-// eachChunk calls f for every non-empty span of the equal n-way split of the
-// patterns [0, p).
-func eachChunk(p, n int, f func(lo, hi int)) {
-	for w := 0; w < n; w++ {
-		if lo, hi := w*p/n, (w+1)*p/n; lo < hi {
-			f(lo, hi)
-		}
-	}
-}
-
-// levelClock brackets one dependency level for the batch tracer and the span
-// tracer; the zero value (both disabled) takes no timestamps.
-type levelClock struct {
-	start   time.Time
-	tstart  int64
-	traceOn bool
-}
-
-func (e *Engine[T]) beginLevel() (c levelClock) {
-	if e.tel.Enabled() {
-		c.start = time.Now()
-	}
-	if c.traceOn = e.tr.Enabled(); c.traceOn {
-		c.tstart = e.tr.Now()
-	}
-	return c
-}
-
-func (e *Engine[T]) endLevel(c levelClock, batch, tbatch uint64, level, ops, tasks int) {
-	if !c.start.IsZero() {
-		e.tel.TraceLevel(batch, level, ops, tasks, time.Since(c.start))
-	}
-	if c.traceOn {
-		e.tr.Record(trace.Span{Kind: trace.KindLevel, Lane: e.lane, Batch: tbatch,
-			Start: c.tstart, Dur: e.tr.Now() - c.tstart, Arg0: int64(level), Arg1: int64(ops)})
-	}
-}
-
-// runSerial executes the operations one after another on the calling
-// goroutine, each over its full pattern range.
-func (e *Engine[T]) runSerial(ops []engine.ResolvedOp[T]) {
-	p := e.Cfg.Dims.PatternCount
-	for i := range ops {
-		e.exec(&ops[i], 0, p)
-	}
-}
-
-// runFutures executes operations level by level; operations within a level
-// are independent in the tree topology and run concurrently, each as one
-// asynchronous task computing its full pattern range (§VI-A).
-func (e *Engine[T]) runFutures(ops []engine.ResolvedOp[T], batch, tbatch uint64) {
-	p := e.Cfg.Dims.PatternCount
-	for li, level := range opLevels(ops) {
-		c := e.beginLevel()
+// phase runs t(i, n, worker) for every i in [0, n) and returns when all have
+// finished: inline when n is 1, on the worker pool in the pool modes, on
+// fresh goroutines otherwise.
+func (e *Engine[T]) phase(n int, t task) {
+	switch {
+	case n == 1:
+		t(0, 1, 0)
+	case e.pool != nil:
+		e.pool.run(n, t)
+	default:
 		var wg sync.WaitGroup
-		wg.Add(len(level))
-		for _, r := range level {
-			go func(r *engine.ResolvedOp[T]) {
+		wg.Add(n)
+		for i := 0; i < n; i++ {
+			go func() {
 				defer wg.Done()
-				e.exec(r, 0, p)
-			}(r)
+				t(i, n, i)
+			}()
 		}
 		wg.Wait()
-		e.endLevel(c, batch, tbatch, li, len(level), len(level))
 	}
 }
 
-// runThreadCreate spawns fresh goroutines for one operation, partitioning
-// the patterns into equal chunks (§VI-B). Below the minimum pattern count it
-// stays serial.
-func (e *Engine[T]) runThreadCreate(r *engine.ResolvedOp[T]) {
+// levelPhase runs one phase of a batch and records it as the batch's level
+// for the batch tracer and the span tracer: ops operations as n tasks.
+func (e *Engine[T]) levelPhase(level, ops, n int, t task) {
+	var start time.Time
+	if e.telBatch != 0 {
+		start = time.Now()
+	}
+	var tstart int64
+	if e.traceBatch != 0 {
+		tstart = e.tr.Now()
+	}
+	e.phase(n, t)
+	if !start.IsZero() {
+		e.tel.TraceLevel(e.telBatch, level, ops, n, time.Since(start))
+	}
+	if e.traceBatch != 0 {
+		e.tr.Record(trace.Span{Kind: trace.KindLevel, Lane: e.lane, Batch: e.traceBatch,
+			Start: tstart, Dur: e.tr.Now() - tstart, Arg0: int64(level), Arg1: int64(ops)})
+	}
+}
+
+// slabs is how many pattern slabs a slab phase is cut into: Threads from
+// minPatterns patterns up in ThreadCreate and ThreadPool, no more than one
+// per HybridMinChunk patterns in ThreadPoolHybrid, and one otherwise.
+func (e *Engine[T]) slabs() int {
 	p := e.Cfg.Dims.PatternCount
-	if p < e.minPatterns || e.threads < 2 {
-		e.exec(r, 0, p)
-		return
+	switch {
+	case e.mode == ThreadPoolHybrid:
+		return min(e.threads, (p+HybridMinChunk-1)/HybridMinChunk)
+	case (e.mode == ThreadCreate || e.mode == ThreadPool) && p >= e.minPatterns:
+		return e.threads
 	}
-	var wg sync.WaitGroup
-	eachChunk(p, e.threads, func(lo, hi int) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			e.exec(r, lo, hi)
-		}()
-	})
-	wg.Wait()
+	return 1
 }
 
-// submit queues patterns [lo, hi) of one operation on the worker pool,
-// recording a task span on the executing worker's lane when tracing.
-func (e *Engine[T]) submit(wg *sync.WaitGroup, r *engine.ResolvedOp[T], lo, hi int, traceOn bool, tbatch uint64) {
-	wg.Add(1)
-	e.pool.submit(func(worker int) {
-		defer wg.Done()
-		if !traceOn {
-			e.exec(r, lo, hi)
-			return
-		}
-		ts := e.tr.Now()
-		e.exec(r, lo, hi)
-		e.tr.Record(trace.Span{Kind: trace.KindTask, Lane: int32(worker), Batch: tbatch,
+// slab returns slab i of the equal n-way split of the patterns [0, p).
+func slab(i, n, p int) (lo, hi int) { return i * p / n, (i + 1) * p / n }
+
+// runSlab is the slab task: the whole resolved list, in submission order,
+// over pattern slab i of n. On a pool worker it records a task span on the
+// worker's lane.
+func (e *Engine[T]) runSlab(i, n, worker int) {
+	lo, hi := slab(i, n, e.Cfg.Dims.PatternCount)
+	traced := n > 1 && e.pool != nil && e.traceBatch != 0
+	var ts int64
+	if traced {
+		ts = e.tr.Now()
+	}
+	for j := range e.batch {
+		e.exec(&e.batch[j], lo, hi)
+	}
+	if traced {
+		e.tr.Record(trace.Span{Kind: trace.KindTask, Lane: int32(worker), Batch: e.traceBatch,
 			Start: ts, Dur: e.tr.Now() - ts, Arg0: int64(hi - lo)})
-	})
-}
-
-// runThreadPool dispatches one operation's pattern chunks onto the
-// persistent worker pool (§VI-C).
-func (e *Engine[T]) runThreadPool(r *engine.ResolvedOp[T], tbatch uint64) {
-	p := e.Cfg.Dims.PatternCount
-	if p < e.minPatterns || e.threads < 2 {
-		e.exec(r, 0, p)
-		return
-	}
-	traceOn := e.tr.Enabled()
-	var wg sync.WaitGroup
-	eachChunk(p, e.threads, func(lo, hi int) { e.submit(&wg, r, lo, hi, traceOn, tbatch) })
-	wg.Wait()
-}
-
-// runHybrid executes operations level by level like runFutures, but instead
-// of one task per operation it dispatches every (operation, pattern-chunk)
-// pair of a level onto the persistent worker pool. The chunk count adapts to
-// the level width: wide levels run one chunk per operation (pure op-level
-// concurrency), narrow levels split patterns until the pool is saturated,
-// and no chunk is cut below HybridMinChunk patterns — so small-pattern
-// problems with independent operations no longer fall back to serial.
-func (e *Engine[T]) runHybrid(ops []engine.ResolvedOp[T], batch, tbatch uint64) {
-	if e.threads < 2 && !e.tel.Enabled() && !e.tr.Enabled() {
-		// Nothing to overlap and nobody watching the leveling: skip it.
-		e.runSerial(ops)
-		return
-	}
-	for li, level := range opLevels(ops) {
-		e.runHybridLevel(level, batch, tbatch, li)
 	}
 }
 
-// HybridChunks returns how many pattern chunks each operation of a level is
-// split into: enough tasks to cover the worker count, bounded so that no
-// chunk spans fewer than HybridMinChunk patterns (and always at least one).
-// Exported so the analytic CPU performance model shares the exact policy.
-func HybridChunks(levelWidth, patterns, threads int) int {
-	chunks := (threads + levelWidth - 1) / levelWidth
-	if maxChunks := (patterns + HybridMinChunk - 1) / HybridMinChunk; chunks > maxChunks {
-		chunks = maxChunks
-	}
-	if chunks < 1 {
-		chunks = 1
-	}
-	return chunks
-}
+// runOp is the Futures task: operation i of the current dependency level
+// over every pattern.
+func (e *Engine[T]) runOp(i, _, _ int) { e.exec(e.level[i], 0, e.Cfg.Dims.PatternCount) }
 
-// runHybridLevel dispatches one dependency level's (operation, chunk) tasks
-// and waits for the barrier at the end of the level.
-func (e *Engine[T]) runHybridLevel(level []*engine.ResolvedOp[T], batch, tbatch uint64, levelIdx int) {
-	p := e.Cfg.Dims.PatternCount
-	c := e.beginLevel()
-	var tasks int
-	if e.threads < 2 || (len(level) == 1 && p < e.minPatterns) {
-		// One worker, or a single small operation that gains nothing from
-		// chunking: stay on the calling goroutine, exactly as the plain
-		// thread-pool strategy does. The leveling is still reported so the
-		// batch tracer stays meaningful on one-core hosts.
-		for _, r := range level {
-			e.exec(r, 0, p)
-		}
-		tasks = len(level)
-	} else {
-		n := HybridChunks(len(level), p, e.threads)
-		var wg sync.WaitGroup
-		for _, r := range level {
-			eachChunk(p, n, func(lo, hi int) {
-				tasks++
-				e.submit(&wg, r, lo, hi, c.traceOn, tbatch)
-			})
-		}
-		wg.Wait()
-	}
-	e.endLevel(c, batch, tbatch, levelIdx, len(level), tasks)
+// siteSlab is the root task: the site likelihoods of pattern slab i of n.
+func (e *Engine[T]) siteSlab(i, n, _ int) {
+	d := e.Cfg.Dims
+	lo, hi := slab(i, n, d.PatternCount)
+	kernels.SiteLikelihoods(e.site, e.root, e.CatWts, e.Freqs, d, lo, hi)
 }
 
 // opLevels groups operations into dependency levels so that all operations
@@ -437,8 +359,8 @@ func (e *Engine[T]) runHybridLevel(level []*engine.ResolvedOp[T], batch, tbatch 
 //     operation see the old contents).
 //
 // Partials and scale buffers are distinct index spaces and are tracked
-// separately. This is the single dependency analyzer used by both the
-// Futures and the ThreadPoolHybrid strategies.
+// separately. Only the Futures plan levels a batch; the slab plans need no
+// levels, as each slab runs the list in submission order.
 func opLevels[T kernels.Real](ops []engine.ResolvedOp[T]) [][]*engine.ResolvedOp[T] {
 	partialsWriter := make(map[int]int) // partials buffer -> level of last writer
 	partialsReader := make(map[int]int) // partials buffer -> highest reading level
@@ -507,8 +429,8 @@ func (e *Engine[T]) SiteLogLikelihoods(rootBuf, cumScaleBuf int) ([]float64, err
 
 // CalculateRootLogLikelihoods integrates the root partials into the total
 // log likelihood. In the pool-backed modes (ThreadPool, ThreadPoolHybrid)
-// the per-pattern site likelihoods are computed on the worker pool, as
-// §VI-C describes.
+// the per-pattern site likelihoods are one more slab phase on the worker
+// pool, as §VI-C describes.
 func (e *Engine[T]) CalculateRootLogLikelihoods(rootBuf, cumScaleBuf int) (float64, error) {
 	var start time.Time
 	if e.tel.Enabled() {
@@ -546,25 +468,17 @@ func (e *Engine[T]) siteLikelihoods(rootBuf, cumScaleBuf int) ([]float64, []floa
 	if err != nil {
 		return nil, nil, err
 	}
-	d := e.Cfg.Dims
-	if cap(e.site) < d.PatternCount {
-		e.site = make([]float64, d.PatternCount)
+	p := e.Cfg.Dims.PatternCount
+	if cap(e.site) < p {
+		e.site = make([]float64, p)
 	}
-	site := e.site[:d.PatternCount]
-	if e.pool != nil && d.PatternCount >= e.minPatterns && e.threads > 1 {
-		var wg sync.WaitGroup
-		eachChunk(d.PatternCount, e.threads, func(lo, hi int) {
-			wg.Add(1)
-			e.pool.submit(func(int) {
-				defer wg.Done()
-				kernels.SiteLikelihoods(site, root, e.CatWts, e.Freqs, d, lo, hi)
-			})
-		})
-		wg.Wait()
-	} else {
-		kernels.SiteLikelihoods(site, root, e.CatWts, e.Freqs, d, 0, d.PatternCount)
+	e.site, e.root = e.site[:p], root
+	n := 1
+	if e.pool != nil {
+		n = e.slabs()
 	}
-	return site, scale, nil
+	e.phase(n, e.siteTask)
+	return e.site, scale, nil
 }
 
 // CalculateEdgeLogLikelihoods integrates across a single branch between the

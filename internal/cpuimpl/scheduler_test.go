@@ -1,6 +1,6 @@
 package cpuimpl
 
-// Regression tests for the dependency analyzer and the hybrid scheduler:
+// Regression tests for the dependency analyzer and the threaded plans:
 // aliased-buffer operation batches that race (and miscompute) when opLevels
 // tracks only read-after-write hazards, plus use-after-Close behaviour.
 // These batches reuse destination buffers the way proposal-rejection cycles
@@ -247,7 +247,7 @@ func TestAliasedBatchesMatchSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const patterns = 96 // below DefaultMinPatterns: exercises hybrid chunking
+	const patterns = 96 // below DefaultMinPatterns: exercises hybrid slabs
 	ref := aliasedEngine(t, tr, Serial, patterns)
 	want := runAliasedBatch(t, ref, tr, patterns)
 	ref.Close()
@@ -268,10 +268,13 @@ func TestAliasedBatchesMatchSerial(t *testing.T) {
 	}
 }
 
-// TestHybridMatchesSerialOnRandomTrees drives full tree schedules through
-// the hybrid scheduler across pattern counts spanning the chunking regimes.
+// TestHybridMatchesSerialOnRandomTrees drives full rescaled tree schedules
+// through every threaded plan across pattern counts spanning the slab
+// regimes: 1 and 3 patterns cut into 4 slabs leave slabs with no patterns,
+// and 600 crosses DefaultMinPatterns. Each plan must reproduce SSE, which
+// binds the same kernels, bit for bit.
 func TestHybridMatchesSerialOnRandomTrees(t *testing.T) {
-	for _, patterns := range []int{1, 37, 128, 600} {
+	for _, patterns := range []int{1, 3, 37, 128, 600} {
 		rng := rand.New(rand.NewSource(int64(patterns)))
 		tr, err := tree.Random(rng, 16, 0.1)
 		if err != nil {
@@ -283,38 +286,23 @@ func TestHybridMatchesSerialOnRandomTrees(t *testing.T) {
 		}
 		m := substmodel.NewJC69()
 		rates := substmodel.SingleRate()
-		eS, err := New(testConfig(tr, 4, patterns, 1, false), Serial)
-		if err != nil {
-			t.Fatal(err)
+		eval := func(mode Mode) float64 {
+			e, err := New(testConfig(tr, 4, patterns, 1, false), mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			return driveEngine(t, e, tr, m, rates, ps, true, true)
 		}
-		want := driveEngine(t, eS, tr, m, rates, ps, true, false)
-		eS.Close()
-		eH, err := New(testConfig(tr, 4, patterns, 1, false), ThreadPoolHybrid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := driveEngine(t, eH, tr, m, rates, ps, true, false)
-		eH.Close()
-		if math.Abs(got-want) > 1e-12*math.Abs(want) {
-			t.Errorf("patterns=%d: hybrid lnL %v, serial %v", patterns, got, want)
-		}
-	}
-}
-
-func TestHybridChunksPolicy(t *testing.T) {
-	cases := []struct {
-		width, patterns, threads, want int
-	}{
-		{8, 10000, 56, 7},  // wide level, plenty of patterns: saturate pool
-		{1, 10000, 56, 56}, // single op: pure pattern chunking
-		{8, 128, 56, 2},    // small patterns: chunk bounded by HybridMinChunk
-		{16, 128, 8, 1},    // level already wider than the pool
-		{1, 1, 8, 1},       // degenerate: never below one chunk
-	}
-	for _, c := range cases {
-		if got := HybridChunks(c.width, c.patterns, c.threads); got != c.want {
-			t.Errorf("HybridChunks(%d, %d, %d) = %d, want %d",
-				c.width, c.patterns, c.threads, got, c.want)
+		want, sse := eval(Serial), eval(SSE)
+		for _, mode := range []Mode{Futures, ThreadCreate, ThreadPool, ThreadPoolHybrid} {
+			got := eval(mode)
+			if got != sse {
+				t.Errorf("patterns=%d: %v lnL %v, SSE %v", patterns, mode, got, sse)
+			}
+			if math.Abs(got-want) > 1e-12*math.Abs(want) {
+				t.Errorf("patterns=%d: %v lnL %v, serial %v", patterns, mode, got, want)
+			}
 		}
 	}
 }

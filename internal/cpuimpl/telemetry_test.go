@@ -71,12 +71,23 @@ func TestTelemetryRecordsKernelsInEveryMode(t *testing.T) {
 	}
 }
 
-// TestTelemetryLevelTraces checks the leveled strategies (futures and
-// thread-pool-hybrid) report their dependency leveling through the batch
-// tracer, with the per-level op counts summing to the batch's operations.
+// testSlabs is the slab count a slab plan cuts patterns into under
+// testConfig (Threads 4, MinPatternsWork 1).
+func testSlabs(mode Mode, patterns int) int {
+	if mode == ThreadPoolHybrid {
+		return min(4, (patterns+HybridMinChunk-1)/HybridMinChunk)
+	}
+	return 4
+}
+
+// TestTelemetryLevelTraces checks every threaded plan reports its phases
+// through the batch tracer: Futures one per dependency level, one task per
+// operation, with the per-level op counts summing to the batch's operations;
+// the slab plans one per batch, holding all of its operations as one task
+// per slab.
 func TestTelemetryLevelTraces(t *testing.T) {
 	tr, m, rates, ps := telemetryProblem(t)
-	for _, mode := range []Mode{Futures, ThreadPoolHybrid} {
+	for _, mode := range []Mode{Futures, ThreadCreate, ThreadPool, ThreadPoolHybrid} {
 		tel := telemetry.New()
 		tel.SetEnabled(true)
 		cfg := testConfig(tr, 4, ps.PatternCount(), 4, false)
@@ -102,6 +113,13 @@ func TestTelemetryLevelTraces(t *testing.T) {
 			}
 			if lt.Tasks < 1 || lt.Ops < 1 {
 				t.Errorf("%v: degenerate level trace %+v", mode, lt)
+			}
+			if mode == Futures && lt.Tasks != lt.Ops {
+				t.Errorf("%v: level %+v not one task per operation", mode, lt)
+			}
+			if slabs := testSlabs(mode, ps.PatternCount()); mode != Futures &&
+				(lt.Level != 0 || lt.Ops != tr.TipCount-1 || lt.Tasks != slabs) {
+				t.Errorf("%v: phase %+v, want level 0 of %d ops as %d slabs", mode, lt, tr.TipCount-1, slabs)
 			}
 			if prev, ok := lastLevel[lt.Batch]; ok && lt.Level != prev+1 {
 				t.Errorf("%v: batch %d levels not consecutive: %d after %d", mode, lt.Batch, lt.Level, prev)

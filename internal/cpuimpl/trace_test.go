@@ -7,10 +7,11 @@ import (
 	"gobeagle/internal/trace"
 )
 
-// TestTraceSpansInEveryMode checks every CPU scheduling strategy emits a
-// batch span per UpdatePartials and a root span per likelihood integration,
-// and that the leveled strategies additionally emit level spans whose op
-// counts sum to the batch's operations.
+// TestTraceSpansInEveryMode checks every CPU plan emits a batch span per
+// UpdatePartials and a root span per likelihood integration, and that the
+// threaded plans additionally emit phase (level) spans whose op counts sum to
+// the batch's operations: one per dependency level for Futures, one per batch
+// otherwise, with one worker task span per slab in the pool modes.
 func TestTraceSpansInEveryMode(t *testing.T) {
 	tr, m, rates, ps := telemetryProblem(t)
 	for _, mode := range Modes() {
@@ -43,7 +44,7 @@ func TestTraceSpansInEveryMode(t *testing.T) {
 		if len(byKind[trace.KindMatrices]) == 0 {
 			t.Errorf("%v: no matrices span", mode)
 		}
-		if mode == Futures || mode == ThreadPoolHybrid {
+		if mode != Serial && mode != SSE {
 			var ops int64
 			for _, s := range byKind[trace.KindLevel] {
 				ops += s.Arg1
@@ -51,14 +52,25 @@ func TestTraceSpansInEveryMode(t *testing.T) {
 			if ops != int64(tr.TipCount-1) {
 				t.Errorf("%v: level span ops sum to %d, want %d", mode, ops, tr.TipCount-1)
 			}
+			levels, batches := len(byKind[trace.KindLevel]), len(byKind[trace.KindBatch])
+			if mode != Futures && levels != batches {
+				t.Errorf("%v: %d phase spans for %d batches, want one per batch", mode, levels, batches)
+			}
 		}
 		if mode == ThreadPool || mode == ThreadPoolHybrid {
 			if len(byKind[trace.KindTask]) == 0 {
 				t.Errorf("%v: pool strategy emitted no worker task spans", mode)
 			}
+			perBatch := map[uint64]int{}
 			for _, s := range byKind[trace.KindTask] {
 				if s.Lane < 0 {
 					t.Errorf("%v: task span without worker lane: %+v", mode, s)
+				}
+				perBatch[s.Batch]++
+			}
+			for _, b := range byKind[trace.KindBatch] {
+				if got, want := perBatch[b.Batch], testSlabs(mode, ps.PatternCount()); got != want {
+					t.Errorf("%v: batch %d ran as %d task spans, want %d slabs", mode, b.Batch, got, want)
 				}
 			}
 		}

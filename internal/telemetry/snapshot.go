@@ -71,8 +71,8 @@ type Snapshot struct {
 	Batches uint64
 	// Kernels holds stats for every kernel family with recorded calls.
 	Kernels []KernelStats
-	// Levels are the retained scheduler dependency-level traces, oldest
-	// first (leveled CPU strategies only).
+	// Levels are the retained scheduler phase traces, oldest first
+	// (threaded CPU strategies only).
 	Levels []LevelTrace
 }
 

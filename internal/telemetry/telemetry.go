@@ -11,9 +11,10 @@
 //   - an effective-floating-point-operation accumulator, fed from
 //     internal/flops, from which snapshot-time effective GFLOPS are derived
 //     exactly as genomictest and beaglebench report them;
-//   - a ring-buffer batch tracer recording each scheduler dependency level
-//     (batch id, level index, operation count, dispatched task count, wall
-//     time) for the leveled CPU strategies (futures, thread-pool-hybrid).
+//   - a ring-buffer batch tracer recording each scheduler phase (batch id,
+//     phase index, operation count, task count, wall time) of the threaded
+//     CPU strategies: a dependency level under futures, a whole batch of
+//     pattern slabs otherwise.
 //
 // The disabled fast path is a single atomic load and branch per batch:
 // implementations guard all timing with Enabled(), so instrumentation that
@@ -234,9 +235,8 @@ func (c *Collector) AddFlops(f float64) {
 	}
 }
 
-// TraceLevel records one scheduler dependency level into the ring buffer:
-// ops operations dispatched as tasks total concurrent tasks, completing in
-// wall time.
+// TraceLevel records one scheduler phase into the ring buffer: ops
+// operations run as tasks concurrent tasks, completing in wall time.
 func (c *Collector) TraceLevel(batch uint64, level, ops, tasks int, wall time.Duration) {
 	if c == nil || !c.enabled.Load() {
 		return

@@ -9,10 +9,10 @@ import (
 // batch tracer retains.
 const TraceCapacity = 256
 
-// LevelTrace is one recorded scheduler dependency level: the ops of a level
-// are independent and were dispatched as Tasks concurrent (operation,
-// pattern-chunk) tasks completing in Wall time. Batch numbers UpdatePartials
-// calls 1-based; Level indexes the dependency level within the batch.
+// LevelTrace is one recorded scheduler phase: Ops operations run as Tasks
+// concurrent tasks completing in Wall time — a dependency level, one task per
+// operation, or a whole batch, one task per pattern slab. Batch numbers
+// UpdatePartials calls 1-based; Level indexes the phase within the batch.
 type LevelTrace struct {
 	Batch uint64
 	Level int

@@ -36,13 +36,14 @@ const (
 	// ops, Arg1 = ops skipped by incremental re-evaluation; a fully clean
 	// resubmission appears as a skip span with Arg0 = 0).
 	KindBatch Kind = iota
-	// KindLevel is one scheduler dependency level of a leveled CPU strategy
-	// (Arg0 = level index, Arg1 = ops in the level).
+	// KindLevel is one phase of a threaded CPU strategy: a dependency level
+	// under futures, the whole batch under the pattern-slab strategies
+	// (Arg0 = phase index, Arg1 = ops in the phase).
 	KindLevel
 	// KindRoot is one root-likelihood integration.
 	KindRoot
-	// KindTask is one (operation, pattern-chunk) task on a pool worker
-	// (Lane = worker index, Arg0 = pattern span).
+	// KindTask is one pattern slab of a batch on a pool worker
+	// (Lane = worker index, Arg0 = patterns in the slab).
 	KindTask
 	// KindKernel is one device kernel launch on the modeled device clock
 	// (Arg0 = global work-items).

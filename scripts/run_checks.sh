@@ -50,6 +50,12 @@ go -C "$ROOT" test -tags purego -timeout "$TIMEOUT" ./internal/kernels ./interna
 section "telemetry TestConcurrentRecording -race -count=200"
 go -C "$ROOT" test -race -run TestConcurrentRecording -count=200 ./internal/telemetry
 
+# The CPU worker pool publishes each phase's task in a field before the
+# channel sends that hand out task indices; a broken ordering only races
+# intermittently, so the executor tests are run many times.
+section "cpuimpl executor -race -count=50"
+go -C "$ROOT" test -race -count=50 -run 'Aliased|MatchSerial|KernelBinding|TraceSpans|LevelTraces' ./internal/cpuimpl
+
 run() {
     section "genomictest -check $*"
     go -C "$ROOT" run ./cmd/genomictest -check "$@"

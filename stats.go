@@ -40,9 +40,9 @@ type Stats struct {
 	// Kernels holds per-kernel-family stats, only for families with
 	// recorded calls.
 	Kernels []KernelStats `json:"kernels,omitempty"`
-	// Levels are the most recent scheduler dependency-level traces, oldest
-	// first (recorded by the leveled CPU strategies: futures and
-	// thread-pool-hybrid).
+	// Levels are the most recent scheduler phase traces, oldest first,
+	// recorded by the threaded CPU strategies: one per dependency level for
+	// futures, one per batch for the pattern-slab strategies.
 	Levels []LevelTrace `json:"levels,omitempty"`
 	// Backends holds per-backend utilization for multi-device instances
 	// created with FlagRebalance: the current pattern slice and measured
@@ -132,10 +132,11 @@ type HistogramBucket struct {
 	Count      uint64        `json:"count"`
 }
 
-// LevelTrace records one scheduler dependency level of an UpdatePartials
-// batch: Ops independent operations dispatched as Tasks concurrent
-// (operation, pattern-chunk) tasks, completing in Wall time. Batch is the
-// 1-based batch number; Level indexes the dependency level within it.
+// LevelTrace records one scheduler phase of an UpdatePartials batch: Ops
+// operations run as Tasks concurrent tasks, completing in Wall time. Under
+// futures a phase is a dependency level, one task per operation; under the
+// pattern-slab strategies it is the whole batch, one task per slab. Batch is
+// the 1-based batch number; Level indexes the phase within it.
 type LevelTrace struct {
 	Batch uint64        `json:"batch"`
 	Level int           `json:"level"`
