@@ -273,7 +273,7 @@ func (in *Instance) ResetScaleFactors(scaleBuf int) error {
 }
 
 // AccumulateScaleFactors sums the listed scale buffers into cumBuf, for use
-// at likelihood integration.
+// at likelihood integration. cumBuf may not be one of scaleBufs.
 func (in *Instance) AccumulateScaleFactors(scaleBufs []int, cumBuf int) error {
 	return in.eng.AccumulateScaleFactors(scaleBufs, cumBuf)
 }

@@ -168,7 +168,8 @@ type Engine interface {
 
 	// ResetScaleFactors zeroes a scale buffer.
 	ResetScaleFactors(scaleBuf int) error
-	// AccumulateScaleFactors sums the listed scale buffers into cumBuf.
+	// AccumulateScaleFactors sums the listed scale buffers into cumBuf,
+	// which may not be one of them.
 	AccumulateScaleFactors(scaleBufs []int, cumBuf int) error
 
 	// CalculateRootLogLikelihoods integrates the root partials buffer over

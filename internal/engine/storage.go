@@ -443,6 +443,9 @@ func (s *Storage[T]) ScaleFactors(scaleBufs []int, cumBuf int) (factors [][]floa
 	}
 	factors = make([][]float64, len(scaleBufs))
 	for i, b := range scaleBufs {
+		if b == cumBuf {
+			return nil, nil, fmt.Errorf("engine: cumulative scale buffer %d is also listed as a factor", cumBuf)
+		}
 		if factors[i], err = s.writtenScale(b); err != nil {
 			return nil, nil, err
 		}

@@ -193,6 +193,11 @@ func TestStorageScaleBuffers(t *testing.T) {
 	if err := s.AccumulateScaleFactors([]int{9}, 0); err == nil {
 		t.Fatal("bad scale index must error")
 	}
+	// The kernel sums by rows into the cumulative buffer, so it cannot
+	// also be a source.
+	if err := s.AccumulateScaleFactors([]int{0, 2}, 2); err == nil {
+		t.Fatal("cumulative buffer listed as a factor must error")
+	}
 }
 
 func TestStorageEigenAndMatrices(t *testing.T) {

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -82,11 +83,42 @@ func BenchmarkUpdateTransitionMatrixCodon(b *testing.B) {
 	}
 }
 
+// BenchmarkRescalePartials rescales deep_small's shape (256 patterns, four
+// categories, four states, double precision) from a pristine unnormalised
+// copy every iteration, so each pass does the work an operation's rescale
+// does rather than renormalising its own output; the copy is included in
+// the time. Reported per pattern.
 func BenchmarkRescalePartials(b *testing.B) {
-	pr := benchProblem(4, 4096, 4)
-	scale := make([]float64, 4096)
+	const patterns = 256
+	pr := benchProblem(4, patterns, 4)
+	for i := range pr.p1 {
+		pr.p1[i] *= 0x1p-40 // a deep internal node's magnitude
+	}
+	work := make([]float64, len(pr.p1))
+	scale := make([]float64, patterns)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RescalePartials(pr.p1, scale, pr.d, 0, 4096)
+		copy(work, pr.p1)
+		RescalePartials(work, scale, pr.d, 0, patterns)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*patterns), "ns/pattern")
+}
+
+// BenchmarkAccumulateScaleFactors sums deep_small's 127 scale buffers of
+// 256 patterns, as its root integration does each evaluation.
+func BenchmarkAccumulateScaleFactors(b *testing.B) {
+	const buffers, patterns = 127, 256
+	rng := rand.New(rand.NewSource(1))
+	factors := make([][]float64, buffers)
+	for k := range factors {
+		factors[k] = make([]float64, patterns)
+		for p := range factors[k] {
+			factors[k][p] = float64(rng.Intn(64)) * math.Ln2
+		}
+	}
+	cum := make([]float64, patterns)
+	for i := 0; i < b.N; i++ {
+		AccumulateScaleFactors(cum, factors, 0, patterns)
 	}
 }
 

@@ -74,38 +74,164 @@ func EdgeSiteLikelihoods[T Real](out []float64, parent, child, m []T, catWeights
 	}
 }
 
-// RescalePartials rescales partials for patterns [lo, hi) by each pattern's
-// maximum entry across states and categories, storing the log of the factor
-// in scale[p]. Patterns whose maximum is zero are left unscaled with a zero
-// scale factor (their likelihood is genuinely zero). Rescaling keeps partials
-// within floating-point range on large trees, especially in single precision.
+// RescalePartials rescales partials for patterns [lo, hi) by an exact power
+// of two: with 2^(e-1) ≤ max < 2^e for the pattern's largest entry across
+// states and categories, every entry is multiplied by 2^-e, which moves the
+// largest into [0.5, 1) and is exact wherever the result is normal, and
+// scale[p] = e·ln2 — still a natural log, as every reader of scale buffers
+// expects. The exponent is read from the entry's bits, so no logarithm is
+// taken, and the factor is applied in float64, so a single-precision
+// pattern whose largest entry is subnormal rescales too.
+//
+// Entries are compared by their float64 bit patterns as signed integers,
+// which order non-negative values as the values do; an entry with its sign
+// bit set (−0 and negative NaNs included) never wins. A pattern with no
+// positive entry, or with +Inf or a NaN whose sign bit is clear, is left as
+// it is with a zero scale factor. Rescaling keeps partials within
+// floating-point range on large trees, especially in single precision.
+// Four-state partials take an unrolled path that returns the same bits.
 //
 //beagle:noalloc
 func RescalePartials[T Real](partials []T, scale []float64, d Dims, lo, hi int) {
+	if d.StateCount == 4 {
+		rescalePartials4(partials, scale, d, lo, hi)
+		return
+	}
+	rescalePartialsGeneric(partials, scale, d, lo, hi)
+}
+
+// rescalePartialsGeneric is RescalePartials for any state count.
+//
+//beagle:noalloc
+func rescalePartialsGeneric[T Real](partials []T, scale []float64, d Dims, lo, hi int) {
 	s := d.StateCount
 	for p := lo; p < hi; p++ {
-		var max T
-		for c := 0; c < d.CategoryCount; c++ {
-			pOff := (c*d.PatternCount + p) * s
-			for i := 0; i < s; i++ {
-				if v := partials[pOff+i]; v > max {
-					max = v
-				}
-			}
-		}
-		if max <= 0 {
-			scale[p] = 0
+		m := patternMaxKey(partials, d, p)
+		f, logScale, ok := pow2Scale(m)
+		if !ok {
+			scale[p] = rescaleRare(partials, d, p, m)
 			continue
 		}
-		inv := 1 / max
 		for c := 0; c < d.CategoryCount; c++ {
 			pOff := (c*d.PatternCount + p) * s
-			for i := 0; i < s; i++ {
-				partials[pOff+i] *= inv
+			row := partials[pOff : pOff+s]
+			for i, v := range row {
+				row[i] = T(float64(v) * f)
 			}
 		}
-		scale[p] = math.Log(float64(max))
+		scale[p] = logScale
 	}
+}
+
+// rescalePartials4 is RescalePartials for four states: the maximum is taken
+// in four independent lanes, one per state, with no branch, and the scaling
+// is unrolled.
+//
+//beagle:noalloc
+func rescalePartials4[T Real](partials []T, scale []float64, d Dims, lo, hi int) {
+	stride := d.PatternCount * 4
+	end := d.CategoryCount * stride
+	for p := lo; p < hi; p++ {
+		m := maxKey4(partials[p*4:end], stride)
+		f, logScale, ok := pow2Scale(m)
+		if !ok {
+			scale[p] = rescaleRare(partials, d, p, m)
+			continue
+		}
+		for off := p * 4; off < end; off += stride {
+			v := partials[off : off+4 : off+4]
+			v[0] = T(float64(v[0]) * f)
+			v[1] = T(float64(v[1]) * f)
+			v[2] = T(float64(v[2]) * f)
+			v[3] = T(float64(v[3]) * f)
+		}
+		scale[p] = logScale
+	}
+}
+
+// maxKey4 is the largest order key among the four-state entries col[0:4],
+// col[stride:stride+4], … — one pattern's entries across categories — taken
+// in four independent lanes, one per state, with no branch.
+//
+//beagle:noalloc
+func maxKey4[T Real](col []T, stride int) int64 {
+	var m0, m1, m2, m3 int64
+	for off := 0; off+4 <= len(col); off += stride {
+		v := col[off : off+4 : off+4]
+		m0 = max(m0, orderKey(float64(v[0])))
+		m1 = max(m1, orderKey(float64(v[1])))
+		m2 = max(m2, orderKey(float64(v[2])))
+		m3 = max(m3, orderKey(float64(v[3])))
+	}
+	return max(m0, m1, m2, m3)
+}
+
+// patternMaxKey is the largest order key among pattern p's entries across
+// states and categories, or 0 when none is positive.
+//
+//beagle:noalloc
+func patternMaxKey[T Real](partials []T, d Dims, p int) int64 {
+	s := d.StateCount
+	var m int64
+	for c := 0; c < d.CategoryCount; c++ {
+		pOff := (c*d.PatternCount + p) * s
+		for _, v := range partials[pOff : pOff+s] {
+			m = max(m, orderKey(float64(v)))
+		}
+	}
+	return m
+}
+
+// orderKey is x's bit pattern as a signed integer: for non-negative x it
+// orders as x does, and it is negative for every x with the sign bit set.
+//
+//beagle:noalloc
+func orderKey(x float64) int64 { return int64(math.Float64bits(x)) }
+
+// pow2Scale returns the factor 2^-e and the log scale factor e·ln2 for a
+// pattern whose largest entry has the order key m, when that entry is a
+// positive normal float64 and 2^-e is one too — every single-precision
+// value, and all but the top and bottom of the double range. ok is false
+// for every other m; rescaleRare finishes those patterns.
+//
+//beagle:noalloc
+func pow2Scale(m int64) (f, logScale float64, ok bool) {
+	exp := m >> 52 // the biased exponent: the sign bit of m is clear here
+	if uint64(exp-1) >= 2044 {
+		return 0, 0, false
+	}
+	// 2^(exp-1023) ≤ max < 2^(exp-1022), so e = exp-1022 and the biased
+	// exponent of 2^-e is 2045-exp.
+	return math.Float64frombits(uint64(2045-exp) << 52), float64(exp-1022) * math.Ln2, true
+}
+
+// rescaleRare finishes pattern p when pow2Scale declines its largest
+// entry's order key m, and returns the pattern's log scale factor. A pattern
+// with no positive entry, or whose largest entry is +Inf or NaN, is left as
+// it is with a zero factor. Otherwise the largest entry is a double at or
+// above 2^1022, where 2^-e is subnormal but exact, or a subnormal double,
+// where 2^-e may exceed the largest float64 and is applied as
+// 2^1023 · 2^(-e-1023): two multiplications that scale up, so both are exact.
+//
+//beagle:noalloc
+func rescaleRare[T Real](partials []T, d Dims, p int, m int64) float64 {
+	if m <= 0 || m >= orderKey(math.Inf(1)) {
+		return 0
+	}
+	_, e := math.Frexp(math.Float64frombits(uint64(m)))
+	f1, f2 := math.Ldexp(1, -e), 1.0
+	if -e > 1023 {
+		f1, f2 = math.Ldexp(1, 1023), math.Ldexp(1, -e-1023)
+	}
+	s := d.StateCount
+	for c := 0; c < d.CategoryCount; c++ {
+		pOff := (c*d.PatternCount + p) * s
+		row := partials[pOff : pOff+s]
+		for i, v := range row {
+			row[i] = T(float64(v) * f1 * f2)
+		}
+	}
+	return float64(e) * math.Ln2
 }
 
 // ApplyReadScale applies previously written per-pattern log scale factors to
@@ -134,15 +260,18 @@ func ApplyReadScale[T Real](partials []T, scale []float64, d Dims, lo, hi int) {
 
 // AccumulateScaleFactors sums the given per-pattern log scale factor buffers
 // into cum for patterns [lo, hi) — the kernel behind
-// AccumulateScaleFactors in the API.
+// AccumulateScaleFactors in the API. It runs by rows, one buffer at a time
+// over the whole range, and adds in list order, so each pattern's sum is
+// 0 + f₀ + f₁ + … in exactly the order a per-pattern loop adds it. cum must
+// not be one of factors.
 //
 //beagle:noalloc
 func AccumulateScaleFactors(cum []float64, factors [][]float64, lo, hi int) {
-	for p := lo; p < hi; p++ {
-		var sum float64
-		for _, f := range factors {
-			sum += f[p]
+	out := cum[lo:hi]
+	clear(out)
+	for _, f := range factors {
+		for i, v := range f[lo:hi] {
+			out[i] += v
 		}
-		cum[p] = sum
 	}
 }
