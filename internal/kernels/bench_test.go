@@ -7,31 +7,13 @@ import (
 )
 
 // Ablation micro-benchmarks for the kernel-variant design choices DESIGN.md
-// calls out: generic loop kernels vs the 4-state unrolled (SSE-style) path,
-// FMA vs plain accumulation, and the x86 loop style vs the GPU per-entry
-// style on a CPU. The wide-state (amino-acid, codon) kernels are measured in
+// calls out: FMA vs plain accumulation, and the x86 loop style vs the GPU
+// per-entry style on a CPU. The 4-state (assembly against its Go body and
+// the generic loop) and wide-state kernels are measured in
 // bench_wide_test.go, in GFLOPS.
 
 func benchProblem(s, pat, cat int) *problem[float64] {
 	return newProblem[float64](rand.New(rand.NewSource(1)), s, pat, cat)
-}
-
-func BenchmarkPartialsPartialsGeneric4State(b *testing.B) {
-	pr := benchProblem(4, 4096, 4)
-	dest := make([]float64, pr.d.PartialsLen())
-	b.SetBytes(int64(3 * pr.d.PartialsLen() * 8))
-	for i := 0; i < b.N; i++ {
-		PartialsPartials(dest, pr.p1, pr.m1, pr.p2, pr.m2, pr.d, 0, 4096)
-	}
-}
-
-func BenchmarkPartialsPartialsUnrolled4State(b *testing.B) {
-	pr := benchProblem(4, 4096, 4)
-	dest := make([]float64, pr.d.PartialsLen())
-	b.SetBytes(int64(3 * pr.d.PartialsLen() * 8))
-	for i := 0; i < b.N; i++ {
-		PartialsPartials4(dest, pr.p1, pr.m1, pr.p2, pr.m2, pr.d, 0, 4096)
-	}
 }
 
 func BenchmarkPartialsPartialsFMA4State(b *testing.B) {
@@ -53,14 +35,6 @@ func BenchmarkPartialsPartialsEntryStyle4State(b *testing.B) {
 		for w := 0; w < n; w++ {
 			PartialsPartialsEntry(dest, pr.p1, pr.m1, pr.p2, pr.m2, pr.d, w)
 		}
-	}
-}
-
-func BenchmarkStatesPartials4State(b *testing.B) {
-	pr := benchProblem(4, 4096, 4)
-	dest := make([]float64, pr.d.PartialsLen())
-	for i := 0; i < b.N; i++ {
-		StatesPartials4(dest, pr.s1, pr.m1, pr.p2, pr.m2, pr.d, 0, 4096)
 	}
 }
 

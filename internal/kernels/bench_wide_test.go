@@ -8,28 +8,30 @@ import (
 	"gobeagle/internal/kernels"
 )
 
-// Wide-state kernel rates in the paper's unit (effective GFLOPS, via
-// internal/flops), each beside the generic kernel it replaces. They live in
-// the external test package because flops imports kernels.
+// Specialised kernel rates in the paper's unit (effective GFLOPS, via
+// internal/flops), each beside the kernel it replaces: the wide-state family
+// beside the generic loop, and the 4-state assembly beside its unrolled Go
+// body and the generic loop. They live in the external test package because
+// flops imports kernels.
 
-type wideBench struct {
+type kernelBench[T kernels.Real] struct {
 	d              kernels.Dims
-	dest           []float64
-	p1, m1, p2, m2 []float64
+	dest           []T
+	p1, m1, p2, m2 []T
 	s1             []int32
 }
 
-func newWideBench(states, patterns, categories int) *wideBench {
+func newKernelBench[T kernels.Real](states, patterns, categories int) *kernelBench[T] {
 	rng := rand.New(rand.NewSource(1))
 	d := kernels.Dims{StateCount: states, PatternCount: patterns, CategoryCount: categories}
-	fill := func(n int) []float64 {
-		v := make([]float64, n)
+	fill := func(n int) []T {
+		v := make([]T, n)
 		for i := range v {
-			v[i] = rng.Float64()
+			v[i] = T(rng.Float64())
 		}
 		return v
 	}
-	w := &wideBench{d: d, dest: make([]float64, d.PartialsLen()),
+	w := &kernelBench[T]{d: d, dest: make([]T, d.PartialsLen()),
 		p1: fill(d.PartialsLen()), m1: fill(d.MatrixLen()), p2: fill(d.PartialsLen()), m2: fill(d.MatrixLen()),
 		s1: make([]int32, patterns)}
 	for i := range w.s1 {
@@ -38,7 +40,7 @@ func newWideBench(states, patterns, categories int) *wideBench {
 	return w
 }
 
-func (w *wideBench) partialsPartials(b *testing.B, k func(dest, p1, m1, p2, m2 []float64, d kernels.Dims, lo, hi int)) {
+func (w *kernelBench[T]) partialsPartials(b *testing.B, k func(dest, p1, m1, p2, m2 []T, d kernels.Dims, lo, hi int)) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k(w.dest, w.p1, w.m1, w.p2, w.m2, w.d, 0, w.d.PatternCount)
@@ -46,7 +48,7 @@ func (w *wideBench) partialsPartials(b *testing.B, k func(dest, p1, m1, p2, m2 [
 	b.ReportMetric(flops.GFLOPS(flops.Total(w.d, b.N), b.Elapsed()), "GFLOPS")
 }
 
-func (w *wideBench) statesPartials(b *testing.B, k func(dest []float64, s1 []int32, m1, p2, m2 []float64, d kernels.Dims, lo, hi int)) {
+func (w *kernelBench[T]) statesPartials(b *testing.B, k func(dest []T, s1 []int32, m1, p2, m2 []T, d kernels.Dims, lo, hi int)) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k(w.dest, w.s1, w.m1, w.p2, w.m2, w.d, 0, w.d.PatternCount)
@@ -55,25 +57,48 @@ func (w *wideBench) statesPartials(b *testing.B, k func(dest []float64, s1 []int
 }
 
 func BenchmarkPartialsPartialsGenericAmino(b *testing.B) {
-	newWideBench(20, 2000, 1).partialsPartials(b, kernels.PartialsPartials[float64])
+	newKernelBench[float64](20, 2000, 1).partialsPartials(b, kernels.PartialsPartials[float64])
 }
 
 func BenchmarkPartialsPartialsWideAmino(b *testing.B) {
-	newWideBench(20, 2000, 1).partialsPartials(b, kernels.PartialsPartialsWide[float64])
+	newKernelBench[float64](20, 2000, 1).partialsPartials(b, kernels.PartialsPartialsWide[float64])
 }
 
 func BenchmarkPartialsPartialsGenericCodon(b *testing.B) {
-	newWideBench(61, 1000, 1).partialsPartials(b, kernels.PartialsPartials[float64])
+	newKernelBench[float64](61, 1000, 1).partialsPartials(b, kernels.PartialsPartials[float64])
 }
 
 func BenchmarkPartialsPartialsWideCodon(b *testing.B) {
-	newWideBench(61, 1000, 1).partialsPartials(b, kernels.PartialsPartialsWide[float64])
+	newKernelBench[float64](61, 1000, 1).partialsPartials(b, kernels.PartialsPartialsWide[float64])
 }
 
 func BenchmarkStatesPartialsGenericCodon(b *testing.B) {
-	newWideBench(61, 1000, 1).statesPartials(b, kernels.StatesPartials[float64])
+	newKernelBench[float64](61, 1000, 1).statesPartials(b, kernels.StatesPartials[float64])
 }
 
 func BenchmarkStatesPartialsWideCodon(b *testing.B) {
-	newWideBench(61, 1000, 1).statesPartials(b, kernels.StatesPartialsWide[float64])
+	newKernelBench[float64](61, 1000, 1).statesPartials(b, kernels.StatesPartialsWide[float64])
+}
+
+// BenchmarkPartials4 times the 4-state kernels on 4096 patterns in four
+// categories: unrolled4 (the bound kernels, assembly on an AVX2 host), go
+// (their unrolled Go body) and generic (the loop over states).
+func BenchmarkPartials4(b *testing.B) {
+	b.Run("PartialsPartials/float32", func(b *testing.B) { benchPartials4[float32](b, true) })
+	b.Run("PartialsPartials/float64", func(b *testing.B) { benchPartials4[float64](b, true) })
+	b.Run("StatesPartials/float32", func(b *testing.B) { benchPartials4[float32](b, false) })
+	b.Run("StatesPartials/float64", func(b *testing.B) { benchPartials4[float64](b, false) })
+}
+
+func benchPartials4[T kernels.Real](b *testing.B, partials bool) {
+	w := newKernelBench[T](4, 4096, 4)
+	if partials {
+		b.Run("unrolled4", func(b *testing.B) { w.partialsPartials(b, kernels.PartialsPartials4[T]) })
+		b.Run("go", func(b *testing.B) { w.partialsPartials(b, kernels.PartialsPartials4Go[T]) })
+		b.Run("generic", func(b *testing.B) { w.partialsPartials(b, kernels.PartialsPartials[T]) })
+		return
+	}
+	b.Run("unrolled4", func(b *testing.B) { w.statesPartials(b, kernels.StatesPartials4[T]) })
+	b.Run("go", func(b *testing.B) { w.statesPartials(b, kernels.StatesPartials4Go[T]) })
+	b.Run("generic", func(b *testing.B) { w.statesPartials(b, kernels.StatesPartials[T]) })
 }

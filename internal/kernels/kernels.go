@@ -15,7 +15,9 @@
 //     style with one thread per partials entry (Fig. 2);
 //   - fused-multiply-add variants used when a device advertises fast FMA
 //     (§VII-B1, Table IV);
-//   - 4-state unrolled kernels, the analogue of the SSE code path;
+//   - 4-state kernels, the analogue of the SSE code path: unrolled Go
+//     bodies, and AVX2 assembly for PartialsPartials4 and StatesPartials4
+//     with lanes across the four states (partials4.go);
 //   - wide-state kernels for 5 to MaxWideStates states (amino acids,
 //     codons), the analogue of BEAGLE's hand-vectorised CPU path.
 //
@@ -53,6 +55,14 @@
 // assembly runs. UpdateTransitionMatrix uses the primitive on every
 // platform: there the old loop walked V⁻¹ by columns, and reading it by rows
 // wins even in Go.
+//
+// The 4-state kernels make the same three decisions in assembly of their
+// own, under the same gate: lanes across the four output states, each
+// running the unrolled Go body's sequence; no fused multiply-add; both
+// matrices transposed per category into scratch on the call's stack. At four
+// states a VecMatT call per pattern would cost more than its arithmetic, so
+// the pattern loop itself is in assembly, with the transposed columns held
+// in registers.
 //
 // Buffer layouts (identical everywhere):
 //

@@ -14,8 +14,10 @@ import (
 func TestKernelsAllocateNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	pr := newProblem[float64](rng, 4, 16, 2)
+	pr32 := newProblem[float32](rng, 4, 16, 2)
 	d := pr.d
 	dest := make([]float64, d.PartialsLen())
+	dest32 := make([]float32, d.PartialsLen())
 	site := make([]float64, d.PatternCount)
 	scale := make([]float64, d.PatternCount)
 	cum := make([]float64, d.PatternCount)
@@ -37,6 +39,8 @@ func TestKernelsAllocateNothing(t *testing.T) {
 		StatesStatesEntry(dest, pr.s1, pr.m1, pr.s2, pr.m2, d, 5)
 		PartialsPartials4(dest, pr.p1, pr.m1, pr.p2, pr.m2, d, 0, d.PatternCount)
 		StatesPartials4(dest, pr.s1, pr.m1, pr.p2, pr.m2, d, 0, d.PatternCount)
+		PartialsPartials4(dest32, pr32.p1, pr32.m1, pr32.p2, pr32.m2, d, 1, d.PatternCount) // odd span: Go-body tail
+		StatesPartials4(dest32, pr32.s1, pr32.m1, pr32.p2, pr32.m2, d, 1, d.PatternCount)
 		StatesStates4(dest, pr.s1, pr.m1, pr.s2, pr.m2, d, 0, d.PatternCount)
 		PartialsPartialsFMA(dest, pr.p1, pr.m1, pr.p2, pr.m2, d, 0, d.PatternCount)
 		StatesPartialsFMA(dest, pr.s1, pr.m1, pr.p2, pr.m2, d, 0, d.PatternCount)

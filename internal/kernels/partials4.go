@@ -1,15 +1,104 @@
 package kernels
 
 // Four-state specialized kernels: the analogue of BEAGLE's SSE code path,
-// which vectorizes across the 4 nucleotide character states (§IV-D). The
-// fully unrolled bodies expose the same 4-wide instruction-level parallelism
-// to the compiler that the SSE intrinsics express explicitly.
+// which vectorizes across the 4 nucleotide character states (§IV-D).
+//
+// PartialsPartials4 and StatesPartials4 run as AVX2 assembly on amd64 under
+// the same CPUID gate as VecMatT, with the pattern loop inside the assembly.
+// The lanes run across the four output states, so each lane performs the
+// unrolled Go body's own sequence for its state,
+//
+//	((m0·a0 + m1·a1) + m2·a2) + m3·a3, times the other child's sum,
+//
+// with separate multiplies and adds (no fused multiply-add) — the same three
+// decisions as the wide family's primitive, for the reasons the package
+// comment gives. Per category both 4×4 matrices are transposed into scratch
+// on the kernel call's stack, so a matrix column is one vector load; the
+// compact-state child gets a fifth, all-ones column that a gap state (any
+// value ≥ 4, clamped with an unsigned compare) selects without a branch.
+// float64 takes one pattern per 256-bit register, float32 two (the columns
+// broadcast to both 128-bit halves, each half's entries broadcast within it).
+// An odd float32 tail pattern, a CPU without AVX2 and -tags purego run the
+// unrolled Go bodies below, which compute the same results: every non-NaN
+// output bit for bit, a NaN as a NaN.
 
 // PartialsPartials4 is PartialsPartials specialized and unrolled for
 // StateCount == 4.
 //
 //beagle:noalloc
 func PartialsPartials4[T Real](dest, p1, m1, p2, m2 []T, d Dims, lo, hi int) {
+	n := asmPatterns4[T](lo, hi)
+	if n == 0 {
+		partialsPartials4Go(dest, p1, m1, p2, m2, d, lo, hi)
+		return
+	}
+	var mt [32]T
+	for c := 0; c < d.CategoryCount; c++ {
+		transpose4(mt[:16], m1[c*16:c*16+16])
+		transpose4(mt[16:], m2[c*16:c*16+16])
+		o := (c*d.PatternCount + lo) * 4
+		e := o + 4*n
+		partialsPartials4Asm(dest[o:e], p1[o:e], p2[o:e], mt[:])
+	}
+	if lo+n < hi {
+		partialsPartials4Go(dest, p1, m1, p2, m2, d, lo+n, hi)
+	}
+}
+
+// StatesPartials4 is StatesPartials specialized and unrolled for
+// StateCount == 4.
+//
+//beagle:noalloc
+func StatesPartials4[T Real](dest []T, s1 []int32, m1 []T, p2, m2 []T, d Dims, lo, hi int) {
+	n := asmPatterns4[T](lo, hi)
+	if n == 0 {
+		statesPartials4Go(dest, s1, m1, p2, m2, d, lo, hi)
+		return
+	}
+	// mt[:16] is m2 transposed, mt[16:32] m1 transposed — column s of m1 is
+	// the factor of tip state s — and mt[32:] the gap column.
+	mt := [36]T{32: 1, 33: 1, 34: 1, 35: 1}
+	s := s1[lo : lo+n]
+	for c := 0; c < d.CategoryCount; c++ {
+		transpose4(mt[:16], m2[c*16:c*16+16])
+		transpose4(mt[16:32], m1[c*16:c*16+16])
+		o := (c*d.PatternCount + lo) * 4
+		e := o + 4*n
+		statesPartials4Asm(dest[o:e], s, p2[o:e], mt[:])
+	}
+	if lo+n < hi {
+		statesPartials4Go(dest, s1, m1, p2, m2, d, lo+n, hi)
+	}
+}
+
+// asmPatterns4 returns how many patterns of [lo, hi), from lo, the 4-state
+// assembly takes: none without it, all of them in float64, and an even count
+// in float32, which packs two patterns per register.
+//
+//beagle:noalloc
+func asmPatterns4[T Real](lo, hi int) int {
+	if !vecMatAccelerated || hi <= lo {
+		return 0
+	}
+	return (hi - lo) &^ (lanes[T]()/4 - 1)
+}
+
+// transpose4 writes the 4×4 row-major matrix m into t transposed.
+//
+//beagle:noalloc
+func transpose4[T Real](t, m []T) {
+	t, m = t[:16], m[:16]
+	t[0], t[1], t[2], t[3] = m[0], m[4], m[8], m[12]
+	t[4], t[5], t[6], t[7] = m[1], m[5], m[9], m[13]
+	t[8], t[9], t[10], t[11] = m[2], m[6], m[10], m[14]
+	t[12], t[13], t[14], t[15] = m[3], m[7], m[11], m[15]
+}
+
+// partialsPartials4Go is PartialsPartials4's portable body and the reference
+// its assembly is held to.
+//
+//beagle:noalloc
+func partialsPartials4Go[T Real](dest, p1, m1, p2, m2 []T, d Dims, lo, hi int) {
 	for c := 0; c < d.CategoryCount; c++ {
 		m := m1[c*16 : c*16+16]
 		n := m2[c*16 : c*16+16]
@@ -29,11 +118,11 @@ func PartialsPartials4[T Real](dest, p1, m1, p2, m2 []T, d Dims, lo, hi int) {
 	}
 }
 
-// StatesPartials4 is StatesPartials specialized and unrolled for
-// StateCount == 4.
+// statesPartials4Go is StatesPartials4's portable body and the reference its
+// assembly is held to.
 //
 //beagle:noalloc
-func StatesPartials4[T Real](dest []T, s1 []int32, m1 []T, p2, m2 []T, d Dims, lo, hi int) {
+func statesPartials4Go[T Real](dest []T, s1 []int32, m1 []T, p2, m2 []T, d Dims, lo, hi int) {
 	for c := 0; c < d.CategoryCount; c++ {
 		m := m1[c*16 : c*16+16]
 		n := m2[c*16 : c*16+16]
@@ -61,7 +150,8 @@ func StatesPartials4[T Real](dest []T, s1 []int32, m1 []T, p2, m2 []T, d Dims, l
 }
 
 // StatesStates4 is StatesStates specialized and unrolled for
-// StateCount == 4.
+// StateCount == 4. It stays in Go: two table look-ups and a multiply per
+// entry leave nothing to vectorise.
 //
 //beagle:noalloc
 func StatesStates4[T Real](dest []T, s1 []int32, m1 []T, s2 []int32, m2 []T, d Dims, lo, hi int) {

@@ -192,7 +192,7 @@ func Probe(addr string, timeout time.Duration) (*HelloInfo, error) {
 		return nil, err
 	}
 	var resp response
-	if _, err := readMsg(conn, &resp); err != nil {
+	if _, err := readMsg(conn, &resp, maxFrame); err != nil {
 		return nil, err
 	}
 	if resp.Err != "" {
@@ -236,7 +236,7 @@ func (e *Engine) dial(resume bool) (net.Conn, *HelloInfo, error) {
 		return nil, nil, err
 	}
 	var resp response
-	if _, err := readMsg(conn, &resp); err != nil {
+	if _, err := readMsg(conn, &resp, maxFrame); err != nil {
 		conn.Close()
 		return nil, nil, err
 	}
@@ -289,7 +289,7 @@ func (e *Engine) exchangeLocked(req *request) (*response, error) {
 		return nil, err
 	}
 	var resp response
-	recvd, err := readMsg(e.conn, &resp)
+	recvd, err := readMsg(e.conn, &resp, maxFrame)
 	e.bytesRecv.Add(int64(recvd))
 	if err != nil {
 		e.conn.Close()
@@ -809,7 +809,7 @@ func (e *Engine) Close() error {
 		e.conn.SetDeadline(time.Now().Add(2 * time.Second))
 		if _, err := writeMsg(e.conn, &request{Op: opCloseSession, Seq: e.seq}); err == nil {
 			var resp response
-			readMsg(e.conn, &resp)
+			readMsg(e.conn, &resp, maxFrame)
 		}
 		e.conn.Close()
 		e.conn = nil

@@ -57,6 +57,12 @@ const minProtocolVersion = 1
 // realistic problem while rejecting corrupt length prefixes early.
 const maxFrame = 1 << 30
 
+// maxHelloFrame bounds a connection's first frame, the hello, which arrives
+// before anything has been agreed with the peer. A hello is well under a KiB
+// of gob, so any TCP peer that sends a larger length prefix is refused before
+// a buffer is made for it, rather than getting one of up to maxFrame bytes.
+const maxHelloFrame = 4 << 10
+
 // opCode identifies one engine operation on the wire.
 type opCode uint8
 
@@ -266,15 +272,16 @@ func writeMsg(w io.Writer, v any) (int, error) {
 	return n, err
 }
 
-// readMsg reads one length-prefixed frame and gob-decodes it into v,
-// returning the total bytes read.
-func readMsg(r io.Reader, v any) (int, error) {
+// readMsg reads one length-prefixed frame of at most limit bytes and
+// gob-decodes it into v, returning the total bytes read. A longer length
+// prefix is an error before anything is allocated.
+func readMsg(r io.Reader, v any, limit uint32) (int, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
+	if n > limit {
 		return 4, fmt.Errorf("remoteimpl: frame length %d exceeds limit", n)
 	}
 	body := make([]byte, n)

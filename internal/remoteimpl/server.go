@@ -231,7 +231,7 @@ func (w *Worker) handle(conn net.Conn) {
 
 	for {
 		var req request
-		if _, err := readMsg(conn, &req); err != nil {
+		if _, err := readMsg(conn, &req, maxFrame); err != nil {
 			return
 		}
 		resp := w.dispatch(sess, conn, &req)
@@ -254,7 +254,7 @@ func (w *Worker) handle(conn net.Conn) {
 // A nil session with nil error is a probe hello.
 func (w *Worker) handshake(conn net.Conn) (*session, error) {
 	var req request
-	if _, err := readMsg(conn, &req); err != nil {
+	if _, err := readMsg(conn, &req, maxHelloFrame); err != nil {
 		return nil, err
 	}
 	if req.Op != opHello {

@@ -285,7 +285,6 @@ func (c *Calculator) runBatch(batch []*job) {
 			// Unreachable: capacity was grown to len(batch) above and every
 			// slot is free between batches.
 			j.err = fmt.Errorf("serve: slot space exhausted")
-			close(j.done)
 			continue
 		}
 		// Tag the engine-side spans this job's slot loads record — and, over
@@ -296,7 +295,6 @@ func (c *Calculator) runBatch(batch []*job) {
 			c.errors.Add(1)
 			c.slots.Free(slot)
 			j.runNs = time.Since(bstart).Nanoseconds()
-			close(j.done)
 			continue
 		}
 		for _, op := range j.c.sched.Ops {
@@ -331,7 +329,6 @@ func (c *Calculator) runBatch(batch []*job) {
 			for _, j := range live {
 				j.err = err
 				j.runNs = time.Since(bstart).Nanoseconds()
-				close(j.done)
 			}
 			c.errors.Add(uint64(len(live)))
 			live = live[:0]
@@ -348,7 +345,6 @@ func (c *Calculator) runBatch(batch []*job) {
 		}
 		c.slots.Free(liveSlots[i])
 		j.runNs = time.Since(bstart).Nanoseconds()
-		close(j.done)
 	}
 	c.inst.SetTraceRequest(0)
 
@@ -359,6 +355,11 @@ func (c *Calculator) runBatch(batch []*job) {
 		c.tr.Record(trace.Span{Kind: trace.KindServeBatch, Lane: -1,
 			Start: tstart, Dur: c.tr.Now() - tstart, Batch: batchID,
 			Arg0: int64(len(batch)), Arg1: int64(c.slots.Capacity())})
+	}
+	// Release the jobs only now: a caller that reads Stats or scrapes
+	// /metrics the moment its answer arrives must find its batch counted.
+	for _, j := range batch {
+		close(j.done)
 	}
 }
 
