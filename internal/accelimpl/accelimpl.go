@@ -4,13 +4,19 @@
 // available for each framework (CUDA and OpenCL) and hardware-specific
 // kernel variants:
 //
-//   - CUDA and OpenCL-GPU use the GPU-style kernels — one work-item per
+//   - CUDA and OpenCL-GPU launch GPU-style kernels — one work-item per
 //     partials entry (Fig. 2) — with work-group pattern counts limited by
-//     the device's local memory (§VII-B1) and FMA kernel builds on hardware
-//     that advertises fast fused multiply–add;
-//   - OpenCL-x86 uses the loop-over-states kernels where each work-item
-//     computes a whole pattern, avoids explicit local memory, and takes a
-//     configurable work-group size in patterns (§VII-B2, Table V).
+//     the device's local memory (§VII-B1);
+//   - OpenCL-x86 launches one work-item per pattern that loops over the
+//     states, avoids explicit local memory, and takes a configurable
+//     work-group size in patterns (§VII-B2, Table V).
+//
+// Both run the same kernels: the kernels.Set bound at construction, the FMA
+// build on hardware that advertises fast fused multiply–add and the generic
+// one otherwise. The GPU variants keep their per-entry launch geometry and
+// cost, so the modeled clock charges what a GPU would, but execute each
+// work-group as runs of whole patterns, one rate category at a time (a group
+// may straddle two categories).
 //
 // The buffers are engine.Storage's — the same store, setters, getters, batch
 // planning, reuse filter and pattern migration every CPU engine runs on; this
@@ -130,8 +136,8 @@ type Engine[T kernels.Real] struct {
 	// buffers and the staging buffer.
 	reserved int64
 
-	useFMA     bool
-	groupPats  int // patterns per work-group after local-memory limits
+	kern       kernels.Set[T] // the FMA build on hardware that advertises it
+	groupPats  int            // patterns per work-group after local-memory limits
 	efficiency float64
 }
 
@@ -145,14 +151,16 @@ func newEngine[T kernels.Real](cfg engine.Config, variant Variant, dev *device.D
 	}
 	e.q.SetTracer(cfg.Trace, int32(cfg.TraceLane))
 
-	e.useFMA = dev.Desc.SupportsFMA && !cfg.DisableFMA
-	e.efficiency = 1
-	if dev.Desc.SupportsFMA && !e.useFMA {
-		if cfg.SinglePrecision {
-			e.efficiency = noFMAEfficiencySingle
-		} else {
-			e.efficiency = noFMAEfficiencyDouble
-		}
+	// The FMA build where the device advertises fast FMA; the plain build on
+	// such a device runs below its peak (Table IV).
+	e.kern, e.efficiency = kernels.Generic[T](), 1
+	switch {
+	case dev.Desc.SupportsFMA && !cfg.DisableFMA:
+		e.kern = kernels.FMA[T]()
+	case dev.Desc.SupportsFMA && cfg.SinglePrecision:
+		e.efficiency = noFMAEfficiencySingle
+	case dev.Desc.SupportsFMA:
+		e.efficiency = noFMAEfficiencyDouble
 	}
 
 	// Work-group geometry. GPU variants stage both children's partials in

@@ -118,9 +118,9 @@ func (e *Engine[T]) UpdateTransitionMatrices(eigenSlot int, matrices []int, edge
 	rates := e.CatRates
 	return e.UpdateMatricesWith(eigenSlot, matrices, edgeLengths, func(m int, ed *kernels.Eigen, edgeLength float64) error {
 		out := e.matrixViews[m].Data()
-		if err := e.q.LaunchKernel(device.Launch{Global: rows, Local: s}, cost, func(item int) {
-			if item < rows {
-				kernels.TransitionMatrixRow(out, ed, edgeLength, rates, item)
+		if err := e.q.LaunchKernel(device.Launch{Global: rows, Local: s}, cost, func(lo, hi int) {
+			for row := lo; row < hi; row++ {
+				kernels.TransitionMatrixRow(out, ed, edgeLength, rates, row)
 			}
 		}); err != nil {
 			return err
@@ -215,14 +215,9 @@ func (e *Engine[T]) patternCost(flops, bytes float64) device.Cost {
 }
 
 // perPattern launches a kernel with one work-item per pattern in groups of
-// groupPats patterns; body computes the patterns [lo, hi) of one work-item.
+// groupPats patterns; body computes the patterns [lo, hi) of one group.
 func (e *Engine[T]) perPattern(cost device.Cost, body func(lo, hi int)) error {
-	p := e.Cfg.Dims.PatternCount
-	return e.q.LaunchKernel(device.Launch{Global: p, Local: e.groupPats}, cost, func(item int) {
-		if item < p {
-			body(item, item+1)
-		}
-	})
+	return e.q.LaunchKernel(device.Launch{Global: e.Cfg.Dims.PatternCount, Local: e.groupPats}, cost, body)
 }
 
 // UpdatePartials executes the operation list; each operation is one kernel
@@ -288,47 +283,43 @@ func (e *Engine[T]) UpdatePartials(ops []engine.Operation) error {
 	return nil
 }
 
-// launchOp dispatches the partials kernel appropriate to the variant and
-// operand kinds.
+// launchOp runs one partials operation through the bound kernel set.
 func (e *Engine[T]) launchOp(r *engine.ResolvedOp[T]) error {
 	d := e.Cfg.Dims
 	if e.variant == OpenCLX86 {
 		// One work-item per pattern, looping over categories and states.
-		return e.perPattern(e.opCost(), func(lo, hi int) {
-			switch {
-			case r.S2 != nil:
-				kernels.StatesStates(r.Out, r.S1, r.M1, r.S2, r.M2, d, lo, hi)
-			case r.S1 != nil && e.useFMA:
-				kernels.StatesPartialsFMA(r.Out, r.S1, r.M1, r.P2, r.M2, d, lo, hi)
-			case r.S1 != nil:
-				kernels.StatesPartials(r.Out, r.S1, r.M1, r.P2, r.M2, d, lo, hi)
-			case e.useFMA:
-				kernels.PartialsPartialsFMA(r.Out, r.P1, r.M1, r.P2, r.M2, d, lo, hi)
-			default:
-				kernels.PartialsPartials(r.Out, r.P1, r.M1, r.P2, r.M2, d, lo, hi)
-			}
-		})
+		return e.perPattern(e.opCost(), func(lo, hi int) { r.Partials(&e.kern, d, lo, hi) })
 	}
-	// GPU variants: one work-item per (category, pattern, state) entry.
-	global := d.CategoryCount * d.PatternCount * d.StateCount
-	launch := device.Launch{Global: global, Local: e.groupPats * d.StateCount}
-	return e.q.LaunchKernel(launch, e.opCost(), func(item int) {
-		if item >= global {
-			return
-		}
-		switch {
-		case r.S2 != nil:
-			kernels.StatesStatesEntry(r.Out, r.S1, r.M1, r.S2, r.M2, d, item)
-		case r.S1 != nil && e.useFMA:
-			kernels.StatesPartialsEntryFMA(r.Out, r.S1, r.M1, r.P2, r.M2, d, item)
-		case r.S1 != nil:
-			kernels.StatesPartialsEntry(r.Out, r.S1, r.M1, r.P2, r.M2, d, item)
-		case e.useFMA:
-			kernels.PartialsPartialsEntryFMA(r.Out, r.P1, r.M1, r.P2, r.M2, d, item)
-		default:
-			kernels.PartialsPartialsEntry(r.Out, r.P1, r.M1, r.P2, r.M2, d, item)
+	// GPU variants: one work-item per (category, pattern, state) entry,
+	// item = (c·P + p)·S + i. A group holds whole patterns (Local is a
+	// multiple of S) and runs them per category, on that category's slices.
+	s, p := d.StateCount, d.PatternCount
+	one := kernels.Dims{StateCount: s, PatternCount: p, CategoryCount: 1}
+	launch := device.Launch{Global: d.PartialsLen(), Local: e.groupPats * s}
+	return e.q.LaunchKernel(launch, e.opCost(), func(lo, hi int) {
+		for cp, end := lo/s, hi/s; cp < end; {
+			c := cp / p
+			next := min(end, (c+1)*p)
+			run := category(r, c, d)
+			run.Partials(&e.kern, one, cp-c*p, next-c*p)
+			cp = next
 		}
 	})
+}
+
+// category restricts an operation to rate category c: its partials and
+// matrix slices, to be addressed with one category. Compact states are per
+// pattern and shared by every category.
+func category[T kernels.Real](r *engine.ResolvedOp[T], c int, d kernels.Dims) engine.ResolvedOp[T] {
+	n, m := d.PatternCount*d.StateCount, d.StateCount*d.StateCount
+	slab := func(b []T, size int) []T {
+		if b == nil {
+			return nil
+		}
+		return b[c*size : (c+1)*size]
+	}
+	return engine.ResolvedOp[T]{Out: slab(r.Out, n), S1: r.S1, S2: r.S2,
+		P1: slab(r.P1, n), P2: slab(r.P2, n), M1: slab(r.M1, m), M2: slab(r.M2, m)}
 }
 
 // launchScale runs one of the two scaling kernels (read-scale, rescale) over

@@ -192,14 +192,7 @@ func (e *Engine[T]) Close() error {
 // bound kernels.
 func (e *Engine[T]) exec(r *engine.ResolvedOp[T], lo, hi int) {
 	d := e.Cfg.Dims
-	switch {
-	case r.S2 != nil:
-		e.kern.StatesStates(r.Out, r.S1, r.M1, r.S2, r.M2, d, lo, hi)
-	case r.S1 != nil:
-		e.kern.StatesPartials(r.Out, r.S1, r.M1, r.P2, r.M2, d, lo, hi)
-	default:
-		e.kern.PartialsPartials(r.Out, r.P1, r.M1, r.P2, r.M2, d, lo, hi)
-	}
+	r.Partials(&e.kern, d, lo, hi)
 	// Fixed scaling first: previously written factors are applied to the
 	// fresh partials, then an optional rescale captures the residual.
 	if r.ReadScale != nil {

@@ -139,19 +139,25 @@ func TestSubBufferStyles(t *testing.T) {
 	}
 }
 
+// TestLaunchKernelExecutesAllItems pins the range contract: one body call
+// per work-group, the ranges covering [0, Global) exactly once and none
+// reaching past it, while the model still charges the padded global size.
 func TestLaunchKernelExecutesAllItems(t *testing.T) {
 	ResetPlatforms()
 	d, _ := FindDevice(OpenCL, "FirePro S9170")
 	q := d.NewQueue(true)
-	const n = 1000
+	const n, local = 1000, 64
 	var hits [n]int32
-	var padded atomic.Int64
-	err := q.LaunchKernel(Launch{Global: n, Local: 64}, Cost{Flops: 1000}, func(item int) {
-		if item >= n {
-			padded.Add(1)
+	var calls, past atomic.Int64
+	err := q.LaunchKernel(Launch{Global: n, Local: local}, Cost{Flops: 17 * n}, func(lo, hi int) {
+		calls.Add(1)
+		if lo%local != 0 || hi > n || hi-lo > local || lo >= hi {
+			past.Add(1)
 			return
 		}
-		atomic.AddInt32(&hits[item], 1)
+		for i := lo; i < hi; i++ {
+			atomic.AddInt32(&hits[i], 1)
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,9 +167,11 @@ func TestLaunchKernelExecutesAllItems(t *testing.T) {
 			t.Fatalf("work-item %d executed %d times", i, h)
 		}
 	}
-	// 1000 padded to 1024: 24 padding invocations.
-	if padded.Load() != 24 {
-		t.Fatalf("padding invocations %d want 24", padded.Load())
+	if past.Load() != 0 {
+		t.Fatalf("%d ranges were not a group's items clipped to Global", past.Load())
+	}
+	if calls.Load() != 16 {
+		t.Fatalf("%d body calls, want one per work-group (16)", calls.Load())
 	}
 	if q.Launches() != 1 {
 		t.Fatalf("launch count %d", q.Launches())
@@ -171,16 +179,24 @@ func TestLaunchKernelExecutesAllItems(t *testing.T) {
 	if q.ModeledTime() <= 0 || q.HostTime() <= 0 {
 		t.Fatal("clocks did not advance")
 	}
+	// 1000 padded to 1024: charged as the 1024 items a device would run.
+	full := d.NewQueue(true)
+	if err := full.LaunchKernel(Launch{Global: 1024, Local: local}, Cost{Flops: 17 * 1024}, func(int, int) {}); err != nil {
+		t.Fatal(err)
+	}
+	if diff := q.ModeledTime() - full.ModeledTime(); diff < -1 || diff > 1 {
+		t.Fatalf("padded launch modeled %v, the 1024-item launch %v: padding not charged", q.ModeledTime(), full.ModeledTime())
+	}
 }
 
 func TestLaunchKernelErrors(t *testing.T) {
 	ResetPlatforms()
 	d, _ := FindDevice(OpenCL, "FirePro S9170")
 	q := d.NewQueue(true)
-	if err := q.LaunchKernel(Launch{Global: 0, Local: 64}, Cost{}, func(int) {}); err == nil {
+	if err := q.LaunchKernel(Launch{Global: 0, Local: 64}, Cost{}, func(int, int) {}); err == nil {
 		t.Fatal("expected error for zero global size")
 	}
-	if err := q.LaunchKernel(Launch{Global: 10, Local: 0}, Cost{}, func(int) {}); err == nil {
+	if err := q.LaunchKernel(Launch{Global: 10, Local: 0}, Cost{}, func(int, int) {}); err == nil {
 		t.Fatal("expected error for zero work-group size")
 	}
 }
@@ -234,7 +250,7 @@ func TestModeledTimeShape(t *testing.T) {
 		flops := float64(items) * 17
 		bytes := float64(items) * 12
 		if err := q.LaunchKernel(Launch{Global: items, Local: 256},
-			Cost{Flops: flops, Bytes: bytes, GroupSize: 256}, func(int) {}); err != nil {
+			Cost{Flops: flops, Bytes: bytes, GroupSize: 256}, func(int, int) {}); err != nil {
 			t.Fatal(err)
 		}
 		return flops / q.ModeledTime().Seconds()
@@ -258,7 +274,7 @@ func TestModeledDoublePrecisionSlower(t *testing.T) {
 		q := gpu.NewQueue(single)
 		// Compute-bound kernel: no bytes.
 		if err := q.LaunchKernel(Launch{Global: 1 << 20, Local: 256},
-			Cost{Flops: 1e9, GroupSize: 256}, func(int) {}); err != nil {
+			Cost{Flops: 1e9, GroupSize: 256}, func(int, int) {}); err != nil {
 			t.Fatal(err)
 		}
 		return q.ModeledTime()
@@ -275,7 +291,7 @@ func TestModeledCUDAFasterThanOpenCLOnNVIDIA(t *testing.T) {
 	run := func(d *Device) time.Duration {
 		q := d.NewQueue(true)
 		if err := q.LaunchKernel(Launch{Global: 1 << 20, Local: 256},
-			Cost{Flops: 1e9, GroupSize: 256}, func(int) {}); err != nil {
+			Cost{Flops: 1e9, GroupSize: 256}, func(int, int) {}); err != nil {
 			t.Fatal(err)
 		}
 		return q.ModeledTime()
@@ -345,7 +361,7 @@ func TestQueueResetTimers(t *testing.T) {
 	ResetPlatforms()
 	d, _ := FindDevice(OpenCL, "FirePro S9170")
 	q := d.NewQueue(true)
-	if err := q.LaunchKernel(Launch{Global: 100, Local: 32}, Cost{Flops: 100}, func(int) {}); err != nil {
+	if err := q.LaunchKernel(Launch{Global: 100, Local: 32}, Cost{Flops: 100}, func(int, int) {}); err != nil {
 		t.Fatal(err)
 	}
 	q.ResetTimers()
@@ -360,7 +376,7 @@ func TestDryRunSkipsExecutionButAdvancesModel(t *testing.T) {
 	q := d.NewQueue(true)
 	q.SetDryRun(true)
 	executed := false
-	if err := q.LaunchKernel(Launch{Global: 100, Local: 32}, Cost{Flops: 1e6}, func(int) {
+	if err := q.LaunchKernel(Launch{Global: 100, Local: 32}, Cost{Flops: 1e6}, func(int, int) {
 		executed = true
 	}); err != nil {
 		t.Fatal(err)
@@ -376,7 +392,7 @@ func TestDryRunSkipsExecutionButAdvancesModel(t *testing.T) {
 	}
 	// Back to normal execution.
 	q.SetDryRun(false)
-	if err := q.LaunchKernel(Launch{Global: 10, Local: 10}, Cost{Flops: 10}, func(int) {
+	if err := q.LaunchKernel(Launch{Global: 10, Local: 10}, Cost{Flops: 10}, func(int, int) {
 		executed = true
 	}); err != nil {
 		t.Fatal(err)

@@ -25,9 +25,9 @@ type Cost struct {
 
 // Launch is the execution geometry of a kernel: total work-items and
 // work-group size. The global size is padded up to a multiple of the group
-// size, as both CUDA and OpenCL require; padded items invoke the body with
-// indices ≥ Global, which kernel bodies must guard against, and their waste
-// is charged by the performance model.
+// size, as both CUDA and OpenCL require. The performance model charges the
+// padded items; they are never executed, so a kernel body sees no index
+// ≥ Global.
 type Launch struct {
 	Global int // useful work-items
 	Local  int // work-group size in work-items
@@ -98,11 +98,12 @@ func (q *Queue) ResetTimers() {
 	q.bytesMoved.Store(0)
 }
 
-// LaunchKernel executes body(workItem) for every work-item, work-group by
-// work-group across the device's compute-unit pool, and charges the launch
-// to both clocks. Bodies see padded indices ≥ l.Global and must return
-// without effect for them.
-func (q *Queue) LaunchKernel(l Launch, c Cost, body func(workItem int)) error {
+// LaunchKernel runs body once per work-group, across the device's
+// compute-unit pool, over the group's work-items [lo, hi): group g covers
+// [g·Local, (g+1)·Local) clipped to l.Global, so the ranges partition
+// [0, Global) and groups run concurrently. The launch is charged to both
+// clocks, the modeled one for the padded global size.
+func (q *Queue) LaunchKernel(l Launch, c Cost, body func(lo, hi int)) error {
 	if l.Global <= 0 {
 		return errors.New("device: launch with non-positive global size")
 	}
@@ -115,10 +116,7 @@ func (q *Queue) LaunchKernel(l Launch, c Cost, body func(workItem int)) error {
 	if !q.dryRun.Load() {
 		start := time.Now()
 		q.dev.parallelFor(groups, func(g int) {
-			base := g * l.Local
-			for i := 0; i < l.Local; i++ {
-				body(base + i)
-			}
+			body(g*l.Local, min((g+1)*l.Local, l.Global))
 		})
 		q.hostNanos.Add(int64(time.Since(start)))
 	}

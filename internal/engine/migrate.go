@@ -118,7 +118,9 @@ func (s *Storage[T]) DetachPatterns(fromHigh bool, n int) (*PatternBlock, error)
 // AttachPatterns inserts a detached block at one end of the storage. The
 // block's buffer occupancy must match the storage's: a block carrying data
 // for a buffer the storage has never seen (or vice versa) indicates the two
-// engines diverged and is an error.
+// engines diverged and is an error. Every entry must span the block's
+// patterns and every tip state lie in [0, StateCount], since a block can
+// arrive off the wire.
 func (s *Storage[T]) AttachPatterns(atHigh bool, blk *PatternBlock) error {
 	if s.closed {
 		return ErrClosed
@@ -137,15 +139,29 @@ func (s *Storage[T]) AttachPatterns(atHigh bool, blk *PatternBlock) error {
 		if (s.TipStates[t] == nil) != (blk.TipStates[t] == nil) {
 			return fmt.Errorf("engine: tip-state buffer %d occupancy mismatch in pattern block", t)
 		}
+		if st := blk.TipStates[t]; st != nil && len(st) != n {
+			return fmt.Errorf("engine: pattern block carries %d states for tip %d, want %d", len(st), t, n)
+		}
+		for _, v := range blk.TipStates[t] {
+			if v < 0 || int(v) > d.StateCount {
+				return fmt.Errorf("engine: pattern block carries state %d for tip %d", v, t)
+			}
+		}
 	}
 	for b := range s.Partials {
 		if (s.Partials[b] == nil) != (blk.Partials[b] == nil) {
 			return fmt.Errorf("engine: partials buffer %d occupancy mismatch in pattern block", b)
 		}
+		if part := blk.Partials[b]; part != nil && len(part) != d.CategoryCount*n*d.StateCount {
+			return fmt.Errorf("engine: pattern block carries %d partials for buffer %d, want %d", len(part), b, d.CategoryCount*n*d.StateCount)
+		}
 	}
 	for b := range s.Scale {
 		if (s.Scale[b] == nil) != (blk.Scale[b] == nil) {
 			return fmt.Errorf("engine: scale buffer %d occupancy mismatch in pattern block", b)
+		}
+		if sc := blk.Scale[b]; sc != nil && len(sc) != n {
+			return fmt.Errorf("engine: pattern block carries %d scale factors for buffer %d, want %d", len(sc), b, n)
 		}
 	}
 	if len(blk.Weights) != n {

@@ -279,4 +279,25 @@ func TestStorageMigrateErrors(t *testing.T) {
 	if err := narrow.AttachPatterns(true, blk); err == nil {
 		t.Fatal("AttachPatterns accepted geometry mismatch")
 	}
+	// Entries of the wrong length or out-of-range states (a block off the
+	// wire) are refused before anything is spliced.
+	want := snapshotStorage(s)
+	for name, spoil := range map[string]func(*PatternBlock){
+		"short tip states":    func(b *PatternBlock) { b.TipStates[0] = b.TipStates[0][:1] },
+		"negative tip state":  func(b *PatternBlock) { b.TipStates[0][0] = -1 },
+		"tip state past gap":  func(b *PatternBlock) { b.TipStates[0][1] = 5 },
+		"long partials":       func(b *PatternBlock) { b.Partials[3] = append(b.Partials[3], 0) },
+		"short scale factors": func(b *PatternBlock) { b.Scale[0] = b.Scale[0][:1] },
+	} {
+		bad := &PatternBlock{Patterns: blk.Patterns, Weights: blk.Weights,
+			TipStates: append([][]int32(nil), blk.TipStates...),
+			Partials:  append([][]float64(nil), blk.Partials...),
+			Scale:     append([][]float64(nil), blk.Scale...)}
+		bad.TipStates[0] = append([]int32(nil), blk.TipStates[0]...)
+		spoil(bad)
+		if err := s.AttachPatterns(true, bad); err == nil {
+			t.Fatalf("AttachPatterns accepted a block with %s", name)
+		}
+		checkSnapshot(t, s, want)
+	}
 }

@@ -18,6 +18,20 @@ type ResolvedOp[T kernels.Real] struct {
 	ReadScale, WriteScale []float64
 }
 
+// Partials computes the destination partials for patterns [lo, hi) with the
+// kernel of k that matches the operand kinds. It is the one place a backend
+// picks a partials kernel; the Set it passes was bound at construction.
+func (r *ResolvedOp[T]) Partials(k *kernels.Set[T], d kernels.Dims, lo, hi int) {
+	switch {
+	case r.S2 != nil:
+		k.StatesStates(r.Out, r.S1, r.M1, r.S2, r.M2, d, lo, hi)
+	case r.S1 != nil:
+		k.StatesPartials(r.Out, r.S1, r.M1, r.P2, r.M2, d, lo, hi)
+	default:
+		k.PartialsPartials(r.Out, r.P1, r.M1, r.P2, r.M2, d, lo, hi)
+	}
+}
+
 // Resolve validates every operation and looks its buffers up, once per batch
 // and in submission order (the documented dependency order: a child must hold
 // data or be the destination of an earlier listed operation). Destinations

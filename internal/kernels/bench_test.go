@@ -7,8 +7,7 @@ import (
 )
 
 // Ablation micro-benchmarks for the kernel-variant design choices DESIGN.md
-// calls out: FMA vs plain accumulation, and the x86 loop style vs the GPU
-// per-entry style on a CPU. The 4-state (assembly against its Go body and
+// calls out: FMA vs plain accumulation. The 4-state (assembly against its Go body and
 // the generic loop) and wide-state kernels are measured in
 // bench_wide_test.go, in GFLOPS.
 
@@ -21,20 +20,6 @@ func BenchmarkPartialsPartialsFMA4State(b *testing.B) {
 	dest := make([]float64, pr.d.PartialsLen())
 	for i := 0; i < b.N; i++ {
 		PartialsPartialsFMA(dest, pr.p1, pr.m1, pr.p2, pr.m2, pr.d, 0, 4096)
-	}
-}
-
-func BenchmarkPartialsPartialsEntryStyle4State(b *testing.B) {
-	// The GPU-style per-entry kernel driven item by item on a CPU: the
-	// configuration Table V's reference row shows to be several-fold slower
-	// than the loop kernels.
-	pr := benchProblem(4, 4096, 4)
-	dest := make([]float64, pr.d.PartialsLen())
-	n := pr.d.PartialsLen()
-	for i := 0; i < b.N; i++ {
-		for w := 0; w < n; w++ {
-			PartialsPartialsEntry(dest, pr.p1, pr.m1, pr.p2, pr.m2, pr.d, w)
-		}
 	}
 }
 

@@ -135,29 +135,3 @@ func TestEdgeSiteDerivativesMatchNumericLikelihood(t *testing.T) {
 		t.Fatalf("nil-d2 reduction gave %v %v", d1b, d2b)
 	}
 }
-
-func TestFMAEntryKernelsMatchPlainEntry(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, s := range []int{4, 20} {
-		pr := newProblem[float64](rng, s, 7, 2)
-		n := pr.d.PartialsLen()
-		plain := make([]float64, n)
-		fmaOut := make([]float64, n)
-		for w := 0; w < n; w++ {
-			PartialsPartialsEntry(plain, pr.p1, pr.m1, pr.p2, pr.m2, pr.d, w)
-			PartialsPartialsEntryFMA(fmaOut, pr.p1, pr.m1, pr.p2, pr.m2, pr.d, w)
-		}
-		if d := maxDiff(plain, fmaOut); d > 1e-12 {
-			t.Fatalf("s=%d: FMA entry kernel differs by %v", s, d)
-		}
-		plainSP := make([]float64, n)
-		fmaSP := make([]float64, n)
-		for w := 0; w < n; w++ {
-			StatesPartialsEntry(plainSP, pr.s1, pr.m1, pr.p2, pr.m2, pr.d, w)
-			StatesPartialsEntryFMA(fmaSP, pr.s1, pr.m1, pr.p2, pr.m2, pr.d, w)
-		}
-		if d := maxDiff(plainSP, fmaSP); d > 1e-12 {
-			t.Fatalf("s=%d: FMA states-partials entry kernel differs by %v", s, d)
-		}
-	}
-}

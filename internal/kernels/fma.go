@@ -41,55 +41,6 @@ func PartialsPartialsFMA[T Real](dest, p1, m1, p2, m2 []T, d Dims, lo, hi int) {
 	}
 }
 
-// PartialsPartialsEntryFMA is the GPU-style single-entry kernel with FMA
-// accumulation.
-//
-//beagle:noalloc
-func PartialsPartialsEntryFMA[T Real](dest, p1, m1, p2, m2 []T, d Dims, workItem int) {
-	s := d.StateCount
-	i := workItem % s
-	cp := workItem / s
-	c := cp / d.PatternCount
-	mOff := c * s * s
-	pOff := cp * s
-	row1 := m1[mOff+i*s : mOff+(i+1)*s]
-	row2 := m2[mOff+i*s : mOff+(i+1)*s]
-	v1 := p1[pOff : pOff+s]
-	v2 := p2[pOff : pOff+s]
-	var sum1, sum2 T
-	for j := 0; j < s; j++ {
-		sum1 = fma(row1[j], v1[j], sum1)
-		sum2 = fma(row2[j], v2[j], sum2)
-	}
-	dest[pOff+i] = sum1 * sum2
-}
-
-// StatesPartialsEntryFMA is the GPU-style single-entry states×partials
-// kernel with FMA accumulation.
-//
-//beagle:noalloc
-func StatesPartialsEntryFMA[T Real](dest []T, s1 []int32, m1 []T, p2, m2 []T, d Dims, workItem int) {
-	s := d.StateCount
-	i := workItem % s
-	cp := workItem / s
-	c := cp / d.PatternCount
-	p := cp % d.PatternCount
-	mOff := c * s * s
-	pOff := cp * s
-	state1 := int(s1[p])
-	var f1 T = 1
-	if state1 < s {
-		f1 = m1[mOff+i*s+state1]
-	}
-	row2 := m2[mOff+i*s : mOff+(i+1)*s]
-	v2 := p2[pOff : pOff+s]
-	var sum2 T
-	for j := 0; j < s; j++ {
-		sum2 = fma(row2[j], v2[j], sum2)
-	}
-	dest[pOff+i] = f1 * sum2
-}
-
 // StatesPartialsFMA is StatesPartials with FMA accumulation.
 //
 //beagle:noalloc

@@ -6,23 +6,26 @@
 // is partitioned and dispatched, exactly as in BEAGLE.
 //
 // Kernels are generic over the floating-point format (float32/float64),
-// mirroring BEAGLE's per-precision kernel generation, and exist in the
-// variants the paper describes:
+// mirroring BEAGLE's per-precision kernel generation. Every partials kernel
+// computes the destination for a pattern range [lo, hi) across all rate
+// categories, and comes in the families the paper describes:
 //
-//   - generic state-count kernels with an inner loop over states, the
-//     OpenCL-x86 style where each work-item does more work (§VII-B2);
-//   - work-item kernels computing a single (pattern, state) entry, the GPU
-//     style with one thread per partials entry (Fig. 2);
-//   - fused-multiply-add variants used when a device advertises fast FMA
-//     (§VII-B1, Table IV);
+//   - generic state-count kernels with an inner loop over states (§VII-B2);
+//   - the FMA family, the generic kernels with fused multiply-add
+//     accumulation, used when a device advertises fast FMA (§VII-B1,
+//     Table IV);
 //   - 4-state kernels, the analogue of the SSE code path: unrolled Go
 //     bodies, and AVX2 assembly for PartialsPartials4 and StatesPartials4
 //     with lanes across the four states (partials4.go);
 //   - wide-state kernels for 5 to MaxWideStates states (amino acids,
 //     codons), the analogue of BEAGLE's hand-vectorised CPU path.
 //
-// Host implementations do not pick among these per call: they bind one Set
-// at construction, from the state-count table ForStateCount or Generic.
+// No implementation picks among these per call: each binds one Set at
+// construction — from the state-count table ForStateCount, Generic, or FMA —
+// and engine.ResolvedOp.Partials picks the Set's kernel for an operation's
+// operand kinds. A GPU-style launch with one work-item per partials entry
+// (Fig. 2) runs the same kernels over each work-group's patterns, one rate
+// category at a time.
 //
 // The wide family and UpdateTransitionMatrix rest on one vectorised
 // primitive, VecMatT: acc[i] = Σ_j mt[j·stride+i]·v[j], AVX2 assembly on

@@ -95,44 +95,6 @@ func TestPartialsPartialsMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestEntryKernelsMatchLoopKernels(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, s := range []int{4, 20, 61} {
-		pr := newProblem[float64](rng, s, 11, 2)
-		n := pr.d.PartialsLen()
-
-		loop := make([]float64, n)
-		entry := make([]float64, n)
-		PartialsPartials(loop, pr.p1, pr.m1, pr.p2, pr.m2, pr.d, 0, 11)
-		for w := 0; w < n; w++ {
-			PartialsPartialsEntry(entry, pr.p1, pr.m1, pr.p2, pr.m2, pr.d, w)
-		}
-		if d := maxDiff(loop, entry); d > 1e-13 {
-			t.Fatalf("s=%d: entry kernel differs by %v", s, d)
-		}
-
-		loopSP := make([]float64, n)
-		entrySP := make([]float64, n)
-		StatesPartials(loopSP, pr.s1, pr.m1, pr.p2, pr.m2, pr.d, 0, 11)
-		for w := 0; w < n; w++ {
-			StatesPartialsEntry(entrySP, pr.s1, pr.m1, pr.p2, pr.m2, pr.d, w)
-		}
-		if d := maxDiff(loopSP, entrySP); d > 1e-13 {
-			t.Fatalf("s=%d: states-partials entry kernel differs by %v", s, d)
-		}
-
-		loopSS := make([]float64, n)
-		entrySS := make([]float64, n)
-		StatesStates(loopSS, pr.s1, pr.m1, pr.s2, pr.m2, pr.d, 0, 11)
-		for w := 0; w < n; w++ {
-			StatesStatesEntry(entrySS, pr.s1, pr.m1, pr.s2, pr.m2, pr.d, w)
-		}
-		if d := maxDiff(loopSS, entrySS); d > 1e-13 {
-			t.Fatalf("s=%d: states-states entry kernel differs by %v", s, d)
-		}
-	}
-}
-
 // normalizeRows rescales each matrix row to sum to 1, making the matrices
 // stochastic; the compact-state kernels' gap-state shortcut (factor 1.0)
 // assumes probability matrices, whose rows always sum to 1.
@@ -209,25 +171,33 @@ func TestFourStateKernelsMatchGeneric(t *testing.T) {
 	}
 }
 
+// TestFMAKernelsMatchGeneric: the FMA family changes rounding, not values,
+// and its StatesStates, with nothing to fuse, is the generic kernel's bits.
 func TestFMAKernelsMatchGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	set, gen := FMA[float64](), Generic[float64]()
+	if set.Family != FamilyFMA {
+		t.Fatalf("FMA set family %q, want %q", set.Family, FamilyFMA)
+	}
 	for _, s := range []int{4, 61} {
 		pr := newProblem[float64](rng, s, 9, 2)
 		n := pr.d.PartialsLen()
-		gen := make([]float64, n)
-		fmaOut := make([]float64, n)
-		PartialsPartials(gen, pr.p1, pr.m1, pr.p2, pr.m2, pr.d, 0, 9)
-		PartialsPartialsFMA(fmaOut, pr.p1, pr.m1, pr.p2, pr.m2, pr.d, 0, 9)
-		// FMA changes rounding, not values: agreement to high precision.
-		if d := maxDiff(gen, fmaOut); d > 1e-12 {
+		ref := make([]float64, n)
+		got := make([]float64, n)
+		gen.PartialsPartials(ref, pr.p1, pr.m1, pr.p2, pr.m2, pr.d, 0, 9)
+		set.PartialsPartials(got, pr.p1, pr.m1, pr.p2, pr.m2, pr.d, 0, 9)
+		if d := maxDiff(ref, got); d > 1e-12 {
 			t.Fatalf("s=%d: FMA kernel differs by %v", s, d)
 		}
-		genSP := make([]float64, n)
-		fmaSP := make([]float64, n)
-		StatesPartials(genSP, pr.s1, pr.m1, pr.p2, pr.m2, pr.d, 0, 9)
-		StatesPartialsFMA(fmaSP, pr.s1, pr.m1, pr.p2, pr.m2, pr.d, 0, 9)
-		if d := maxDiff(genSP, fmaSP); d > 1e-12 {
+		gen.StatesPartials(ref, pr.s1, pr.m1, pr.p2, pr.m2, pr.d, 0, 9)
+		set.StatesPartials(got, pr.s1, pr.m1, pr.p2, pr.m2, pr.d, 0, 9)
+		if d := maxDiff(ref, got); d > 1e-12 {
 			t.Fatalf("s=%d: FMA states-partials differs by %v", s, d)
+		}
+		gen.StatesStates(ref, pr.s1, pr.m1, pr.s2, pr.m2, pr.d, 0, 9)
+		set.StatesStates(got, pr.s1, pr.m1, pr.s2, pr.m2, pr.d, 0, 9)
+		if d := maxDiff(ref, got); d != 0 {
+			t.Fatalf("s=%d: FMA set's states-states differs by %v", s, d)
 		}
 	}
 }

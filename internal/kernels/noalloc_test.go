@@ -34,9 +34,6 @@ func TestKernelsAllocateNothing(t *testing.T) {
 		PartialsPartials(dest, pr.p1, pr.m1, pr.p2, pr.m2, d, 0, d.PatternCount)
 		StatesPartials(dest, pr.s1, pr.m1, pr.p2, pr.m2, d, 0, d.PatternCount)
 		StatesStates(dest, pr.s1, pr.m1, pr.s2, pr.m2, d, 0, d.PatternCount)
-		PartialsPartialsEntry(dest, pr.p1, pr.m1, pr.p2, pr.m2, d, 5)
-		StatesPartialsEntry(dest, pr.s1, pr.m1, pr.p2, pr.m2, d, 5)
-		StatesStatesEntry(dest, pr.s1, pr.m1, pr.s2, pr.m2, d, 5)
 		PartialsPartials4(dest, pr.p1, pr.m1, pr.p2, pr.m2, d, 0, d.PatternCount)
 		StatesPartials4(dest, pr.s1, pr.m1, pr.p2, pr.m2, d, 0, d.PatternCount)
 		PartialsPartials4(dest32, pr32.p1, pr32.m1, pr32.p2, pr32.m2, d, 1, d.PatternCount) // odd span: Go-body tail
@@ -44,8 +41,6 @@ func TestKernelsAllocateNothing(t *testing.T) {
 		StatesStates4(dest, pr.s1, pr.m1, pr.s2, pr.m2, d, 0, d.PatternCount)
 		PartialsPartialsFMA(dest, pr.p1, pr.m1, pr.p2, pr.m2, d, 0, d.PatternCount)
 		StatesPartialsFMA(dest, pr.s1, pr.m1, pr.p2, pr.m2, d, 0, d.PatternCount)
-		PartialsPartialsEntryFMA(dest, pr.p1, pr.m1, pr.p2, pr.m2, d, 5)
-		StatesPartialsEntryFMA(dest, pr.s1, pr.m1, pr.p2, pr.m2, d, 5)
 		SiteLikelihoods(site, dest, weights, freqs, d, 0, d.PatternCount)
 		EdgeSiteLikelihoods(site, pr.p1, pr.p2, pr.m1, weights, freqs, d, 0, d.PatternCount)
 		RescalePartials(dest, scale, d, 0, d.PatternCount)

@@ -84,76 +84,3 @@ func StatesStates[T Real](dest []T, s1 []int32, m1 []T, s2 []int32, m2 []T, d Di
 		}
 	}
 }
-
-// PartialsPartialsEntry computes the single destination entry identified by
-// workItem = ((c·P)+p)·S + i. This is the GPU-style kernel with one logical
-// thread per partials entry (Fig. 2); the device framework launches it over
-// a global work size of C·P·S.
-//
-//beagle:noalloc
-func PartialsPartialsEntry[T Real](dest, p1, m1, p2, m2 []T, d Dims, workItem int) {
-	s := d.StateCount
-	i := workItem % s
-	cp := workItem / s // c·P + p
-	c := cp / d.PatternCount
-	mOff := c * s * s
-	pOff := cp * s
-	row1 := m1[mOff+i*s : mOff+(i+1)*s]
-	row2 := m2[mOff+i*s : mOff+(i+1)*s]
-	v1 := p1[pOff : pOff+s]
-	v2 := p2[pOff : pOff+s]
-	var sum1, sum2 T
-	for j := 0; j < s; j++ {
-		sum1 += row1[j] * v1[j]
-		sum2 += row2[j] * v2[j]
-	}
-	dest[pOff+i] = sum1 * sum2
-}
-
-// StatesPartialsEntry is the GPU-style single-entry variant of
-// StatesPartials.
-//
-//beagle:noalloc
-func StatesPartialsEntry[T Real](dest []T, s1 []int32, m1 []T, p2, m2 []T, d Dims, workItem int) {
-	s := d.StateCount
-	i := workItem % s
-	cp := workItem / s
-	c := cp / d.PatternCount
-	p := cp % d.PatternCount
-	mOff := c * s * s
-	pOff := cp * s
-	state1 := int(s1[p])
-	var f1 T = 1
-	if state1 < s {
-		f1 = m1[mOff+i*s+state1]
-	}
-	row2 := m2[mOff+i*s : mOff+(i+1)*s]
-	v2 := p2[pOff : pOff+s]
-	var sum2 T
-	for j := 0; j < s; j++ {
-		sum2 += row2[j] * v2[j]
-	}
-	dest[pOff+i] = f1 * sum2
-}
-
-// StatesStatesEntry is the GPU-style single-entry variant of StatesStates.
-//
-//beagle:noalloc
-func StatesStatesEntry[T Real](dest []T, s1 []int32, m1 []T, s2 []int32, m2 []T, d Dims, workItem int) {
-	s := d.StateCount
-	i := workItem % s
-	cp := workItem / s
-	c := cp / d.PatternCount
-	p := cp % d.PatternCount
-	mOff := c * s * s
-	state1 := int(s1[p])
-	state2 := int(s2[p])
-	var f1, f2 T = 1, 1
-	if state1 < s {
-		f1 = m1[mOff+i*s+state1]
-	}
-	if state2 < s {
-		f2 = m2[mOff+i*s+state2]
-	}
-	dest[cp*s+i] = f1 * f2
-}

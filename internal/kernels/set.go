@@ -5,6 +5,7 @@ const (
 	FamilyGeneric   = "generic"
 	FamilyUnrolled4 = "unrolled4"
 	FamilyWide      = "wide"
+	FamilyFMA       = "fma"
 )
 
 // Set is the partial-likelihoods kernel family an implementation binds once
@@ -13,7 +14,7 @@ const (
 // implementation partitions or schedules the work.
 type Set[T Real] struct {
 	// Family names the bound kernels (FamilyGeneric, FamilyUnrolled4,
-	// FamilyWide).
+	// FamilyWide, FamilyFMA).
 	Family           string
 	PartialsPartials func(dest, p1, m1, p2, m2 []T, d Dims, lo, hi int)
 	StatesPartials   func(dest []T, s1 []int32, m1 []T, p2, m2 []T, d Dims, lo, hi int)
@@ -26,6 +27,19 @@ func Generic[T Real]() Set[T] {
 		Family:           FamilyGeneric,
 		PartialsPartials: PartialsPartials[T],
 		StatesPartials:   StatesPartials[T],
+		StatesStates:     StatesStates[T],
+	}
+}
+
+// FMA returns the generic kernels with fused multiply-add accumulation, the
+// build an accelerator binds when its device advertises fast FMA (§VII-B1).
+// Two compact-state look-ups have no accumulation to fuse, so StatesStates is
+// the generic kernel.
+func FMA[T Real]() Set[T] {
+	return Set[T]{
+		Family:           FamilyFMA,
+		PartialsPartials: PartialsPartialsFMA[T],
+		StatesPartials:   StatesPartialsFMA[T],
 		StatesStates:     StatesStates[T],
 	}
 }

@@ -551,14 +551,11 @@ func (e *Engine) Addr() string { return e.opts.Addr }
 func (e *Engine) DebugAddr() string { return e.debugAddr }
 
 // DrainSpans fetches and clears the worker-side session tracer, returning
-// the worker's engine spans rebased into this client's tracer timeline: the
-// drain round trip brackets the worker's clock reading, so the midpoint of
-// the RPC on the client clock estimates the instant of the worker's
-// NowNanos, and the difference rebases every span. Host-layer spans move;
-// modeled-device-clock spans (KindKernel/KindTransfer) keep their own
-// timebase, as they do locally. Returns nil when tracing is off, after
-// failover, or when the worker predates the drain op (a v1 worker answers
-// with an unknown-op error).
+// the worker's engine spans rebased into this client's tracer timeline by
+// rebaseDelta. Host-layer spans move; modeled-device-clock spans
+// (KindKernel/KindTransfer) keep their own timebase, as they do locally.
+// Returns nil when tracing is off, after failover, or when the worker
+// predates the drain op (a v1 worker answers with an unknown-op error).
 func (e *Engine) DrainSpans() ([]trace.Span, error) {
 	if !e.tr.Enabled() {
 		return nil, nil
@@ -577,14 +574,37 @@ func (e *Engine) DrainSpans() ([]trace.Span, error) {
 	if resp.Err != "" {
 		return nil, nil // v1 worker: no spans to stitch
 	}
-	delta := (t0+t1)/2 - resp.NowNanos
 	spans := resp.Spans
+	earliest := int64(math.MaxInt64)
+	for _, sp := range spans {
+		if sp.Kind.Layer() != trace.LayerDevice {
+			earliest = min(earliest, sp.Start)
+		}
+	}
+	delta := rebaseDelta(t0, t1, resp.NowNanos, earliest)
 	for i := range spans {
-		if l := spans[i].Kind.Layer(); l != trace.LayerDevice {
+		if spans[i].Kind.Layer() != trace.LayerDevice {
 			spans[i].Start += delta
 		}
 	}
 	return spans, nil
+}
+
+// rebaseDelta is the shift from the worker's trace clock to the client's.
+// The worker read its clock (workerNow) inside the drain's round trip, which
+// the client bracketed with t0 and t1, so the true shift lies in
+// [t0−workerNow, t1−workerNow]. The midpoint estimates it. A slow leg can
+// put the midpoint far enough from the truth to place the earliest host-layer
+// span (earliest, on the worker's clock) before the client's epoch; the shift
+// is then raised to start that span at 0, inside the interval whenever the
+// worker recorded nothing before the client's tracer existed.
+func rebaseDelta(t0, t1, workerNow, earliest int64) int64 {
+	lo, hi := t0-workerNow, t1-workerNow
+	delta := lo + (hi-lo)/2
+	if earliest != math.MaxInt64 && earliest+delta < 0 {
+		delta = -earliest
+	}
+	return delta
 }
 
 func (e *Engine) SetTipStates(buf int, states []int) error {

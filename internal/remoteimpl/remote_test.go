@@ -19,7 +19,7 @@ import (
 )
 
 // problem builds a small deterministic likelihood problem.
-func problem(t *testing.T, seed int64, tips, sites int) (*tree.Tree, *substmodel.Model, *substmodel.SiteRates, *seqgen.PatternSet) {
+func problem(t testing.TB, seed int64, tips, sites int) (*tree.Tree, *substmodel.Model, *substmodel.SiteRates, *seqgen.PatternSet) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	tr, err := tree.Random(rng, tips, 0.15)
@@ -53,7 +53,7 @@ func testConfig(tr *tree.Tree, patterns int) engine.Config {
 }
 
 // evaluate drives a complete tree likelihood through any engine.
-func evaluate(t *testing.T, e engine.Engine, tr *tree.Tree, m *substmodel.Model,
+func evaluate(t testing.TB, e engine.Engine, tr *tree.Tree, m *substmodel.Model,
 	rates *substmodel.SiteRates, ps *seqgen.PatternSet) float64 {
 	t.Helper()
 	ed, err := m.Eigen()

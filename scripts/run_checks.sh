@@ -56,6 +56,22 @@ go -C "$ROOT" test -race -run TestConcurrentRecording -count=200 ./internal/tele
 section "cpuimpl executor -race -count=50"
 go -C "$ROOT" test -race -count=50 -run 'Aliased|MatchSerial|KernelBinding|TraceSpans|LevelTraces' ./internal/cpuimpl
 
+# A device launch runs its work-groups concurrently, and each GPU-variant group
+# writes its own per-category pattern runs of the destination: an overlap
+# only races intermittently.
+section "accelerator work-groups -race -count=20"
+go -C "$ROOT" test -race -count=20 -run 'Golden|MatchCPUSerial|ReferenceBits|LaunchKernel' ./internal/accelimpl ./internal/device
+
+# Drained worker spans are rebased by the drain's round trip, whose legs are
+# scheduled differently on every run.
+section "remoteimpl span stitching -count=200 -cpu 1"
+go -C "$ROOT" test -count=200 -cpu 1 -run TestDrainSpansStitchesWorkerSpans ./internal/remoteimpl
+
+# Wire requests off the network through the worker's dispatch table: no
+# request may panic a worker or leave its engine unable to evaluate.
+section "fuzz FuzzApplyRequest 30s"
+go -C "$ROOT" test -run '^$' -fuzz FuzzApplyRequest -fuzztime 30s ./internal/remoteimpl
+
 run() {
     section "genomictest -check $*"
     go -C "$ROOT" run ./cmd/genomictest -check "$@"
