@@ -81,12 +81,30 @@ func BenchmarkAccumulateScaleFactors(b *testing.B) {
 	}
 }
 
+// BenchmarkSiteLikelihoods integrates a root of nuc_large's shape (20 000
+// patterns, four categories, four states) in both precisions: unrolled4 is
+// SiteLikelihoods, which takes the 4-state path, generic the loop over
+// states it is held to. Reported per pattern.
 func BenchmarkSiteLikelihoods(b *testing.B) {
-	pr := benchProblem(4, 4096, 4)
-	out := make([]float64, 4096)
+	b.Run("float32", func(b *testing.B) { benchSiteLikelihoods[float32](b) })
+	b.Run("float64", func(b *testing.B) { benchSiteLikelihoods[float64](b) })
+}
+
+func benchSiteLikelihoods[T Real](b *testing.B) {
+	const patterns = 20000
+	pr := newProblem[T](rand.New(rand.NewSource(1)), 4, patterns, 4)
+	out := make([]float64, patterns)
 	wts := []float64{0.25, 0.25, 0.25, 0.25}
-	freqs := []float64{0.25, 0.25, 0.25, 0.25}
-	for i := 0; i < b.N; i++ {
-		SiteLikelihoods(out, pr.p1, wts, freqs, pr.d, 0, 4096)
+	freqs := []float64{0.1, 0.2, 0.3, 0.4}
+	for _, k := range []struct {
+		name string
+		fn   func(out []float64, root []T, catWeights, freqs []float64, d Dims, lo, hi int)
+	}{{"unrolled4", SiteLikelihoods[T]}, {"generic", siteLikelihoodsGeneric[T]}} {
+		b.Run(k.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				k.fn(out, pr.p1, wts, freqs, pr.d, 0, patterns)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*patterns), "ns/pattern")
+		})
 	}
 }

@@ -18,7 +18,7 @@ type kernelBench[T kernels.Real] struct {
 	d              kernels.Dims
 	dest           []T
 	p1, m1, p2, m2 []T
-	s1             []int32
+	s1, s2         []int32
 }
 
 func newKernelBench[T kernels.Real](states, patterns, categories int) *kernelBench[T] {
@@ -33,9 +33,12 @@ func newKernelBench[T kernels.Real](states, patterns, categories int) *kernelBen
 	}
 	w := &kernelBench[T]{d: d, dest: make([]T, d.PartialsLen()),
 		p1: fill(d.PartialsLen()), m1: fill(d.MatrixLen()), p2: fill(d.PartialsLen()), m2: fill(d.MatrixLen()),
-		s1: make([]int32, patterns)}
+		s1: make([]int32, patterns), s2: make([]int32, patterns)}
 	for i := range w.s1 {
 		w.s1[i] = int32(rng.Intn(states + 1))
+	}
+	for i := range w.s2 {
+		w.s2[i] = int32(rng.Intn(states + 1))
 	}
 	return w
 }
@@ -52,6 +55,14 @@ func (w *kernelBench[T]) statesPartials(b *testing.B, k func(dest []T, s1 []int3
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k(w.dest, w.s1, w.m1, w.p2, w.m2, w.d, 0, w.d.PatternCount)
+	}
+	b.ReportMetric(flops.GFLOPS(flops.Total(w.d, b.N), b.Elapsed()), "GFLOPS")
+}
+
+func (w *kernelBench[T]) statesStates(b *testing.B, k func(dest []T, s1 []int32, m1 []T, s2 []int32, m2 []T, d kernels.Dims, lo, hi int)) {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k(w.dest, w.s1, w.m1, w.s2, w.m2, w.d, 0, w.d.PatternCount)
 	}
 	b.ReportMetric(flops.GFLOPS(flops.Total(w.d, b.N), b.Elapsed()), "GFLOPS")
 }
@@ -81,24 +92,32 @@ func BenchmarkStatesPartialsWideCodon(b *testing.B) {
 }
 
 // BenchmarkPartials4 times the 4-state kernels on 4096 patterns in four
-// categories: unrolled4 (the bound kernels, assembly on an AVX2 host), go
-// (their unrolled Go body) and generic (the loop over states).
+// categories: unrolled4 (the bound kernels: assembly on an AVX2 host for
+// PartialsPartials and StatesPartials, the product table for StatesStates),
+// go (the unrolled Go body the assembly is held to) and generic (the loop
+// over states).
 func BenchmarkPartials4(b *testing.B) {
-	b.Run("PartialsPartials/float32", func(b *testing.B) { benchPartials4[float32](b, true) })
-	b.Run("PartialsPartials/float64", func(b *testing.B) { benchPartials4[float64](b, true) })
-	b.Run("StatesPartials/float32", func(b *testing.B) { benchPartials4[float32](b, false) })
-	b.Run("StatesPartials/float64", func(b *testing.B) { benchPartials4[float64](b, false) })
+	b.Run("PartialsPartials/float32", func(b *testing.B) { benchPartials4[float32](b, "pp") })
+	b.Run("PartialsPartials/float64", func(b *testing.B) { benchPartials4[float64](b, "pp") })
+	b.Run("StatesPartials/float32", func(b *testing.B) { benchPartials4[float32](b, "sp") })
+	b.Run("StatesPartials/float64", func(b *testing.B) { benchPartials4[float64](b, "sp") })
+	b.Run("StatesStates/float32", func(b *testing.B) { benchPartials4[float32](b, "ss") })
+	b.Run("StatesStates/float64", func(b *testing.B) { benchPartials4[float64](b, "ss") })
 }
 
-func benchPartials4[T kernels.Real](b *testing.B, partials bool) {
+func benchPartials4[T kernels.Real](b *testing.B, which string) {
 	w := newKernelBench[T](4, 4096, 4)
-	if partials {
+	switch which {
+	case "pp":
 		b.Run("unrolled4", func(b *testing.B) { w.partialsPartials(b, kernels.PartialsPartials4[T]) })
 		b.Run("go", func(b *testing.B) { w.partialsPartials(b, kernels.PartialsPartials4Go[T]) })
 		b.Run("generic", func(b *testing.B) { w.partialsPartials(b, kernels.PartialsPartials[T]) })
-		return
+	case "sp":
+		b.Run("unrolled4", func(b *testing.B) { w.statesPartials(b, kernels.StatesPartials4[T]) })
+		b.Run("go", func(b *testing.B) { w.statesPartials(b, kernels.StatesPartials4Go[T]) })
+		b.Run("generic", func(b *testing.B) { w.statesPartials(b, kernels.StatesPartials[T]) })
+	case "ss":
+		b.Run("unrolled4", func(b *testing.B) { w.statesStates(b, kernels.StatesStates4[T]) })
+		b.Run("generic", func(b *testing.B) { w.statesStates(b, kernels.StatesStates[T]) })
 	}
-	b.Run("unrolled4", func(b *testing.B) { w.statesPartials(b, kernels.StatesPartials4[T]) })
-	b.Run("go", func(b *testing.B) { w.statesPartials(b, kernels.StatesPartials4Go[T]) })
-	b.Run("generic", func(b *testing.B) { w.statesPartials(b, kernels.StatesPartials[T]) })
 }

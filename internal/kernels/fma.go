@@ -55,7 +55,7 @@ func StatesPartialsFMA[T Real](dest []T, s1 []int32, m1 []T, p2, m2 []T, d Dims,
 			out := dest[pOff : pOff+s]
 			for i := 0; i < s; i++ {
 				var f1 T = 1
-				if state1 < s {
+				if uint(state1) < uint(s) {
 					f1 = m1[mOff+i*s+state1]
 				}
 				row2 := m2[mOff+i*s : mOff+(i+1)*s]

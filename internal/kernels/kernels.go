@@ -14,9 +14,10 @@
 //   - the FMA family, the generic kernels with fused multiply-add
 //     accumulation, used when a device advertises fast FMA (§VII-B1,
 //     Table IV);
-//   - 4-state kernels, the analogue of the SSE code path: unrolled Go
-//     bodies, and AVX2 assembly for PartialsPartials4 and StatesPartials4
-//     with lanes across the four states (partials4.go);
+//   - 4-state kernels, the analogue of the SSE code path: AVX2 assembly
+//     for PartialsPartials4 and StatesPartials4 with lanes across the four
+//     states, their unrolled Go bodies, and StatesStates4 as a table of the
+//     25 possible destination rows (partials4.go);
 //   - wide-state kernels for 5 to MaxWideStates states (amino acids,
 //     codons), the analogue of BEAGLE's hand-vectorised CPU path.
 //
@@ -71,7 +72,8 @@
 //
 //	partials:  [category][pattern][state]   idx = (c·P + p)·S + s
 //	matrices:  [category][parent][child]    idx = (c·S + i)·S + j
-//	tipStates: [pattern] int32; a value ≥ S denotes full ambiguity (gap)
+//	tipStates: [pattern] int32; a value outside [0, S) denotes full
+//	           ambiguity (a gap) in every kernel
 package kernels
 
 // Real is the set of floating-point formats a kernel can be instantiated

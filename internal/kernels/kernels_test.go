@@ -166,9 +166,7 @@ func TestFourStateKernelsMatchGeneric(t *testing.T) {
 	sseSS := make([]float64, n)
 	StatesStates(genSS, pr.s1, pr.m1, pr.s2, pr.m2, pr.d, 0, 23)
 	StatesStates4(sseSS, pr.s1, pr.m1, pr.s2, pr.m2, pr.d, 0, 23)
-	if d := maxDiff(genSS, sseSS); d > 1e-13 {
-		t.Fatalf("StatesStates4 differs by %v", d)
-	}
+	requireSameBits(t, "StatesStates4", sseSS, genSS)
 }
 
 // TestFMAKernelsMatchGeneric: the FMA family changes rounding, not values,

@@ -39,9 +39,11 @@ func TestKernelsAllocateNothing(t *testing.T) {
 		PartialsPartials4(dest32, pr32.p1, pr32.m1, pr32.p2, pr32.m2, d, 1, d.PatternCount) // odd span: Go-body tail
 		StatesPartials4(dest32, pr32.s1, pr32.m1, pr32.p2, pr32.m2, d, 1, d.PatternCount)
 		StatesStates4(dest, pr.s1, pr.m1, pr.s2, pr.m2, d, 0, d.PatternCount)
+		StatesStates4(dest32, pr32.s1, pr32.m1, pr32.s2, pr32.m2, d, 1, d.PatternCount) // odd span: block tail
 		PartialsPartialsFMA(dest, pr.p1, pr.m1, pr.p2, pr.m2, d, 0, d.PatternCount)
 		StatesPartialsFMA(dest, pr.s1, pr.m1, pr.p2, pr.m2, d, 0, d.PatternCount)
 		SiteLikelihoods(site, dest, weights, freqs, d, 0, d.PatternCount)
+		SiteLikelihoods(site, dest32, weights, freqs, d, 0, d.PatternCount)
 		EdgeSiteLikelihoods(site, pr.p1, pr.p2, pr.m1, weights, freqs, d, 0, d.PatternCount)
 		RescalePartials(dest, scale, d, 0, d.PatternCount)
 		ApplyReadScale(dest, scale, d, 0, d.PatternCount)

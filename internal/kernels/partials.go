@@ -44,7 +44,7 @@ func StatesPartials[T Real](dest []T, s1 []int32, m1 []T, p2, m2 []T, d Dims, lo
 			out := dest[pOff : pOff+s]
 			for i := 0; i < s; i++ {
 				var f1 T = 1
-				if state1 < s {
+				if uint(state1) < uint(s) {
 					f1 = m1[mOff+i*s+state1]
 				}
 				row2 := m2[mOff+i*s : mOff+(i+1)*s]
@@ -73,10 +73,10 @@ func StatesStates[T Real](dest []T, s1 []int32, m1 []T, s2 []int32, m2 []T, d Di
 			out := dest[pOff : pOff+s]
 			for i := 0; i < s; i++ {
 				var f1, f2 T = 1, 1
-				if state1 < s {
+				if uint(state1) < uint(s) {
 					f1 = m1[mOff+i*s+state1]
 				}
-				if state2 < s {
+				if uint(state2) < uint(s) {
 					f2 = m2[mOff+i*s+state2]
 				}
 				out[i] = f1 * f2

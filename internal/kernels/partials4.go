@@ -15,12 +15,17 @@ package kernels
 // comment gives. Per category both 4×4 matrices are transposed into scratch
 // on the kernel call's stack, so a matrix column is one vector load; the
 // compact-state child gets a fifth, all-ones column that a gap state (any
-// value ≥ 4, clamped with an unsigned compare) selects without a branch.
+// state outside [0, 4), clamped with an unsigned compare) selects without a
+// branch.
 // float64 takes one pattern per 256-bit register, float32 two (the columns
 // broadcast to both 128-bit halves, each half's entries broadcast within it).
 // An odd float32 tail pattern, a CPU without AVX2 and -tags purego run the
 // unrolled Go bodies below, which compute the same results: every non-NaN
 // output bit for bit, a NaN as a NaN.
+//
+// StatesStates4 needs no assembly: with both children compact states, a
+// category has 25 distinct destination rows, so it builds them once and
+// copies one per pattern.
 
 // PartialsPartials4 is PartialsPartials specialized and unrolled for
 // StateCount == 4.
@@ -133,8 +138,7 @@ func statesPartials4Go[T Real](dest []T, s1 []int32, m1 []T, p2, m2 []T, d Dims,
 			t1 := n[4]*b0 + n[5]*b1 + n[6]*b2 + n[7]*b3
 			t2 := n[8]*b0 + n[9]*b1 + n[10]*b2 + n[11]*b3
 			t3 := n[12]*b0 + n[13]*b1 + n[14]*b2 + n[15]*b3
-			st := int(s1[p])
-			if st < 4 {
+			if st := s1[p]; uint32(st) < 4 {
 				dest[o] = m[st] * t0
 				dest[o+1] = m[4+st] * t1
 				dest[o+2] = m[8+st] * t2
@@ -149,31 +153,77 @@ func statesPartials4Go[T Real](dest []T, s1 []int32, m1 []T, p2, m2 []T, d Dims,
 	}
 }
 
-// StatesStates4 is StatesStates specialized and unrolled for
-// StateCount == 4. It stays in Go: two table look-ups and a multiply per
-// entry leave nothing to vectorise.
+// StatesStates4 is StatesStates specialized for StateCount == 4, as a
+// product table. Both children are compact states, so a category has only
+// 5 × 5 distinct destination rows, tab[a·5+b][i] = f_a[i]·g_b[i]: f_a is
+// column a of m1, g_b column b of m2, and index 4 — the gap — is a column of
+// ones. These are the generic kernel's own products in its operand order, a
+// gap's factor 1 included, so the results are its bits. Each pattern then
+// clamps both states to the gap with an unsigned compare (any state outside
+// [0, 4) is a gap, as in every compact-state kernel) and copies one row,
+// with no arithmetic. Categories are the outer loop, so one category's table
+// stays in the first-level cache while the patterns stream past it.
 //
 //beagle:noalloc
 func StatesStates4[T Real](dest []T, s1 []int32, m1 []T, s2 []int32, m2 []T, d Dims, lo, hi int) {
+	if hi <= lo {
+		return
+	}
+	var tab [32][4]T // rows 25–31 are never read: tableRow4's &31 only drops a bounds check
+	s1, s2 = s1[lo:hi], s2[lo:hi]
 	for c := 0; c < d.CategoryCount; c++ {
-		m := m1[c*16 : c*16+16]
-		n := m2[c*16 : c*16+16]
-		for p := lo; p < hi; p++ {
-			o := (c*d.PatternCount + p) * 4
-			sa := int(s1[p])
-			sb := int(s2[p])
-			var f0, f1, f2, f3 T = 1, 1, 1, 1
-			if sa < 4 {
-				f0, f1, f2, f3 = m[sa], m[4+sa], m[8+sa], m[12+sa]
+		productTable4(&tab, m1[c*16:c*16+16], m2[c*16:c*16+16])
+		o := (c*d.PatternCount + lo) * 4
+		copyRows4(dest[o:o+4*len(s1)], s1, s2, &tab)
+	}
+}
+
+// copyRows4 writes StatesStates4's table row for each pattern of s1 and s2
+// into out, four patterns to a block so that a block is bounds-checked once.
+// It is a function of its own so that the loop's few values stay in
+// registers.
+//
+//beagle:noalloc
+func copyRows4[T Real](out []T, s1, s2 []int32, tab *[32][4]T) {
+	s2 = s2[:len(s1)]
+	for len(s1) >= 4 && len(s2) >= 4 && len(out) >= 16 {
+		blk := (*[16]T)(out)
+		*(*[4]T)(blk[0:4]) = tab[tableRow4(s1[0], s2[0])]
+		*(*[4]T)(blk[4:8]) = tab[tableRow4(s1[1], s2[1])]
+		*(*[4]T)(blk[8:12]) = tab[tableRow4(s1[2], s2[2])]
+		*(*[4]T)(blk[12:16]) = tab[tableRow4(s1[3], s2[3])]
+		s1, s2, out = s1[4:], s2[4:], out[16:]
+	}
+	for i := range s1 {
+		*(*[4]T)(out[4*i : 4*i+4]) = tab[tableRow4(s1[i], s2[i])]
+	}
+}
+
+// tableRow4 is the row of StatesStates4's table for tip states a and b.
+//
+//beagle:noalloc
+func tableRow4(a, b int32) uint32 {
+	return (min(uint32(a), 4)*5 + min(uint32(b), 4)) & 31
+}
+
+// productTable4 fills rows 0–24 of tab with StatesStates4's products for one
+// category's matrices m and n: row a·5+b is column a of m times column b of
+// n, entrywise, where column 4 of either is all ones.
+//
+//beagle:noalloc
+func productTable4[T Real](tab *[32][4]T, m, n []T) {
+	m, n = m[:16], n[:16]
+	for a := 0; a < 5; a++ {
+		f := [4]T{1, 1, 1, 1}
+		if a < 4 {
+			f = [4]T{m[a], m[4+a], m[8+a], m[12+a]}
+		}
+		for b := 0; b < 5; b++ {
+			g := [4]T{1, 1, 1, 1}
+			if b < 4 {
+				g = [4]T{n[b], n[4+b], n[8+b], n[12+b]}
 			}
-			var g0, g1, g2, g3 T = 1, 1, 1, 1
-			if sb < 4 {
-				g0, g1, g2, g3 = n[sb], n[4+sb], n[8+sb], n[12+sb]
-			}
-			dest[o] = f0 * g0
-			dest[o+1] = f1 * g1
-			dest[o+2] = f2 * g2
-			dest[o+3] = f3 * g3
+			tab[a*5+b] = [4]T{f[0] * g[0], f[1] * g[1], f[2] * g[2], f[3] * g[3]}
 		}
 	}
 }

@@ -24,34 +24,49 @@ func partials4Specials[T Real](tiny, big float64) []T {
 
 const partials4Canary = -3.25
 
-// partials4Case is one call of both 4-state kernels, assembly and Go body,
-// on the same operands; dest buffers are canary-filled and carry eight more
-// canaries past their length.
+// The kernels a partials4Case checks, each against its reference.
+const (
+	kernelPP4  = "PartialsPartials4" // against its unrolled Go body
+	kernelSP4  = "StatesPartials4"   // against its unrolled Go body
+	kernelSS4  = "StatesStates4"     // against generic StatesStates
+	kernelSite = "SiteLikelihoods"   // against the loop over states
+)
+
+var allPartials4Kernels = []string{kernelPP4, kernelSP4, kernelSS4, kernelSite}
+
+// partials4Case is one call of a 4-state kernel and of its reference on the
+// same operands; p1 doubles as SiteLikelihoods' root, weights and freqs are
+// its category weights and state frequencies. dest and out buffers are
+// canary-filled and carry eight more canaries past their length.
 type partials4Case[T Real] struct {
 	d              Dims
 	p1, m1, p2, m2 []T
-	s1             []int32
+	s1, s2         []int32
+	weights, freqs []float64
 	lo, hi         int
 }
 
-func (k *partials4Case[T]) check(t *testing.T, name string) {
+func (k *partials4Case[T]) check(t *testing.T, name string, kernels ...string) {
 	t.Helper()
-	n := k.d.PartialsLen()
-	buffer := func() []T {
-		b := make([]T, n+8)
-		for i := range b {
-			b[i] = partials4Canary
+	for _, kernel := range kernels {
+		if kernel == kernelSite {
+			k.checkSite(t, name)
+			continue
 		}
-		return b
-	}
-	for _, kernel := range []string{"PartialsPartials4", "StatesPartials4"} {
-		got, want := buffer(), buffer()
-		if kernel == "PartialsPartials4" {
+		n := k.d.PartialsLen()
+		got, want := canaries[T](n+8), canaries[T](n+8)
+		switch kernel {
+		case kernelPP4:
 			PartialsPartials4(got[:n:n], k.p1, k.m1, k.p2, k.m2, k.d, k.lo, k.hi)
 			partialsPartials4Go(want[:n:n], k.p1, k.m1, k.p2, k.m2, k.d, k.lo, k.hi)
-		} else {
+		case kernelSP4:
 			StatesPartials4(got[:n:n], k.s1, k.m1, k.p2, k.m2, k.d, k.lo, k.hi)
 			statesPartials4Go(want[:n:n], k.s1, k.m1, k.p2, k.m2, k.d, k.lo, k.hi)
+		case kernelSS4:
+			StatesStates4(got[:n:n], k.s1, k.m1, k.s2, k.m2, k.d, k.lo, k.hi)
+			StatesStates(want[:n:n], k.s1, k.m1, k.s2, k.m2, k.d, k.lo, k.hi)
+		default:
+			t.Fatalf("unknown kernel %q", kernel)
 		}
 		for i := range got {
 			p := i / 4 % max(k.d.PatternCount, 1)
@@ -60,26 +75,72 @@ func (k *partials4Case[T]) check(t *testing.T, name string) {
 				t.Fatalf("%s %s: entry %d outside [%d, %d) overwritten with %v", name, kernel, i, k.lo, k.hi, got[i])
 			}
 			if !sameResult(got[i], want[i]) {
-				t.Fatalf("%s %s: entry %d (pattern %d, state %d) is %v (%#x), Go body %v (%#x)", name, kernel, i, p, i%4,
+				t.Fatalf("%s %s: entry %d (pattern %d, state %d) is %v (%#x), reference %v (%#x)", name, kernel, i, p, i%4,
 					got[i], math.Float64bits(float64(got[i])), want[i], math.Float64bits(float64(want[i])))
 			}
 		}
 	}
 }
 
-func testPartials4Exact[T Real](t *testing.T, specials []T) {
+// checkSite holds SiteLikelihoods on the case's root (p1) to the loop over
+// states.
+func (k *partials4Case[T]) checkSite(t *testing.T, name string) {
+	t.Helper()
+	n := k.d.PatternCount
+	got, want := canaries[float64](n+8), canaries[float64](n+8)
+	SiteLikelihoods(got[:n:n], k.p1, k.weights, k.freqs, k.d, k.lo, k.hi)
+	siteLikelihoodsGeneric(want[:n:n], k.p1, k.weights, k.freqs, k.d, k.lo, k.hi)
+	for p := range got {
+		if inside := p < n && p >= k.lo && p < k.hi; !inside && !bitsEqual(got[p], partials4Canary) {
+			t.Fatalf("%s %s: pattern %d outside [%d, %d) overwritten with %v", name, kernelSite, p, k.lo, k.hi, got[p])
+		}
+		if !sameResult(got[p], want[p]) {
+			t.Fatalf("%s %s: pattern %d is %v (%#x), loop %v (%#x)", name, kernelSite, p,
+				got[p], math.Float64bits(got[p]), want[p], math.Float64bits(want[p]))
+		}
+	}
+}
+
+func canaries[T Real](n int) []T {
+	b := make([]T, n)
+	for i := range b {
+		b[i] = partials4Canary
+	}
+	return b
+}
+
+func testPartials4Exact[T Real](t *testing.T, specials []T, kernels ...string) {
 	rng := rand.New(rand.NewSource(28))
 	gaps := []int32{4, math.MaxInt32}
+	tipStates := func(n int) []int32 {
+		out := make([]int32, n)
+		for p := range out {
+			if out[p] = int32(rng.Intn(6)); out[p] >= 4 {
+				out[p] = gaps[out[p]-4]
+			}
+		}
+		return out
+	}
+	negZero := T(math.Copysign(0, -1))
+	f64Specials := partials4Specials[float64](math.SmallestNonzeroFloat64, 1e150)
 	for _, patterns := range []int{0, 1, 2, 3, 7, 129} {
 		for _, cats := range []int{1, 4} {
 			d := Dims{StateCount: 4, PatternCount: patterns, CategoryCount: cats}
 			k := &partials4Case[T]{d: d,
 				p1: randomOperand(rng, d.PartialsLen(), specials), p2: randomOperand(rng, d.PartialsLen(), specials),
 				m1: randomOperand(rng, d.MatrixLen(), specials), m2: randomOperand(rng, d.MatrixLen(), specials),
-				s1: make([]int32, patterns)}
-			for p := range k.s1 {
-				if k.s1[p] = int32(rng.Intn(6)); k.s1[p] >= 4 {
-					k.s1[p] = gaps[k.s1[p]-4]
+				s1: tipStates(patterns), s2: tipStates(patterns),
+				weights: randomOperand(rng, cats, f64Specials), freqs: randomOperand(rng, 4, f64Specials)}
+			// A root pattern whose first product is −0 in every category,
+			// and one whose every product is.
+			k.freqs[0] = 0.25
+			for c := 0; c < cats; c++ {
+				for p := 0; p < min(patterns, 2); p++ {
+					row := k.p1[(c*patterns+p)*4:][:4]
+					row[0] = negZero
+					if p == 1 {
+						row[1], row[2], row[3] = negZero, negZero, negZero
+					}
 				}
 			}
 			// Whole, empty, odd and even starts and lengths, one pattern.
@@ -92,10 +153,20 @@ func testPartials4Exact[T Real](t *testing.T, specials []T) {
 			}
 			for _, span := range spans {
 				k.lo, k.hi = span[0], span[1]
-				k.check(t, fmt.Sprintf("P=%d C=%d [%d,%d)", patterns, cats, k.lo, k.hi))
+				k.check(t, fmt.Sprintf("P=%d C=%d [%d,%d)", patterns, cats, k.lo, k.hi), kernels...)
 			}
 		}
 	}
+}
+
+// testPartials4ExactBoth runs testPartials4Exact in both precisions.
+func testPartials4ExactBoth(t *testing.T, kernels ...string) {
+	t.Run("float64", func(t *testing.T) {
+		testPartials4Exact(t, partials4Specials[float64](math.SmallestNonzeroFloat64, 1e150), kernels...)
+	})
+	t.Run("float32", func(t *testing.T) {
+		testPartials4Exact(t, partials4Specials[float32](math.SmallestNonzeroFloat32, 1e17), kernels...)
+	})
 }
 
 // TestPartials4Exact holds PartialsPartials4 and StatesPartials4 — assembly
@@ -105,34 +176,66 @@ func testPartials4Exact[T Real](t *testing.T, specials []T) {
 // outside [lo, hi) is written.
 func TestPartials4Exact(t *testing.T) {
 	t.Logf("4-state kernels accelerated: %v", vecMatAccelerated)
-	t.Run("float64", func(t *testing.T) {
-		testPartials4Exact(t, partials4Specials[float64](math.SmallestNonzeroFloat64, 1e150))
-	})
-	t.Run("float32", func(t *testing.T) {
-		testPartials4Exact(t, partials4Specials[float32](math.SmallestNonzeroFloat32, 1e17))
-	})
+	testPartials4ExactBoth(t, kernelPP4, kernelSP4)
 }
 
-// TestStatesPartials4ClampsNegativeStates covers what the Go body cannot: the
-// engine rejects negative tip states, but the assembly's unsigned clamp must
-// still keep them inside its column table, as gaps.
+// TestStatesStates4Exact holds the product table to generic StatesStates on
+// the same operands, gap codes in either child and spans as
+// TestPartials4Exact.
+func TestStatesStates4Exact(t *testing.T) {
+	testPartials4ExactBoth(t, kernelSS4)
+}
+
+// TestSiteLikelihoods4Exact holds SiteLikelihoods' 4-state path to the loop
+// over states, bit for bit, on float32 and float64 roots — special values in
+// the root, the weights and the frequencies, and patterns whose first product
+// (or every product) is −0.
+func TestSiteLikelihoods4Exact(t *testing.T) {
+	testPartials4ExactBoth(t, kernelSite)
+}
+
+// TestStatesPartials4ClampsNegativeStates holds every family's compact-state
+// kernels to one gap rule: a state outside [0, S) is a gap. The engine
+// refuses negative tip states, but a kernel handed one must neither read
+// outside the matrix nor answer differently from the others: each must
+// compute exactly what it computes for the gap code S.
 func TestStatesPartials4ClampsNegativeStates(t *testing.T) {
-	if !vecMatAccelerated {
-		t.Skip("the Go body indexes with the state and panics on a negative one")
+	for _, s := range []int{4, 5, 20, 61} {
+		sets := map[string]Set[float64]{
+			"generic": Generic[float64](),
+			"fma":     FMA[float64](),
+			"bound":   ForStateCount[float64](s),
+			"wide":    {StatesPartials: StatesPartialsWide[float64], StatesStates: StatesStates[float64]},
+		}
+		if s == 4 {
+			sets["go body"] = Set[float64]{StatesPartials: statesPartials4Go[float64], StatesStates: StatesStates4[float64]}
+		}
+		gap := int32(s)
+		neg1 := []int32{-1, math.MinInt32, -5, 1, gap, -gap}
+		gap1 := []int32{gap, gap, gap, 1, gap, gap}
+		neg2 := []int32{0, -gap, -1, math.MinInt32, 2, -7}
+		gap2 := []int32{0, gap, gap, gap, 2, gap}
+		pr := newProblem[float64](rand.New(rand.NewSource(int64(s))), s, len(neg1), 2)
+		for name, set := range sets {
+			what := fmt.Sprintf("S=%d %s", s, name)
+			got := make([]float64, pr.d.PartialsLen())
+			want := make([]float64, pr.d.PartialsLen())
+			set.StatesPartials(got, neg1, pr.m1, pr.p2, pr.m2, pr.d, 0, len(neg1))
+			set.StatesPartials(want, gap1, pr.m1, pr.p2, pr.m2, pr.d, 0, len(neg1))
+			requireSameBits(t, what+" StatesPartials", got, want)
+			set.StatesStates(got, neg1, pr.m1, neg2, pr.m2, pr.d, 0, len(neg1))
+			set.StatesStates(want, gap1, pr.m1, gap2, pr.m2, pr.d, 0, len(neg1))
+			requireSameBits(t, what+" StatesStates", got, want)
+		}
 	}
-	pr := newProblem[float64](rand.New(rand.NewSource(3)), 4, 4, 2)
-	gaps := []int32{4, 4, 4, 4}
-	got := make([]float64, pr.d.PartialsLen())
-	want := make([]float64, pr.d.PartialsLen())
-	StatesPartials4(got, []int32{-1, math.MinInt32, -5, 4}, pr.m1, pr.p2, pr.m2, pr.d, 0, 4)
-	StatesPartials4(want, gaps, pr.m1, pr.p2, pr.m2, pr.d, 0, 4)
-	requireSameBits(t, "negative states", got, want)
 }
 
-// FuzzPartials4 builds both kernels' operands from arbitrary bytes — entries
-// in either precision, tip states including both gap codes, any span of up to
-// 40 patterns in up to four categories — and holds the assembly to the Go
-// body, canaries included.
+// FuzzPartials4 builds the 4-state kernels' operands from arbitrary bytes —
+// entries in either precision, two tip-state slices including both gap codes
+// and negative states, any span of up to 40 patterns in up to four
+// categories — and holds the assembly to the Go body, StatesStates4 to
+// generic StatesStates and SiteLikelihoods to the loop over states, canaries
+// included.
 func FuzzPartials4(f *testing.F) {
 	b64 := func(vs ...float64) []byte {
 		out := make([]byte, 0, 8*len(vs))
@@ -182,14 +285,23 @@ func fuzzPartials4[T Real](t *testing.T, name string, d Dims, lo, hi int, data [
 		}
 		return out
 	}
+	widen := func(v []T) []float64 {
+		out := make([]float64, len(v))
+		for i, x := range v {
+			out[i] = float64(x)
+		}
+		return out
+	}
 	k := &partials4Case[T]{d: d, lo: lo, hi: hi,
 		p1: entries(d.PartialsLen()), m1: entries(d.MatrixLen()), p2: entries(d.PartialsLen()), m2: entries(d.MatrixLen()),
-		s1: make([]int32, d.PatternCount)}
-	states := []int32{0, 1, 2, 3, 4, 5, math.MaxInt32}
+		weights: widen(entries(d.CategoryCount)), freqs: widen(entries(4)),
+		s1: make([]int32, d.PatternCount), s2: make([]int32, d.PatternCount)}
+	states := []int32{0, 1, 2, 3, 4, 5, math.MaxInt32, -1, math.MinInt32}
 	for p := range k.s1 {
 		if len(data) > 0 {
 			k.s1[p] = states[int(data[(p*7)%len(data)])%len(states)]
+			k.s2[p] = states[int(data[(p*5+3)%len(data)])%len(states)]
 		}
 	}
-	k.check(t, name)
+	k.check(t, name, allPartials4Kernels...)
 }

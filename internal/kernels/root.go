@@ -5,10 +5,23 @@ import "math"
 // SiteLikelihoods computes the per-pattern site likelihoods at the root for
 // patterns [lo, hi): site_p = Σ_c w_c · Σ_s π_s · L_root[c,p,s]. Results are
 // accumulated in double precision regardless of kernel precision, as BEAGLE's
-// integration kernels do.
+// integration kernels do. Four-state roots take an unrolled path that
+// returns the same bits.
 //
 //beagle:noalloc
 func SiteLikelihoods[T Real](out []float64, root []T, catWeights, freqs []float64, d Dims, lo, hi int) {
+	if d.StateCount == 4 {
+		siteLikelihoods4(out, root, catWeights, freqs, d, lo, hi)
+		return
+	}
+	siteLikelihoodsGeneric(out, root, catWeights, freqs, d, lo, hi)
+}
+
+// siteLikelihoodsGeneric is SiteLikelihoods for any state count, and the
+// reference its 4-state path is held to.
+//
+//beagle:noalloc
+func siteLikelihoodsGeneric[T Real](out []float64, root []T, catWeights, freqs []float64, d Dims, lo, hi int) {
 	s := d.StateCount
 	for p := lo; p < hi; p++ {
 		var site float64
@@ -20,6 +33,29 @@ func SiteLikelihoods[T Real](out []float64, root []T, catWeights, freqs []float6
 				cat += freqs[i] * float64(v[i])
 			}
 			site += catWeights[c] * cat
+		}
+		out[p] = site
+	}
+}
+
+// siteLikelihoods4 is SiteLikelihoods for four states: the generic loop's
+// order — patterns outer, categories inner, each category's sum started at
+// +0 and taken over the states in order — with the state loop unrolled. The
+// leading 0 + is kept: it turns a −0 first product into +0, as the loop
+// does.
+//
+//beagle:noalloc
+func siteLikelihoods4[T Real](out []float64, root []T, catWeights, freqs []float64, d Dims, lo, hi int) {
+	f0, f1, f2, f3 := freqs[0], freqs[1], freqs[2], freqs[3]
+	w := catWeights[:d.CategoryCount]
+	stride := d.PatternCount * 4
+	for p := lo; p < hi; p++ {
+		var site float64
+		off := p * 4
+		for _, wc := range w {
+			v := root[off : off+4 : off+4]
+			site += wc * ((((0 + f0*float64(v[0])) + f1*float64(v[1])) + f2*float64(v[2])) + f3*float64(v[3]))
+			off += stride
 		}
 		out[p] = site
 	}

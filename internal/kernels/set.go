@@ -64,7 +64,7 @@ func ForStateCount[T Real](stateCount int) Set[T] {
 			Family:           FamilyWide,
 			PartialsPartials: PartialsPartialsWide[T],
 			StatesPartials:   StatesPartialsWide[T],
-			StatesStates:     StatesStates[T], // two table look-ups per entry: nothing to vectorise
+			StatesStates:     StatesStates[T], // not yet specialised for wide state counts
 		}
 	}
 	return Generic[T]()

@@ -89,7 +89,7 @@ func StatesPartialsWide[T Real](dest []T, s1 []int32, m1 []T, p2, m2 []T, d Dims
 			pOff := (c*d.PatternCount + p) * s
 			VecMatT(a2, t2, p2[pOff:pOff+s], s, stride)
 			out := dest[pOff : pOff+s]
-			if state1 := int(s1[p]); state1 < s {
+			if state1 := int(s1[p]); uint(state1) < uint(s) {
 				col := m1[mOff+state1:]
 				for i := range out {
 					out[i] = col[i*s] * a2[i]
