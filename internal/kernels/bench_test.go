@@ -42,25 +42,63 @@ func BenchmarkUpdateTransitionMatrixCodon(b *testing.B) {
 	}
 }
 
+// BenchmarkUpdateTransitionMatrix4 builds one nucleotide model's matrices:
+// four states, four rate categories, double precision.
+func BenchmarkUpdateTransitionMatrix4(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	e := &Eigen{StateCount: 4, Values: make([]float64, 4), Vectors: make([]float64, 16), InverseVectors: make([]float64, 16)}
+	for i := range e.Values {
+		e.Values[i] = -rng.Float64()
+	}
+	for i := range e.Vectors {
+		e.Vectors[i] = rng.NormFloat64()
+		e.InverseVectors[i] = rng.NormFloat64()
+	}
+	out := make([]float64, 4*16)
+	rates := []float64{0.1, 0.5, 1.2, 2.2}
+	for i := 0; i < b.N; i++ {
+		UpdateTransitionMatrix(out, e, 0.1, rates)
+	}
+}
+
 // BenchmarkRescalePartials rescales deep_small's shape (256 patterns, four
-// categories, four states, double precision) from a pristine unnormalised
+// categories, four states) in both precisions from a pristine unnormalised
 // copy every iteration, so each pass does the work an operation's rescale
-// does rather than renormalising its own output; the copy is included in
-// the time. Reported per pattern.
+// does rather than renormalising its own output. unrolled4 is
+// RescalePartials (the assembly where the CPU has it), go its Go body,
+// generic the loop over states; each includes the copy, which copy times
+// alone, so a kernel's own time is its figure less copy's. Reported per
+// pattern.
 func BenchmarkRescalePartials(b *testing.B) {
+	b.Run("float64", func(b *testing.B) { benchRescalePartials[float64](b) })
+	b.Run("float32", func(b *testing.B) { benchRescalePartials[float32](b) })
+}
+
+func benchRescalePartials[T Real](b *testing.B) {
 	const patterns = 256
-	pr := benchProblem(4, patterns, 4)
+	pr := newProblem[T](rand.New(rand.NewSource(1)), 4, patterns, 4)
 	for i := range pr.p1 {
 		pr.p1[i] *= 0x1p-40 // a deep internal node's magnitude
 	}
-	work := make([]float64, len(pr.p1))
+	work := make([]T, len(pr.p1))
 	scale := make([]float64, patterns)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(work, pr.p1)
-		RescalePartials(work, scale, pr.d, 0, patterns)
+	for _, k := range []struct {
+		name string
+		fn   func(partials []T, scale []float64, d Dims, lo, hi int)
+	}{
+		{"unrolled4", RescalePartials[T]},
+		{"go", rescalePartials4[T]},
+		{"generic", rescalePartialsGeneric[T]},
+		{"copy", func([]T, []float64, Dims, int, int) {}},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(work, pr.p1)
+				k.fn(work, scale, pr.d, 0, patterns)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*patterns), "ns/pattern")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*patterns), "ns/pattern")
 }
 
 // BenchmarkAccumulateScaleFactors sums deep_small's 127 scale buffers of

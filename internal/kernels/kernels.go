@@ -17,7 +17,10 @@
 //   - 4-state kernels, the analogue of the SSE code path: AVX2 assembly
 //     for PartialsPartials4 and StatesPartials4 with lanes across the four
 //     states, their unrolled Go bodies, and StatesStates4 as a table of the
-//     25 possible destination rows (partials4.go);
+//     25 possible destination rows (partials4.go). Outside the partials
+//     kernels, RescalePartials' 4-state path is AVX2 assembly as well
+//     (rescale4_amd64.s), and UpdateTransitionMatrix's 4-state body is
+//     unrolled Go;
 //   - wide-state kernels for 5 to MaxWideStates states (amino acids,
 //     codons), the analogue of BEAGLE's hand-vectorised CPU path.
 //
@@ -66,7 +69,9 @@
 // matrices transposed per category into scratch on the call's stack. At four
 // states a VecMatT call per pattern would cost more than its arithmetic, so
 // the pattern loop itself is in assembly, with the transposed columns held
-// in registers.
+// in registers. The 4-state rescale has no dot product, but the same gate
+// and the same rule: each instruction is the Go body's own operation, so
+// the bits are its bits.
 //
 // Buffer layouts (identical everywhere):
 //

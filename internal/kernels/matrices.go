@@ -166,14 +166,19 @@ func expScratch(stack []float64, s int) []float64 {
 //
 // Entry (i, j) is Σ_k (V[i][k]·e^{λ_k t})·V⁻¹[k][j], k ascending. Wide state
 // counts build a whole row at once — row_i = Σ_k w_k·V⁻¹[k][:] through
-// VecMatT, V⁻¹'s rows read contiguously — and the rest keep the entry-wise
-// loop, which is faster at 4 states; both perform the same operations in the
-// same order for every entry. Scratch is on the stack up to MaxWideStates.
+// VecMatT, V⁻¹'s rows read contiguously — four states take an unrolled body,
+// and the rest keep the entry-wise loop; all perform the same operations in
+// the same order for every entry. Scratch is on the stack up to
+// MaxWideStates.
 //
 //beagle:noalloc
 func UpdateTransitionMatrix[T Real](out []T, e *Eigen, edgeLength float64, catRates []float64) {
 	s := e.StateCount
-	if isWide(s) {
+	switch {
+	case s == 4:
+		updateTransitionMatrix4(out, e, edgeLength, catRates)
+		return
+	case isWide(s):
 		updateTransitionMatrixWide(out, e, edgeLength, catRates)
 		return
 	}
@@ -204,6 +209,34 @@ func UpdateTransitionMatrix[T Real](out []T, e *Eigen, edgeLength float64, catRa
 					sum = 0
 				}
 				dst[i*s+j] = T(sum)
+			}
+		}
+	}
+}
+
+// updateTransitionMatrix4 is UpdateTransitionMatrix for four states,
+// unrolled: the four exponentials once per category, a_k = V[i][k]·x_k once
+// per row, and each entry summed as the loop sums it,
+// (((0 + a0·V⁻¹[0][j]) + a1·V⁻¹[1][j]) + a2·V⁻¹[2][j]) + a3·V⁻¹[3][j] — the
+// leading 0 + included, which turns a −0 first product into +0 — then
+// clamped at zero.
+//
+//beagle:noalloc
+func updateTransitionMatrix4[T Real](out []T, e *Eigen, edgeLength float64, catRates []float64) {
+	l, v, inv := e.Values[:4], e.Vectors[:16], e.InverseVectors[:16]
+	for c, r := range catRates {
+		t := edgeLength * r
+		x0, x1, x2, x3 := math.Exp(l[0]*t), math.Exp(l[1]*t), math.Exp(l[2]*t), math.Exp(l[3]*t)
+		dst := out[c*16 : c*16+16]
+		for i := 0; i < 16; i += 4 {
+			a0, a1, a2, a3 := v[i]*x0, v[i+1]*x1, v[i+2]*x2, v[i+3]*x3
+			row := dst[i : i+4 : i+4]
+			for j := range row {
+				sum := (((0 + a0*inv[j]) + a1*inv[4+j]) + a2*inv[8+j]) + a3*inv[12+j]
+				if sum < 0 {
+					sum = 0
+				}
+				row[j] = T(sum)
 			}
 		}
 	}

@@ -24,6 +24,12 @@ func TestKernelsAllocateNothing(t *testing.T) {
 	factors := [][]float64{scale}
 	weights := []float64{0.5, 0.5}
 	freqs := []float64{0.25, 0.25, 0.25, 0.25}
+	// rare32's pattern 6 is all zeros, which the 4-state assembly hands back
+	// to Go.
+	rare32 := append([]float32(nil), pr32.p1...)
+	for c := 0; c < d.CategoryCount; c++ {
+		clear(rare32[(c*d.PatternCount+6)*4 : (c*d.PatternCount+7)*4])
+	}
 	patternWeights := make([]float64, d.PatternCount)
 	for i := range patternWeights {
 		patternWeights[i] = 1
@@ -46,6 +52,7 @@ func TestKernelsAllocateNothing(t *testing.T) {
 		SiteLikelihoods(site, dest32, weights, freqs, d, 0, d.PatternCount)
 		EdgeSiteLikelihoods(site, pr.p1, pr.p2, pr.m1, weights, freqs, d, 0, d.PatternCount)
 		RescalePartials(dest, scale, d, 0, d.PatternCount)
+		RescalePartials(rare32, scale, d, 1, d.PatternCount) // odd lo: float32 blocks, a declined pattern, a tail
 		ApplyReadScale(dest, scale, d, 0, d.PatternCount)
 		AccumulateScaleFactors(cum, factors, 0, d.PatternCount)
 		sink = RootLogLikelihood(site, patternWeights, cum, 0, d.PatternCount)

@@ -26,6 +26,11 @@ package kernels
 // StatesStates4 needs no assembly: with both children compact states, a
 // category has 25 distinct destination rows, so it builds them once and
 // copies one per pattern.
+//
+// The other 4-state paths live beside their generic kernels: RescalePartials
+// runs its pattern loop in AVX2 assembly under the same gate
+// (rescale4_amd64.s), and UpdateTransitionMatrix has an unrolled Go body
+// (matrices.go).
 
 // PartialsPartials4 is PartialsPartials specialized and unrolled for
 // StateCount == 4.

@@ -98,7 +98,8 @@ func TestAccumulateScaleFactorsMatchesPatternLoop(t *testing.T) {
 // FuzzRescalePartials rescales arbitrary bit patterns — signed zeros,
 // subnormals, negatives, infinities and NaNs included — in both precisions
 // and at state counts {2, 4, 5, 20, 61}, and checks:
-//   - the four-state path returns the generic path's bits;
+//   - the four-state paths — the assembly where it runs, and the Go body —
+//     return the generic path's bits;
 //   - every scale factor is k·ln2 for an integer k;
 //   - a pattern whose largest entry is positive and finite has it in
 //     [0.5, 1) afterwards, and every entry whose rescaled value is above the
@@ -107,6 +108,9 @@ func TestAccumulateScaleFactorsMatchesPatternLoop(t *testing.T) {
 //   - a pattern with no positive entry, or with +Inf or a NaN whose sign bit
 //     is clear, is left bit for bit as it was with a zero scale factor;
 //   - patterns outside [lo, hi) and their scale factors are not touched.
+//
+// Up to 19 patterns, so that one span holds a full four-pattern block of the
+// assembly, its tail, and a declined pattern between them.
 func FuzzRescalePartials(f *testing.F) {
 	b32 := func(vs ...float32) []byte {
 		out := make([]byte, 0, 4*len(vs))
@@ -124,39 +128,59 @@ func FuzzRescalePartials(f *testing.F) {
 	}
 	negZero, inf, nan := math.Copysign(0, -1), math.Inf(1), math.NaN()
 	negNaN := math.Copysign(nan, -1)
-	f.Add(b32(1e-40, 0, 5e-41, 0), uint8(1), uint8(1), uint8(0), true)
-	f.Add(b64(1e-310, 0, 5e-311, 0, 0.25, 3, 1e-20, 7), uint8(1), uint8(2), uint8(0), false)
-	f.Add(b64(math.SmallestNonzeroFloat64, negZero, -1, 0), uint8(1), uint8(1), uint8(0), false)
-	f.Add(b64(math.MaxFloat64, 1, 0x1p-1070, -3), uint8(1), uint8(1), uint8(0), false)
-	f.Add(b64(inf, 1, 2, 3, -inf, 1, 2, nan), uint8(1), uint8(2), uint8(0), false)
-	f.Add(b64(negNaN, 0.5, 1e-300, negZero), uint8(1), uint8(1), uint8(0), false)
-	f.Add(b32(float32(negZero), -1, -2, 0), uint8(1), uint8(1), uint8(0), true)
-	f.Add(b64(3, 1e-5, 1e-200, 2, 9, 4), uint8(0), uint8(3), uint8(1), false)
-	f.Add(b32(1e30, 1e-30, 7, 8, 9), uint8(2), uint8(1), uint8(0), true)
-	f.Add(make([]byte, 20*8*3), uint8(3), uint8(3), uint8(1), false)
-	f.Add(b32(1, 2, 3), uint8(4), uint8(2), uint8(0), true)
-	f.Add(b32(0x1.fffffep-126, 1.88), uint8(1), uint8(0), uint8(0), true) // halved, rounds up onto the smallest normal
-	f.Fuzz(func(t *testing.T, data []byte, stateSel, cats, loSel uint8, single bool) {
+	f.Add(b32(1e-40, 0, 5e-41, 0), uint8(1), uint8(1), uint8(0), uint8(0), true)
+	f.Add(b64(1e-310, 0, 5e-311, 0, 0.25, 3, 1e-20, 7), uint8(1), uint8(2), uint8(0), uint8(0), false)
+	f.Add(b64(math.SmallestNonzeroFloat64, negZero, -1, 0), uint8(1), uint8(1), uint8(0), uint8(0), false)
+	f.Add(b64(math.MaxFloat64, 1, 0x1p-1070, -3), uint8(1), uint8(1), uint8(0), uint8(0), false)
+	f.Add(b64(inf, 1, 2, 3, -inf, 1, 2, nan), uint8(1), uint8(2), uint8(0), uint8(0), false)
+	f.Add(b64(negNaN, 0.5, 1e-300, negZero), uint8(1), uint8(1), uint8(0), uint8(0), false)
+	f.Add(b32(float32(negZero), -1, -2, 0), uint8(1), uint8(1), uint8(0), uint8(0), true)
+	f.Add(b64(3, 1e-5, 1e-200, 2, 9, 4), uint8(0), uint8(3), uint8(1), uint8(0), false)
+	f.Add(b32(1e30, 1e-30, 7, 8, 9), uint8(2), uint8(1), uint8(0), uint8(0), true)
+	f.Add(make([]byte, 20*8*3), uint8(3), uint8(3), uint8(1), uint8(0), false)
+	f.Add(b32(1, 2, 3), uint8(4), uint8(2), uint8(0), uint8(0), true)
+	f.Add(b32(0x1.fffffep-126, 1.88), uint8(1), uint8(0), uint8(0), uint8(0), true) // halved, rounds up onto the smallest normal
+	// 19 four-state patterns in two categories, spread over the exponent
+	// range, with pattern 9 all zeros and pattern 14 holding +Inf: the span
+	// [1, 18) is two blocks, a declined pattern, a block, a declined pattern
+	// in the next block, and a tail, and pattern 18 lies beyond hi.
+	spread := make([]float64, 19*4*2)
+	for k := range spread {
+		spread[k] = math.Ldexp(1+float64(k%7)/8, -(k*37)%300)
+	}
+	for c := 0; c < 2; c++ {
+		for i := 0; i < 4; i++ {
+			spread[(c*19+9)*4+i] = 0
+		}
+	}
+	spread[(19+14)*4+2] = inf
+	spread32 := make([]float32, len(spread))
+	for k, v := range spread {
+		spread32[k] = float32(math.Ldexp(v, 120))
+	}
+	f.Add(b64(spread...), uint8(1), uint8(1), uint8(1), uint8(1), false)
+	f.Add(b32(spread32...), uint8(1), uint8(1), uint8(1), uint8(1), true)
+	f.Fuzz(func(t *testing.T, data []byte, stateSel, cats, loSel, hiSel uint8, single bool) {
 		states := []int{2, 4, 5, 20, 61}[int(stateSel)%5]
 		c := 1 + int(cats)%4
 		if single {
 			fuzzRescale(t, decodeEntries(data, 4, states, c, func(b []byte) float32 {
 				return math.Float32frombits(binary.LittleEndian.Uint32(b))
-			}), states, c, int(loSel))
+			}), states, c, int(loSel), int(hiSel))
 		} else {
 			fuzzRescale(t, decodeEntries(data, 8, states, c, func(b []byte) float64 {
 				return math.Float64frombits(binary.LittleEndian.Uint64(b))
-			}), states, c, int(loSel))
+			}), states, c, int(loSel), int(hiSel))
 		}
 	})
 }
 
 // decodeEntries turns data into whole patterns of partials, width bytes per
 // entry, cycling through data, all zeros when data is shorter than one
-// entry; at most eight patterns.
+// entry; at most 19 patterns.
 func decodeEntries[T Real](data []byte, width, states, cats int, decode func([]byte) T) []T {
 	per := states * cats
-	patterns := min(8, 1+len(data)/(width*per))
+	patterns := min(19, 1+len(data)/(width*per))
 	out := make([]T, patterns*per)
 	if len(data) < width {
 		return out
@@ -168,12 +192,29 @@ func decodeEntries[T Real](data []byte, width, states, cats int, decode func([]b
 	return out
 }
 
-// fuzzRescale rescales vals over [loSel mod patterns, patterns) and checks
-// the properties FuzzRescalePartials lists.
-func fuzzRescale[T Real](t *testing.T, vals []T, states, cats, loSel int) {
+// requireSameRescale fails unless a rescale's partials and scale factors
+// are the generic path's bits.
+func requireSameRescale[T Real](t *testing.T, name string, got []T, scale []float64, generic []T, genScale []float64) {
+	t.Helper()
+	for i := range got {
+		if !bitsEqual(got[i], generic[i]) {
+			t.Fatalf("%s: entry %d is %v, generic path %v", name, i, got[i], generic[i])
+		}
+	}
+	for p := range scale {
+		if math.Float64bits(scale[p]) != math.Float64bits(genScale[p]) {
+			t.Fatalf("%s: scale[%d] is %v, generic path %v", name, p, scale[p], genScale[p])
+		}
+	}
+}
+
+// fuzzRescale rescales vals over [lo, hi) — lo = loSel mod patterns, and hi
+// hiSel short of the last pattern, modulo what lies above lo, so hiSel 0
+// runs to the end — and checks the properties FuzzRescalePartials lists.
+func fuzzRescale[T Real](t *testing.T, vals []T, states, cats, loSel, hiSel int) {
 	d := Dims{StateCount: states, PatternCount: len(vals) / (states * cats), CategoryCount: cats}
 	lo := loSel % d.PatternCount
-	hi := d.PatternCount
+	hi := d.PatternCount - hiSel%(d.PatternCount-lo+1)
 	got := append([]T(nil), vals...)
 	scale := make([]float64, d.PatternCount)
 	for p := range scale {
@@ -187,15 +228,15 @@ func fuzzRescale[T Real](t *testing.T, vals []T, states, cats, loSel int) {
 		genScale[p] = -7
 	}
 	rescalePartialsGeneric(generic, genScale, d, lo, hi)
-	for i := range got {
-		if !bitsEqual(got[i], generic[i]) {
-			t.Fatalf("states %d: entry %d is %v, generic path %v", states, i, got[i], generic[i])
+	requireSameRescale(t, "RescalePartials", got, scale, generic, genScale)
+	if states == 4 { // the Go body too, which RescalePartials skips where the assembly runs
+		goBody := append([]T(nil), vals...)
+		goScale := append([]float64(nil), genScale...)
+		for p := lo; p < hi; p++ {
+			goScale[p] = -7
 		}
-	}
-	for p := range scale {
-		if math.Float64bits(scale[p]) != math.Float64bits(genScale[p]) {
-			t.Fatalf("states %d: scale[%d] is %v, generic path %v", states, p, scale[p], genScale[p])
-		}
+		rescalePartials4(goBody, goScale, d, lo, hi)
+		requireSameRescale(t, "rescalePartials4", goBody, goScale, generic, genScale)
 	}
 
 	minNormal := math.Float64frombits(1 << 52)
@@ -204,7 +245,7 @@ func fuzzRescale[T Real](t *testing.T, vals []T, states, cats, loSel int) {
 	}
 	entry := func(p, c, i int) int { return (c*d.PatternCount+p)*states + i }
 	for p := 0; p < d.PatternCount; p++ {
-		if p < lo {
+		if p < lo || p >= hi {
 			for c := 0; c < cats; c++ {
 				for i := 0; i < states; i++ {
 					if k := entry(p, c, i); !bitsEqual(got[k], vals[k]) {

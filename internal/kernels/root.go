@@ -125,15 +125,37 @@ func EdgeSiteLikelihoods[T Real](out []float64, parent, child, m []T, catWeights
 // positive entry, or with +Inf or a NaN whose sign bit is clear, is left as
 // it is with a zero scale factor. Rescaling keeps partials within
 // floating-point range on large trees, especially in single precision.
-// Four-state partials take an unrolled path that returns the same bits.
+// Four-state partials take an unrolled path that returns the same bits, in
+// AVX2 assembly where the CPU has it (the gate VecMatT uses).
 //
 //beagle:noalloc
 func RescalePartials[T Real](partials []T, scale []float64, d Dims, lo, hi int) {
-	if d.StateCount == 4 {
+	switch {
+	case d.StateCount == 4 && vecMatAccelerated && d.CategoryCount > 0:
+		rescalePartials4Asm(partials, scale, d, lo, hi)
+	case d.StateCount == 4:
 		rescalePartials4(partials, scale, d, lo, hi)
-		return
+	default:
+		rescalePartialsGeneric(partials, scale, d, lo, hi)
 	}
-	rescalePartialsGeneric(partials, scale, d, lo, hi)
+}
+
+// rescalePartials4Asm is RescalePartials for four states in assembly. The
+// assembly stops at each pattern pow2Scale declines; that pattern is
+// finished here by rescaleRare, as the Go body finishes it, and the
+// assembly resumes after it.
+//
+//beagle:noalloc
+func rescalePartials4Asm[T Real](partials []T, scale []float64, d Dims, lo, hi int) {
+	stride := d.PatternCount * 4
+	end := d.CategoryCount * stride
+	for lo < hi {
+		lo = rescale4Asm(partials, scale, d, lo, hi)
+		if lo < hi {
+			scale[lo] = rescaleRare(partials, d, lo, maxKey4(partials[lo*4:end], stride))
+			lo++
+		}
+	}
 }
 
 // rescalePartialsGeneric is RescalePartials for any state count.
@@ -159,9 +181,9 @@ func rescalePartialsGeneric[T Real](partials []T, scale []float64, d Dims, lo, h
 	}
 }
 
-// rescalePartials4 is RescalePartials for four states: the maximum is taken
-// in four independent lanes, one per state, with no branch, and the scaling
-// is unrolled.
+// rescalePartials4 is RescalePartials for four states in Go, the path
+// without the assembly: the maximum is taken in four independent lanes, one
+// per state, with no branch, and the scaling is unrolled.
 //
 //beagle:noalloc
 func rescalePartials4[T Real](partials []T, scale []float64, d Dims, lo, hi int) {

@@ -11,11 +11,11 @@ import (
 // (another architecture, a CPU without AVX2, -tags purego); everything else is
 // generic; and whatever is bound computes what the generic kernels compute.
 func TestForStateCount(t *testing.T) {
-	wide := FamilyGeneric
+	wide, rescale4 := FamilyGeneric, "Go body"
 	if vecMatAccelerated {
-		wide = FamilyWide
+		wide, rescale4 = FamilyWide, "assembly"
 	}
-	t.Logf("VecMatT accelerated: %v; wide state counts bind %q", vecMatAccelerated, wide)
+	t.Logf("VecMatT accelerated: %v; wide state counts bind %q; 4-state RescalePartials runs its %s", vecMatAccelerated, wide, rescale4)
 	for states, want := range map[int]string{2: FamilyGeneric, 4: FamilyUnrolled4, 5: wide, 20: wide, 61: wide,
 		MaxWideStates: wide, MaxWideStates + 1: FamilyGeneric} {
 		set, gen := ForStateCount[float64](states), Generic[float64]()

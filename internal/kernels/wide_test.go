@@ -135,12 +135,85 @@ func testUpdateTransitionMatrixMatchesLoop[T Real](t *testing.T) {
 	}
 }
 
-// TestUpdateTransitionMatrixMatchesLoop holds UpdateTransitionMatrix — both
-// its entry-wise and its row-at-a-time form — to the old loop's bits,
-// including the sum < 0 → 0 clamp and the narrowing to T.
+// testUpdateTransitionMatrix4MatchesLoop holds the unrolled 4-state body to
+// the loop over 2 000 random decompositions. Edge lengths include 0 and
+// 1e3, every tenth decomposition has a zero eigenvalue, and about one entry
+// of V and V⁻¹ in four is a signed zero, so whole sums of zero products
+// occur: the loop's leading 0 + makes those +0, and an unrolled body that
+// dropped it would return −0.
+func testUpdateTransitionMatrix4MatchesLoop[T Real](t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	e := &Eigen{StateCount: 4, Values: make([]float64, 4), Vectors: make([]float64, 16), InverseVectors: make([]float64, 16)}
+	entry := func() float64 {
+		switch rng.Intn(8) {
+		case 0:
+			return math.Copysign(0, -1)
+		case 1:
+			return 0
+		}
+		return rng.NormFloat64() * math.Exp(2*rng.NormFloat64())
+	}
+	rates := []float64{0.05, 0.6, 1.4, 3}
+	got := make([]T, len(rates)*16)
+	want := make([]T, len(rates)*16)
+	var negZeroSums, clamped int
+	for n := 0; n < 2000; n++ {
+		for k := range e.Values {
+			e.Values[k] = -3 * rng.Float64()
+		}
+		if n%10 == 0 {
+			e.Values[rng.Intn(4)] = 0
+		}
+		for k := range e.Vectors {
+			e.Vectors[k], e.InverseVectors[k] = entry(), entry()
+		}
+		edge := []float64{0, 1e3, 0.17, rng.ExpFloat64()}[n%4]
+		UpdateTransitionMatrix(got, e, edge, rates)
+		updateTransitionMatrixRef(want, e, edge, rates)
+		for i := range want {
+			if !bitsEqual(got[i], want[i]) {
+				t.Fatalf("decomposition %d, edge %v: entry %d is %v, loop %v", n, edge, i, got[i], want[i])
+			}
+			if want[i] == 0 {
+				clamped++
+			}
+		}
+		negZeroSums += negZeroSums4(e, edge, rates)
+	}
+	if negZeroSums == 0 || clamped == 0 {
+		t.Fatalf("%d sums −0 without the leading 0 +, %d zero entries: the test no longer reaches the signed-zero and clamp cases", negZeroSums, clamped)
+	}
+}
+
+// negZeroSums4 counts the 4-state entries whose sum, started from the first
+// product instead of from 0, would be −0.
+func negZeroSums4(e *Eigen, edge float64, rates []float64) int {
+	var n int
+	for _, r := range rates {
+		for i := 0; i < 4; i++ {
+			for j := 0; j < 4; j++ {
+				sum := e.Vectors[i*4] * math.Exp(e.Values[0]*(edge*r)) * e.InverseVectors[j]
+				for k := 1; k < 4; k++ {
+					sum += e.Vectors[i*4+k] * math.Exp(e.Values[k]*(edge*r)) * e.InverseVectors[k*4+j]
+				}
+				if sum == 0 && math.Signbit(sum) {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
+// TestUpdateTransitionMatrixMatchesLoop holds UpdateTransitionMatrix — its
+// entry-wise loop, its unrolled 4-state body and its row-at-a-time form —
+// to the old loop's bits, including the sum < 0 → 0 clamp and the narrowing
+// to T.
 func TestUpdateTransitionMatrixMatchesLoop(t *testing.T) {
 	t.Run("float64", testUpdateTransitionMatrixMatchesLoop[float64])
 	t.Run("float32", testUpdateTransitionMatrixMatchesLoop[float32])
+	t.Run("4states/float64", testUpdateTransitionMatrix4MatchesLoop[float64])
+	t.Run("4states/float32", testUpdateTransitionMatrix4MatchesLoop[float32])
 }
 
 // TestWideKernelsAllocateNothing is the runtime half of the wide kernels'

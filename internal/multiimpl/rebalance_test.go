@@ -201,6 +201,98 @@ func TestRebalanceConverges(t *testing.T) {
 	}
 }
 
+// TestRebalanceKeepsScaleBuffers is TestRebalanceConverges with a rescale
+// on every operation and a cumulative scale buffer. Each batch rewrites the
+// operations' scale buffers; the cumulative buffer is summed after a batch.
+// A migration moves patterns at the end of a batch, so the first root lnL
+// after it reads a cumulative buffer summed before the move, and a second
+// reads one summed from the moved operation buffers: both must be a single
+// engine's bits.
+func TestRebalanceKeepsScaleBuffers(t *testing.T) {
+	tr, m, rates, ps := problem(t, 10, 24, 200)
+	cfg := multiConfig(tr, ps.PatternCount())
+	const unit = 2 * time.Microsecond
+
+	sched := tr.FullSchedule()
+	ops := make([]engine.Operation, len(sched.Ops))
+	bufs := make([]int, len(sched.Ops))
+	for i, op := range sched.Ops {
+		ops[i] = engine.Operation{
+			Dest: op.Dest, DestScaleWrite: i, DestScaleRead: engine.None,
+			Child1: op.Child1, Child1Mat: op.Child1Mat,
+			Child2: op.Child2, Child2Mat: op.Child2Mat,
+		}
+		bufs[i] = i
+	}
+	cum := len(sched.Ops)
+	accumulate := func(e engine.Engine) {
+		t.Helper()
+		if err := e.ResetScaleFactors(cum); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.AccumulateScaleFactors(bufs, cum); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rootLnL := func(e engine.Engine) float64 {
+		t.Helper()
+		lnL, err := e.CalculateRootLogLikelihoods(sched.Root, cum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lnL
+	}
+
+	single, err := cpuimpl.New(cfg, cpuimpl.Serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	unscaled := evaluate(t, single, tr, m, rates, ps)
+	if err := single.UpdatePartials(ops); err != nil {
+		t.Fatal(err)
+	}
+	accumulate(single)
+	want := rootLnL(single)
+	if want == unscaled {
+		t.Fatalf("root lnL %v with and without rescaling: the problem no longer rescales", want)
+	}
+
+	multi, err := NewBalanced(cfg, []Builder{slowBuilder(unit), slowBuilder(4 * unit)}, []float64{1, 1},
+		Options{Rebalance: true, Interval: 3}) // batch 1 is evaluate's, 2 the first scaled one
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer multi.Close()
+	evaluate(t, multi, tr, m, rates, ps)
+	lo0, hi0 := multi.Ranges()
+	for b := 0; ; b++ {
+		if b == 20 {
+			t.Fatal("no rebalance within 20 scaled batches")
+		}
+		if err := multi.UpdatePartials(ops); err != nil {
+			t.Fatal(err)
+		}
+		if stats, _ := multi.RebalanceStats(); stats.Rebalances > 0 {
+			if b == 0 {
+				t.Fatal("rebalanced on the first scaled batch, before a cumulative buffer was summed")
+			}
+			break
+		}
+		accumulate(multi)
+	}
+	if lo, hi := multi.Ranges(); lo[1] == lo0[1] && hi[0] == hi0[0] {
+		t.Fatalf("a rebalance was counted but the boundary stayed at %d", hi[0])
+	}
+	if got := rootLnL(multi); got != want {
+		t.Fatalf("root lnL from the cumulative buffer summed before the migration %v, single engine %v", got, want)
+	}
+	accumulate(multi)
+	if got := rootLnL(multi); got != want {
+		t.Fatalf("root lnL from the operation buffers moved by the migration %v, single engine %v", got, want)
+	}
+}
+
 // TestRebalanceDisabledStatic pins the opt-in contract: without rebalancing
 // the partition never moves and no rebalance telemetry is reported.
 func TestRebalanceDisabledStatic(t *testing.T) {

@@ -104,6 +104,42 @@ func evaluate(t testing.TB, e engine.Engine, tr *tree.Tree, m *substmodel.Model,
 	return lnL
 }
 
+// evaluateScaled drives the tree through evaluate, then again with a
+// rescale on every operation (DestScaleWrite i for operation i), sums those
+// buffers into a cumulative one and returns the root lnL with it, and the
+// cumulative buffer's index.
+func evaluateScaled(t testing.TB, e engine.Engine, tr *tree.Tree, m *substmodel.Model,
+	rates *substmodel.SiteRates, ps *seqgen.PatternSet) (lnL float64, cum int) {
+	t.Helper()
+	evaluate(t, e, tr, m, rates, ps)
+	sched := tr.FullSchedule()
+	ops := make([]engine.Operation, len(sched.Ops))
+	bufs := make([]int, len(sched.Ops))
+	for i, op := range sched.Ops {
+		ops[i] = engine.Operation{
+			Dest: op.Dest, DestScaleWrite: i, DestScaleRead: engine.None,
+			Child1: op.Child1, Child1Mat: op.Child1Mat,
+			Child2: op.Child2, Child2Mat: op.Child2Mat,
+		}
+		bufs[i] = i
+	}
+	cum = len(sched.Ops)
+	if err := e.UpdatePartials(ops); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.ResetScaleFactors(cum); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AccumulateScaleFactors(bufs, cum); err != nil {
+		t.Fatal(err)
+	}
+	lnL, err := e.CalculateRootLogLikelihoods(sched.Root, cum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lnL, cum
+}
+
 // startWorker boots an in-process worker on loopback. The returned stop
 // function kills it and waits for Serve to return; it is safe to call twice.
 func startWorker(t *testing.T) (addr string, w *Worker, stop func()) {
@@ -414,6 +450,68 @@ func TestRemoteFailoverReplaysJournal(t *testing.T) {
 	}
 	st := remote.Stats()
 	if !st.FailedOver || st.Failovers != 1 {
+		t.Fatalf("expected exactly one failover, stats %+v", st)
+	}
+}
+
+// TestRemoteFailoverReplaysScaledJournal is TestRemoteFailoverReplaysJournal
+// with rescaling on every operation and a cumulative scale buffer: the
+// journal replay must rebuild the scale buffers as well as the partials, so
+// that the site and root lnL after failover are a local Serial engine's bits.
+func TestRemoteFailoverReplaysScaledJournal(t *testing.T) {
+	tr, m, rates, ps := problem(t, 4, 24, 250)
+	cfg := testConfig(tr, ps.PatternCount())
+
+	local, err := cpuimpl.New(cfg, cpuimpl.Serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	wantLnL, cum := evaluateScaled(t, local, tr, m, rates, ps)
+	wantSites, err := local.SiteLogLikelihoods(tr.Root.Index, cum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unscaled, err := local.SiteLogLikelihoods(tr.Root.Index, engine.None)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unscaled[0] == wantSites[0] {
+		t.Fatalf("site 0 reads %v with and without the cumulative scale buffer: the problem no longer rescales", unscaled[0])
+	}
+
+	addr, _, stop := startWorker(t)
+	remote, err := New(cfg, Options{
+		Addr: addr, HealthInterval: -1,
+		RetryBackoff: 2 * time.Millisecond, DialTimeout: 500 * time.Millisecond,
+		Fallback: func(c engine.Config) (engine.Engine, error) {
+			return cpuimpl.New(c, cpuimpl.Serial)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	evaluateScaled(t, remote, tr, m, rates, ps)
+
+	stop()
+	gotSites, err := remote.SiteLogLikelihoods(tr.Root.Index, cum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range wantSites {
+		if gotSites[i] != wantSites[i] {
+			t.Fatalf("site %d after failover: %v want %v", i, gotSites[i], wantSites[i])
+		}
+	}
+	gotLnL, err := remote.CalculateRootLogLikelihoods(tr.Root.Index, cum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotLnL != wantLnL {
+		t.Fatalf("root lnL after failover %v, want %v", gotLnL, wantLnL)
+	}
+	if st := remote.Stats(); !st.FailedOver || st.Failovers != 1 {
 		t.Fatalf("expected exactly one failover, stats %+v", st)
 	}
 }
