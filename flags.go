@@ -46,8 +46,10 @@ const (
 	// the thread count, so small-pattern problems still parallelize instead
 	// of degrading to serial.
 	FlagThreadingThreadPoolHybrid
-	// FlagDisableFMA builds accelerator kernels without fused multiply–add,
-	// the Table IV ablation.
+	// FlagDisableFMA models accelerator kernels built without fused
+	// multiply–add, the Table IV ablation: on a device that advertises FMA
+	// the accelerator is charged the no-FMA rate in its cost model. Results
+	// are unchanged — every accelerator runs the CPU engines' kernels.
 	FlagDisableFMA
 	// FlagKernelGPU forces the GPU-style one-work-item-per-entry kernels on
 	// a CPU-class OpenCL device (the "OpenCL-GPU on Xeon" row of Table V).

@@ -11,12 +11,16 @@
 //     states, avoids explicit local memory, and takes a configurable
 //     work-group size in patterns (§VII-B2, Table V).
 //
-// Both run the same kernels: the kernels.Set bound at construction, the FMA
-// build on hardware that advertises fast fused multiply–add and the generic
-// one otherwise. The GPU variants keep their per-entry launch geometry and
-// cost, so the modeled clock charges what a GPU would, but execute each
-// work-group as runs of whole patterns, one rate category at a time (a group
-// may straddle two categories).
+// The package is a cost model over the CPU engines' code. Every variant runs
+// the kernels.Set the CPU engines bind for the state count
+// (kernels.ForStateCount) and computes matrices with their
+// UpdateTransitionMatrix, so it returns their bits; a build without fused
+// multiply–add (Table IV) is a lower rate in the cost model, not other code.
+// The GPU variants keep their per-entry launch geometry and cost, so the
+// modeled clock charges what a GPU would, but execute each work-group as runs
+// of whole patterns, one rate category at a time (a group may straddle two
+// categories). Work-groups run on the engine's engine.WorkerPool, the CPU
+// pool modes' executor, with Parallelism workers.
 //
 // The buffers are engine.Storage's — the same store, setters, getters, batch
 // planning, reuse filter and pattern migration every CPU engine runs on; this
@@ -136,8 +140,9 @@ type Engine[T kernels.Real] struct {
 	// buffers and the staging buffer.
 	reserved int64
 
-	kern       kernels.Set[T] // the FMA build on hardware that advertises it
-	groupPats  int            // patterns per work-group after local-memory limits
+	kern       kernels.Set[T] // the CPU engines' state-count table
+	pool       *engine.WorkerPool
+	groupPats  int // patterns per work-group after local-memory limits
 	efficiency float64
 }
 
@@ -151,16 +156,15 @@ func newEngine[T kernels.Real](cfg engine.Config, variant Variant, dev *device.D
 	}
 	e.q.SetTracer(cfg.Trace, int32(cfg.TraceLane))
 
-	// The FMA build where the device advertises fast FMA; the plain build on
-	// such a device runs below its peak (Table IV).
-	e.kern, e.efficiency = kernels.Generic[T](), 1
-	switch {
-	case dev.Desc.SupportsFMA && !cfg.DisableFMA:
-		e.kern = kernels.FMA[T]()
-	case dev.Desc.SupportsFMA && cfg.SinglePrecision:
-		e.efficiency = noFMAEfficiencySingle
-	case dev.Desc.SupportsFMA:
+	// The CPU engines' kernels in every case. A build without FMA on
+	// hardware that advertises it runs below peak (Table IV): a rate in the
+	// cost model, not a second code path.
+	e.kern, e.efficiency = kernels.ForStateCount[T](cfg.Dims.StateCount), 1
+	if dev.Desc.SupportsFMA && cfg.DisableFMA {
 		e.efficiency = noFMAEfficiencyDouble
+		if cfg.SinglePrecision {
+			e.efficiency = noFMAEfficiencySingle
+		}
 	}
 
 	// Work-group geometry. GPU variants stage both children's partials in
@@ -207,6 +211,10 @@ func newEngine[T kernels.Real](cfg engine.Config, variant Variant, dev *device.D
 		e.release()
 		return nil, err
 	}
+	// The executor starts last, so no failed construction leaves workers
+	// behind.
+	e.pool = engine.NewWorkerPool(dev.Parallelism(), e.Name())
+	e.q.SetExecutor(e.pool)
 	return e, nil
 }
 
@@ -281,10 +289,16 @@ func (e *Engine[T]) release() {
 	}
 }
 
-// Close releases all device memory. Close is idempotent; every method called
-// afterwards returns engine.ErrClosed from the store.
+// Close releases all device memory and stops the engine's workers. Close is
+// idempotent; every method called afterwards returns engine.ErrClosed from
+// the store.
 func (e *Engine[T]) Close() error {
 	e.Storage.Close()
 	e.release()
+	if e.pool != nil {
+		e.q.SetExecutor(nil)
+		e.pool.Close()
+		e.pool = nil
+	}
 	return nil
 }

@@ -3,7 +3,9 @@ package accelimpl
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"gobeagle/internal/cpuimpl"
 	"gobeagle/internal/device"
@@ -212,6 +214,9 @@ func TestPartialsTipsAndScalingOnDevice(t *testing.T) {
 	}
 }
 
+// TestFMAOffMatchesOn: the Table IV knob lives only in the cost model. A
+// build without FMA on FMA hardware returns the same bits and is charged more
+// modeled time for the same calls.
 func TestFMAOffMatchesOn(t *testing.T) {
 	device.ResetPlatforms()
 	rng := rand.New(rand.NewSource(19))
@@ -224,16 +229,19 @@ func TestFMAOffMatchesOn(t *testing.T) {
 	cfgOff := cfgOn
 	cfgOff.DisableFMA = true
 	vc := variantCases[2]
-	eOn := newCase(t, vc, cfgOn)
-	lnOn := driveEngine(t, eOn, tr, m, rates, ps, true, false)
-	eOn.Close()
-	eOff := newCase(t, vc, cfgOff)
-	lnOff := driveEngine(t, eOff, tr, m, rates, ps, true, false)
-	eOff.Close()
-	// FMA affects only rounding, never the value materially ("without loss
-	// of precision", §VII-B1).
-	if math.Abs(lnOn-lnOff) > 1e-9*math.Abs(lnOn) {
+	run := func(cfg engine.Config) (float64, time.Duration) {
+		e := newCase(t, vc, cfg)
+		defer e.Close()
+		lnL := driveEngine(t, e, tr, m, rates, ps, true, false)
+		return lnL, e.(interface{ Queue() *device.Queue }).Queue().ModeledTime()
+	}
+	lnOn, timeOn := run(cfgOn)
+	lnOff, timeOff := run(cfgOff)
+	if math.Float64bits(lnOn) != math.Float64bits(lnOff) {
 		t.Fatalf("FMA changed the result: %v vs %v", lnOn, lnOff)
+	}
+	if timeOff <= timeOn {
+		t.Fatalf("FMA off modeled %v, on %v: the no-FMA rate was not charged", timeOff, timeOn)
 	}
 }
 
@@ -332,6 +340,77 @@ func TestDeviceMemoryReleasedOnClose(t *testing.T) {
 	}
 	if dev.AllocatedBytes() != before {
 		t.Fatalf("second Close moved the accounting by %d bytes", dev.AllocatedBytes()-before)
+	}
+}
+
+// TestKernelBindingMatchesCPU: every variant binds the CPU engines'
+// state-count table, whatever the precision and FMA setting.
+func TestKernelBindingMatchesCPU(t *testing.T) {
+	device.ResetPlatforms()
+	tr, _ := tree.Random(rand.New(rand.NewSource(43)), 4, 0.1)
+	for _, states := range []int{4, 20, 61} {
+		table := kernels.ForStateCount[float64](states).Family
+		t.Logf("%d states: every accelerator binds the %q kernels", states, table)
+		for _, single := range []bool{false, true} {
+			for _, noFMA := range []bool{false, true} {
+				cfg := testConfig(tr, states, 10, 1, single)
+				cfg.DisableFMA = noFMA
+				for _, vc := range variantCases {
+					e := newCase(t, vc, cfg)
+					var got string
+					if single {
+						got = e.(*Engine[float32]).kern.Family
+					} else {
+						got = e.(*Engine[float64]).kern.Family
+					}
+					e.Close()
+					if got != table {
+						t.Errorf("%s, %d states, single=%v, FMA off=%v: binds %q, the CPU engines %q",
+							vc.name, states, single, noFMA, got, table)
+					}
+				}
+			}
+		}
+	}
+}
+
+// goroutinesSettle polls briefly for the goroutine count to fall back to
+// want: a closed pool's workers have returned from their loops but may not
+// have exited yet. The count is compared only from above — workers of pools
+// closed by earlier tests may still be exiting when want is taken.
+func goroutinesSettle(t *testing.T, want int) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > want; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, %d before: the engine's workers outlived it", runtime.NumGoroutine(), want)
+		}
+	}
+}
+
+// TestWorkersStopOnClose: every engine runs its launches on a worker pool of
+// its own, and Close stops its workers, also when the engine is closed before
+// it ran anything and when it is closed twice.
+func TestWorkersStopOnClose(t *testing.T) {
+	device.ResetPlatforms()
+	rng := rand.New(rand.NewSource(41))
+	tr, _ := tree.Random(rng, 8, 0.1)
+	m := substmodel.NewJC69()
+	rates, _ := substmodel.GammaRates(0.5, 2)
+	ps, _ := seqgen.RandomPatterns(rng, 8, 4, 300)
+	start := runtime.NumGoroutine()
+	for _, vc := range variantCases {
+		for _, drive := range []bool{false, true} {
+			e := newCase(t, vc, testConfig(tr, 4, ps.PatternCount(), 2, false))
+			if e.(*Engine[float64]).pool == nil {
+				t.Fatalf("%s: the engine has no worker pool", vc.name)
+			}
+			if drive {
+				driveEngine(t, e, tr, m, rates, ps, true, true)
+			}
+			e.Close()
+			e.Close()
+			goroutinesSettle(t, start)
+		}
 	}
 }
 

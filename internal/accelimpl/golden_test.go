@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"testing"
 
+	"gobeagle/internal/cpuimpl"
 	"gobeagle/internal/device"
 	"gobeagle/internal/engine"
 	"gobeagle/internal/seqgen"
@@ -22,9 +23,10 @@ import (
 // launches, host↔device bytes, the modeled device clock, device memory — and
 // every value it returns is a pure function of the call sequence, so a change
 // to the accelerator path that is meant to keep behaviour must reproduce this
-// table exactly. The table was captured from the engine as it stood before
-// the store was shared with the CPU engines; regenerate it (-update-golden)
-// only for a change that means to move a modeled number, and say so.
+// table exactly. The counters were captured from the engine as it stood
+// before the store was shared with the CPU engines; the values are held to a
+// Serial CPU engine's as well. Regenerate the table (-update-golden) only for
+// a change that means to move a modeled number, and say so.
 //
 // Quirks pinned on purpose, not endorsed: edge integrations launch with the
 // partials operation's group size (patterns × states on the GPU variants),
@@ -66,8 +68,10 @@ func hashOf(vs []float64) uint64 {
 }
 
 // goldenRun drives one variant through every kind of call that charges the
-// device and returns the checkpoint after each step.
-func goldenRun(t *testing.T, vc variantCase, states int, single bool) []checkpoint {
+// device and returns the checkpoint after each step. A nil variant case runs
+// the steps on a Serial CPU engine instead, whose checkpoints hold only the
+// returned values.
+func goldenRun(t *testing.T, vc *variantCase, states int, single bool) []checkpoint {
 	t.Helper()
 	device.ResetPlatforms() // fresh devices: allocation accounting starts at zero
 	rng := rand.New(rand.NewSource(int64(1000 + states)))
@@ -95,20 +99,30 @@ func goldenRun(t *testing.T, vc variantCase, states int, single bool) []checkpoi
 	cfg := testConfig(tr, states, ps.PatternCount(), len(rates.Rates), single)
 	cfg.MatrixBuffers = nodes + 4 // four spare matrices for the edge steps
 	cfg.ScaleBuffers = nodes + 2  // per-op, cumulative, cumulative below the root
-	dev, err := device.FindDevice(vc.fw, vc.devName)
+	var (
+		e   engine.Engine
+		dev *device.Device
+		q   *device.Queue
+	)
+	if vc == nil {
+		e, err = cpuimpl.New(cfg, cpuimpl.Serial)
+	} else if dev, err = device.FindDevice(vc.fw, vc.devName); err == nil {
+		e, err = New(cfg, vc.variant, dev)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(cfg, vc.variant, dev)
-	if err != nil {
-		t.Fatal(err)
+	if dev != nil {
+		q = e.(interface{ Queue() *device.Queue }).Queue()
 	}
-	q := e.(interface{ Queue() *device.Queue }).Queue()
 
 	var out []checkpoint
 	mark := func(step string, values ...uint64) {
-		out = append(out, checkpoint{Step: step, Launches: q.Launches(), Bytes: q.BytesTransferred(),
-			ModeledNs: int64(q.ModeledTime()), Allocated: dev.AllocatedBytes(), Values: values})
+		c := checkpoint{Step: step, Values: values}
+		if q != nil {
+			c.Launches, c.Bytes, c.ModeledNs, c.Allocated = q.Launches(), q.BytesTransferred(), int64(q.ModeledTime()), dev.AllocatedBytes()
+		}
+		out = append(out, c)
 	}
 	must := func(err error) {
 		t.Helper()
@@ -179,17 +193,26 @@ func goldenRun(t *testing.T, vc variantCase, states int, single bool) []checkpoi
 
 // TestModeledNumbersGolden runs the six variant cases × {4, 61} states ×
 // both precisions and requires every counter, clock, byte and returned bit to
-// equal the committed table.
+// equal the committed table, and every returned bit to equal a Serial CPU
+// engine's over the same steps: the table's values are the CPU engine's.
 func TestModeledNumbersGolden(t *testing.T) {
 	got := map[string][]checkpoint{}
-	for _, vc := range variantCases {
-		for _, states := range []int{4, 61} {
-			for _, single := range []bool{false, true} {
-				prec := "double"
-				if single {
-					prec = "single"
+	for _, states := range []int{4, 61} {
+		for _, single := range []bool{false, true} {
+			prec := "double"
+			if single {
+				prec = "single"
+			}
+			serial := goldenRun(t, nil, states, single)
+			for i := range variantCases {
+				vc := &variantCases[i]
+				name := fmt.Sprintf("%s/%d states/%s", vc.name, states, prec)
+				got[name] = goldenRun(t, vc, states, single)
+				for k, c := range got[name] {
+					if !reflect.DeepEqual(c.Values, serial[k].Values) {
+						t.Errorf("%s after %q: values %v, Serial %v", name, c.Step, c.Values, serial[k].Values)
+					}
 				}
-				got[fmt.Sprintf("%s/%d states/%s", vc.name, states, prec)] = goldenRun(t, vc, states, single)
 			}
 		}
 	}

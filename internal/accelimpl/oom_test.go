@@ -2,6 +2,7 @@ package accelimpl
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -22,6 +23,7 @@ func tinyDevice(memBytes int64) *device.Device {
 }
 
 func TestEngineCreationFailsOnTinyDevice(t *testing.T) {
+	start := runtime.NumGoroutine()
 	rng := rand.New(rand.NewSource(1))
 	tr, _ := tree.Random(rng, 8, 0.1)
 	cfg := testConfig(tr, 4, 100000, 4, false)
@@ -29,10 +31,11 @@ func TestEngineCreationFailsOnTinyDevice(t *testing.T) {
 	if _, err := New(cfg, OpenCLGPU, dev); err == nil {
 		t.Fatal("expected out-of-memory during engine creation")
 	}
-	// No leaked accounting after the failed construction.
+	// No leaked accounting or workers after the failed construction.
 	if dev.AllocatedBytes() != 0 {
 		t.Fatalf("leak after failed construction: %d bytes", dev.AllocatedBytes())
 	}
+	goroutinesSettle(t, start)
 	// Nor when the device already holds another engine: the matrix pool of
 	// the second fits, its site staging buffer does not.
 	dev = tinyDevice(64 << 10)
@@ -48,6 +51,8 @@ func TestEngineCreationFailsOnTinyDevice(t *testing.T) {
 	if dev.AllocatedBytes() != held {
 		t.Fatalf("failed construction moved the accounting from %d to %d bytes", held, dev.AllocatedBytes())
 	}
+	first.Close()
+	goroutinesSettle(t, start)
 }
 
 func TestLazyPartialsAllocationFailureSurfaces(t *testing.T) {

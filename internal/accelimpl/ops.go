@@ -102,9 +102,10 @@ func (e *Engine[T]) GetTransitionMatrix(matrix int) ([]float64, error) {
 }
 
 // UpdateTransitionMatrices computes the listed matrices on the device, one
-// kernel launch per matrix with one work-item per matrix row. The
-// eigendecomposition and rates stay host-side: they feed the kernel as launch
-// constants.
+// kernel launch per matrix with one work-item per matrix row, so one
+// work-group of S items per rate category; each group runs the CPU engines'
+// UpdateTransitionMatrix for its category. The eigendecomposition and rates
+// stay host-side: they feed the kernel as launch constants.
 func (e *Engine[T]) UpdateTransitionMatrices(eigenSlot int, matrices []int, edgeLengths []float64) error {
 	d := e.Cfg.Dims
 	s := d.StateCount
@@ -118,10 +119,9 @@ func (e *Engine[T]) UpdateTransitionMatrices(eigenSlot int, matrices []int, edge
 	rates := e.CatRates
 	return e.UpdateMatricesWith(eigenSlot, matrices, edgeLengths, func(m int, ed *kernels.Eigen, edgeLength float64) error {
 		out := e.matrixViews[m].Data()
-		if err := e.q.LaunchKernel(device.Launch{Global: rows, Local: s}, cost, func(lo, hi int) {
-			for row := lo; row < hi; row++ {
-				kernels.TransitionMatrixRow(out, ed, edgeLength, rates, row)
-			}
+		if err := e.q.LaunchKernel(device.Launch{Global: rows, Local: s}, cost, func(lo, _ int) {
+			c := lo / s
+			kernels.UpdateTransitionMatrix(out[c*s*s:(c+1)*s*s], ed, edgeLength, rates[c:c+1])
 		}); err != nil {
 			return err
 		}

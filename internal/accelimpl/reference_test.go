@@ -1,6 +1,7 @@
 package accelimpl
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,17 +10,22 @@ import (
 	"gobeagle/internal/device"
 	"gobeagle/internal/engine"
 	"gobeagle/internal/kernels"
+	"gobeagle/internal/linalg"
+	"gobeagle/internal/substmodel"
 	"gobeagle/internal/tree"
 )
 
 // referenceProblem is one likelihood problem given to an engine entirely
-// through setters: tip states with gaps, explicit transition matrices, and
-// the integration's weights and frequencies.
+// through setters: tip states with gaps, transition matrices — explicit, or
+// computed from a model's eigendecomposition and rates — and the
+// integration's weights and frequencies.
 type referenceProblem struct {
 	tr       *tree.Tree
 	d        kernels.Dims
 	states   [][]int // per tip, per pattern; StateCount is a gap
 	matrices [][]float64
+	eigen    *linalg.EigenDecomposition
+	rates    []float64
 	catWts   []float64
 	freqs    []float64
 	patWts   []float64
@@ -51,6 +57,15 @@ func newReferenceProblem(rng *rand.Rand, tr *tree.Tree, d kernels.Dims) *referen
 		}
 		pr.matrices = append(pr.matrices, vals)
 	}
+	var m *substmodel.Model
+	if d.StateCount == 4 {
+		m, _ = substmodel.NewHKY85(2, []float64{0.3, 0.2, 0.25, 0.25})
+	} else {
+		m, _ = substmodel.NewGY94(2, 0.3, nil)
+	}
+	rates, _ := substmodel.GammaRates(0.5, d.CategoryCount)
+	pr.rates = rates.Rates
+	pr.eigen, _ = m.Eigen()
 	return pr
 }
 
@@ -73,11 +88,12 @@ type referenceResult struct {
 	lnL      float64
 	site     []float64
 	partials [][]float64 // per operation, in schedule order
+	matrices [][]float64 // per matrix buffer
 }
 
 // run evaluates the problem, every operation rescaled, with compact or
-// expanded tips.
-func (pr *referenceProblem) run(t *testing.T, e engine.Engine, compact bool) referenceResult {
+// expanded tips, and matrices set explicitly or computed by the engine.
+func (pr *referenceProblem) run(t *testing.T, e engine.Engine, compact, computed bool) referenceResult {
 	t.Helper()
 	must := func(err error) {
 		t.Helper()
@@ -95,10 +111,21 @@ func (pr *referenceProblem) run(t *testing.T, e engine.Engine, compact bool) ref
 			must(e.SetTipPartials(i, pr.tipPartials(i)))
 		}
 	}
-	for m, vals := range pr.matrices {
-		must(e.SetTransitionMatrix(m, vals))
-	}
 	sched := pr.tr.FullSchedule()
+	if computed {
+		must(e.SetEigenDecomposition(0, pr.eigen.Values, pr.eigen.Vectors.Data, pr.eigen.InverseVectors.Data))
+		must(e.SetCategoryRates(pr.rates))
+		mats := make([]int, len(sched.Matrices))
+		lens := make([]float64, len(sched.Matrices))
+		for i, mu := range sched.Matrices {
+			mats[i], lens[i] = mu.Matrix, mu.Length
+		}
+		must(e.UpdateTransitionMatrices(0, mats, lens))
+	} else {
+		for m, vals := range pr.matrices {
+			must(e.SetTransitionMatrix(m, vals))
+		}
+	}
 	ops := make([]engine.Operation, len(sched.Ops))
 	scaleBufs := make([]int, len(sched.Ops))
 	for i, op := range sched.Ops {
@@ -121,6 +148,11 @@ func (pr *referenceProblem) run(t *testing.T, e engine.Engine, compact bool) ref
 		must(err)
 		res.partials = append(res.partials, part)
 	}
+	for _, mu := range sched.Matrices {
+		mat, err := e.GetTransitionMatrix(mu.Matrix)
+		must(err)
+		res.matrices = append(res.matrices, mat)
+	}
 	return res
 }
 
@@ -138,14 +170,16 @@ func firstDifference(a, b []float64) int {
 	return -1
 }
 
-// TestAcceleratorsComputeReferenceBits: with FMA off every variant binds the
-// generic kernels, so whatever its launch geometry it returns the serial CPU
-// engine's bits — every operation's partials, the site and the root log
-// likelihoods. Matrices are set explicitly, because the device builds its own
-// row by row. The pattern count is no multiple of any variant's group size,
-// so GPU work-groups straddle rate categories and the last group is partial.
-// Compact tips drive the states-states and states-partials kernels (seven
-// tips cannot all pair off), expanded tips the partials-partials kernel.
+// TestAcceleratorsComputeReferenceBits: every variant binds the CPU engines'
+// kernels, FMA on or off, so whatever its launch geometry it returns the
+// serial CPU engine's bits — every operation's partials, every matrix, the
+// site and the root log likelihoods. Matrices are set explicitly in one pass
+// and built by the device's matrix kernel from an eigendecomposition and
+// three category rates in the other. The pattern count is no multiple of any
+// variant's group size, so GPU work-groups straddle rate categories and the
+// last group is partial. Compact tips drive the states-states and
+// states-partials kernels (seven tips cannot all pair off), expanded tips the
+// partials-partials kernel.
 func TestAcceleratorsComputeReferenceBits(t *testing.T) {
 	const tips, patterns, cats = 7, 203, 3
 	device.ResetPlatforms()
@@ -157,38 +191,40 @@ func TestAcceleratorsComputeReferenceBits(t *testing.T) {
 		}
 		pr := newReferenceProblem(rng, tr, kernels.Dims{StateCount: states, PatternCount: patterns, CategoryCount: cats})
 		for _, single := range []bool{false, true} {
-			cfg := testConfig(tr, states, patterns, cats, single)
-			cfg.DisableFMA = true
-			for _, compact := range []bool{true, false} {
+			for _, pass := range []struct{ compact, computed bool }{{true, false}, {false, false}, {true, true}} {
+				cfg := testConfig(tr, states, patterns, cats, single)
 				ref, err := cpuimpl.New(cfg, cpuimpl.Serial)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := pr.run(t, ref, compact)
+				want := pr.run(t, ref, pass.compact, pass.computed)
 				ref.Close()
-				for _, vc := range variantCases {
-					e := newCase(t, vc, cfg)
-					if g := e.(interface{ GroupPatterns() int }).GroupPatterns(); patterns%g == 0 {
-						t.Fatalf("%s: %d patterns fill groups of %d exactly", vc.name, patterns, g)
-					}
-					got := pr.run(t, e, compact)
-					e.Close()
-					name := vc.name
-					if single {
-						name += "/single"
-					}
-					if compact {
-						name += "/compact tips"
-					}
-					if math.Float64bits(got.lnL) != math.Float64bits(want.lnL) {
-						t.Errorf("%s, %d states: root lnL %v, serial %v", name, states, got.lnL, want.lnL)
-					}
-					if i := firstDifference(got.site, want.site); i >= 0 {
-						t.Errorf("%s, %d states: site lnL %d differs from serial", name, states, i)
-					}
-					for k := range want.partials {
-						if i := firstDifference(got.partials[k], want.partials[k]); i >= 0 {
-							t.Errorf("%s, %d states: operation %d partials entry %d differs from serial", name, states, k, i)
+				for _, noFMA := range []bool{false, true} {
+					cfg.DisableFMA = noFMA
+					for _, vc := range variantCases {
+						e := newCase(t, vc, cfg)
+						if g := e.(interface{ GroupPatterns() int }).GroupPatterns(); patterns%g == 0 {
+							t.Fatalf("%s: %d patterns fill groups of %d exactly", vc.name, patterns, g)
+						}
+						got := pr.run(t, e, pass.compact, pass.computed)
+						e.Close()
+						name := fmt.Sprintf("%s, %d states, single=%v, FMA off=%v, compact tips=%v, computed matrices=%v",
+							vc.name, states, single, noFMA, pass.compact, pass.computed)
+						if math.Float64bits(got.lnL) != math.Float64bits(want.lnL) {
+							t.Errorf("%s: root lnL %v, serial %v", name, got.lnL, want.lnL)
+						}
+						if i := firstDifference(got.site, want.site); i >= 0 {
+							t.Errorf("%s: site lnL %d differs from serial", name, i)
+						}
+						for k := range want.partials {
+							if i := firstDifference(got.partials[k], want.partials[k]); i >= 0 {
+								t.Errorf("%s: operation %d partials entry %d differs from serial", name, k, i)
+							}
+						}
+						for k := range want.matrices {
+							if i := firstDifference(got.matrices[k], want.matrices[k]); i >= 0 {
+								t.Errorf("%s: matrix %d entry %d differs from serial", name, k, i)
+							}
 						}
 					}
 				}

@@ -126,7 +126,7 @@ type Engine[T kernels.Real] struct {
 	kern        kernels.Set[T]
 	threads     int
 	minPatterns int
-	pool        *workerPool
+	pool        *engine.WorkerPool
 	tel         *telemetry.Collector
 	tr          *trace.Tracer
 	lane        int32
@@ -135,7 +135,7 @@ type Engine[T kernels.Real] struct {
 
 	// The three tasks are bound once, so a phase allocates nothing; they
 	// read the call's state below, set before each phase.
-	slabTask, opTask, siteTask task
+	slabTask, opTask, siteTask engine.Task
 	batch                      []engine.ResolvedOp[T]  // slabTask: the resolved list
 	level                      []*engine.ResolvedOp[T] // opTask: one dependency level
 	root                       []T                     // siteTask: the root partials
@@ -167,7 +167,7 @@ func newEngine[T kernels.Real](cfg engine.Config, mode Mode) *Engine[T] {
 		e.kern = kernels.ForStateCount[T](cfg.Dims.StateCount)
 	}
 	if mode == ThreadPool || mode == ThreadPoolHybrid {
-		e.pool = newWorkerPool(threads, mode.String())
+		e.pool = engine.NewWorkerPool(threads, mode.String())
 	}
 	e.slabTask, e.opTask, e.siteTask = e.runSlab, e.runOp, e.siteSlab
 	return e
@@ -182,7 +182,7 @@ func (e *Engine[T]) Name() string { return e.mode.String() }
 func (e *Engine[T]) Close() error {
 	e.Storage.Close()
 	if e.pool != nil {
-		e.pool.close()
+		e.pool.Close()
 		e.pool = nil
 	}
 	return nil
@@ -252,12 +252,12 @@ func (e *Engine[T]) UpdatePartials(ops []engine.Operation) error {
 // phase runs t(i, n, worker) for every i in [0, n) and returns when all have
 // finished: inline when n is 1, on the worker pool in the pool modes, on
 // fresh goroutines otherwise.
-func (e *Engine[T]) phase(n int, t task) {
+func (e *Engine[T]) phase(n int, t engine.Task) {
 	switch {
 	case n == 1:
 		t(0, 1, 0)
 	case e.pool != nil:
-		e.pool.run(n, t)
+		e.pool.Run(n, t)
 	default:
 		var wg sync.WaitGroup
 		wg.Add(n)
@@ -273,7 +273,7 @@ func (e *Engine[T]) phase(n int, t task) {
 
 // levelPhase runs one phase of a batch and records it as the batch's level
 // for the batch tracer and the span tracer: ops operations as n tasks.
-func (e *Engine[T]) levelPhase(level, ops, n int, t task) {
+func (e *Engine[T]) levelPhase(level, ops, n int, t engine.Task) {
 	var start time.Time
 	if e.telBatch != 0 {
 		start = time.Now()

@@ -6,7 +6,7 @@
 // with alignment rules), command queues, and work-group kernel launches.
 //
 // Kernels really execute — work-items run the shared kernel bodies from
-// internal/kernels on host goroutines standing in for compute units — so all
+// internal/kernels on host workers standing in for compute units — so all
 // correctness is end-to-end testable. Because this machine has no GPU, each
 // queue additionally accumulates *modeled* execution time from a roofline
 // performance model parameterized by the published specifications of the

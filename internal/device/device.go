@@ -3,21 +3,21 @@ package device
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
 // Device is one simulated compute device. Kernels launched on its queues
-// execute on a bounded pool of host goroutines standing in for compute
-// units; memory lives in explicitly allocated device buffers.
+// execute on at most Parallelism host workers standing in for compute units;
+// memory lives in explicitly allocated device buffers.
 type Device struct {
 	Desc        Descriptor
 	Framework   FrameworkName
-	parallelism int   // host goroutines emulating compute units
+	parallelism int   // host workers emulating compute units
 	allocated   int64 // bytes currently allocated (atomic)
 }
 
-// Parallelism returns the host-side execution width.
+// Parallelism returns the host-side execution width: how many workers a
+// launch uses at most.
 func (d *Device) Parallelism() int { return d.parallelism }
 
 // AllocatedBytes returns the bytes currently allocated on the device.
@@ -150,35 +150,4 @@ func (b *Buffer[T]) subView(origin, n int) (*Buffer[T], error) {
 		return nil, fmt.Errorf("device: sub-buffer [%d,%d) out of range of %d elements", origin, origin+n, len(b.data))
 	}
 	return &Buffer[T]{dev: b.dev, data: b.data[origin : origin+n], origin: b.origin + origin, sub: true}, nil
-}
-
-// parallelFor runs groups [0, groups) across the device's host-goroutine
-// pool, invoking run(group) for each.
-func (d *Device) parallelFor(groups int, run func(group int)) {
-	workers := d.parallelism
-	if workers > groups {
-		workers = groups
-	}
-	if workers <= 1 {
-		for g := 0; g < groups; g++ {
-			run(g)
-		}
-		return
-	}
-	var next int64 = -1
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				g := int(atomic.AddInt64(&next, 1))
-				if g >= groups {
-					return
-				}
-				run(g)
-			}
-		}()
-	}
-	wg.Wait()
 }

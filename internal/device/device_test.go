@@ -1,9 +1,12 @@
 package device
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"gobeagle/internal/engine"
 )
 
 func TestPlatformEnumeration(t *testing.T) {
@@ -141,11 +144,25 @@ func TestSubBufferStyles(t *testing.T) {
 
 // TestLaunchKernelExecutesAllItems pins the range contract: one body call
 // per work-group, the ranges covering [0, Global) exactly once and none
-// reaching past it, while the model still charges the padded global size.
+// reaching past it, while the model still charges the padded global size —
+// inline, and on a worker pool with fewer, as many or more workers than the
+// device's parallelism.
 func TestLaunchKernelExecutesAllItems(t *testing.T) {
 	ResetPlatforms()
 	d, _ := FindDevice(OpenCL, "FirePro S9170")
+	t.Run("inline", func(t *testing.T) { testLaunchKernelExecutesAllItems(t, d, nil) })
+	for _, c := range []struct{ par, workers int }{{1, 1}, {1, 3}, {4, 2}, {4, 4}, {4, 8}, {16, 16}} {
+		pool := engine.NewWorkerPool(c.workers, "device test")
+		t.Run(fmt.Sprintf("parallelism=%d/workers=%d", c.par, c.workers), func(t *testing.T) {
+			testLaunchKernelExecutesAllItems(t, NewDevice(d.Desc, d.Framework, c.par), pool)
+		})
+		pool.Close()
+	}
+}
+
+func testLaunchKernelExecutesAllItems(t *testing.T, d *Device, x Executor) {
 	q := d.NewQueue(true)
+	q.SetExecutor(x)
 	const n, local = 1000, 64
 	var hits [n]int32
 	var calls, past atomic.Int64

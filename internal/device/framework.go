@@ -67,7 +67,7 @@ func ResetPlatforms() {
 }
 
 // NewDevice creates a simulated device owned by a framework driver. The
-// hostParallelism bounds how many host goroutines stand in for the device's
+// hostParallelism bounds how many host workers stand in for the device's
 // compute units (0 = GOMAXPROCS).
 func NewDevice(desc Descriptor, fw FrameworkName, hostParallelism int) *Device {
 	if hostParallelism <= 0 {

@@ -3,7 +3,7 @@ package device
 import "time"
 
 // The roofline performance model. Kernel execution on this machine is real
-// (host goroutines), but GPU-speed timing obviously is not, so each launch
+// (on host workers), but GPU-speed timing obviously is not, so each launch
 // is also charged to a modeled clock:
 //
 //	rate  = min(peak·eff·occ, bandwidth·AI·occ)

@@ -33,11 +33,19 @@ type Launch struct {
 	Local  int // work-group size in work-items
 }
 
+// Executor runs t(i, n, worker) for every i in [0, n) on its workers and
+// returns when all have finished, one call at a time; engine.WorkerPool is
+// the one in use.
+type Executor interface {
+	Run(n int, t func(i, n, worker int))
+}
+
 // Queue is an in-order command queue on one device. It accumulates both
 // measured host wall time and modeled device time for everything enqueued.
 type Queue struct {
 	dev          *Device
-	single       bool // single-precision kernels
+	exec         Executor // runs work-groups; nil runs them inline
+	single       bool     // single-precision kernels
 	dryRun       atomic.Bool
 	modeledNanos atomic.Int64
 	hostNanos    atomic.Int64
@@ -56,6 +64,10 @@ func (q *Queue) SetTracer(tr *trace.Tracer, lane int32) {
 	q.tr = tr
 	q.lane = lane
 }
+
+// SetExecutor sets the executor the queue's launches run their work-groups
+// on; nil runs them inline on the launching goroutine.
+func (q *Queue) SetExecutor(x Executor) { q.exec = x }
 
 // SetDryRun toggles dry-run mode: kernel launches charge the modeled clock
 // without executing their bodies. Benchmark sweeps use this for very large
@@ -98,11 +110,11 @@ func (q *Queue) ResetTimers() {
 	q.bytesMoved.Store(0)
 }
 
-// LaunchKernel runs body once per work-group, across the device's
-// compute-unit pool, over the group's work-items [lo, hi): group g covers
-// [g·Local, (g+1)·Local) clipped to l.Global, so the ranges partition
-// [0, Global) and groups run concurrently. The launch is charged to both
-// clocks, the modeled one for the padded global size.
+// LaunchKernel runs body once per work-group over the group's work-items
+// [lo, hi): group g covers [g·Local, (g+1)·Local) clipped to l.Global, so the
+// ranges partition [0, Global). With an executor the groups run concurrently
+// on up to Parallelism of its workers. The launch is charged to both clocks,
+// the modeled one for the padded global size.
 func (q *Queue) LaunchKernel(l Launch, c Cost, body func(lo, hi int)) error {
 	if l.Global <= 0 {
 		return errors.New("device: launch with non-positive global size")
@@ -115,7 +127,7 @@ func (q *Queue) LaunchKernel(l Launch, c Cost, body func(lo, hi int)) error {
 
 	if !q.dryRun.Load() {
 		start := time.Now()
-		q.dev.parallelFor(groups, func(g int) {
+		q.run(groups, func(g int) {
 			body(g*l.Local, min((g+1)*l.Local, l.Global))
 		})
 		q.hostNanos.Add(int64(time.Since(start)))
@@ -128,6 +140,25 @@ func (q *Queue) LaunchKernel(l Launch, c Cost, body func(lo, hi int)) error {
 			Start: end - charge, Dur: charge, Arg0: int64(l.Global), Arg1: int64(groups)})
 	}
 	return nil
+}
+
+// run calls group(g) for every g in [0, groups): inline without an executor
+// or with one group, otherwise on up to Parallelism workers that each pull
+// group indices from a shared counter until none is left.
+func (q *Queue) run(groups int, group func(g int)) {
+	workers := min(q.dev.parallelism, groups)
+	if q.exec == nil || workers <= 1 {
+		for g := range groups {
+			group(g)
+		}
+		return
+	}
+	var next atomic.Int64
+	q.exec.Run(workers, func(_, _, _ int) {
+		for g := int(next.Add(1) - 1); g < groups; g = int(next.Add(1) - 1) {
+			group(g)
+		}
+	})
 }
 
 // CopyToDevice moves host data into a device buffer.

@@ -20,6 +20,10 @@
 // not fit in device memory) can do so after validation and before the reuse
 // tracker records the batch as computed.
 //
+// WorkerPool is the one executor of concurrent work: the CPU pool modes run
+// their phases on it, and every accelerator engine owns one that runs its
+// work-groups.
+//
 // As in the BEAGLE C API, all values cross this boundary as float64; an
 // implementation built for single precision converts at the edge.
 package engine
@@ -76,7 +80,7 @@ type Config struct {
 	Threads         int  // worker threads for threaded implementations; 0 = GOMAXPROCS
 	MinPatternsWork int  // threading threshold; 0 = implementation default
 	WorkGroupSize   int  // accelerator work-group size in patterns; 0 = device default
-	DisableFMA      bool // build kernels without fused multiply–add (Table IV ablation)
+	DisableFMA      bool // charge accelerators the no-FMA rate (Table IV ablation); results are unchanged
 	// Reuse enables incremental re-evaluation: the implementation tracks
 	// input versions per destination buffer and skips UpdatePartials
 	// operations and UpdateTransitionMatrices entries whose inputs are

@@ -22,25 +22,6 @@ func diagEigen(n int, rng *rand.Rand) *Eigen {
 	return e
 }
 
-func TestTransitionMatrixRowMatchesFull(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	e := diagEigen(4, rng)
-	rates := []float64{0.5, 1.5}
-	full := make([]float64, 2*16)
-	rows := make([]float64, 2*16)
-	UpdateTransitionMatrix(full, e, 0.3, rates)
-	for item := 0; item < 2*4; item++ {
-		TransitionMatrixRow(rows, e, 0.3, rates, item)
-	}
-	for i := range full {
-		if math.Abs(full[i]-rows[i]) > 1e-14 {
-			t.Fatalf("row kernel differs at %d: %v vs %v", i, rows[i], full[i])
-		}
-	}
-	// Out-of-range work items are ignored.
-	TransitionMatrixRow(rows, e, 0.3, rates, 99)
-}
-
 func TestUpdateTransitionDerivativesFiniteDifference(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	e := diagEigen(4, rng)

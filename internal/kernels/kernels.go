@@ -11,9 +11,6 @@
 // categories, and comes in the families the paper describes:
 //
 //   - generic state-count kernels with an inner loop over states (§VII-B2);
-//   - the FMA family, the generic kernels with fused multiply-add
-//     accumulation, used when a device advertises fast FMA (§VII-B1,
-//     Table IV);
 //   - 4-state kernels, the analogue of the SSE code path: AVX2 assembly
 //     for PartialsPartials4 and StatesPartials4 with lanes across the four
 //     states, their unrolled Go bodies, and StatesStates4 as a table of the
@@ -25,11 +22,14 @@
 //     codons), the analogue of BEAGLE's hand-vectorised CPU path.
 //
 // No implementation picks among these per call: each binds one Set at
-// construction — from the state-count table ForStateCount, Generic, or FMA —
-// and engine.ResolvedOp.Partials picks the Set's kernel for an operation's
-// operand kinds. A GPU-style launch with one work-item per partials entry
-// (Fig. 2) runs the same kernels over each work-group's patterns, one rate
-// category at a time.
+// construction — the state-count table ForStateCount, or Generic for the
+// serial reference — and engine.ResolvedOp.Partials picks the Set's kernel
+// for an operation's operand kinds. A GPU-style launch with one work-item per
+// partials entry (Fig. 2) runs the same kernels over each work-group's
+// patterns, one rate category at a time, and its matrix launch runs
+// UpdateTransitionMatrix once per category. The paper's FMA build (§VII-B1,
+// Table IV) is no kernel family here: it is a rate in the accelerator cost
+// model, so the accelerators compute the CPU engines' bits.
 //
 // The wide family and UpdateTransitionMatrix rest on one vectorised
 // primitive, VecMatT: acc[i] = Σ_j mt[j·stride+i]·v[j], AVX2 assembly on

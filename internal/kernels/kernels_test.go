@@ -169,33 +169,18 @@ func TestFourStateKernelsMatchGeneric(t *testing.T) {
 	requireSameBits(t, "StatesStates4", sseSS, genSS)
 }
 
-// TestFMAKernelsMatchGeneric: the FMA family changes rounding, not values,
-// and its StatesStates, with nothing to fuse, is the generic kernel's bits.
+// TestFMAKernelsMatchGeneric: fused accumulation changes rounding, not values.
 func TestFMAKernelsMatchGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	set, gen := FMA[float64](), Generic[float64]()
-	if set.Family != FamilyFMA {
-		t.Fatalf("FMA set family %q, want %q", set.Family, FamilyFMA)
-	}
 	for _, s := range []int{4, 61} {
 		pr := newProblem[float64](rng, s, 9, 2)
 		n := pr.d.PartialsLen()
 		ref := make([]float64, n)
 		got := make([]float64, n)
-		gen.PartialsPartials(ref, pr.p1, pr.m1, pr.p2, pr.m2, pr.d, 0, 9)
-		set.PartialsPartials(got, pr.p1, pr.m1, pr.p2, pr.m2, pr.d, 0, 9)
+		PartialsPartials(ref, pr.p1, pr.m1, pr.p2, pr.m2, pr.d, 0, 9)
+		PartialsPartialsFMA(got, pr.p1, pr.m1, pr.p2, pr.m2, pr.d, 0, 9)
 		if d := maxDiff(ref, got); d > 1e-12 {
 			t.Fatalf("s=%d: FMA kernel differs by %v", s, d)
-		}
-		gen.StatesPartials(ref, pr.s1, pr.m1, pr.p2, pr.m2, pr.d, 0, 9)
-		set.StatesPartials(got, pr.s1, pr.m1, pr.p2, pr.m2, pr.d, 0, 9)
-		if d := maxDiff(ref, got); d > 1e-12 {
-			t.Fatalf("s=%d: FMA states-partials differs by %v", s, d)
-		}
-		gen.StatesStates(ref, pr.s1, pr.m1, pr.s2, pr.m2, pr.d, 0, 9)
-		set.StatesStates(got, pr.s1, pr.m1, pr.s2, pr.m2, pr.d, 0, 9)
-		if d := maxDiff(ref, got); d != 0 {
-			t.Fatalf("s=%d: FMA set's states-states differs by %v", s, d)
 		}
 	}
 }

@@ -111,42 +111,6 @@ func ReduceEdgeDerivatives(siteL, siteD1, siteD2, patternWeights []float64, lo, 
 	return d1, d2
 }
 
-// TransitionMatrixRow computes one row of one category's transition matrix;
-// workItem = c·S + i. This is the device-side variant, letting transition
-// matrices be computed on the accelerator so branch-length changes move no
-// data across the host↔device boundary (§IV-F). The per-item exponentials
-// are recomputed redundantly, as a GPU kernel would.
-//
-//beagle:noalloc
-func TransitionMatrixRow[T Real](out []T, e *Eigen, edgeLength float64, catRates []float64, workItem int) {
-	s := e.StateCount
-	c := workItem / s
-	i := workItem % s
-	if c >= len(catRates) {
-		return
-	}
-	t := edgeLength * catRates[c]
-	base := c * s * s
-	vi := e.Vectors[i*s : (i+1)*s]
-	// Per-item exponential staging (each work-item computes its own copy,
-	// as a GPU kernel would into registers or local memory).
-	var expBuf [MaxWideStates]float64
-	expv := expScratch(expBuf[:], s)
-	for k := 0; k < s; k++ {
-		expv[k] = math.Exp(e.Values[k] * t)
-	}
-	for j := 0; j < s; j++ {
-		var sum float64
-		for k := 0; k < s; k++ {
-			sum += vi[k] * expv[k] * e.InverseVectors[k*s+j]
-		}
-		if sum < 0 {
-			sum = 0
-		}
-		out[base+i*s+j] = T(sum)
-	}
-}
-
 // expScratch returns the exp(λt) scratch for s states: the caller's stack
 // buffer cut to length, or a heap slice for the state counts beyond it.
 //

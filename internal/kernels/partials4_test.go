@@ -203,7 +203,6 @@ func TestStatesPartials4ClampsNegativeStates(t *testing.T) {
 	for _, s := range []int{4, 5, 20, 61} {
 		sets := map[string]Set[float64]{
 			"generic": Generic[float64](),
-			"fma":     FMA[float64](),
 			"bound":   ForStateCount[float64](s),
 			"wide":    {StatesPartials: StatesPartialsWide[float64], StatesStates: StatesStates[float64]},
 		}

@@ -38,29 +38,31 @@ go -C "$ROOT" test -race -short -timeout "$TIMEOUT" ./...
 # host without AVX2 every test passes on the generic kernels, so say which
 # family this host binds.
 section "bound kernel family"
-go -C "$ROOT" test -run 'TestKernelBinding|TestForStateCount' -v ./internal/kernels ./internal/cpuimpl | grep -E 'binds|accelerated|^(ok|FAIL|---)'
+go -C "$ROOT" test -run 'TestKernelBinding|TestForStateCount' -v ./internal/kernels ./internal/cpuimpl ./internal/accelimpl | grep -E 'binds|accelerated|^(ok|FAIL|---)'
 
 # The portable path — the Go body of the vectorised primitive and the
-# generic-kernel binding every other architecture gets — on this host.
-section "go test -tags purego ./internal/kernels ./internal/cpuimpl"
-go -C "$ROOT" test -tags purego -timeout "$TIMEOUT" ./internal/kernels ./internal/cpuimpl
+# generic-kernel binding every other architecture gets — on this host,
+# accelerators included.
+section "go test -tags purego ./internal/kernels ./internal/cpuimpl ./internal/accelimpl"
+go -C "$ROOT" test -tags purego -timeout "$TIMEOUT" ./internal/kernels ./internal/cpuimpl ./internal/accelimpl
 
 # The telemetry snapshot guarantee (exact at quiescence, monotone in flight)
 # only fails intermittently when broken, so it is run many times.
 section "telemetry TestConcurrentRecording -race -count=200"
 go -C "$ROOT" test -race -run TestConcurrentRecording -count=200 ./internal/telemetry
 
-# The CPU worker pool publishes each phase's task in a field before the
-# channel sends that hand out task indices; a broken ordering only races
-# intermittently, so the executor tests are run many times.
-section "cpuimpl executor -race -count=50"
-go -C "$ROOT" test -race -count=50 -run 'Aliased|MatchSerial|KernelBinding|TraceSpans|LevelTraces' ./internal/cpuimpl
+# The worker pool (internal/engine) publishes each phase's task in a field
+# before the channel sends that hand out task indices; a broken ordering only
+# races intermittently, so the executor tests are run many times.
+section "executor -race -count=50"
+go -C "$ROOT" test -race -count=50 -run 'Aliased|MatchSerial|KernelBinding|TraceSpans|LevelTraces|WorkerPool' ./internal/cpuimpl ./internal/engine
 
-# A device launch runs its work-groups concurrently, and each GPU-variant group
-# writes its own per-category pattern runs of the destination: an overlap
-# only races intermittently.
+# A device launch runs its work-groups concurrently on the engine's worker
+# pool, and each group writes its own per-category pattern runs of the
+# destination or its own category's matrix: an overlap only races
+# intermittently. A worker that outlives its engine shows as a goroutine count.
 section "accelerator work-groups -race -count=20"
-go -C "$ROOT" test -race -count=20 -run 'Golden|MatchCPUSerial|ReferenceBits|LaunchKernel' ./internal/accelimpl ./internal/device
+go -C "$ROOT" test -race -count=20 -run 'Golden|MatchCPUSerial|ReferenceBits|LaunchKernel|WorkersStop|TinyDevice' ./internal/accelimpl ./internal/device
 
 # Drained worker spans are rebased by the drain's round trip, whose legs are
 # scheduled differently on every run.
