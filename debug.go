@@ -4,7 +4,6 @@ import (
 	"context"
 	"net"
 	"net/http"
-	"sort"
 	"strconv"
 
 	"gobeagle/internal/metricsx"
@@ -177,38 +176,12 @@ func (s instanceSource) RebalanceEvents() any {
 
 // TraceKindSummary aggregates the retained spans of one kind for the
 // /debug/trace endpoint.
-type TraceKindSummary struct {
-	Kind    string `json:"kind"`
-	Layer   string `json:"layer"`
-	Count   int    `json:"count"`
-	TotalNs int64  `json:"total_ns"`
-}
+type TraceKindSummary = trace.KindSummary
 
 func (s instanceSource) TraceSummary() any { return s.in.TraceSummary() }
 
 // TraceSummary aggregates the tracer's retained spans per kind: how many
-// spans of each kind exist and their summed duration, grouped under the
-// layer names the exported timeline uses. Empty when tracing never ran.
-func (in *Instance) TraceSummary() []TraceKindSummary {
-	byKind := map[trace.Kind]*TraceKindSummary{}
-	for _, sp := range in.tr.Snapshot() {
-		sum := byKind[sp.Kind]
-		if sum == nil {
-			sum = &TraceKindSummary{Kind: sp.Kind.String(), Layer: sp.Kind.Layer().String()}
-			byKind[sp.Kind] = sum
-		}
-		sum.Count++
-		sum.TotalNs += sp.Dur
-	}
-	out := make([]TraceKindSummary, 0, len(byKind))
-	for _, sum := range byKind {
-		out = append(out, *sum)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Layer != out[j].Layer {
-			return out[i].Layer < out[j].Layer
-		}
-		return out[i].Kind < out[j].Kind
-	})
-	return out
-}
+// spans of each kind exist and their summed duration, under the layer names
+// the exported timeline uses, ordered by layer and then kind as the timeline
+// renders them. Empty when tracing never ran.
+func (in *Instance) TraceSummary() []TraceKindSummary { return trace.Summarize(in.tr.Snapshot()) }

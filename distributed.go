@@ -129,8 +129,6 @@ func NewDistributedInstance(cfg Config, workers []string, localResourceIDs []int
 		DisableFMA:      cfg.Flags&FlagDisableFMA != 0,
 		Reuse:           cfg.Flags&FlagReuse != 0,
 	}
-	tel := newInstanceCollector(cfg.Flags)
-	ecfg.Telemetry = tel
 	tr := newInstanceTracer(cfg.Flags)
 	ecfg.Trace = tr
 
@@ -161,12 +159,11 @@ func NewDistributedInstance(cfg Config, workers []string, localResourceIDs []int
 	if err != nil {
 		return nil, err
 	}
-	tel.SetLabels(eng.Name(), "distributed")
 	rsc := host
 	if len(locals) > 0 {
 		rsc = locals[0]
 	}
-	return &Instance{cfg: cfg, eng: eng, rsc: rsc, tel: tel, tr: tr}, nil
+	return &Instance{cfg: cfg, eng: eng, rsc: rsc, tr: tr, impl: eng.Name(), strategy: "distributed"}, nil
 }
 
 // RemoteStats reports transport counters for each remote backend of a

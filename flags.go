@@ -57,10 +57,11 @@ const (
 	// FlagKernelX86 forces the loop-over-states x86 kernels on a GPU
 	// device; chiefly for experimentation.
 	FlagKernelX86
-	// FlagTelemetry enables the observability layer at creation: per-kernel
-	// operation counters and duration histograms, effective-GFLOPS
-	// accounting, and scheduler level traces, read through Instance.Stats.
-	// Collection can also be toggled later with Instance.EnableTelemetry.
+	// FlagTelemetry switches on the stats gate of the instance's recorder at
+	// creation: per-kernel operation counters and duration histograms,
+	// effective-GFLOPS accounting, and scheduler level traces, read through
+	// Instance.Stats. Collection can also be toggled later with
+	// Instance.EnableTelemetry.
 	FlagTelemetry
 	// FlagRebalance enables adaptive load rebalancing on multi-device
 	// instances: per-backend throughput is measured every UpdatePartials
@@ -68,11 +69,12 @@ const (
 	// measured split has drifted past a hysteresis threshold (§IX). Ignored
 	// by single-resource instances.
 	FlagRebalance
-	// FlagTrace enables the span tracer at creation: timeline spans from the
-	// scheduler (batches, dependency levels), workers, the modeled device
-	// clock (kernel launches, transfers) and multi-device coordination
-	// (barriers, rebalances, migrations), exported as Chrome trace-event
-	// JSON through Instance.TraceJSON. Collection can also be toggled later
+	// FlagTrace switches on the span gate of the instance's recorder at
+	// creation, keeping its spans as a timeline: the scheduler (batches,
+	// dependency levels), workers, the modeled device clock (kernel
+	// launches, transfers) and multi-device coordination (barriers,
+	// rebalances, migrations), exported as Chrome trace-event JSON through
+	// Instance.TraceJSON. Collection can also be toggled later
 	// with Instance.EnableTrace.
 	FlagTrace
 	// FlagReuse enables incremental re-evaluation: the engine tracks, per

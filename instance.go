@@ -7,7 +7,6 @@ import (
 	"gobeagle/internal/device"
 	"gobeagle/internal/engine"
 	"gobeagle/internal/kernels"
-	"gobeagle/internal/telemetry"
 	"gobeagle/internal/trace"
 )
 
@@ -85,8 +84,9 @@ type Instance struct {
 	cfg Config
 	eng engine.Engine
 	rsc *Resource
-	tel *telemetry.Collector
 	tr  *trace.Tracer
+	// impl and strategy are the labels Stats reports, fixed at creation.
+	impl, strategy string
 
 	// scratch is the UpdatePartials conversion buffer, reused across calls
 	// so the submission hot path performs no per-call allocation (MCMC
@@ -125,8 +125,6 @@ func NewInstance(cfg Config) (*Instance, error) {
 		DisableFMA:      cfg.Flags&FlagDisableFMA != 0,
 		Reuse:           cfg.Flags&FlagReuse != 0,
 	}
-	tel := newInstanceCollector(cfg.Flags)
-	ecfg.Telemetry = tel
 	tr := newInstanceTracer(cfg.Flags)
 	ecfg.Trace = tr
 	eng, err := buildEngine(ecfg, rsc, cfg.Flags)
@@ -137,8 +135,7 @@ func NewInstance(cfg Config) (*Instance, error) {
 	if rsc.Device() != nil {
 		strategy = "device"
 	}
-	tel.SetLabels(eng.Name(), strategy)
-	return &Instance{cfg: cfg, eng: eng, rsc: rsc, tel: tel, tr: tr}, nil
+	return &Instance{cfg: cfg, eng: eng, rsc: rsc, tr: tr, impl: eng.Name(), strategy: strategy}, nil
 }
 
 // Implementation returns the name of the selected implementation, e.g.

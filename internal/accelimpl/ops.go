@@ -2,13 +2,11 @@ package accelimpl
 
 import (
 	"math"
-	"time"
 
 	"gobeagle/internal/device"
 	"gobeagle/internal/engine"
 	"gobeagle/internal/flops"
 	"gobeagle/internal/kernels"
-	"gobeagle/internal/telemetry"
 	"gobeagle/internal/trace"
 )
 
@@ -234,19 +232,13 @@ func (e *Engine[T]) UpdatePartials(ops []engine.Operation) error {
 		return err
 	}
 	rops = e.DropUnchanged(rops)
-	// Telemetry fast path: one atomic load when disabled, no timestamps taken.
-	tel, tr := e.Cfg.Telemetry, e.Cfg.Trace
-	var start time.Time
-	if tel.Enabled() {
-		tel.NextBatch()
-		start = time.Now()
-	}
-	var tstart int64
-	var tbatch uint64
-	traceOn := tr.Enabled()
-	if traceOn {
-		tbatch = tr.NextBatch()
-		tstart = tr.Now()
+	// One gate check: a tracer that is not recording costs one atomic load
+	// and takes no timestamps.
+	tr := e.Cfg.Trace
+	start, on := tr.Begin()
+	var batch uint64
+	if on {
+		batch = tr.NextBatch()
 	}
 	d := e.Cfg.Dims
 	// Both scaling kernels read and write the destination once; applying
@@ -272,13 +264,9 @@ func (e *Engine[T]) UpdatePartials(ops []engine.Operation) error {
 			}
 		}
 	}
-	if !start.IsZero() {
-		tel.Record(telemetry.KernelPartials, len(rops), time.Since(start))
-		tel.AddFlops(flops.PartialsOp(d) * float64(len(rops)))
-	}
-	if traceOn {
-		tr.Record(trace.Span{Kind: trace.KindBatch, Lane: int32(e.Cfg.TraceLane), Batch: tbatch,
-			Start: tstart, Dur: tr.Now() - tstart, Arg0: int64(len(rops)), Arg1: int64(len(ops) - len(rops))})
+	if on {
+		tr.End(trace.Span{Kind: trace.KindBatch, Lane: int32(e.Cfg.TraceLane), Batch: batch,
+			Arg0: int64(len(rops)), Arg1: int64(len(ops) - len(rops))}, start)
 	}
 	return nil
 }
@@ -325,13 +313,11 @@ func category[T kernels.Real](r *engine.ResolvedOp[T], c int, d kernels.Dims) en
 // launchScale runs one of the two scaling kernels (read-scale, rescale) over
 // a fresh destination, one work-item per pattern.
 func (e *Engine[T]) launchScale(cost device.Cost, body func(lo, hi int)) error {
-	var start time.Time
-	if e.Cfg.Telemetry.Enabled() {
-		start = time.Now()
-	}
+	start, on := e.Cfg.Trace.Begin()
 	err := e.perPattern(cost, body)
-	if err == nil && !start.IsZero() {
-		e.Cfg.Telemetry.Record(telemetry.KernelRescale, 1, time.Since(start))
+	if err == nil && on {
+		e.Cfg.Trace.End(trace.Span{Kind: trace.KindRescale, Lane: int32(e.Cfg.TraceLane),
+			Arg0: int64(e.Cfg.Dims.PatternCount)}, start)
 	}
 	return err
 }
@@ -387,27 +373,14 @@ func (e *Engine[T]) siteLikelihoods(rootBuf, cumScaleBuf int) (site, scale []flo
 // CalculateRootLogLikelihoods integrates the root partials into the total
 // log likelihood.
 func (e *Engine[T]) CalculateRootLogLikelihoods(rootBuf, cumScaleBuf int) (float64, error) {
-	tel, tr := e.Cfg.Telemetry, e.Cfg.Trace
-	var start time.Time
-	if tel.Enabled() {
-		start = time.Now()
-	}
-	var tstart int64
-	traceOn := tr.Enabled()
-	if traceOn {
-		tstart = tr.Now()
-	}
+	start, on := e.Cfg.Trace.Begin()
 	site, scale, err := e.siteLikelihoods(rootBuf, cumScaleBuf)
 	if err != nil {
 		return 0, err
 	}
 	lnL := kernels.RootLogLikelihood(site, e.PatWts, scale, 0, len(site))
-	if !start.IsZero() {
-		tel.Record(telemetry.KernelRoot, 1, time.Since(start))
-	}
-	if traceOn {
-		tr.Record(trace.Span{Kind: trace.KindRoot, Lane: int32(e.Cfg.TraceLane),
-			Start: tstart, Dur: tr.Now() - tstart, Arg0: int64(len(site))})
+	if on {
+		e.Cfg.Trace.End(trace.Span{Kind: trace.KindRoot, Lane: int32(e.Cfg.TraceLane), Arg0: int64(len(site))}, start)
 	}
 	return lnL, nil
 }
@@ -456,10 +429,7 @@ func (e *Engine[T]) CalculateEdgeDerivatives(parentBuf, childBuf, matrix, d1Matr
 	if m2 != nil {
 		siteD2 = make([]float64, d.PatternCount)
 	}
-	var start time.Time
-	if e.Cfg.Telemetry.Enabled() {
-		start = time.Now()
-	}
+	start, on := e.Cfg.Trace.Begin()
 	wts, fr := e.CatWts, e.Freqs
 	cost := e.opCost()
 	cost.Flops *= 2 // likelihood plus derivative accumulations
@@ -470,8 +440,8 @@ func (e *Engine[T]) CalculateEdgeDerivatives(parentBuf, childBuf, matrix, d1Matr
 	}
 	lnL := kernels.RootLogLikelihood(siteL, e.PatWts, scale, 0, d.PatternCount)
 	d1, d2 := kernels.ReduceEdgeDerivatives(siteL, siteD1, siteD2, e.PatWts, 0, d.PatternCount)
-	if !start.IsZero() {
-		e.Cfg.Telemetry.Record(telemetry.KernelEdge, 1, time.Since(start))
+	if on {
+		e.Cfg.Trace.End(trace.Span{Kind: trace.KindEdge, Lane: int32(e.Cfg.TraceLane), Arg0: int64(d.PatternCount)}, start)
 	}
 	return lnL, d1, d2, nil
 }
@@ -485,10 +455,7 @@ func (e *Engine[T]) CalculateEdgeLogLikelihoods(parentBuf, childBuf, matrix, cum
 	if scale != nil {
 		e.transferred(len(scale), 8)
 	}
-	var start time.Time
-	if e.Cfg.Telemetry.Enabled() {
-		start = time.Now()
-	}
+	start, on := e.Cfg.Trace.Begin()
 	d := e.Cfg.Dims
 	site, wts, fr := e.site, e.CatWts, e.Freqs
 	if err := e.perPattern(e.opCost(), func(lo, hi int) {
@@ -498,8 +465,8 @@ func (e *Engine[T]) CalculateEdgeLogLikelihoods(parentBuf, childBuf, matrix, cum
 	}
 	e.transferred(len(site), 8)
 	lnL := kernels.RootLogLikelihood(site, e.PatWts, scale, 0, d.PatternCount)
-	if !start.IsZero() {
-		e.Cfg.Telemetry.Record(telemetry.KernelEdge, 1, time.Since(start))
+	if on {
+		e.Cfg.Trace.End(trace.Span{Kind: trace.KindEdge, Lane: int32(e.Cfg.TraceLane), Arg0: int64(d.PatternCount)}, start)
 	}
 	return lnL, nil
 }

@@ -15,10 +15,10 @@ import (
 // analyzer proves the absence of allocating *syntax*; the runtime guard
 // catches what escape analysis decides behind the syntax (a captured slice
 // header spilling to the heap, a devirtualization regression). Before this
-// analyzer the telemetry overhead benchmark was the only such defense, and
+// analyzer the recorder's disabled-overhead test was the only such defense, and
 // nothing noticed when a kernel silently lost its guard.
 //
-// Unexported annotated helpers (kernel fma, the telemetry record method)
+// Unexported annotated helpers (kernel fma, the recorder's aggregate method)
 // are exempt: they are only reachable through annotated exported functions,
 // whose guards cover them.
 var AllocGuard = &Analyzer{

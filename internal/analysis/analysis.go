@@ -5,7 +5,7 @@
 //
 // The library's performance claims rest on invariants that unit tests can
 // only probe by sampling: the pruning kernels must be allocation-free, the
-// telemetry disabled path must stay one atomic load, CPU threading flags are
+// recorder's disabled path must stay one atomic load, CPU threading flags are
 // mutually exclusive, and the hazard-leveled schedulers must not smuggle
 // shared mutable state into pool-dispatched closures. The analyzers in this
 // package (noalloc, nopanic, flagexcl, hazardcapture, allocguard) enforce

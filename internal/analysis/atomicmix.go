@@ -7,13 +7,14 @@ import (
 )
 
 // AtomicMix flags variables and struct fields that are accessed both through
-// sync/atomic and through plain loads or stores. The telemetry, trace and
-// reuse layers all keep "disabled path is one atomic load" fast paths; a
-// plain read slipped in next to the atomic ones is a data race the race
-// detector only catches if a test happens to hit the interleaving, and on
-// weakly-ordered hardware it can observe torn or stale values. The fix is to
-// access such fields through sync/atomic everywhere (or migrate to the typed
-// atomic.Int64 and friends, which make mixing impossible).
+// sync/atomic and through plain loads or stores. The recorder (spans and
+// aggregates) and the reuse layer both keep "disabled path is one atomic
+// load" fast paths; a plain read slipped in next to the atomic ones is a data
+// race the race detector only catches if a test happens to hit the
+// interleaving, and on weakly-ordered hardware it can observe torn or stale
+// values. The fix is to access such fields through sync/atomic everywhere
+// (or migrate to the typed atomic.Int64 and friends, which make mixing
+// impossible).
 //
 // The analyzer collects every address handed to a sync/atomic function
 // (atomic.AddInt64(&x.f, 1) marks x.f) and then reports each remaining plain

@@ -7,11 +7,11 @@ import (
 )
 
 // NoAlloc rejects allocating constructs in functions annotated
-// //beagle:noalloc: the pruning kernels, the telemetry fast path and the
+// //beagle:noalloc: the pruning kernels, the recorder's fast path and the
 // worker-pool dispatch primitive. The paper's throughput figures (Fig. 4,
 // Table III) assume these bodies execute no allocations — a silently
 // introduced make, boxed interface value or fmt call erases exactly the
-// margin the evaluation measures, and a time.Now on the telemetry disabled
+// margin the evaluation measures, and a time.Now on the recorder's disabled
 // path breaks its single-atomic-load budget.
 //
 // Flagged constructs:
@@ -162,7 +162,7 @@ func checkNoAllocCall(pass *Pass, report func(token.Pos, string, ...any), call *
 			case fn.Pkg().Path() == "fmt":
 				report(call.Pos(), "call to %s.%s allocates", fn.Pkg().Name(), fn.Name())
 			case fn.Pkg().Path() == "time" && fn.Name() == "Now":
-				report(call.Pos(), "time.Now is forbidden on the telemetry fast path")
+				report(call.Pos(), "time.Now is forbidden on the recorder's fast path")
 			case fn.Pkg() == pass.Pkg && !annotated[fn] && fn.Name() != "" && !isAccessorMethod(fn):
 				report(call.Pos(), "calls same-package %s, which is not //beagle:noalloc", fn.Name())
 			}

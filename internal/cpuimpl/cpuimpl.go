@@ -46,12 +46,9 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"time"
 
 	"gobeagle/internal/engine"
-	"gobeagle/internal/flops"
 	"gobeagle/internal/kernels"
-	"gobeagle/internal/telemetry"
 	"gobeagle/internal/trace"
 )
 
@@ -127,7 +124,6 @@ type Engine[T kernels.Real] struct {
 	threads     int
 	minPatterns int
 	pool        *engine.WorkerPool
-	tel         *telemetry.Collector
 	tr          *trace.Tracer
 	lane        int32
 	// site is the per-pattern scratch of the root integration.
@@ -139,7 +135,7 @@ type Engine[T kernels.Real] struct {
 	batch                      []engine.ResolvedOp[T]  // slabTask: the resolved list
 	level                      []*engine.ResolvedOp[T] // opTask: one dependency level
 	root                       []T                     // siteTask: the root partials
-	telBatch, traceBatch       uint64                  // the batch's ids, 0 when not recording
+	batchID                    uint64                  // the batch's id, 0 when not recording
 }
 
 func newEngine[T kernels.Real](cfg engine.Config, mode Mode) *Engine[T] {
@@ -157,7 +153,6 @@ func newEngine[T kernels.Real](cfg engine.Config, mode Mode) *Engine[T] {
 		kern:        kernels.Generic[T](),
 		threads:     threads,
 		minPatterns: minPat,
-		tel:         cfg.Telemetry,
 		tr:          cfg.Trace,
 		lane:        int32(cfg.TraceLane),
 	}
@@ -211,19 +206,12 @@ func (e *Engine[T]) UpdatePartials(ops []engine.Operation) error {
 	}
 	rops = e.DropUnchanged(rops)
 	skipped := len(ops) - len(rops)
-	// Telemetry/trace fast paths: one atomic load each when disabled, no
-	// timestamps taken.
-	var start time.Time
-	e.telBatch, e.traceBatch = 0, 0
-	if e.tel.Enabled() {
-		e.telBatch = e.tel.NextBatch()
-		start = time.Now()
-	}
-	var tstart int64
-	traceOn := e.tr.Enabled()
-	if traceOn {
-		e.traceBatch = e.tr.NextBatch()
-		tstart = e.tr.Now()
+	// One gate check: a tracer that is not recording costs one atomic load
+	// and takes no timestamps.
+	start, on := e.tr.Begin()
+	e.batchID = 0
+	if on {
+		e.batchID = e.tr.NextBatch()
 	}
 	e.batch = rops
 	switch {
@@ -238,13 +226,9 @@ func (e *Engine[T]) UpdatePartials(ops []engine.Operation) error {
 	default:
 		e.levelPhase(0, len(rops), e.slabs(), e.slabTask)
 	}
-	if !start.IsZero() {
-		e.tel.Record(telemetry.KernelPartials, len(rops), time.Since(start))
-		e.tel.AddFlops(flops.PartialsOp(e.Cfg.Dims) * float64(len(rops)))
-	}
-	if traceOn {
-		e.tr.Record(trace.Span{Kind: trace.KindBatch, Lane: e.lane, Batch: e.traceBatch,
-			Start: tstart, Dur: e.tr.Now() - tstart, Arg0: int64(len(rops)), Arg1: int64(skipped)})
+	if on {
+		e.tr.End(trace.Span{Kind: trace.KindBatch, Lane: e.lane, Batch: e.batchID,
+			Arg0: int64(len(rops)), Arg1: int64(skipped)}, start)
 	}
 	return nil
 }
@@ -271,24 +255,17 @@ func (e *Engine[T]) phase(n int, t engine.Task) {
 	}
 }
 
-// levelPhase runs one phase of a batch and records it as the batch's level
-// for the batch tracer and the span tracer: ops operations as n tasks.
+// levelPhase runs one phase of a batch and records it as one of the batch's
+// level spans: ops operations as n tasks.
 func (e *Engine[T]) levelPhase(level, ops, n int, t engine.Task) {
-	var start time.Time
-	if e.telBatch != 0 {
-		start = time.Now()
-	}
-	var tstart int64
-	if e.traceBatch != 0 {
-		tstart = e.tr.Now()
+	var start int64
+	if e.batchID != 0 {
+		start = e.tr.Now()
 	}
 	e.phase(n, t)
-	if !start.IsZero() {
-		e.tel.TraceLevel(e.telBatch, level, ops, n, time.Since(start))
-	}
-	if e.traceBatch != 0 {
-		e.tr.Record(trace.Span{Kind: trace.KindLevel, Lane: e.lane, Batch: e.traceBatch,
-			Start: tstart, Dur: e.tr.Now() - tstart, Arg0: int64(level), Arg1: int64(ops)})
+	if e.batchID != 0 {
+		e.tr.End(trace.Span{Kind: trace.KindLevel, Lane: e.lane, Batch: e.batchID,
+			Arg0: trace.LevelArg(level, n), Arg1: int64(ops)}, start)
 	}
 }
 
@@ -310,21 +287,20 @@ func (e *Engine[T]) slabs() int {
 func slab(i, n, p int) (lo, hi int) { return i * p / n, (i + 1) * p / n }
 
 // runSlab is the slab task: the whole resolved list, in submission order,
-// over pattern slab i of n. On a pool worker it records a task span on the
-// worker's lane.
+// over pattern slab i of n. On a pool worker of a recorded batch it records
+// a task span on the worker's lane while spans are kept.
 func (e *Engine[T]) runSlab(i, n, worker int) {
 	lo, hi := slab(i, n, e.Cfg.Dims.PatternCount)
-	traced := n > 1 && e.pool != nil && e.traceBatch != 0
-	var ts int64
+	traced := n > 1 && e.pool != nil && e.batchID != 0 && e.tr.Enabled()
+	var start int64
 	if traced {
-		ts = e.tr.Now()
+		start = e.tr.Now()
 	}
 	for j := range e.batch {
 		e.exec(&e.batch[j], lo, hi)
 	}
 	if traced {
-		e.tr.Record(trace.Span{Kind: trace.KindTask, Lane: int32(worker), Batch: e.traceBatch,
-			Start: ts, Dur: e.tr.Now() - ts, Arg0: int64(hi - lo)})
+		e.tr.End(trace.Span{Kind: trace.KindTask, Lane: int32(worker), Batch: e.batchID, Arg0: int64(hi - lo)}, start)
 	}
 }
 
@@ -425,26 +401,14 @@ func (e *Engine[T]) SiteLogLikelihoods(rootBuf, cumScaleBuf int) ([]float64, err
 // the per-pattern site likelihoods are one more slab phase on the worker
 // pool, as §VI-C describes.
 func (e *Engine[T]) CalculateRootLogLikelihoods(rootBuf, cumScaleBuf int) (float64, error) {
-	var start time.Time
-	if e.tel.Enabled() {
-		start = time.Now()
-	}
-	var tstart int64
-	traceOn := e.tr.Enabled()
-	if traceOn {
-		tstart = e.tr.Now()
-	}
+	start, on := e.tr.Begin()
 	site, scale, err := e.siteLikelihoods(rootBuf, cumScaleBuf)
 	if err != nil {
 		return 0, err
 	}
 	lnL := kernels.RootLogLikelihood(site, e.PatWts, scale, 0, len(site))
-	if !start.IsZero() {
-		e.tel.Record(telemetry.KernelRoot, 1, time.Since(start))
-	}
-	if traceOn {
-		e.tr.Record(trace.Span{Kind: trace.KindRoot, Lane: e.lane,
-			Start: tstart, Dur: e.tr.Now() - tstart, Arg0: int64(len(site))})
+	if on {
+		e.tr.End(trace.Span{Kind: trace.KindRoot, Lane: e.lane, Arg0: int64(len(site))}, start)
 	}
 	return lnL, nil
 }
@@ -481,16 +445,13 @@ func (e *Engine[T]) CalculateEdgeLogLikelihoods(parentBuf, childBuf, matrix, cum
 	if err != nil {
 		return 0, err
 	}
-	var start time.Time
-	if e.tel.Enabled() {
-		start = time.Now()
-	}
+	start, on := e.tr.Begin()
 	d := e.Cfg.Dims
 	site := make([]float64, d.PatternCount)
 	kernels.EdgeSiteLikelihoods(site, parent, child, m, e.CatWts, e.Freqs, d, 0, d.PatternCount)
 	lnL := kernels.RootLogLikelihood(site, e.PatWts, scale, 0, d.PatternCount)
-	if !start.IsZero() {
-		e.tel.Record(telemetry.KernelEdge, 1, time.Since(start))
+	if on {
+		e.tr.End(trace.Span{Kind: trace.KindEdge, Lane: e.lane, Arg0: int64(d.PatternCount)}, start)
 	}
 	return lnL, nil
 }
@@ -514,10 +475,7 @@ func (e *Engine[T]) CalculateEdgeDerivatives(parentBuf, childBuf, matrix, d1Matr
 			return 0, 0, 0, err
 		}
 	}
-	var start time.Time
-	if e.tel.Enabled() {
-		start = time.Now()
-	}
+	start, on := e.tr.Begin()
 	d := e.Cfg.Dims
 	siteL := make([]float64, d.PatternCount)
 	siteD1 := make([]float64, d.PatternCount)
@@ -529,8 +487,8 @@ func (e *Engine[T]) CalculateEdgeDerivatives(parentBuf, childBuf, matrix, d1Matr
 		e.CatWts, e.Freqs, d, 0, d.PatternCount)
 	lnL := kernels.RootLogLikelihood(siteL, e.PatWts, scale, 0, d.PatternCount)
 	d1, d2 := kernels.ReduceEdgeDerivatives(siteL, siteD1, siteD2, e.PatWts, 0, d.PatternCount)
-	if !start.IsZero() {
-		e.tel.Record(telemetry.KernelEdge, 1, time.Since(start))
+	if on {
+		e.tr.End(trace.Span{Kind: trace.KindEdge, Lane: e.lane, Arg0: int64(d.PatternCount)}, start)
 	}
 	return lnL, d1, d2, nil
 }

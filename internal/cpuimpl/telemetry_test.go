@@ -7,9 +7,10 @@ import (
 	"time"
 
 	"gobeagle/internal/engine"
+	"gobeagle/internal/flops"
 	"gobeagle/internal/seqgen"
 	"gobeagle/internal/substmodel"
-	"gobeagle/internal/telemetry"
+	"gobeagle/internal/trace"
 	"gobeagle/internal/tree"
 )
 
@@ -39,10 +40,10 @@ func telemetryProblem(t *testing.T) (*tree.Tree, *substmodel.Model, *substmodel.
 func TestTelemetryRecordsKernelsInEveryMode(t *testing.T) {
 	tr, m, rates, ps := telemetryProblem(t)
 	for _, mode := range Modes() {
-		tel := telemetry.New()
-		tel.SetEnabled(true)
+		tel := trace.New()
+		tel.SetStatsEnabled(true)
 		cfg := testConfig(tr, 4, ps.PatternCount(), 4, false)
-		cfg.Telemetry = tel
+		cfg.Trace = tel
 		e, err := New(cfg, mode)
 		if err != nil {
 			t.Fatal(err)
@@ -51,15 +52,15 @@ func TestTelemetryRecordsKernelsInEveryMode(t *testing.T) {
 		if err := e.Close(); err != nil {
 			t.Fatal(err)
 		}
-		snap := tel.Snapshot()
-		p := snap.Kernel(telemetry.KernelPartials)
+		snap := tel.Stats(flops.PartialsOp(cfg.Dims))
+		p := snap.Kernel("partials")
 		if p.Calls == 0 || p.Ops != uint64(tr.TipCount-1) {
 			t.Errorf("%v: partials ops/calls = %d/%d, want %d ops", mode, p.Ops, p.Calls, tr.TipCount-1)
 		}
-		if snap.Kernel(telemetry.KernelRoot).Calls == 0 {
+		if snap.Kernel("root").Calls == 0 {
 			t.Errorf("%v: root kernel not recorded", mode)
 		}
-		if mats := snap.Kernel(telemetry.KernelMatrices); mats.Ops == 0 {
+		if mats := snap.Kernel("matrices"); mats.Ops == 0 {
 			t.Errorf("%v: matrices kernel not recorded", mode)
 		}
 		if snap.TotalFlops <= 0 {
@@ -88,10 +89,10 @@ func testSlabs(mode Mode, patterns int) int {
 func TestTelemetryLevelTraces(t *testing.T) {
 	tr, m, rates, ps := telemetryProblem(t)
 	for _, mode := range []Mode{Futures, ThreadCreate, ThreadPool, ThreadPoolHybrid} {
-		tel := telemetry.New()
-		tel.SetEnabled(true)
+		tel := trace.New()
+		tel.SetStatsEnabled(true)
 		cfg := testConfig(tr, 4, ps.PatternCount(), 4, false)
-		cfg.Telemetry = tel
+		cfg.Trace = tel
 		e, err := New(cfg, mode)
 		if err != nil {
 			t.Fatal(err)
@@ -100,7 +101,7 @@ func TestTelemetryLevelTraces(t *testing.T) {
 		if err := e.Close(); err != nil {
 			t.Fatal(err)
 		}
-		levels := tel.Snapshot().Levels
+		levels := tel.Stats(0).Levels
 		if len(levels) == 0 {
 			t.Errorf("%v: no dependency levels traced", mode)
 			continue
@@ -137,10 +138,10 @@ func TestTelemetryLevelTraces(t *testing.T) {
 
 func TestTelemetryDisabledAndNilRecordNothing(t *testing.T) {
 	tr, m, rates, ps := telemetryProblem(t)
-	disabled := telemetry.New() // never enabled
-	for _, tel := range []*telemetry.Collector{disabled, nil} {
+	disabled := trace.New() // never enabled
+	for _, tel := range []*trace.Tracer{disabled, nil} {
 		cfg := testConfig(tr, 4, ps.PatternCount(), 4, false)
-		cfg.Telemetry = tel
+		cfg.Trace = tel
 		e, err := New(cfg, ThreadPoolHybrid)
 		if err != nil {
 			t.Fatal(err)
@@ -150,7 +151,7 @@ func TestTelemetryDisabledAndNilRecordNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap := disabled.Snapshot()
+	snap := disabled.Stats(0)
 	if len(snap.Kernels) != 0 || snap.Batches != 0 || len(snap.Levels) != 0 {
 		t.Fatalf("disabled collector recorded: %+v", snap)
 	}
@@ -163,7 +164,7 @@ func TestTelemetryDisabledAndNilRecordNothing(t *testing.T) {
 // by their medians, so load on the host (a parallel `go test ./...` on two
 // cores) lands on both alike instead of on whichever ran second. The 50%
 // threshold is deliberately loose; the per-call budgets are pinned by
-// BenchmarkDisabledGuard in internal/telemetry and internal/trace.
+// BenchmarkDisabledGuard in internal/trace.
 func disabledOverhead(t *testing.T, what string, instrument func(*engine.Config)) {
 	t.Helper()
 	if testing.Short() {
@@ -213,8 +214,8 @@ func disabledOverhead(t *testing.T, what string, instrument func(*engine.Config)
 }
 
 // TestTelemetryDisabledOverhead is the regression guard for the <2%
-// disabled-overhead budget: a disabled collector's UpdatePartials must stay
-// close to an engine with no collector at all.
+// disabled-overhead budget: a recorder with its stats gate switched off must
+// keep UpdatePartials close to an engine with no recorder at all.
 func TestTelemetryDisabledOverhead(t *testing.T) {
-	disabledOverhead(t, "telemetry", func(cfg *engine.Config) { cfg.Telemetry = telemetry.New() })
+	disabledOverhead(t, "telemetry", func(cfg *engine.Config) { cfg.Trace = trace.New() })
 }

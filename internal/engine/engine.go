@@ -33,7 +33,6 @@ import (
 	"fmt"
 
 	"gobeagle/internal/kernels"
-	"gobeagle/internal/telemetry"
 	"gobeagle/internal/trace"
 )
 
@@ -86,15 +85,13 @@ type Config struct {
 	// operations and UpdateTransitionMatrices entries whose inputs are
 	// unchanged since the last identical request (see internal/reuse).
 	Reuse bool
-	// Telemetry, when non-nil, receives per-kernel counters, effective-flop
-	// accounting and scheduler level traces from the implementation. A nil
-	// collector (or a disabled one) must cost nothing on the hot paths.
-	Telemetry *telemetry.Collector
-	// Trace, when non-nil, receives timeline spans (scheduler batches and
-	// levels, worker tasks, device kernel launches and transfers, multi-
-	// device barriers and migrations). Unlike Telemetry, a parent engine
-	// shares its tracer with its sub-engines — spans carry lanes, so
-	// concurrent backends do not double count, they interleave. A nil or
+	// Trace, when non-nil, is the instance's recorder: it receives timeline
+	// spans (scheduler batches and levels, worker tasks, device kernel
+	// launches and transfers, multi-device barriers and migrations) and,
+	// behind its stats gate, folds them into the per-kernel-family
+	// aggregates. A parent engine hands its sub-engines a span-only view
+	// (Tracer.SpansOnly): spans carry lanes, so concurrent backends
+	// interleave, while only the parent's spans are aggregated. A nil or
 	// disabled tracer must cost nothing on the hot paths.
 	Trace *trace.Tracer
 	// TraceLane attributes this engine's spans to one lane (thread track)

@@ -3,11 +3,9 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"gobeagle/internal/kernels"
 	"gobeagle/internal/reuse"
-	"gobeagle/internal/telemetry"
 	"gobeagle/internal/trace"
 )
 
@@ -336,7 +334,7 @@ func (s *Storage[T]) computeMatrix(m int, e *kernels.Eigen, edgeLength float64) 
 // matrix left to the backend — the one step of the store an accelerator
 // replaces, because it computes matrices in a device kernel. compute must
 // leave Matrices[m] holding P(rate_c·edgeLength) for every category; the
-// request validation, the content-addressed reuse decision and the telemetry
+// request validation, the content-addressed reuse decision and the span
 // stay here.
 func (s *Storage[T]) UpdateMatricesWith(eigenSlot int, matrices []int, edgeLengths []float64,
 	compute func(m int, e *kernels.Eigen, edgeLength float64) error) error {
@@ -344,15 +342,7 @@ func (s *Storage[T]) UpdateMatricesWith(eigenSlot int, matrices []int, edgeLengt
 	if err != nil {
 		return err
 	}
-	var start time.Time
-	if s.Cfg.Telemetry.Enabled() {
-		start = time.Now()
-	}
-	var tstart int64
-	traceOn := s.Cfg.Trace.Enabled()
-	if traceOn {
-		tstart = s.Cfg.Trace.Now()
-	}
+	start, on := s.Cfg.Trace.Begin()
 	computed := 0
 	for i, m := range matrices {
 		// Content-addressed reuse: the matrix already holds the result of
@@ -365,12 +355,8 @@ func (s *Storage[T]) UpdateMatricesWith(eigenSlot int, matrices []int, edgeLengt
 		}
 		computed++
 	}
-	if !start.IsZero() && computed > 0 {
-		s.Cfg.Telemetry.Record(telemetry.KernelMatrices, computed, time.Since(start))
-	}
-	if traceOn {
-		s.Cfg.Trace.Record(trace.Span{Kind: trace.KindMatrices, Lane: int32(s.Cfg.TraceLane),
-			Start: tstart, Dur: s.Cfg.Trace.Now() - tstart, Arg0: int64(computed)})
+	if on {
+		s.Cfg.Trace.End(trace.Span{Kind: trace.KindMatrices, Lane: int32(s.Cfg.TraceLane), Arg0: int64(computed)}, start)
 	}
 	return nil
 }
@@ -386,15 +372,7 @@ func (s *Storage[T]) UpdateTransitionDerivatives(eigenSlot int, d1Matrices, d2Ma
 	if err != nil {
 		return err
 	}
-	var start time.Time
-	if s.Cfg.Telemetry.Enabled() {
-		start = time.Now()
-	}
-	var tstart int64
-	traceOn := s.Cfg.Trace.Enabled()
-	if traceOn {
-		tstart = s.Cfg.Trace.Now()
-	}
+	start, on := s.Cfg.Trace.Begin()
 	// Derivative kernels overwrite ordinary matrix buffers, so any
 	// content-addressed transition-matrix entry for them is stale.
 	target := func(m int) []T {
@@ -411,12 +389,8 @@ func (s *Storage[T]) UpdateTransitionDerivatives(eigenSlot int, d1Matrices, d2Ma
 		}
 		kernels.UpdateTransitionDerivatives(target(m), d2, e, edgeLengths[i], s.CatRates)
 	}
-	if !start.IsZero() {
-		s.Cfg.Telemetry.Record(telemetry.KernelDerivatives, len(d1Matrices), time.Since(start))
-	}
-	if traceOn {
-		s.Cfg.Trace.Record(trace.Span{Kind: trace.KindDerivatives, Lane: int32(s.Cfg.TraceLane),
-			Start: tstart, Dur: s.Cfg.Trace.Now() - tstart, Arg0: int64(len(d1Matrices))})
+	if on {
+		s.Cfg.Trace.End(trace.Span{Kind: trace.KindDerivatives, Lane: int32(s.Cfg.TraceLane), Arg0: int64(len(d1Matrices))}, start)
 	}
 	return nil
 }

@@ -24,9 +24,7 @@ import (
 	"time"
 
 	"gobeagle/internal/engine"
-	"gobeagle/internal/flops"
 	"gobeagle/internal/reuse"
-	"gobeagle/internal/telemetry"
 	"gobeagle/internal/trace"
 )
 
@@ -142,13 +140,13 @@ func NewBalanced(cfg engine.Config, builders []Builder, shares []float64, opts O
 	for i, b := range builders {
 		sub := cfg
 		sub.Dims.PatternCount = e.hi[i] - e.lo[i]
-		// The parent engine records batch wall times spanning all backends;
-		// letting sub-engines also record into the same collector would double
-		// count concurrent work, so sub-configurations get no telemetry. The
-		// span tracer is different: spans carry lanes, so sub-engines share
-		// the parent's tracer and each backend gets its index as its lane —
-		// the exported timeline shows the backends side by side.
-		sub.Telemetry = nil
+		// The parent engine aggregates batch wall times spanning all
+		// backends; letting sub-engines also aggregate would double count
+		// concurrent work. Their spans carry lanes, so sub-engines record
+		// into the parent's ring through a span-only view, each backend on
+		// its index as its lane — the exported timeline shows the backends
+		// side by side.
+		sub.Trace = cfg.Trace.SpansOnly()
 		sub.TraceLane = i
 		eng, err := b(sub)
 		if err != nil {
@@ -391,15 +389,12 @@ func (e *Engine) GetTransitionMatrix(matrix int) ([]float64, error) {
 func (e *Engine) UpdateTransitionMatrices(eigenSlot int, matrices []int, edgeLengths []float64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var start time.Time
-	if e.cfg.Telemetry.Enabled() {
-		start = time.Now()
-	}
+	start, on := e.cfg.Trace.Begin()
 	err := e.parallel(func(_ int, sub engine.Engine) error {
 		return sub.UpdateTransitionMatrices(eigenSlot, matrices, edgeLengths)
 	})
-	if err == nil && !start.IsZero() {
-		e.cfg.Telemetry.Record(telemetry.KernelMatrices, len(matrices), time.Since(start))
+	if err == nil && on {
+		e.cfg.Trace.End(trace.Span{Kind: trace.KindMatrices, Lane: -1, Arg0: int64(len(matrices))}, start)
 	}
 	return err
 }
@@ -415,65 +410,47 @@ func (e *Engine) UpdateTransitionMatrices(eigenSlot int, matrices []int, edgeLen
 func (e *Engine) UpdatePartials(ops []engine.Operation) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	tel := e.cfg.Telemetry
-	var start time.Time
-	if tel.Enabled() {
-		tel.NextBatch()
-		start = time.Now()
-	}
 	tr := e.cfg.Trace
-	traceOn := tr.Enabled()
-	var tstart int64
-	var tbatch uint64
-	if traceOn {
-		tbatch = tr.NextBatch()
-		tstart = tr.Now()
+	start, on := tr.Begin()
+	var batch uint64
+	if on {
+		batch = tr.NextBatch()
 	}
-	var err error
+	// Each backend's interval is timed once, for its span and for the
+	// rebalancer's throughput estimate.
+	var elapsed []time.Duration
 	if e.reb != nil {
-		elapsed := make([]time.Duration, len(e.subs))
-		err = e.parallel(func(i int, sub engine.Engine) error {
-			t0 := time.Now()
-			var ts int64
-			if traceOn {
-				ts = tr.Now()
-			}
-			err := sub.UpdatePartials(ops)
-			elapsed[i] = time.Since(t0)
-			if traceOn {
-				tr.Record(trace.Span{Kind: trace.KindBackend, Lane: int32(i), Batch: tbatch,
-					Start: ts, Dur: tr.Now() - ts, Arg0: int64(len(ops)), Arg1: int64(e.hi[i] - e.lo[i])})
-			}
-			return err
-		})
-		if err == nil {
-			e.reb.noteBatch(len(ops))
-			for i := range e.subs {
-				e.reb.Observe(i, (e.hi[i]-e.lo[i])*len(ops), elapsed[i].Seconds())
-			}
-			err = e.maybeRebalance()
+		elapsed = make([]time.Duration, len(e.subs))
+	}
+	timed := on || elapsed != nil
+	err := e.parallel(func(i int, sub engine.Engine) error {
+		var t0 time.Time
+		if timed {
+			t0 = time.Now()
 		}
-	} else {
-		err = e.parallel(func(i int, sub engine.Engine) error {
-			var ts int64
-			if traceOn {
-				ts = tr.Now()
+		err := sub.UpdatePartials(ops)
+		if timed {
+			d := time.Since(t0)
+			if elapsed != nil {
+				elapsed[i] = d
 			}
-			err := sub.UpdatePartials(ops)
-			if traceOn {
-				tr.Record(trace.Span{Kind: trace.KindBackend, Lane: int32(i), Batch: tbatch,
-					Start: ts, Dur: tr.Now() - ts, Arg0: int64(len(ops)), Arg1: int64(e.hi[i] - e.lo[i])})
+			if on {
+				tr.Record(trace.Span{Kind: trace.KindBackend, Lane: int32(i), Batch: batch, Start: tr.At(t0),
+					Dur: int64(d), Arg0: int64(len(ops)), Arg1: int64(e.hi[i] - e.lo[i])})
 			}
-			return err
-		})
+		}
+		return err
+	})
+	if err == nil && elapsed != nil {
+		e.reb.noteBatch(len(ops))
+		for i := range e.subs {
+			e.reb.Observe(i, (e.hi[i]-e.lo[i])*len(ops), elapsed[i].Seconds())
+		}
+		err = e.maybeRebalance()
 	}
-	if err == nil && !start.IsZero() {
-		tel.Record(telemetry.KernelPartials, len(ops), time.Since(start))
-		tel.AddFlops(flops.PartialsOp(e.cfg.Dims) * float64(len(ops)))
-	}
-	if err == nil && traceOn {
-		tr.Record(trace.Span{Kind: trace.KindBarrier, Lane: -1, Batch: tbatch,
-			Start: tstart, Dur: tr.Now() - tstart, Arg0: int64(len(e.subs)), Arg1: int64(len(ops))})
+	if err == nil && on {
+		tr.End(trace.Span{Kind: trace.KindBarrier, Lane: -1, Batch: batch,
+			Arg0: int64(len(e.subs)), Arg1: int64(len(ops))}, start)
 	}
 	return err
 }
@@ -507,10 +484,7 @@ func (e *Engine) AccumulateScaleFactors(scaleBufs []int, cumBuf int) error {
 func (e *Engine) CalculateRootLogLikelihoods(rootBuf, cumScaleBuf int) (float64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var start time.Time
-	if e.cfg.Telemetry.Enabled() {
-		start = time.Now()
-	}
+	start, on := e.cfg.Trace.Begin()
 	sites := make([]float64, e.cfg.Dims.PatternCount)
 	err := e.parallel(func(i int, sub engine.Engine) error {
 		site, err := sub.SiteLogLikelihoods(rootBuf, cumScaleBuf)
@@ -527,8 +501,8 @@ func (e *Engine) CalculateRootLogLikelihoods(rootBuf, cumScaleBuf int) (float64,
 	for p, site := range sites {
 		total += e.patWts[p] * site
 	}
-	if !start.IsZero() {
-		e.cfg.Telemetry.Record(telemetry.KernelRoot, 1, time.Since(start))
+	if on {
+		e.cfg.Trace.End(trace.Span{Kind: trace.KindRoot, Lane: -1, Arg0: int64(len(sites))}, start)
 	}
 	return total, nil
 }
@@ -537,10 +511,7 @@ func (e *Engine) CalculateRootLogLikelihoods(rootBuf, cumScaleBuf int) (float64,
 func (e *Engine) CalculateEdgeLogLikelihoods(parentBuf, childBuf, matrix, cumScaleBuf int) (float64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var start time.Time
-	if e.cfg.Telemetry.Enabled() {
-		start = time.Now()
-	}
+	start, on := e.cfg.Trace.Begin()
 	parts := make([]float64, len(e.subs))
 	err := e.parallel(func(i int, sub engine.Engine) error {
 		lnL, err := sub.CalculateEdgeLogLikelihoods(parentBuf, childBuf, matrix, cumScaleBuf)
@@ -554,8 +525,8 @@ func (e *Engine) CalculateEdgeLogLikelihoods(parentBuf, childBuf, matrix, cumSca
 	for _, p := range parts {
 		total += p
 	}
-	if !start.IsZero() {
-		e.cfg.Telemetry.Record(telemetry.KernelEdge, 1, time.Since(start))
+	if on {
+		e.cfg.Trace.End(trace.Span{Kind: trace.KindEdge, Lane: -1, Arg0: int64(e.cfg.Dims.PatternCount)}, start)
 	}
 	return total, nil
 }

@@ -134,7 +134,7 @@ type RebalanceEvent struct {
 	CostSeconds float64
 }
 
-// RebalanceStats is a snapshot of the rebalancer's state for telemetry.
+// RebalanceStats is a snapshot of the rebalancer's state for Stats.
 type RebalanceStats struct {
 	// Batches is the number of UpdatePartials batches observed.
 	Batches int
@@ -408,9 +408,8 @@ func (e *Engine) maybeRebalance() error {
 	}
 	if traceOn {
 		// Speedup ×1000 rides in Arg1 so the integer span args can carry it.
-		tr.Record(trace.Span{Kind: trace.KindRebalance, Lane: -1,
-			Start: tstart, Dur: tr.Now() - tstart,
-			Arg0: int64(moved), Arg1: int64(speedup * 1000)})
+		tr.End(trace.Span{Kind: trace.KindRebalance, Lane: -1,
+			Arg0: int64(moved), Arg1: int64(speedup * 1000)}, tstart)
 	}
 	if moved == 0 {
 		return nil
@@ -465,8 +464,7 @@ func (e *Engine) migrate(newHi []int) (int, error) {
 			return err
 		}
 		if traceOn {
-			tr.Record(trace.Span{Kind: trace.KindMigrate, Lane: int32(to),
-				Start: ts, Dur: tr.Now() - ts, Arg0: int64(span), Arg1: int64(from)})
+			tr.End(trace.Span{Kind: trace.KindMigrate, Lane: int32(to), Arg0: int64(span), Arg1: int64(from)}, ts)
 		}
 		return nil
 	}

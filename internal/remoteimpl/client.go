@@ -105,8 +105,8 @@ var (
 )
 
 // New dials the worker, creates the remote engine with cfg's geometry and
-// returns the client. cfg's Telemetry/Trace hooks stay on this side of the
-// wire: RPC spans are recorded into cfg.Trace on cfg.TraceLane.
+// returns the client. cfg's Trace hook stays on this side of the wire: RPC
+// spans are recorded into cfg.Trace on cfg.TraceLane.
 func New(cfg engine.Config, opts Options) (*Engine, error) {
 	if opts.Addr == "" {
 		return nil, errors.New("remoteimpl: Options.Addr is required")

@@ -117,8 +117,8 @@ func (o opCode) String() string {
 }
 
 // Geometry is the wire form of engine.Config: the plain creation-time fields
-// without the host-only pointers (telemetry collector, tracer). The worker
-// rebuilds an engine.Config from it with its own (nil) observability hooks.
+// without the host-only tracer pointer. The worker rebuilds an engine.Config
+// from it with its own (nil) observability hooks.
 type Geometry struct {
 	TipCount        int
 	PartialsBuffers int

@@ -200,7 +200,7 @@ func (c *Calculator) rebuild() error {
 		c.inst = nil
 	}
 	n := c.slots.Capacity()
-	flags := c.key.Flags | gobeagle.FlagTelemetry
+	flags := c.key.Flags
 	if c.opts.Trace {
 		flags |= gobeagle.FlagTrace
 	}

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"sort"
-
 	"gobeagle/internal/metricsx"
 	"gobeagle/internal/trace"
 )
@@ -101,30 +99,6 @@ func (src serveSource) Vars() map[string]any {
 // RebalanceEvents is per-instance state; the serving layer has none.
 func (src serveSource) RebalanceEvents() any { return nil }
 
-// traceKindSummary mirrors the shape of the instance debug server's
-// /debug/trace rows for the serve-layer tracer.
-type traceKindSummary struct {
-	Kind    string `json:"kind"`
-	Layer   string `json:"layer"`
-	Count   int    `json:"count"`
-	TotalNs int64  `json:"total_ns"`
-}
-
-func (src serveSource) TraceSummary() any {
-	byKind := map[trace.Kind]*traceKindSummary{}
-	for _, sp := range src.s.tracer.Snapshot() {
-		sum := byKind[sp.Kind]
-		if sum == nil {
-			sum = &traceKindSummary{Kind: sp.Kind.String(), Layer: sp.Kind.Layer().String()}
-			byKind[sp.Kind] = sum
-		}
-		sum.Count++
-		sum.TotalNs += sp.Dur
-	}
-	out := make([]traceKindSummary, 0, len(byKind))
-	for _, sum := range byKind {
-		out = append(out, *sum)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Kind < out[j].Kind })
-	return out
-}
+// TraceSummary folds the serve-layer tracer's spans per kind, in the same
+// rows and order as an instance debug server's /debug/trace.
+func (src serveSource) TraceSummary() any { return trace.Summarize(src.s.tracer.Snapshot()) }

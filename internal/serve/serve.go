@@ -54,7 +54,7 @@ type Options struct {
 	MaxTips     int
 	MaxPatterns int
 	// Flags are the instance flags pooled calculators run with (threading
-	// strategy etc.); FlagTelemetry is always added.
+	// strategy etc.).
 	Flags gobeagle.Flags
 	// Threads bounds each pooled instance's worker threads (0 = all).
 	Threads int

@@ -44,9 +44,9 @@ func spanArgs(s Span) map[string]any {
 	case KindBatch, KindBackend:
 		args["ops"] = s.Arg0
 	case KindLevel:
-		args["level"] = s.Arg0
+		args["level"], _ = levelOf(s.Arg0)
 		args["ops"] = s.Arg1
-	case KindTask:
+	case KindTask, KindServeCompile, KindEdge, KindRescale:
 		args["patterns"] = s.Arg0
 	case KindKernel:
 		args["work_items"] = s.Arg0
@@ -68,8 +68,6 @@ func spanArgs(s Span) map[string]any {
 	case KindServeRequest:
 		args["status"] = s.Arg0
 		args["batched"] = s.Arg1
-	case KindServeCompile:
-		args["patterns"] = s.Arg0
 	case KindRemoteApply:
 		args["op"] = s.Arg0
 	}

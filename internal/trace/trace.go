@@ -1,22 +1,27 @@
-// Package trace is the library's span tracer: the timeline counterpart of
-// the aggregate counters in internal/telemetry. Where telemetry answers "how
-// much time did each kernel family take", the tracer answers "what did the
-// scheduler, the workers, the modeled devices and the multi-device engine
-// actually do, and when" — the view the paper's evaluation (Fig. 4–6,
-// Tables III–V) needs to explain crossover points and multi-device splits.
+// Package trace is the library's one recorder: a span tracer whose spans
+// also feed the per-kernel-family aggregates Instance.Stats reports. It is
+// the instrumentation counterpart of the paper's evaluation (§V-A), which
+// times the partial-likelihoods function and reports effective GFLOPS, and of
+// the timelines its Fig. 4–6 and Tables III–V need to explain crossover
+// points and multi-device splits.
 //
 // A Tracer is attached to one engine instance through engine.Config.Trace
 // and shared by every layer of that instance (scheduler, worker pool, device
-// queues, multi-device barriers). Spans are fixed-size values written into
-// sharded ring buffers; the record path allocates nothing and the disabled
-// fast path is a single atomic load, exactly like the telemetry collector.
-// Ring memory is only allocated when tracing is first enabled, so the tracer
-// every instance carries costs a few words while off.
+// queues, multi-device barriers). Each instrumented site checks one gate,
+// reads the clock once at each end of its interval and records one Span.
+// Two gates decide what a span becomes:
 //
-// Snapshots merge the shards into one sequence-ordered span list, and
-// WriteJSON renders that list as Chrome trace-event JSON loadable in
-// Perfetto or chrome://tracing. All methods are safe on a nil *Tracer, which
-// behaves as permanently disabled.
+//   - the span gate (SetEnabled) keeps it in sharded ring buffers, exported
+//     as Chrome trace-event JSON loadable in Perfetto or chrome://tracing;
+//   - the stats gate (SetStatsEnabled) folds it into its family's
+//     aggregate — operation and call counters, total/min/max wall time and a
+//     log₂ duration histogram — and keeps scheduler level spans in the same
+//     ring for Stats.Levels.
+//
+// The record path allocates nothing and the disabled fast path is a single
+// atomic load. Ring memory is only allocated when a gate is first switched
+// on, so the tracer every instance carries costs a few words while off. All
+// methods are safe on a nil *Tracer, which behaves as permanently disabled.
 package trace
 
 import (
@@ -38,7 +43,8 @@ const (
 	KindBatch Kind = iota
 	// KindLevel is one phase of a threaded CPU strategy: a dependency level
 	// under futures, the whole batch under the pattern-slab strategies
-	// (Arg0 = phase index, Arg1 = ops in the phase).
+	// (Arg0 = phase index in its low 32 bits and tasks in the phase above
+	// them — see LevelArg — Arg1 = ops in the phase).
 	KindLevel
 	// KindRoot is one root-likelihood integration.
 	KindRoot
@@ -92,6 +98,13 @@ const (
 	// KindRPC span edges and this span is the wire + codec time
 	// (Arg0 = the wire operation code).
 	KindRemoteApply
+	// KindEdge is one edge likelihood or edge derivative integration
+	// (Arg0 = patterns).
+	KindEdge
+	// KindRescale is one accelerator rescaling launch — applying stored
+	// scale factors or capturing new ones — timed on the host clock
+	// (Arg0 = patterns).
+	KindRescale
 	numKinds
 )
 
@@ -134,6 +147,10 @@ func (k Kind) String() string {
 		return "serve compile"
 	case KindRemoteApply:
 		return "worker apply"
+	case KindEdge:
+		return "edge likelihood"
+	case KindRescale:
+		return "rescale"
 	default:
 		return "unknown"
 	}
@@ -180,7 +197,7 @@ func (l Layer) String() string {
 // Layer maps a span kind to its process track.
 func (k Kind) Layer() Layer {
 	switch k {
-	case KindBatch, KindLevel, KindRoot:
+	case KindBatch, KindLevel, KindRoot, KindEdge, KindRescale:
 		return LayerScheduler
 	case KindTask:
 		return LayerWorker
@@ -221,6 +238,13 @@ type Span struct {
 	Seq   uint64
 }
 
+// LevelArg packs a KindLevel span's Arg0: the phase index in the low 32 bits
+// and the phase's concurrent task count above them.
+func LevelArg(level, tasks int) int64 { return int64(tasks)<<32 | int64(uint32(level)) }
+
+// levelOf unpacks LevelArg.
+func levelOf(arg0 int64) (level, tasks int) { return int(uint32(arg0)), int(arg0 >> 32) }
+
 // Ring geometry: spans are striped across shards by sequence number, so
 // concurrent writers (pool workers, multi-device backends) rarely contend on
 // one mutex, and each shard keeps its most recent spanCap spans.
@@ -232,6 +256,13 @@ const (
 // TraceCapacity is the total number of most-recent spans a tracer retains.
 const TraceCapacity = shardCount * spanCap
 
+// The gates, one bit each in spanLog.gates. A retained record keeps the
+// bits it was recorded under: spans for Snapshot, stats for Stats.Levels.
+const (
+	gateSpans uint32 = 1 << iota
+	gateStats
+)
+
 // shard is one stripe of the ring. The mutex only guards the few stores of
 // one record; Lock/Unlock do not allocate, keeping the record path zero-
 // allocation (verified by the AllocsPerRun guard in this package's tests).
@@ -239,18 +270,19 @@ type shard struct {
 	mu    sync.Mutex
 	count uint64 // spans ever written to this shard
 	slots [spanCap]Span
+	gates [spanCap]uint8
 }
 
 // rings is the lazily allocated span storage (~1 MiB); it is published once
-// behind an atomic pointer when tracing is first enabled.
+// behind an atomic pointer when a gate is first switched on.
 type rings struct {
 	shards [shardCount]shard
 }
 
-// Tracer records spans for one instance. The zero value is usable and
-// disabled; a nil *Tracer is valid everywhere and permanently disabled.
-type Tracer struct {
-	enabled atomic.Bool
+// spanLog is the state a tracer shares with its span-only views: the gates,
+// the ring, the sequence and batch counters, the request tag and the epoch.
+type spanLog struct {
+	gates   atomic.Uint32
 	seq     atomic.Uint64
 	batches atomic.Uint64
 	req     atomic.Uint64
@@ -258,42 +290,126 @@ type Tracer struct {
 	epoch   time.Time
 }
 
-// New creates a disabled tracer. Ring memory is not allocated until
-// SetEnabled(true).
+// Tracer records spans for one instance. Construct with New; a nil *Tracer
+// is valid everywhere and permanently disabled.
+type Tracer struct {
+	log   *spanLog
+	stats *aggregates // nil on a span-only view
+}
+
+// New creates a tracer with both gates off. Ring memory is not allocated
+// until a gate is switched on.
 func New() *Tracer {
-	return &Tracer{epoch: time.Now()}
+	return &Tracer{log: &spanLog{epoch: time.Now()}, stats: newAggregates()}
 }
 
-// SetEnabled switches recording on or off, allocating the span rings on
-// first enable. Implementations must treat a false value as "record nothing
-// and take no timestamps".
-func (t *Tracer) SetEnabled(on bool) {
+// SpansOnly returns a view of t that records into t's ring, batch counter
+// and request tag under t's span gate, but feeds no aggregates. A parent
+// engine hands it to its sub-engines: their spans interleave on their own
+// lanes while the parent alone accounts each batch once.
+func (t *Tracer) SpansOnly() *Tracer {
 	if t == nil {
-		return
+		return nil
 	}
-	if on && t.rings.Load() == nil {
-		t.rings.CompareAndSwap(nil, &rings{})
-	}
-	t.enabled.Store(on)
+	return &Tracer{log: t.log}
 }
 
-// Enabled reports whether the tracer is recording: the guard on every
-// instrumented hot path — one atomic load, no allocation.
+// setGate switches one gate, allocating the rings on first use.
+func (t *Tracer) setGate(g uint32, on bool) {
+	l := t.log
+	if on && l.rings.Load() == nil {
+		l.rings.CompareAndSwap(nil, &rings{})
+	}
+	for {
+		old := l.gates.Load()
+		next := old &^ g
+		if on {
+			next |= g
+		}
+		if l.gates.CompareAndSwap(old, next) {
+			return
+		}
+	}
+}
+
+// SetEnabled switches span retention on or off. Implementations must treat
+// a tracer that is not Recording as "record nothing and take no timestamps".
+func (t *Tracer) SetEnabled(on bool) {
+	if t != nil {
+		t.setGate(gateSpans, on)
+	}
+}
+
+// SetStatsEnabled switches the aggregates on or off. A span-only view has
+// none, so on a view this is a no-op.
+func (t *Tracer) SetStatsEnabled(on bool) {
+	if t != nil && t.stats != nil {
+		t.setGate(gateStats, on)
+	}
+}
+
+// Enabled reports whether spans are retained — one atomic load, no
+// allocation.
 //
 //beagle:noalloc
 func (t *Tracer) Enabled() bool {
-	return t != nil && t.enabled.Load()
+	return t != nil && t.log.gates.Load()&gateSpans != 0
+}
+
+// StatsEnabled reports whether the aggregates are recording.
+//
+//beagle:noalloc
+func (t *Tracer) StatsEnabled() bool {
+	return t != nil && t.stats != nil && t.log.gates.Load()&gateStats != 0
+}
+
+// Recording reports whether a span recorded now would be kept by either
+// gate: the one guard on every instrumented site — one atomic load, no
+// allocation.
+//
+//beagle:noalloc
+func (t *Tracer) Recording() bool {
+	if t == nil {
+		return false
+	}
+	g := t.log.gates.Load()
+	return g&gateSpans != 0 || (g != 0 && t.stats != nil)
 }
 
 // Now returns the current host timestamp in nanoseconds since the tracer's
-// epoch. Callers take timestamps only after an Enabled() check, so the
+// epoch. Callers take timestamps only after a Recording() check, so the
 // disabled path never reads the clock; Now itself is therefore not part of
 // the //beagle:noalloc surface (time.Now is banned there).
 func (t *Tracer) Now() int64 {
 	if t == nil {
 		return 0
 	}
-	return int64(time.Since(t.epoch))
+	return int64(time.Since(t.log.epoch))
+}
+
+// At converts an instant read with time.Now to the tracer's Now timeline,
+// for a site that times its interval with the time package anyway.
+func (t *Tracer) At(tm time.Time) int64 {
+	if t == nil {
+		return 0
+	}
+	return int64(tm.Sub(t.log.epoch))
+}
+
+// Begin opens an instrumented interval: one gate check, and one clock read
+// only when recording. Pass start to End when on.
+func (t *Tracer) Begin() (start int64, on bool) {
+	if !t.Recording() {
+		return 0, false
+	}
+	return t.Now(), true
+}
+
+// End closes an interval opened by Begin: one clock read, one Record of s
+// spanning [start, now).
+func (t *Tracer) End(s Span, start int64) {
+	s.Start, s.Dur = start, t.Now()-start
+	t.Record(s)
 }
 
 // EpochNanos returns the wall-clock instant (UnixNano) the tracer's Start
@@ -305,7 +421,7 @@ func (t *Tracer) EpochNanos() int64 {
 	if t == nil {
 		return 0
 	}
-	return t.epoch.UnixNano()
+	return t.log.epoch.UnixNano()
 }
 
 // SetRequest sets the request identity that Record stamps onto spans whose
@@ -319,7 +435,7 @@ func (t *Tracer) SetRequest(id uint64) {
 	if t == nil {
 		return
 	}
-	t.req.Store(id)
+	t.log.req.Store(id)
 }
 
 // CurrentRequest returns the request identity set by SetRequest, 0 if none.
@@ -329,7 +445,7 @@ func (t *Tracer) CurrentRequest() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.req.Load()
+	return t.log.req.Load()
 }
 
 // NextBatch returns a fresh 1-based batch identifier for span grouping.
@@ -339,42 +455,54 @@ func (t *Tracer) NextBatch() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.batches.Add(1)
+	return t.log.batches.Add(1)
 }
 
-// Record appends one span. Safe for concurrent use from any goroutine; the
-// hot path performs no allocation and no time queries — callers supply
+// Record files one span: into its family's aggregate while the stats gate
+// is on (level spans into the ring, for Stats.Levels), into the ring while
+// the span gate is on. Safe for concurrent use from any goroutine; the hot
+// path performs no allocation and no time queries — callers supply
 // Start/Dur from Now() or from the modeled device clock.
 //
 //beagle:noalloc
 func (t *Tracer) Record(s Span) {
-	if t == nil || !t.enabled.Load() {
+	if t == nil {
 		return
 	}
-	r := t.rings.Load()
-	if r == nil {
+	g := t.log.gates.Load()
+	keep := g & gateSpans
+	if g&gateStats != 0 && t.stats != nil {
+		if s.Kind == KindLevel {
+			keep |= gateStats
+		} else {
+			t.stats.record(&s)
+		}
+	}
+	r := t.log.rings.Load()
+	if keep == 0 || r == nil {
 		return
 	}
 	if s.Req == 0 {
-		s.Req = t.req.Load()
+		s.Req = t.log.req.Load()
 	}
-	seq := t.seq.Add(1) - 1
+	seq := t.log.seq.Add(1) - 1
 	sh := &r.shards[seq&(shardCount-1)]
 	sh.mu.Lock()
 	s.Seq = seq
-	sh.slots[sh.count%spanCap] = s
+	i := sh.count % spanCap
+	sh.slots[i], sh.gates[i] = s, uint8(keep)
 	sh.count++
 	sh.mu.Unlock()
 }
 
-// Snapshot returns the retained spans in record order (ascending Seq). Safe
-// to call concurrently with recording; each shard is locked briefly in turn,
-// so a snapshot taken mid-batch sees a consistent prefix per shard.
-func (t *Tracer) Snapshot() []Span {
+// retained returns the retained spans recorded under gate g that keep
+// accepts, in record order (ascending Seq). Each shard is locked briefly in
+// turn, so a snapshot taken mid-batch sees a consistent prefix per shard.
+func (t *Tracer) retained(g uint32, keep func(*Span) bool) []Span {
 	if t == nil {
 		return nil
 	}
-	r := t.rings.Load()
+	r := t.log.rings.Load()
 	if r == nil {
 		return nil
 	}
@@ -382,31 +510,34 @@ func (t *Tracer) Snapshot() []Span {
 	for i := range r.shards {
 		sh := &r.shards[i]
 		sh.mu.Lock()
-		n := sh.count
-		if n > spanCap {
-			n = spanCap
+		n := min(sh.count, spanCap)
+		for j := range n {
+			if uint32(sh.gates[j])&g != 0 && keep(&sh.slots[j]) {
+				out = append(out, sh.slots[j])
+			}
 		}
-		out = append(out, sh.slots[:n]...)
 		sh.mu.Unlock()
 	}
-	sortSpans(out)
+	// The shards stripe sequences round-robin, so the concatenation is far
+	// from sorted and needs a real sort.
+	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }
 
-// sortSpans orders by sequence number; the shards stripe sequences round-
-// robin, so the concatenation is far from sorted and needs a real sort.
-func sortSpans(s []Span) {
-	sort.Slice(s, func(i, j int) bool { return s[i].Seq < s[j].Seq })
+// Snapshot returns the retained spans in record order (ascending Seq). Safe
+// to call concurrently with recording.
+func (t *Tracer) Snapshot() []Span {
+	return t.retained(gateSpans, func(*Span) bool { return true })
 }
 
-// Reset discards all retained spans and restarts the sequence and batch
-// counters; the enabled switch and epoch are unchanged.
+// Reset discards all retained spans — Stats.Levels' level spans too — and
+// restarts the sequence and batch counters; the gates, the aggregates and
+// the epoch are unchanged.
 func (t *Tracer) Reset() {
 	if t == nil {
 		return
 	}
-	r := t.rings.Load()
-	if r != nil {
+	if r := t.log.rings.Load(); r != nil {
 		for i := range r.shards {
 			sh := &r.shards[i]
 			sh.mu.Lock()
@@ -414,6 +545,9 @@ func (t *Tracer) Reset() {
 			sh.mu.Unlock()
 		}
 	}
-	t.seq.Store(0)
-	t.batches.Store(0)
+	t.log.seq.Store(0)
+	t.log.batches.Store(0)
+	if t.stats != nil {
+		t.stats.levelsFrom.Store(0)
+	}
 }

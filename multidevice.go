@@ -59,8 +59,6 @@ func NewMultiDeviceInstance(cfg Config, resourceIDs []int, shares []float64) (*I
 		DisableFMA:      cfg.Flags&FlagDisableFMA != 0,
 		Reuse:           cfg.Flags&FlagReuse != 0,
 	}
-	tel := newInstanceCollector(cfg.Flags)
-	ecfg.Telemetry = tel
 	tr := newInstanceTracer(cfg.Flags)
 	ecfg.Trace = tr
 	builders := make([]multiimpl.Builder, len(selected))
@@ -77,8 +75,7 @@ func NewMultiDeviceInstance(cfg Config, resourceIDs []int, shares []float64) (*I
 	if err != nil {
 		return nil, err
 	}
-	tel.SetLabels(eng.Name(), "multi-device")
-	return &Instance{cfg: cfg, eng: eng, rsc: selected[0], tel: tel, tr: tr}, nil
+	return &Instance{cfg: cfg, eng: eng, rsc: selected[0], tr: tr, impl: eng.Name(), strategy: "multi-device"}, nil
 }
 
 // throughputShare estimates a resource's relative likelihood throughput at

@@ -47,9 +47,10 @@ section "go test -tags purego ./internal/kernels ./internal/cpuimpl ./internal/a
 go -C "$ROOT" test -tags purego -timeout "$TIMEOUT" ./internal/kernels ./internal/cpuimpl ./internal/accelimpl
 
 # The telemetry snapshot guarantee (exact at quiescence, monotone in flight)
-# only fails intermittently when broken, so it is run many times.
-section "telemetry TestConcurrentRecording -race -count=200"
-go -C "$ROOT" test -race -run TestConcurrentRecording -count=200 ./internal/telemetry
+# only fails intermittently when broken, so it is run many times. The
+# aggregates live in the span tracer.
+section "trace TestConcurrentRecording -race -count=200"
+go -C "$ROOT" test -race -run '^TestConcurrentRecording$' -count=200 ./internal/trace
 
 # The worker pool (internal/engine) publishes each phase's task in a field
 # before the channel sends that hand out task indices; a broken ordering only

@@ -1,16 +1,18 @@
 package gobeagle
 
 import (
-	"time"
-
+	"gobeagle/internal/flops"
+	"gobeagle/internal/kernels"
 	"gobeagle/internal/multiimpl"
 	"gobeagle/internal/reuse"
-	"gobeagle/internal/telemetry"
+	"gobeagle/internal/trace"
 )
 
 // Stats is a point-in-time snapshot of an instance's telemetry: per-kernel
 // operation counters and duration histograms, effective-GFLOPS accounting,
-// and the retained scheduler dependency-level traces. Snapshots are taken
+// and the retained scheduler dependency-level traces. Every figure is folded
+// from the spans the instance's one recorder takes; telemetry is that
+// recorder's stats gate, tracing its span gate. Snapshots are taken
 // atomically against concurrent recording and are plain data, safe to retain
 // and to serialize (all fields marshal cleanly to JSON).
 //
@@ -40,9 +42,11 @@ type Stats struct {
 	// Kernels holds per-kernel-family stats, only for families with
 	// recorded calls.
 	Kernels []KernelStats `json:"kernels,omitempty"`
-	// Levels are the most recent scheduler phase traces, oldest first,
-	// recorded by the threaded CPU strategies: one per dependency level for
-	// futures, one per batch for the pattern-slab strategies.
+	// Levels are the most recent scheduler phase traces (up to 256),
+	// oldest first, recorded by the threaded CPU strategies: one per
+	// dependency level for futures, one per batch for the pattern-slab
+	// strategies. They are the recorder's level spans, so ResetTrace drops
+	// them too.
 	Levels []LevelTrace `json:"levels,omitempty"`
 	// Backends holds per-backend utilization for multi-device instances
 	// created with FlagRebalance: the current pattern slice and measured
@@ -91,59 +95,21 @@ func (s Stats) Kernel(name string) KernelStats {
 	return KernelStats{Kernel: name}
 }
 
-// KernelStats aggregates one kernel family's recorded invocations.
-type KernelStats struct {
-	// Kernel names the family: "partials", "root", "edge", "matrices",
-	// "derivatives" or "rescale".
-	Kernel string `json:"kernel"`
-	// Ops counts logical operations (individual partials operations across
-	// all batches); Calls counts timed invocations — one per batch for
-	// batched kernels, so Ops ≥ Calls.
-	Ops   uint64 `json:"ops"`
-	Calls uint64 `json:"calls"`
-	// Total, Min and Max aggregate the per-invocation wall times.
-	Total time.Duration `json:"total_ns"`
-	Min   time.Duration `json:"min_ns"`
-	Max   time.Duration `json:"max_ns"`
-	// Histogram holds the non-empty log₂ duration buckets, ascending.
-	Histogram []HistogramBucket `json:"histogram,omitempty"`
-}
-
-// MeanPerOp is the average wall time attributed to one logical operation.
-func (k KernelStats) MeanPerOp() time.Duration {
-	if k.Ops == 0 {
-		return 0
-	}
-	return k.Total / time.Duration(k.Ops)
-}
-
-// MeanPerCall is the average wall time of one timed invocation.
-func (k KernelStats) MeanPerCall() time.Duration {
-	if k.Calls == 0 {
-		return 0
-	}
-	return k.Total / time.Duration(k.Calls)
-}
+// KernelStats aggregates one kernel family's recorded invocations: Ops
+// logical operations in Calls timed invocations, their Total, Min and Max
+// wall time and the non-empty log₂ duration buckets.
+type KernelStats = trace.KernelStats
 
 // HistogramBucket is one non-empty log₂ duration bucket: Count invocations
 // took at most UpperBound (and longer than the previous bucket's bound).
-type HistogramBucket struct {
-	UpperBound time.Duration `json:"upper_bound_ns"`
-	Count      uint64        `json:"count"`
-}
+type HistogramBucket = trace.HistogramBucket
 
 // LevelTrace records one scheduler phase of an UpdatePartials batch: Ops
 // operations run as Tasks concurrent tasks, completing in Wall time. Under
 // futures a phase is a dependency level, one task per operation; under the
 // pattern-slab strategies it is the whole batch, one task per slab. Batch is
 // the 1-based batch number; Level indexes the phase within it.
-type LevelTrace struct {
-	Batch uint64        `json:"batch"`
-	Level int           `json:"level"`
-	Ops   int           `json:"ops"`
-	Tasks int           `json:"tasks"`
-	Wall  time.Duration `json:"wall_ns"`
-}
+type LevelTrace = trace.LevelTrace
 
 // Stats returns the instance's telemetry snapshot. Safe to call while other
 // goroutines drive the instance's sibling instances; note the instance
@@ -154,31 +120,17 @@ type LevelTrace struct {
 // Calls can be ahead of its histogram). The /metrics endpoint of ServeDebug
 // renders this snapshot and carries the same guarantee.
 func (in *Instance) Stats() Stats {
-	snap := in.tel.Snapshot()
+	d := kernels.Dims{StateCount: in.cfg.StateCount, PatternCount: in.cfg.PatternCount, CategoryCount: in.cfg.CategoryCount}
+	snap := in.tr.Stats(flops.PartialsOp(d))
 	out := Stats{
-		Implementation:  snap.Implementation,
-		Strategy:        snap.Strategy,
+		Implementation:  in.impl,
+		Strategy:        in.strategy,
 		Enabled:         snap.Enabled,
 		TotalFlops:      snap.TotalFlops,
 		EffectiveGFLOPS: snap.EffectiveGFLOPS,
 		Batches:         snap.Batches,
-	}
-	for _, ks := range snap.Kernels {
-		pk := KernelStats{
-			Kernel: ks.Kernel.String(),
-			Ops:    ks.Ops,
-			Calls:  ks.Calls,
-			Total:  ks.Total,
-			Min:    ks.Min,
-			Max:    ks.Max,
-		}
-		for _, b := range ks.Histogram {
-			pk.Histogram = append(pk.Histogram, HistogramBucket(b))
-		}
-		out.Kernels = append(out.Kernels, pk)
-	}
-	for _, lt := range snap.Levels {
-		out.Levels = append(out.Levels, LevelTrace(lt))
+		Kernels:         snap.Kernels,
+		Levels:          snap.Levels,
 	}
 	if me, ok := in.eng.(*multiimpl.Engine); ok {
 		if rs, enabled := me.RebalanceStats(); enabled {
@@ -258,16 +210,18 @@ func (in *Instance) ReuseStats() ReuseStats {
 	return ReuseStats{}
 }
 
-// ResetStats clears all telemetry counters, histograms, the flop accumulator
-// and the level-trace ring; the enabled switch is unchanged.
-func (in *Instance) ResetStats() { in.tel.Reset() }
+// ResetStats clears all telemetry counters and histograms — the flop count
+// with them — and drops the level traces; the enabled switch and the
+// retained spans are unchanged.
+func (in *Instance) ResetStats() { in.tr.ResetStats() }
 
-// EnableTelemetry switches collection on or off at runtime. Disabled
-// collection costs a single atomic load per instrumented call.
-func (in *Instance) EnableTelemetry(on bool) { in.tel.SetEnabled(on) }
+// EnableTelemetry switches collection on or off at runtime: the recorder's
+// stats gate. With both gates off an instrumented call costs a single atomic
+// load.
+func (in *Instance) EnableTelemetry(on bool) { in.tr.SetStatsEnabled(on) }
 
 // TelemetryEnabled reports whether collection is currently on.
-func (in *Instance) TelemetryEnabled() bool { return in.tel.Enabled() }
+func (in *Instance) TelemetryEnabled() bool { return in.tr.StatsEnabled() }
 
 // strategyName derives the reported scheduling-strategy label from the
 // instance flags (CPU resources only; device-backed instances report
@@ -287,13 +241,4 @@ func strategyName(flags Flags) string {
 	default:
 		return "serial"
 	}
-}
-
-// newInstanceCollector builds the collector every instance carries: always
-// present so telemetry can be toggled at runtime, enabled only when
-// FlagTelemetry is set.
-func newInstanceCollector(flags Flags) *telemetry.Collector {
-	tel := telemetry.New()
-	tel.SetEnabled(flags&FlagTelemetry != 0)
-	return tel
 }

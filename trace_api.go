@@ -9,9 +9,9 @@ import (
 	"gobeagle/internal/trace"
 )
 
-// This file is the public surface of the span tracer (internal/trace): a
-// timeline counterpart to the aggregate counters of Stats. When tracing is
-// on, every layer of an instance records spans into per-shard ring buffers —
+// This file is the public surface of the span tracer (internal/trace): the
+// timeline view of the recorder whose aggregates Stats reports. When tracing
+// is on, every layer of an instance records spans into per-shard ring buffers —
 // the CPU scheduler its batches, dependency levels and per-worker tasks; the
 // accelerator framework its kernel launches and host↔device transfers on the
 // modeled device clock; multi-device instances their batch barriers,
@@ -20,8 +20,9 @@ import (
 // loadable in Perfetto (ui.perfetto.dev) or chrome://tracing.
 //
 // Tracing is off unless the instance was created with FlagTrace or
-// EnableTrace(true) was called. Disabled tracing costs one atomic load per
-// instrumented site, the same contract the telemetry layer keeps.
+// EnableTrace(true) was called. Tracing is the recorder's span gate and
+// telemetry its stats gate; with both off an instrumented site costs one
+// atomic load.
 
 // EnableTrace switches span collection on or off at runtime. The span
 // buffers retain the most recent trace.TraceCapacity spans; Perfetto-scale
@@ -98,10 +99,12 @@ func (in *Instance) RemoteTraceProcesses() []trace.Process {
 	return procs
 }
 
-// newInstanceTracer builds the tracer every instance carries: always present
-// so tracing can be toggled at runtime, enabled only when FlagTrace is set.
+// newInstanceTracer builds the recorder every instance carries: always
+// present so either gate can be toggled at runtime, keeping spans under
+// FlagTrace and aggregates under FlagTelemetry.
 func newInstanceTracer(flags Flags) *trace.Tracer {
 	tr := trace.New()
 	tr.SetEnabled(flags&FlagTrace != 0)
+	tr.SetStatsEnabled(flags&FlagTelemetry != 0)
 	return tr
 }
