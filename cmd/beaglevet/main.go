@@ -1,8 +1,8 @@
 // Command beaglevet is the library's static-analysis multichecker: it runs
 // the stock `go vet` suite followed by the repo-specific analyzers in
-// internal/analysis (noalloc, nopanic, flagexcl, hazardcapture, allocguard,
-// lockorder, atomicmix, goroleak, mapdeterminism, ctxhttp) over the module. scripts/run_checks.sh and the CI beaglevet job gate every
-// change on a clean run:
+// internal/analysis (noalloc, nopanic, allocguard, lockorder, goroleak,
+// mapdeterminism, ctxhttp) over the module. scripts/run_checks.sh and the CI
+// beaglevet job gate every change on a clean run:
 //
 //	go run ./cmd/beaglevet ./...
 //

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"gobeagle/internal/engine"
-	"gobeagle/internal/kernels"
 	"gobeagle/internal/multiimpl"
 	"gobeagle/internal/remoteimpl"
 )
@@ -66,8 +65,9 @@ func NewDistributedInstance(cfg Config, workers []string, localResourceIDs []int
 	if len(workers) == 0 {
 		return nil, errors.New("gobeagle: need at least one worker (use NewMultiDeviceInstance for local-only instances)")
 	}
-	if t := cfg.Flags & threadingFlags; t&(t-1) != 0 {
-		return nil, errors.New("gobeagle: at most one threading flag may be set")
+	ecfg, err := engineConfig(cfg)
+	if err != nil {
+		return nil, err
 	}
 	resources := ResourceList()
 	locals := make([]*Resource, len(localResourceIDs))
@@ -80,22 +80,18 @@ func NewDistributedInstance(cfg Config, workers []string, localResourceIDs []int
 	host := resources[0] // fallback engines always build on the host CPU
 
 	n := len(locals) + len(workers)
-	single := cfg.Flags&FlagPrecisionSingle != 0
 	if shares == nil {
 		shares = make([]float64, 0, n)
 		for _, r := range locals {
-			shares = append(shares, throughputShare(r, single))
+			shares = append(shares, throughputShare(r, ecfg.SinglePrecision))
 		}
 		for _, addr := range workers {
 			hello, err := remoteimpl.Probe(addr, probeTimeout)
 			if err != nil {
 				return nil, fmt.Errorf("gobeagle: probing worker %s: %w", addr, err)
 			}
-			share := 40 * float64(hello.Cores)
-			if !single {
-				share /= 2
-			}
-			shares = append(shares, share)
+			// A worker is a host CPU of its probed core count.
+			shares = append(shares, throughputShare(&Resource{Cores: hello.Cores}, ecfg.SinglePrecision))
 		}
 	} else if len(shares) != n {
 		return nil, errors.New("gobeagle: shares length must match locals+workers")
@@ -110,27 +106,6 @@ func NewDistributedInstance(cfg Config, workers []string, localResourceIDs []int
 	for i := range workers {
 		nodes = append(nodes, 1+i)
 	}
-
-	ecfg := engine.Config{
-		TipCount:        cfg.TipCount,
-		PartialsBuffers: cfg.PartialsBuffers,
-		MatrixBuffers:   cfg.MatrixBuffers,
-		EigenBuffers:    cfg.EigenBuffers,
-		ScaleBuffers:    cfg.ScaleBuffers,
-		Dims: kernels.Dims{
-			StateCount:    cfg.StateCount,
-			PatternCount:  cfg.PatternCount,
-			CategoryCount: cfg.CategoryCount,
-		},
-		SinglePrecision: single,
-		Threads:         cfg.Threads,
-		MinPatternsWork: cfg.MinPatternsForThreading,
-		WorkGroupSize:   cfg.WorkGroupSize,
-		DisableFMA:      cfg.Flags&FlagDisableFMA != 0,
-		Reuse:           cfg.Flags&FlagReuse != 0,
-	}
-	tr := newInstanceTracer(cfg.Flags)
-	ecfg.Trace = tr
 
 	builders := make([]multiimpl.Builder, 0, n)
 	for _, rsc := range locals {
@@ -163,7 +138,7 @@ func NewDistributedInstance(cfg Config, workers []string, localResourceIDs []int
 	if len(locals) > 0 {
 		rsc = locals[0]
 	}
-	return &Instance{cfg: cfg, eng: eng, rsc: rsc, tr: tr, impl: eng.Name(), strategy: "distributed"}, nil
+	return &Instance{cfg: cfg, eng: eng, rsc: rsc, tr: ecfg.Trace, impl: eng.Name(), strategy: "distributed"}, nil
 }
 
 // RemoteStats reports transport counters for each remote backend of a

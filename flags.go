@@ -87,6 +87,10 @@ const (
 	// kernel is deterministic. Counters are read through
 	// Instance.ReuseStats.
 	FlagReuse
+
+	// flagEnd closes the block: every flag is a bit below it, and
+	// TestFlagsString holds each of them to one name in String.
+	flagEnd
 )
 
 // threadingFlags lists the mutually exclusive CPU threading selections.

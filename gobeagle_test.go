@@ -286,6 +286,18 @@ func TestFlagsString(t *testing.T) {
 	if !strings.Contains(s, "PRECISION_SINGLE") || !strings.Contains(s, "THREAD_POOL") {
 		t.Fatalf("flags string %q", s)
 	}
+	// Every flag renders as one name of its own.
+	seen := map[string]Flags{}
+	for f := Flags(1); f < flagEnd; f <<= 1 {
+		name := f.String()
+		if name == "" || name == "none" || strings.Contains(name, "|") {
+			t.Errorf("flag %#x renders as %q, want one name", uint64(f), name)
+		}
+		if g, dup := seen[name]; dup {
+			t.Errorf("flags %#x and %#x both render as %q", uint64(g), uint64(f), name)
+		}
+		seen[name] = f
+	}
 }
 
 func TestCustomFactoryPlugin(t *testing.T) {

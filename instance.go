@@ -104,10 +104,28 @@ func NewInstance(cfg Config) (*Instance, error) {
 		return nil, fmt.Errorf("gobeagle: resource %d out of range [0,%d)", cfg.ResourceID, len(resources))
 	}
 	rsc := resources[cfg.ResourceID]
-	if t := cfg.Flags & threadingFlags; t&(t-1) != 0 {
-		return nil, errors.New("gobeagle: at most one threading flag may be set")
+	ecfg, err := engineConfig(cfg)
+	if err != nil {
+		return nil, err
 	}
-	ecfg := engine.Config{
+	eng, err := buildEngine(ecfg, rsc, cfg.Flags)
+	if err != nil {
+		return nil, err
+	}
+	strategy := strategyName(cfg.Flags)
+	if rsc.Device() != nil {
+		strategy = "device"
+	}
+	return &Instance{cfg: cfg, eng: eng, rsc: rsc, tr: ecfg.Trace, impl: eng.Name(), strategy: strategy}, nil
+}
+
+// engineConfig checks the instance flags and maps cfg to the engine
+// configuration every constructor builds on, with a fresh recorder.
+func engineConfig(cfg Config) (engine.Config, error) {
+	if t := cfg.Flags & threadingFlags; t&(t-1) != 0 {
+		return engine.Config{}, errors.New("gobeagle: at most one threading flag may be set")
+	}
+	return engine.Config{
 		TipCount:        cfg.TipCount,
 		PartialsBuffers: cfg.PartialsBuffers,
 		MatrixBuffers:   cfg.MatrixBuffers,
@@ -124,18 +142,8 @@ func NewInstance(cfg Config) (*Instance, error) {
 		WorkGroupSize:   cfg.WorkGroupSize,
 		DisableFMA:      cfg.Flags&FlagDisableFMA != 0,
 		Reuse:           cfg.Flags&FlagReuse != 0,
-	}
-	tr := newInstanceTracer(cfg.Flags)
-	ecfg.Trace = tr
-	eng, err := buildEngine(ecfg, rsc, cfg.Flags)
-	if err != nil {
-		return nil, err
-	}
-	strategy := strategyName(cfg.Flags)
-	if rsc.Device() != nil {
-		strategy = "device"
-	}
-	return &Instance{cfg: cfg, eng: eng, rsc: rsc, tr: tr, impl: eng.Name(), strategy: strategy}, nil
+		Trace:           newInstanceTracer(cfg.Flags),
+	}, nil
 }
 
 // Implementation returns the name of the selected implementation, e.g.

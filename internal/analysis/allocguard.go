@@ -99,3 +99,14 @@ func allocsPerRunReferences(dir string) (map[string]bool, error) {
 	}
 	return refs, nil
 }
+
+// calleeName returns the bare name of the called function or method.
+func calleeName(call *ast.CallExpr) string {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		return fun.Name
+	case *ast.SelectorExpr:
+		return fun.Sel.Name
+	}
+	return ""
+}

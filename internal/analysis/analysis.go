@@ -1,16 +1,18 @@
 // Package analysis is the library's static-analysis layer: a minimal,
 // dependency-free reimplementation of the golang.org/x/tools/go/analysis
 // driver model, plus the repo-specific analyzers that turn the paper's
-// hot-path and concurrency contracts into compile-time checks.
+// hot-path, concurrency and serving contracts into compile-time checks.
 //
-// The library's performance claims rest on invariants that unit tests can
-// only probe by sampling: the pruning kernels must be allocation-free, the
-// recorder's disabled path must stay one atomic load, CPU threading flags are
-// mutually exclusive, and the hazard-leveled schedulers must not smuggle
-// shared mutable state into pool-dispatched closures. The analyzers in this
-// package (noalloc, nopanic, flagexcl, hazardcapture, allocguard) enforce
-// those contracts over the whole module; cmd/beaglevet is the multichecker
-// driver and scripts/run_checks.sh plus CI run it on every change.
+// Each analyzer guards a contract no type, test or race run carries as
+// well: the pruning kernels and the recorder's disabled path must not
+// allocate (noalloc, with allocguard requiring a testing.AllocsPerRun guard
+// beside every exported //beagle:noalloc function); exported entry points
+// return errors instead of panicking (nopanic); locks are taken in one
+// global order (lockorder); map iteration never feeds order-sensitive state
+// (mapdeterminism); every spawned goroutine is joined (goroleak); and HTTP
+// handlers write their status once and never panic (ctxhttp).
+// cmd/beaglevet is the multichecker driver, and scripts/run_checks.sh plus
+// CI run it on every change.
 //
 // The framework mirrors the x/tools API shape (Analyzer, Pass, Diagnostic)
 // so analyzers read idiomatically and could migrate to the upstream driver
@@ -86,18 +88,15 @@ func Run(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
 }
 
 // All returns the repo-specific analyzer suite in presentation order: the
-// intraprocedural hot-path contracts first (PR 3), then the interprocedural
+// intraprocedural hot-path contracts first, then the interprocedural
 // concurrency, determinism and lifecycle analyzers built on the shared call
 // graph (see callgraph.go).
 func All() []*Analyzer {
 	return []*Analyzer{
 		NoAlloc,
 		NoPanic,
-		FlagExcl,
-		HazardCapture,
 		AllocGuard,
 		LockOrder,
-		AtomicMix,
 		GoroLeak,
 		MapDeterminism,
 		CtxHTTP,

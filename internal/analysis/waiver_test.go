@@ -71,23 +71,6 @@ func G(a *A, b *B) {
 `,
 		},
 		{
-			analyzer: analysis.AtomicMix,
-			check:    "atomicmix",
-			src: `package p
-
-import "sync/atomic"
-
-var n int64
-
-func Inc() { atomic.AddInt64(&n, 1) }
-
-func Peek() int64 {
-	//beagle:allow atomicmix
-	return n
-}
-`,
-		},
-		{
 			analyzer: analysis.GoroLeak,
 			check:    "goroleak",
 			src: `package p

@@ -12,8 +12,8 @@ import (
 type Device struct {
 	Desc        Descriptor
 	Framework   FrameworkName
-	parallelism int   // host workers emulating compute units
-	allocated   int64 // bytes currently allocated (atomic)
+	parallelism int          // host workers emulating compute units
+	allocated   atomic.Int64 // bytes currently allocated
 }
 
 // Parallelism returns the host-side execution width: how many workers a
@@ -21,20 +21,25 @@ type Device struct {
 func (d *Device) Parallelism() int { return d.parallelism }
 
 // AllocatedBytes returns the bytes currently allocated on the device.
-func (d *Device) AllocatedBytes() int64 { return atomic.LoadInt64(&d.allocated) }
+func (d *Device) AllocatedBytes() int64 { return d.allocated.Load() }
 
 // Reserve is the device's one memory accounting: a positive delta claims
 // bytes and fails, claiming nothing, when the device's memory would be
 // exceeded; a negative delta releases them. Buffer allocation goes through it,
 // and so does an engine whose buffers live in a store the device does not
-// hand out.
+// hand out. A claim that does not fit is never counted, so it cannot fail a
+// concurrent claim that does.
 func (d *Device) Reserve(delta int64) error {
-	if total := atomic.AddInt64(&d.allocated, delta); delta > 0 && total > d.Desc.MemoryBytes {
-		atomic.AddInt64(&d.allocated, -delta)
-		return fmt.Errorf("device: out of memory on %s (%d bytes requested, %d in use, %d total)",
-			d.Desc.Name, delta, d.AllocatedBytes(), d.Desc.MemoryBytes)
+	for {
+		used := d.allocated.Load()
+		if delta > 0 && used+delta > d.Desc.MemoryBytes {
+			return fmt.Errorf("device: out of memory on %s (%d bytes requested, %d in use, %d total)",
+				d.Desc.Name, delta, used, d.Desc.MemoryBytes)
+		}
+		if d.allocated.CompareAndSwap(used, used+delta) {
+			return nil
+		}
 	}
-	return nil
 }
 
 // Fission returns a sub-device restricted to n compute units, the OpenCL

@@ -89,6 +89,46 @@ func TestAllocAccountingAndOOM(t *testing.T) {
 	}
 }
 
+// TestReserveOversizedNeverFailsAFittingClaim pins that a claim which cannot
+// fit is never counted, not even for an instant: two instances can share one
+// device, and a concurrent claim that fits must not see the oversized one.
+func TestReserveOversizedNeverFailsAFittingClaim(t *testing.T) {
+	d := NewDevice(Descriptor{Name: "shared", MemoryBytes: 1000, Kind: KindGPU, Cores: 4,
+		BandwidthGBs: 1, PeakSPGFLOPS: 1, DPRatio: 1, TransferGBs: 1, BaseAlign: 64}, OpenCL, 2)
+	if err := d.Reserve(400); err != nil {
+		t.Fatal(err)
+	}
+	var stop atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for !stop.Load() {
+			if d.Reserve(700) == nil {
+				t.Error("a 700-byte claim fit beside 400 of 1000 bytes")
+				return
+			}
+		}
+	}()
+	failed := 0
+	for i := 0; i < 200_000; i++ {
+		if d.Reserve(100) != nil {
+			failed++
+			continue
+		}
+		if err := d.Reserve(-100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop.Store(true)
+	<-done
+	if failed > 0 {
+		t.Fatalf("%d of 200000 fitting claims failed beside an oversized one", failed)
+	}
+	if got := d.AllocatedBytes(); got != 400 {
+		t.Fatalf("allocated %d bytes after the claims, want 400", got)
+	}
+}
+
 func TestSubBufferStyles(t *testing.T) {
 	ResetPlatforms()
 	cudaDev, _ := FindDevice(CUDA, "Quadro P5000")
@@ -164,7 +204,7 @@ func testLaunchKernelExecutesAllItems(t *testing.T, d *Device, x Executor) {
 	q := d.NewQueue(true)
 	q.SetExecutor(x)
 	const n, local = 1000, 64
-	var hits [n]int32
+	var hits [n]atomic.Int32
 	var calls, past atomic.Int64
 	err := q.LaunchKernel(Launch{Global: n, Local: local}, Cost{Flops: 17 * n}, func(lo, hi int) {
 		calls.Add(1)
@@ -173,14 +213,14 @@ func testLaunchKernelExecutesAllItems(t *testing.T, d *Device, x Executor) {
 			return
 		}
 		for i := lo; i < hi; i++ {
-			atomic.AddInt32(&hits[i], 1)
+			hits[i].Add(1)
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, h := range hits {
-		if h != 1 {
+	for i := range hits {
+		if h := hits[i].Load(); h != 1 {
 			t.Fatalf("work-item %d executed %d times", i, h)
 		}
 	}

@@ -17,19 +17,19 @@ func TestWorkerPoolRunsEveryIndexOnce(t *testing.T) {
 	defer p.Close()
 	for round := 0; round < 50; round++ {
 		for _, n := range []int{1, 2, workers, 2*workers + 1} {
-			hits := make([]int32, n)
+			hits := make([]atomic.Int32, n)
 			var bad atomic.Int32
 			p.Run(n, func(i, got, worker int) {
 				if got != n || worker < 0 || worker >= workers {
 					bad.Add(1)
 				}
-				atomic.AddInt32(&hits[i], 1)
+				hits[i].Add(1)
 			})
 			if bad.Load() != 0 {
 				t.Fatalf("n=%d: %d tasks saw a wrong n or worker index", n, bad.Load())
 			}
-			for i, h := range hits {
-				if h != 1 {
+			for i := range hits {
+				if h := hits[i].Load(); h != 1 {
 					t.Fatalf("n=%d: index %d ran %d times before Run returned", n, i, h)
 				}
 			}

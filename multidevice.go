@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"gobeagle/internal/engine"
-	"gobeagle/internal/kernels"
 	"gobeagle/internal/multiimpl"
 )
 
@@ -23,8 +22,9 @@ func NewMultiDeviceInstance(cfg Config, resourceIDs []int, shares []float64) (*I
 		return nil, errors.New("gobeagle: need at least one resource")
 	}
 	resources := ResourceList()
-	if t := cfg.Flags & threadingFlags; t&(t-1) != 0 {
-		return nil, errors.New("gobeagle: at most one threading flag may be set")
+	ecfg, err := engineConfig(cfg)
+	if err != nil {
+		return nil, err
 	}
 	selected := make([]*Resource, len(resourceIDs))
 	for i, id := range resourceIDs {
@@ -33,34 +33,13 @@ func NewMultiDeviceInstance(cfg Config, resourceIDs []int, shares []float64) (*I
 		}
 		selected[i] = resources[id]
 	}
-	single := cfg.Flags&FlagPrecisionSingle != 0
 	if shares == nil {
 		shares = make([]float64, len(selected))
 		for i, r := range selected {
-			shares[i] = throughputShare(r, single)
+			shares[i] = throughputShare(r, ecfg.SinglePrecision)
 		}
 	}
 
-	ecfg := engine.Config{
-		TipCount:        cfg.TipCount,
-		PartialsBuffers: cfg.PartialsBuffers,
-		MatrixBuffers:   cfg.MatrixBuffers,
-		EigenBuffers:    cfg.EigenBuffers,
-		ScaleBuffers:    cfg.ScaleBuffers,
-		Dims: kernels.Dims{
-			StateCount:    cfg.StateCount,
-			PatternCount:  cfg.PatternCount,
-			CategoryCount: cfg.CategoryCount,
-		},
-		SinglePrecision: cfg.Flags&FlagPrecisionSingle != 0,
-		Threads:         cfg.Threads,
-		MinPatternsWork: cfg.MinPatternsForThreading,
-		WorkGroupSize:   cfg.WorkGroupSize,
-		DisableFMA:      cfg.Flags&FlagDisableFMA != 0,
-		Reuse:           cfg.Flags&FlagReuse != 0,
-	}
-	tr := newInstanceTracer(cfg.Flags)
-	ecfg.Trace = tr
 	builders := make([]multiimpl.Builder, len(selected))
 	for i, rsc := range selected {
 		rsc := rsc
@@ -75,7 +54,7 @@ func NewMultiDeviceInstance(cfg Config, resourceIDs []int, shares []float64) (*I
 	if err != nil {
 		return nil, err
 	}
-	return &Instance{cfg: cfg, eng: eng, rsc: selected[0], tr: tr, impl: eng.Name(), strategy: "multi-device"}, nil
+	return &Instance{cfg: cfg, eng: eng, rsc: selected[0], tr: ecfg.Trace, impl: eng.Name(), strategy: "multi-device"}, nil
 }
 
 // throughputShare estimates a resource's relative likelihood throughput at

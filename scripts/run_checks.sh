@@ -24,10 +24,10 @@ section "go vet ./..."
 go -C "$ROOT" vet ./...
 
 # beaglevet: the repo's own analyzer suite (internal/analysis) — noalloc,
-# nopanic, flagexcl, hazardcapture, allocguard, plus the interprocedural
-# checks lockorder, atomicmix, goroleak, mapdeterminism and ctxhttp (all on
-# by default; any unwaived diagnostic fails the run). Stock vet already ran
-# above, so -stock=false avoids running it twice.
+# nopanic, allocguard, plus the interprocedural checks lockorder, goroleak,
+# mapdeterminism and ctxhttp (all on by default; any unwaived diagnostic fails
+# the run). Stock vet already ran above, so -stock=false avoids running it
+# twice.
 section "beaglevet ./..."
 go -C "$ROOT" run ./cmd/beaglevet -stock=false ./...
 
@@ -62,8 +62,9 @@ go -C "$ROOT" test -race -count=50 -run 'Aliased|MatchSerial|KernelBinding|Trace
 # pool, and each group writes its own per-category pattern runs of the
 # destination or its own category's matrix: an overlap only races
 # intermittently. A worker that outlives its engine shows as a goroutine count.
+# Instances sharing a device claim its memory concurrently through Reserve.
 section "accelerator work-groups -race -count=20"
-go -C "$ROOT" test -race -count=20 -run 'Golden|MatchCPUSerial|ReferenceBits|LaunchKernel|WorkersStop|TinyDevice' ./internal/accelimpl ./internal/device
+go -C "$ROOT" test -race -count=20 -run 'Golden|MatchCPUSerial|ReferenceBits|LaunchKernel|WorkersStop|TinyDevice|Reserve' ./internal/accelimpl ./internal/device
 
 # Drained worker spans are rebased by the drain's round trip, whose legs are
 # scheduled differently on every run.
