@@ -95,3 +95,62 @@ func TestNothingDangling(t *testing.T) {
 		}
 	}
 }
+
+// TestEveryCommandIsChecked holds cmd/ to what checks it: the README tool
+// table lists exactly the commands there, and each is run by a CI step or a
+// check script or has tests of its own. No script, workflow or doc names the
+// deleted examples/ tree.
+func TestEveryCommandIsChecked(t *testing.T) {
+	root := filepath.Join("..", "..")
+	read := func(rel string) string {
+		data, err := os.ReadFile(filepath.Join(root, rel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	entries, err := os.ReadDir(filepath.Join(root, "cmd"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var commands []string
+	for _, e := range entries {
+		if e.IsDir() {
+			commands = append(commands, e.Name())
+		}
+	}
+
+	var listed []string
+	for _, m := range regexp.MustCompile("(?m)^\\| `cmd/([A-Za-z0-9_]+)`").FindAllStringSubmatch(read("README.md"), -1) {
+		listed = append(listed, m[1])
+	}
+	sort.Strings(listed)
+	if strings.Join(listed, ",") != strings.Join(commands, ",") {
+		t.Errorf("README tool table lists %v, cmd/ has %v", listed, commands)
+	}
+
+	runners := read(".github/workflows/ci.yml") + read("scripts/run_checks.sh")
+	for _, c := range commands {
+		tests, err := filepath.Glob(filepath.Join(root, "cmd", c, "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tests) == 0 && !strings.Contains(runners, "cmd/"+c) {
+			t.Errorf("cmd/%s has no test, and no CI step or check script runs it", c)
+		}
+	}
+
+	docs := []string{"README.md", "DESIGN.md", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"}
+	scripts, err := filepath.Glob(filepath.Join(root, "scripts", "*.sh"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range scripts {
+		docs = append(docs, "scripts/"+filepath.Base(s))
+	}
+	for _, doc := range docs {
+		if strings.Contains(read(doc), "examples/") {
+			t.Errorf("%s names examples/, which no longer exists", doc)
+		}
+	}
+}

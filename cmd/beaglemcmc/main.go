@@ -11,11 +11,14 @@
 package main
 
 import (
+	"cmp"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -27,44 +30,59 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "beaglemcmc:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("beaglemcmc", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		seqsPath  = flag.String("seqs", "", "alignment file (FASTA or PHYLIP; required)")
-		modelName = flag.String("model", "jc", "substitution model: jc, k80, hky")
-		kappa     = flag.Float64("kappa", 2.0, "transition/transversion ratio (k80, hky)")
-		gamma     = flag.Float64("gamma", 0, "discrete-gamma shape alpha (0 = no rate variation)")
-		cats      = flag.Int("categories", 4, "gamma rate categories")
-		gens      = flag.Int("generations", 2000, "MCMC generations")
-		chains    = flag.Int("chains", 4, "Metropolis-coupled chains")
-		sample    = flag.Int("sample", 10, "sample interval (generations)")
-		seed      = flag.Int64("seed", 1, "random seed")
-		resource  = flag.String("resource", "CPU (host)", "compute resource name")
-		framework = flag.String("framework", "", "restrict resource lookup to CUDA or OpenCL")
-		stats     = flag.Bool("stats", false, "enable telemetry and print per-chain kernel op counts and timings")
-		reuse     = flag.Bool("reuse", false, "enable incremental re-evaluation: skip partials and matrix updates whose inputs are unchanged since the previous proposal")
-		tracePath = flag.String("trace", "", "enable span tracing on the cold chain and write its Chrome trace-event JSON timeline to this file")
+		seqsPath  = fs.String("seqs", "", "alignment file (FASTA or PHYLIP; required)")
+		modelName = fs.String("model", "jc", "substitution model: jc, k80, hky")
+		kappa     = fs.Float64("kappa", 2.0, "transition/transversion ratio (k80, hky)")
+		gamma     = fs.Float64("gamma", 0, "discrete-gamma shape alpha (0 = no rate variation)")
+		cats      = fs.Int("categories", 4, "gamma rate categories")
+		gens      = fs.Int("generations", 2000, "MCMC generations")
+		chains    = fs.Int("chains", 4, "Metropolis-coupled chains")
+		sample    = fs.Int("sample", 10, "sample interval (generations)")
+		seed      = fs.Int64("seed", 1, "random seed")
+		resource  = fs.String("resource", "CPU (host)", "compute resource name")
+		framework = fs.String("framework", "", "restrict resource lookup to CUDA or OpenCL")
+		stats     = fs.Bool("stats", false, "enable telemetry and print per-chain kernel op counts and timings")
+		reuse     = fs.Bool("reuse", false, "enable incremental re-evaluation: skip partials and matrix updates whose inputs are unchanged since the previous proposal")
+		tracePath = fs.String("trace", "", "enable span tracing on the cold chain and write its Chrome trace-event JSON timeline to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *seqsPath == "" {
-		flag.Usage()
-		os.Exit(2)
+		return errors.New("-seqs is required")
 	}
 
-	align, err := readAlignment(*seqsPath)
+	f, err := os.Open(*seqsPath)
 	if err != nil {
-		fatal(err)
+		return err
+	}
+	align, err := seqgen.ReadAlignment(f, 4)
+	f.Close()
+	if err != nil {
+		return err
 	}
 	ps := seqgen.CompressPatterns(align)
-	fmt.Printf("alignment: %d taxa, %d sites, %d unique patterns\n",
+	fmt.Fprintf(stdout, "alignment: %d taxa, %d sites, %d unique patterns\n",
 		len(align.Sequences), align.SiteCount(), ps.PatternCount())
 
-	model, err := buildModel(*modelName, *kappa, align)
+	model, err := substmodel.NewNucleotide(*modelName, *kappa, nil, align.EmpiricalFrequencies())
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	rates := substmodel.SingleRate()
 	if *gamma > 0 {
 		if rates, err = substmodel.GammaRates(*gamma, *cats); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 
@@ -73,7 +91,7 @@ func main() {
 	rng := rand.New(rand.NewSource(*seed))
 	start, err := tree.Random(rng, len(align.Sequences), 0.1)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	for i, tip := range start.Tips() {
 		tip.Name = align.TipNames[i]
@@ -81,7 +99,7 @@ func main() {
 
 	rsc, err := gobeagle.FindResource(*resource, *framework)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	flags := gobeagle.FlagThreadingThreadPool
 	if *stats {
@@ -102,13 +120,13 @@ func main() {
 		}
 		eng, err := mcmc.NewBeagleEngine(model, rates, ps, start, rsc.ID, cf)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer eng.Close()
 		engines[i] = eng
 		beagles[i] = eng
 	}
-	fmt.Printf("model: %s, %d rate categories; %d chains on %s\n",
+	fmt.Fprintf(stdout, "model: %s, %d rate categories; %d chains on %s\n",
 		model.Name, len(rates.Rates), *chains, *resource)
 
 	res, err := mcmc.Run(mcmc.Config{
@@ -122,53 +140,69 @@ func main() {
 		Seed:           *seed,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
-	fmt.Printf("moves accepted: %.1f%%; swaps accepted: %.1f%%\n",
+	fmt.Fprintf(stdout, "moves accepted: %.1f%%; swaps accepted: %.1f%%\n",
 		100*float64(res.AcceptedMoves)/float64(res.ProposedMoves),
 		100*float64(res.AcceptedSwaps)/float64(max(1, res.ProposedSwaps)))
 	if sum, err := mcmc.Summarize(res.Trace, len(res.Trace)/4); err == nil {
-		fmt.Printf("post-burn-in lnL: mean %.3f ± %.3f (ESS %.0f of %d)\n",
+		fmt.Fprintf(stdout, "post-burn-in lnL: mean %.3f ± %.3f (ESS %.0f of %d)\n",
 			sum.Mean, sum.StdDev, sum.ESS, sum.N)
 	}
 
-	// Clade supports, strongest first.
-	type sup struct {
-		split string
-		freq  float64
-	}
-	var sups []sup
-	for s, f := range res.SplitSupport {
-		if f >= 0.5 {
-			sups = append(sups, sup{s, f})
-		}
-	}
-	sort.Slice(sups, func(i, j int) bool { return sups[i].freq > sups[j].freq })
-	fmt.Printf("majority clades (%d topology samples):\n", res.SplitSampleCount)
-	for _, s := range sups {
-		fmt.Printf("  %5.1f%%  {%s}\n", 100*s.freq, s.split)
+	fmt.Fprintf(stdout, "majority clades (%d topology samples):\n", res.SplitSampleCount)
+	for _, c := range majorityClades(res.SplitSupport) {
+		fmt.Fprintf(stdout, "  %5.1f%%  {%s}\n", 100*c.freq, c.split)
 	}
 
 	consensus, err := tree.MajorityRuleConsensus(align.TipNames, res.SplitSupport, 0.5)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("majority-rule consensus tree:\n%s\n", consensus)
+	fmt.Fprintf(stdout, "majority-rule consensus tree:\n%s\n", consensus)
 
 	if *stats {
-		printStats(beagles)
+		printStats(stdout, beagles)
 	}
 	if *tracePath != "" {
-		if err := writeTrace(beagles[0].Instance(), *tracePath); err != nil {
-			fatal(err)
+		return writeTrace(stdout, beagles[0].Instance(), *tracePath)
+	}
+	return nil
+}
+
+// clade is one split of the sampled trees and the share of samples that
+// carry it.
+type clade struct {
+	split string
+	freq  float64
+}
+
+// majorityClades lists the splits carried by at least half the samples,
+// strongest first.
+func majorityClades(support map[string]float64) []clade {
+	var cs []clade
+	for s, f := range support {
+		if f >= 0.5 {
+			cs = append(cs, clade{s, f})
 		}
 	}
+	slices.SortFunc(cs, compareClades)
+	return cs
+}
+
+// compareClades orders clades by falling support, and tied clades by split,
+// so that the report is the same on every run.
+func compareClades(a, b clade) int {
+	if c := cmp.Compare(b.freq, a.freq); c != 0 {
+		return c
+	}
+	return strings.Compare(a.split, b.split)
 }
 
 // writeTrace exports the cold chain's span timeline as Chrome trace-event
 // JSON.
-func writeTrace(inst *gobeagle.Instance, path string) error {
+func writeTrace(w io.Writer, inst *gobeagle.Instance, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -180,27 +214,27 @@ func writeTrace(inst *gobeagle.Instance, path string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("wrote %d spans to %s — load in ui.perfetto.dev\n", inst.TraceSpanCount(), path)
+	fmt.Fprintf(w, "wrote %d spans to %s — load in ui.perfetto.dev\n", inst.TraceSpanCount(), path)
 	return nil
 }
 
 // printStats summarizes the telemetry of every chain's instance: per-chain
 // batch counts and effective GFLOPS, and the partials kernel totals summed
 // across chains (the MCMC run's dominant cost).
-func printStats(beagles []*mcmc.BeagleEngine) {
+func printStats(w io.Writer, beagles []*mcmc.BeagleEngine) {
 	var totalOps, totalCalls uint64
 	var totalTime time.Duration
 	for i, b := range beagles {
 		s := b.Instance().Stats()
-		fmt.Printf("telemetry chain %d: %s (%s), %d batches, %.2f GFLOPS effective\n",
+		fmt.Fprintf(w, "telemetry chain %d: %s (%s), %d batches, %.2f GFLOPS effective\n",
 			i, s.Implementation, s.Strategy, s.Batches, s.EffectiveGFLOPS)
 		for _, k := range s.Kernels {
-			fmt.Printf("  %-12s %8d ops %6d calls  total %v  mean/op %v\n",
+			fmt.Fprintf(w, "  %-12s %8d ops %6d calls  total %v  mean/op %v\n",
 				k.Kernel, k.Ops, k.Calls, k.Total.Round(time.Microsecond),
 				k.MeanPerOp().Round(time.Nanosecond))
 		}
 		if r := b.Instance().ReuseStats(); r.Enabled {
-			fmt.Printf("  reuse: partials %d/%d skipped (%.1f%%), matrices %d/%d skipped (%.1f%%), %d invalidations\n",
+			fmt.Fprintf(w, "  reuse: partials %d/%d skipped (%.1f%%), matrices %d/%d skipped (%.1f%%), %d invalidations\n",
 				r.OpHits, r.OpHits+r.OpMisses, 100*r.OpHitRate(),
 				r.MatrixHits, r.MatrixHits+r.MatrixMisses, 100*r.MatrixHitRate(),
 				r.Invalidations)
@@ -210,57 +244,6 @@ func printStats(beagles []*mcmc.BeagleEngine) {
 		totalCalls += p.Calls
 		totalTime += p.Total
 	}
-	fmt.Printf("telemetry all chains: partials %d ops in %d calls, %v total\n",
+	fmt.Fprintf(w, "telemetry all chains: partials %d ops in %d calls, %v total\n",
 		totalOps, totalCalls, totalTime.Round(time.Microsecond))
-}
-
-func readAlignment(path string) (*seqgen.Alignment, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	trimmed := strings.TrimLeft(string(data), " \t\r\n")
-	if strings.HasPrefix(trimmed, ">") {
-		return seqgen.ReadFASTA(strings.NewReader(string(data)), 4)
-	}
-	return seqgen.ReadPHYLIP(strings.NewReader(string(data)), 4)
-}
-
-func buildModel(name string, kappa float64, a *seqgen.Alignment) (*substmodel.Model, error) {
-	switch name {
-	case "jc":
-		return substmodel.NewJC69(), nil
-	case "k80":
-		return substmodel.NewK80(kappa)
-	case "hky":
-		counts := make([]float64, 4)
-		var total float64
-		for _, seq := range a.Sequences {
-			for _, s := range seq {
-				if s < 4 {
-					counts[s]++
-					total++
-				}
-			}
-		}
-		freqs := make([]float64, 4)
-		for i := range freqs {
-			freqs[i] = (counts[i] + 1) / (total + 4)
-		}
-		return substmodel.NewHKY85(kappa, freqs)
-	default:
-		return nil, fmt.Errorf("unknown model %q", name)
-	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "beaglemcmc:", err)
-	os.Exit(1)
 }

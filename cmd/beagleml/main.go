@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -27,62 +29,86 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "beagleml:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("beagleml", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		seqsPath  = flag.String("seqs", "", "alignment file (FASTA or PHYLIP; required)")
-		treePath  = flag.String("tree", "", "Newick tree file (required)")
-		modelName = flag.String("model", "jc", "substitution model: jc, k80, hky, gtr")
-		kappa     = flag.Float64("kappa", 2.0, "transition/transversion ratio (k80, hky)")
-		gtrRates  = flag.String("gtr-rates", "1,1,1,1,1,1", "GTR exchangeabilities AC,AG,AT,CG,CT,GT")
-		gamma     = flag.Float64("gamma", 0, "discrete-gamma shape alpha (0 = no rate variation)")
-		cats      = flag.Int("categories", 4, "gamma rate categories")
-		empirical = flag.Bool("empirical-freqs", true, "use observed base frequencies (hky, gtr)")
-		resource  = flag.String("resource", "CPU (host)", "compute resource name")
-		framework = flag.String("framework", "", "restrict resource lookup to CUDA or OpenCL")
-		threading = flag.String("threading", "threadpool", "CPU threading: none, futures, threadcreate, threadpool, hybrid")
-		optimize  = flag.Bool("optimize", false, "optimize branch lengths by maximum likelihood")
-		stats     = flag.Bool("stats", false, "enable telemetry and print per-kernel op counts and timings")
+		seqsPath  = fs.String("seqs", "", "alignment file (FASTA or PHYLIP; required)")
+		treePath  = fs.String("tree", "", "Newick tree file (required)")
+		modelName = fs.String("model", "jc", "substitution model: jc, k80, hky, gtr")
+		kappa     = fs.Float64("kappa", 2.0, "transition/transversion ratio (k80, hky)")
+		gtrRates  = fs.String("gtr-rates", "1,1,1,1,1,1", "GTR exchangeabilities AC,AG,AT,CG,CT,GT")
+		gamma     = fs.Float64("gamma", 0, "discrete-gamma shape alpha (0 = no rate variation)")
+		cats      = fs.Int("categories", 4, "gamma rate categories")
+		empirical = fs.Bool("empirical-freqs", true, "use observed base frequencies (hky, gtr)")
+		resource  = fs.String("resource", "CPU (host)", "compute resource name")
+		framework = fs.String("framework", "", "restrict resource lookup to CUDA or OpenCL")
+		threading = fs.String("threading", "threadpool", "CPU threading: none, futures, threadcreate, threadpool, hybrid")
+		optimize  = fs.Bool("optimize", false, "optimize branch lengths by maximum likelihood")
+		stats     = fs.Bool("stats", false, "enable telemetry and print per-kernel op counts and timings")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *seqsPath == "" || *treePath == "" {
-		flag.Usage()
-		os.Exit(2)
+		return errors.New("-seqs and -tree are required")
 	}
 
-	align, err := readAlignment(*seqsPath)
+	f, err := os.Open(*seqsPath)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	ps := seqgen.CompressPatterns(align)
-	fmt.Printf("alignment: %d taxa, %d sites, %d unique patterns\n",
-		len(align.Sequences), align.SiteCount(), ps.PatternCount())
-
+	align, err := seqgen.ReadAlignment(f, 4)
+	f.Close()
+	if err != nil {
+		return err
+	}
 	treeText, err := os.ReadFile(*treePath)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	tr, err := tree.ParseNewick(strings.TrimSpace(string(treeText)))
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := matchTipsToAlignment(tr, align); err != nil {
-		fatal(err)
+		return err
 	}
+	ps := seqgen.CompressPatterns(align)
+	fmt.Fprintf(stdout, "alignment: %d taxa, %d sites, %d unique patterns\n",
+		len(align.Sequences), align.SiteCount(), ps.PatternCount())
 
-	model, err := buildModel(*modelName, *kappa, *gtrRates, *empirical, align)
+	var gtr []float64
+	if *modelName == "gtr" {
+		if gtr, err = parseGTRRates(*gtrRates); err != nil {
+			return err
+		}
+	}
+	freqs := []float64{0.25, 0.25, 0.25, 0.25}
+	if *empirical {
+		freqs = align.EmpiricalFrequencies()
+	}
+	model, err := substmodel.NewNucleotide(*modelName, *kappa, gtr, freqs)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	rates := substmodel.SingleRate()
 	if *gamma > 0 {
 		if rates, err = substmodel.GammaRates(*gamma, *cats); err != nil {
-			fatal(err)
+			return err
 		}
 	}
-	fmt.Printf("model: %s, %d rate categories\n", model.Name, len(rates.Rates))
+	fmt.Fprintf(stdout, "model: %s, %d rate categories\n", model.Name, len(rates.Rates))
 
 	rsc, err := gobeagle.FindResource(*resource, *framework)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	var flags gobeagle.Flags
 	switch *threading {
@@ -96,66 +122,56 @@ func main() {
 	case "hybrid", "threadpoolhybrid":
 		flags |= gobeagle.FlagThreadingThreadPoolHybrid
 	default:
-		fatal(fmt.Errorf("unknown threading %q", *threading))
+		return fmt.Errorf("unknown threading %q", *threading)
 	}
 	if *stats {
 		flags |= gobeagle.FlagTelemetry
 	}
 	eng, err := mcmc.NewBeagleEngine(model, rates, ps, tr, rsc.ID, flags)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer eng.Close()
-	fmt.Printf("implementation: %s\n", eng.Instance().Implementation())
+	fmt.Fprintf(stdout, "implementation: %s\n", eng.Instance().Implementation())
 
 	lnL, err := eng.LogLikelihood(tr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("log likelihood: %.6f\n", lnL)
+	fmt.Fprintf(stdout, "log likelihood: %.6f\n", lnL)
 
 	if *optimize {
 		opt, sweeps, err := mle.OptimizeBranchLengths(tr,
 			func(t *tree.Tree) (float64, error) { return eng.LogLikelihood(t) },
 			1e-6, 10, 1e-6, 30)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("optimized log likelihood: %.6f (%d sweeps)\n", opt, sweeps)
-		fmt.Printf("optimized tree:\n%s\n", tr.Newick())
+		fmt.Fprintf(stdout, "optimized log likelihood: %.6f (%d sweeps)\n", opt, sweeps)
+		fmt.Fprintf(stdout, "optimized tree:\n%s\n", tr.Newick())
 	}
 
 	if *stats {
-		printStats(eng.Instance().Stats())
+		printStats(stdout, eng.Instance().Stats())
 	}
+	return nil
 }
 
 // printStats renders the telemetry snapshot accumulated across every
 // likelihood evaluation of the run.
-func printStats(s gobeagle.Stats) {
-	fmt.Printf("telemetry: %s (%s), %d batches, %.2f GFLOPS effective\n",
+func printStats(w io.Writer, s gobeagle.Stats) {
+	fmt.Fprintf(w, "telemetry: %s (%s), %d batches, %.2f GFLOPS effective\n",
 		s.Implementation, s.Strategy, s.Batches, s.EffectiveGFLOPS)
 	for _, k := range s.Kernels {
-		fmt.Printf("  %-12s %8d ops %6d calls  total %v  mean/op %v\n",
+		fmt.Fprintf(w, "  %-12s %8d ops %6d calls  total %v  mean/op %v\n",
 			k.Kernel, k.Ops, k.Calls, k.Total.Round(time.Microsecond),
 			k.MeanPerOp().Round(time.Nanosecond))
 	}
 }
 
-// readAlignment sniffs FASTA vs PHYLIP by the first non-blank byte.
-func readAlignment(path string) (*seqgen.Alignment, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	trimmed := strings.TrimLeft(string(data), " \t\r\n")
-	if strings.HasPrefix(trimmed, ">") {
-		return seqgen.ReadFASTA(strings.NewReader(string(data)), 4)
-	}
-	return seqgen.ReadPHYLIP(strings.NewReader(string(data)), 4)
-}
-
 // matchTipsToAlignment reorders alignment rows to the tree's tip indices.
+// Each row must go to exactly one tip, so a tip name the tree repeats is an
+// error.
 func matchTipsToAlignment(tr *tree.Tree, a *seqgen.Alignment) error {
 	byName := make(map[string]int, len(a.TipNames))
 	for i, n := range a.TipNames {
@@ -166,11 +182,16 @@ func matchTipsToAlignment(tr *tree.Tree, a *seqgen.Alignment) error {
 	}
 	seqs := make([][]int, tr.TipCount)
 	names := make([]string, tr.TipCount)
+	used := make([]bool, len(a.Sequences))
 	for _, tip := range tr.Tips() {
 		row, ok := byName[tip.Name]
 		if !ok {
 			return fmt.Errorf("tree tip %q not found in the alignment", tip.Name)
 		}
+		if used[row] {
+			return fmt.Errorf("tree tip %q appears more than once", tip.Name)
+		}
+		used[row] = true
 		seqs[tip.Index] = a.Sequences[row]
 		names[tip.Index] = tip.Name
 	}
@@ -179,53 +200,19 @@ func matchTipsToAlignment(tr *tree.Tree, a *seqgen.Alignment) error {
 	return nil
 }
 
-// buildModel constructs the requested nucleotide model.
-func buildModel(name string, kappa float64, gtrSpec string, empirical bool, a *seqgen.Alignment) (*substmodel.Model, error) {
-	freqs := []float64{0.25, 0.25, 0.25, 0.25}
-	if empirical {
-		counts := make([]float64, 4)
-		var total float64
-		for _, seq := range a.Sequences {
-			for _, s := range seq {
-				if s < 4 {
-					counts[s]++
-					total++
-				}
-			}
-		}
-		if total > 0 {
-			for i := range freqs {
-				freqs[i] = (counts[i] + 1) / (total + 4) // add-one smoothing
-			}
-		}
+// parseGTRRates reads the six comma-separated GTR exchangeabilities.
+func parseGTRRates(spec string) ([]float64, error) {
+	parts := strings.Split(spec, ",")
+	if len(parts) != 6 {
+		return nil, fmt.Errorf("gtr-rates needs 6 comma-separated values")
 	}
-	switch name {
-	case "jc":
-		return substmodel.NewJC69(), nil
-	case "k80":
-		return substmodel.NewK80(kappa)
-	case "hky":
-		return substmodel.NewHKY85(kappa, freqs)
-	case "gtr":
-		parts := strings.Split(gtrSpec, ",")
-		if len(parts) != 6 {
-			return nil, fmt.Errorf("gtr-rates needs 6 comma-separated values")
+	rates := make([]float64, 6)
+	for i, p := range parts {
+		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad GTR rate %q: %v", p, err)
 		}
-		rates := make([]float64, 6)
-		for i, p := range parts {
-			v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad GTR rate %q: %v", p, err)
-			}
-			rates[i] = v
-		}
-		return substmodel.NewGTR(rates, freqs)
-	default:
-		return nil, fmt.Errorf("unknown model %q", name)
+		rates[i] = v
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "beagleml:", err)
-	os.Exit(1)
+	return rates, nil
 }

@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"strings"
@@ -24,59 +26,61 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "beaglesim:", err)
+		os.Exit(1)
+	}
+}
+
+// run writes the simulated alignment to stdout (or -out) and its summary
+// line to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("beaglesim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		treePath  = flag.String("tree", "", "Newick tree file (required)")
-		sites     = flag.Int("sites", 1000, "alignment length in sites")
-		modelName = flag.String("model", "jc", "substitution model: jc, k80, hky")
-		kappa     = flag.Float64("kappa", 2.0, "transition/transversion ratio (k80, hky)")
-		freqsSpec = flag.String("freqs", "0.25,0.25,0.25,0.25", "base frequencies A,C,G,T (hky)")
-		gamma     = flag.Float64("gamma", 0, "discrete-gamma shape alpha (0 = no rate variation)")
-		cats      = flag.Int("categories", 4, "gamma rate categories")
-		seed      = flag.Int64("seed", 1, "random seed")
-		outPath   = flag.String("out", "", "output file (default stdout)")
-		phylip    = flag.Bool("phylip", false, "write PHYLIP instead of FASTA")
-		stats     = flag.Bool("stats", false, "print simulation timing and throughput")
+		treePath  = fs.String("tree", "", "Newick tree file (required)")
+		sites     = fs.Int("sites", 1000, "alignment length in sites")
+		modelName = fs.String("model", "jc", "substitution model: jc, k80, hky")
+		kappa     = fs.Float64("kappa", 2.0, "transition/transversion ratio (k80, hky)")
+		freqsSpec = fs.String("freqs", "0.25,0.25,0.25,0.25", "base frequencies A,C,G,T (hky)")
+		gamma     = fs.Float64("gamma", 0, "discrete-gamma shape alpha (0 = no rate variation)")
+		cats      = fs.Int("categories", 4, "gamma rate categories")
+		seed      = fs.Int64("seed", 1, "random seed")
+		outPath   = fs.String("out", "", "output file (default stdout)")
+		phylip    = fs.Bool("phylip", false, "write PHYLIP instead of FASTA")
+		stats     = fs.Bool("stats", false, "print simulation timing and throughput")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *treePath == "" {
-		flag.Usage()
-		os.Exit(2)
+		return errors.New("-tree is required")
 	}
 	text, err := os.ReadFile(*treePath)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	tr, err := tree.ParseNewick(strings.TrimSpace(string(text)))
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
-	var model *substmodel.Model
-	switch *modelName {
-	case "jc":
-		model = substmodel.NewJC69()
-	case "k80":
-		model, err = substmodel.NewK80(*kappa)
-	case "hky":
-		var freqs []float64
-		for _, p := range strings.Split(*freqsSpec, ",") {
-			var v float64
-			if _, err := fmt.Sscan(strings.TrimSpace(p), &v); err != nil {
-				fatal(fmt.Errorf("bad frequency %q: %v", p, err))
-			}
-			freqs = append(freqs, v)
+	var freqs []float64
+	for _, p := range strings.Split(*freqsSpec, ",") {
+		var v float64
+		if _, err := fmt.Sscan(strings.TrimSpace(p), &v); err != nil {
+			return fmt.Errorf("bad frequency %q: %v", p, err)
 		}
-		model, err = substmodel.NewHKY85(*kappa, freqs)
-	default:
-		fatal(fmt.Errorf("unknown model %q", *modelName))
+		freqs = append(freqs, v)
 	}
+	model, err := substmodel.NewNucleotide(*modelName, *kappa, nil, freqs)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	rates := substmodel.SingleRate()
 	if *gamma > 0 {
 		if rates, err = substmodel.GammaRates(*gamma, *cats); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 
@@ -85,17 +89,17 @@ func main() {
 	align, err := seqgen.Simulate(rng, tr, model, rates, *sites)
 	simElapsed := time.Since(simStart)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
-	out := os.Stdout
+	out := stdout
+	var file *os.File
 	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fatal(err)
+		if file, err = os.Create(*outPath); err != nil {
+			return err
 		}
-		defer f.Close()
-		out = f
+		defer file.Close()
+		out = file
 	}
 	if *phylip {
 		err = seqgen.WritePHYLIP(out, align)
@@ -103,19 +107,20 @@ func main() {
 		err = seqgen.WriteFASTA(out, align)
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "beaglesim: %d taxa x %d sites under %s (%d rate categories)\n",
+	if file != nil {
+		if err := file.Close(); err != nil {
+			return err
+		}
+	}
+	fmt.Fprintf(stderr, "beaglesim: %d taxa x %d sites under %s (%d rate categories)\n",
 		tr.TipCount, *sites, model.Name, len(rates.Rates))
 	if *stats {
 		cells := float64(tr.TipCount) * float64(*sites)
-		fmt.Fprintf(os.Stderr, "beaglesim: simulated in %v (%.0f sites/s, %.0f tip-sites/s)\n",
+		fmt.Fprintf(stderr, "beaglesim: simulated in %v (%.0f sites/s, %.0f tip-sites/s)\n",
 			simElapsed.Round(time.Microsecond),
 			float64(*sites)/simElapsed.Seconds(), cells/simElapsed.Seconds())
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "beaglesim:", err)
-	os.Exit(1)
+	return nil
 }

@@ -39,6 +39,8 @@
 //	// inst.UpdateTransitionMatrices, inst.UpdatePartials ...
 //	lnL, err := inst.CalculateRootLogLikelihoods(root, gobeagle.None)
 //
-// See examples/ for complete programs, and DESIGN.md / EXPERIMENTS.md for
-// the mapping between this repository and the paper's evaluation.
+// See ExampleNewInstance for a complete program, cmd/beagleml and
+// cmd/beaglemcmc for clients that read alignment files, and DESIGN.md /
+// EXPERIMENTS.md for the mapping between this repository and the paper's
+// evaluation.
 package gobeagle

@@ -1,8 +1,4 @@
-// Quickstart: compute the log likelihood of a small phylogenetic tree under
-// an HKY85+Γ nucleotide model, driving the library exactly as a client
-// program would — build the model, translate the tree into buffer indices
-// and an operation list, and integrate at the root.
-package main
+package gobeagle_test
 
 import (
 	"fmt"
@@ -13,7 +9,11 @@ import (
 	"gobeagle/internal/tree"
 )
 
-func main() {
+// ExampleNewInstance computes the log likelihood of a small phylogenetic
+// tree under an HKY85+Γ nucleotide model, driving the library exactly as a
+// client program would: build the model, translate the tree into buffer
+// indices and an operation list, and integrate at the root.
+func ExampleNewInstance() {
 	// A four-taxon tree with branch lengths in expected substitutions/site.
 	tr, err := tree.ParseNewick("((human:0.1,chimp:0.08):0.05,(mouse:0.3,rat:0.28):0.12);")
 	if err != nil {
@@ -122,6 +122,19 @@ func main() {
 	for i, l := range site {
 		fmt.Printf("  site %d: %.6f\n", i, l)
 	}
+
+	// Output:
+	// implementation: CPU-threadpool
+	// tree: ((human:0.1,chimp:0.08):0.05,(mouse:0.3,rat:0.28):0.12);
+	// log likelihood: -32.225530
+	//   site 0: -1.713986
+	//   site 1: -2.161931
+	//   site 2: -4.619154
+	//   site 3: -4.743810
+	//   site 4: -6.179532
+	//   site 5: -5.069500
+	//   site 6: -1.938328
+	//   site 7: -5.799288
 }
 
 func must(err error) {

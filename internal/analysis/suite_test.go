@@ -9,21 +9,17 @@ import (
 	"gobeagle/internal/analysis/analysistest"
 )
 
-// Each analyzer runs over its fixture package under testdata/src/<name>,
-// which seeds every violation class the analyzer must catch alongside the
-// clean patterns it must accept; the // want comments in the fixtures are
-// the expected-diagnostic oracle.
-func runFixture(t *testing.T, a *analysis.Analyzer) {
-	analysistest.Run(t, a, "testdata/src/"+a.Name)
+// TestAnalyzers runs each analyzer over its fixture package under
+// testdata/src/<name>, which seeds every violation class the analyzer must
+// catch alongside the clean patterns it must accept; the // want comments in
+// the fixtures are the expected-diagnostic oracle.
+func TestAnalyzers(t *testing.T) {
+	for _, a := range analysis.All() {
+		t.Run(a.Name, func(t *testing.T) {
+			analysistest.Run(t, a, "testdata/src/"+a.Name)
+		})
+	}
 }
-
-func TestNoAlloc(t *testing.T)        { runFixture(t, analysis.NoAlloc) }
-func TestNoPanic(t *testing.T)        { runFixture(t, analysis.NoPanic) }
-func TestAllocGuard(t *testing.T)     { runFixture(t, analysis.AllocGuard) }
-func TestLockOrder(t *testing.T)      { runFixture(t, analysis.LockOrder) }
-func TestGoroLeak(t *testing.T)       { runFixture(t, analysis.GoroLeak) }
-func TestMapDeterminism(t *testing.T) { runFixture(t, analysis.MapDeterminism) }
-func TestCtxHTTP(t *testing.T)        { runFixture(t, analysis.CtxHTTP) }
 
 // TestFixtureInventory holds the fixture directories to the suite: every
 // analyzer in analysis.All() has a testdata/src directory of its name and

@@ -105,59 +105,6 @@ func brentMinimize(f func(float64) float64, a, b, tol float64) (float64, float64
 	return x, fx
 }
 
-// NewtonMaximize maximizes a function with analytic first and second
-// derivatives (as returned by the library's CalculateEdgeDerivatives) via
-// safeguarded Newton iteration on [lo, hi]: steps that leave the bracket or
-// hit non-concave regions fall back to bisection on the derivative sign.
-// It returns the maximizing x and the function value there.
-func NewtonMaximize(eval func(x float64) (f, d1, d2 float64, err error),
-	x0, lo, hi, tol float64, maxIter int) (float64, float64, error) {
-	if lo >= hi {
-		return 0, 0, errors.New("mle: invalid bracket")
-	}
-	if x0 < lo || x0 > hi {
-		x0 = (lo + hi) / 2
-	}
-	if tol <= 0 {
-		tol = 1e-9
-	}
-	if maxIter <= 0 {
-		maxIter = 100
-	}
-	x := x0
-	var f float64
-	for i := 0; i < maxIter; i++ {
-		var d1, d2 float64
-		var err error
-		f, d1, d2, err = eval(x)
-		if err != nil {
-			return 0, 0, err
-		}
-		if math.Abs(d1) < tol {
-			return x, f, nil
-		}
-		// Shrink the bracket using the derivative sign (the target is a
-		// maximum of a unimodal function on the bracket).
-		if d1 > 0 {
-			lo = x
-		} else {
-			hi = x
-		}
-		var next float64
-		if d2 < 0 {
-			next = x - d1/d2
-		}
-		if d2 >= 0 || next <= lo || next >= hi || math.IsNaN(next) {
-			next = (lo + hi) / 2 // safeguard: bisection
-		}
-		if math.Abs(next-x) < tol*(1+math.Abs(x)) {
-			return next, f, nil
-		}
-		x = next
-	}
-	return x, f, nil
-}
-
 // OptimizeBranchLengths maximizes the tree log likelihood over branch
 // lengths by repeated single-branch Brent optimization (coordinate ascent),
 // until a full sweep improves the log likelihood by less than tol or

@@ -2,6 +2,7 @@ package seqgen
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -191,6 +192,19 @@ func ReadFASTA(r io.Reader, stateCount int) (*Alignment, error) {
 		return nil, fmt.Errorf("seqgen: empty alignment")
 	}
 	return a, nil
+}
+
+// ReadAlignment reads a FASTA or a PHYLIP alignment, telling them apart by
+// the first non-blank byte: '>' starts FASTA, anything else is PHYLIP.
+func ReadAlignment(r io.Reader, stateCount int) (*Alignment, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	if bytes.HasPrefix(bytes.TrimLeft(data, " \t\r\n"), []byte(">")) {
+		return ReadFASTA(bytes.NewReader(data), stateCount)
+	}
+	return ReadPHYLIP(bytes.NewReader(data), stateCount)
 }
 
 // WriteFASTA renders the alignment in FASTA format, 70 characters per line.

@@ -243,3 +243,20 @@ func TestIUPACConsistentWithUnambiguousStates(t *testing.T) {
 		}
 	}
 }
+
+func TestReadAlignmentSniffsFormat(t *testing.T) {
+	fasta := "\n  >a\nACGT\n>b\nAC-T\n"
+	phylip := "2 4\na ACGT\nb AC-T\n"
+	for _, in := range []string{fasta, phylip} {
+		a, err := ReadAlignment(strings.NewReader(in), 4)
+		if err != nil {
+			t.Fatalf("%q: %v", in, err)
+		}
+		if strings.Join(a.TipNames, ",") != "a,b" || a.SiteCount() != 4 || a.Sequences[1][2] != 4 {
+			t.Fatalf("%q read as %v %v", in, a.TipNames, a.Sequences)
+		}
+	}
+	if _, err := ReadAlignment(strings.NewReader(">a\nAC\n"), 4); err == nil {
+		t.Error("a one-sequence FASTA must fail as FASTA")
+	}
+}

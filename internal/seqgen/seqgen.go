@@ -33,6 +33,26 @@ func (a *Alignment) SiteCount() int {
 	return len(a.Sequences[0])
 }
 
+// EmpiricalFrequencies returns the observed state frequencies with one
+// pseudo-count per state, so a state the alignment never shows keeps a
+// positive frequency. Gaps and ambiguity codes are not counted.
+func (a *Alignment) EmpiricalFrequencies() []float64 {
+	counts := make([]float64, a.StateCount)
+	var total float64
+	for _, seq := range a.Sequences {
+		for _, s := range seq {
+			if s >= 0 && s < a.StateCount {
+				counts[s]++
+				total++
+			}
+		}
+	}
+	for i := range counts {
+		counts[i] = (counts[i] + 1) / (total + float64(a.StateCount))
+	}
+	return counts
+}
+
 // Simulate evolves an alignment of nSites sites down the tree under the given
 // substitution model and among-site rate variation. Each site draws a rate
 // category from rates.Weights, the root state from the model's stationary

@@ -246,3 +246,21 @@ func TestSimulateWithGammaRates(t *testing.T) {
 		t.Fatalf("site count %d", a.SiteCount())
 	}
 }
+
+func TestEmpiricalFrequencies(t *testing.T) {
+	// Six A, two C, no G, one T and one gap: add-one counts over 9 states seen.
+	a := &Alignment{StateCount: 4, Sequences: [][]int{{0, 0, 0, 1, 3}, {0, 0, 0, 1, 4}}}
+	got := a.EmpiricalFrequencies()
+	want := []float64{7.0 / 13, 3.0 / 13, 1.0 / 13, 2.0 / 13}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("frequencies %v, want %v", got, want)
+		}
+	}
+	gaps := &Alignment{StateCount: 4, Sequences: [][]int{{4, 4}, {4, 4}}}
+	for _, f := range gaps.EmpiricalFrequencies() {
+		if f != 0.25 {
+			t.Fatalf("an all-gap alignment gives %v, want uniform", gaps.EmpiricalFrequencies())
+		}
+	}
+}

@@ -3,6 +3,7 @@ package substmodel
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -282,5 +283,31 @@ func TestNewGeneralReversibleErrors(t *testing.T) {
 	}
 	if _, err := NewGeneralReversible("x", []float64{1}, []float64{0.5, -0.5}); err == nil {
 		t.Fatal("expected error for negative frequency")
+	}
+}
+
+func TestNewNucleotide(t *testing.T) {
+	freqs := []float64{0.35, 0.15, 0.2, 0.3}
+	rates := []float64{1, 2, 0.5, 1, 3, 1}
+	k80, _ := NewK80(2.5)
+	hky, _ := NewHKY85(2.5, freqs)
+	gtr, _ := NewGTR(rates, freqs)
+	for _, c := range []struct {
+		name string
+		want *Model
+	}{{"jc", NewJC69()}, {"k80", k80}, {"hky", hky}, {"gtr", gtr}} {
+		m, err := NewNucleotide(c.name, 2.5, rates, freqs)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if m.Name != c.want.Name || !slices.Equal(m.Q.Data, c.want.Q.Data) || !slices.Equal(m.Frequencies, c.want.Frequencies) {
+			t.Errorf("%s built %s, not the direct constructor's %s", c.name, m.Name, c.want.Name)
+		}
+	}
+	if _, err := NewNucleotide("gy94", 2, rates, freqs); err == nil {
+		t.Error("a codon model name must be refused")
+	}
+	if _, err := NewNucleotide("gtr", 2, nil, freqs); err == nil {
+		t.Error("gtr without exchangeabilities must be refused")
 	}
 }

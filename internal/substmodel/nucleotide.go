@@ -85,3 +85,20 @@ func NewGTR(rates, freqs []float64) (*Model, error) {
 	}
 	return m, nil
 }
+
+// NewNucleotide returns the nucleotide model a command line names: jc
+// (JC69), k80, hky (HKY85) or gtr. kappa is read by k80 and hky, freqs by
+// hky and gtr, and rates, the six GTR exchangeabilities, by gtr alone.
+func NewNucleotide(name string, kappa float64, rates, freqs []float64) (*Model, error) {
+	switch name {
+	case "jc":
+		return NewJC69(), nil
+	case "k80":
+		return NewK80(kappa)
+	case "hky":
+		return NewHKY85(kappa, freqs)
+	case "gtr":
+		return NewGTR(rates, freqs)
+	}
+	return nil, fmt.Errorf("substmodel: unknown nucleotide model %q (want jc, k80, hky or gtr)", name)
+}
