@@ -70,7 +70,7 @@ func BenchmarkTable3(b *testing.B) {
 		name  string
 		flags gobeagle.Flags
 	}{
-		{"serial", 0},
+		{"serial", gobeagle.FlagVectorNone},
 		{"futures", gobeagle.FlagThreadingFutures},
 		{"threadcreate", gobeagle.FlagThreadingThreadCreate},
 		{"threadpool", gobeagle.FlagThreadingThreadPool},

@@ -1,7 +1,7 @@
 // Command beagleshard drives a distributed pattern-sharded instance against
 // a set of beagleworker processes and verifies, iteration by iteration, that
 // its root and per-site log-likelihoods are BIT-IDENTICAL to a single-node
-// serial instance evaluating the same problem. It is the distributed
+// instance evaluating the same problem. It is the distributed
 // correctness smoke test: CI boots two workers on loopback, runs it, kills a
 // worker mid-run and requires the comparison to keep holding through the
 // journal-replay failover.

@@ -2,7 +2,10 @@
 // coordinator. It listens on a TCP address, speaks the remoteimpl wire
 // protocol and builds one CPU engine per coordinator backend session; a
 // coordinator created with NewDistributedInstance (or the beagled -workers
-// flag) shards its site patterns across a set of these processes.
+// flag) shards its site patterns across a set of these processes. Without
+// -threading each engine is the one a flag-less library instance gets
+// (cpuimpl.Default, the vectorised kernels on the calling goroutine);
+// -threading serial asks for the unvectorised reference.
 //
 // Observability: -debug-addr serves /metrics (Prometheus text) and
 // /debug/vars for the coordinator's cluster federation endpoint — the
@@ -36,6 +39,9 @@ import (
 	"gobeagle/internal/remoteimpl"
 	"gobeagle/internal/trace"
 )
+
+// defaultThreading is -threading's default, the name of cpuimpl.Default.
+const defaultThreading = "sse"
 
 func parseMode(s string) (cpuimpl.Mode, error) {
 	switch s {
@@ -108,7 +114,7 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		addr       = fs.String("addr", "127.0.0.1:8381", "listen address (use :0 for an ephemeral port)")
 		portFile   = fs.String("port-file", "", "write the bound address to this file once listening (for test harnesses)")
 		threads    = fs.Int("threads", 0, "worker threads per hosted engine (0 = all cores)")
-		threading  = fs.String("threading", "serial", "CPU execution strategy: serial|sse|futures|threadcreate|threadpool|hybrid")
+		threading  = fs.String("threading", defaultThreading, "CPU execution strategy: serial (the unvectorised reference)|sse|futures|threadcreate|threadpool|hybrid")
 		sessionTTL = fs.Duration("session-ttl", 10*time.Minute, "how long a detached session survives for coordinator re-dial")
 		debugAddr  = fs.String("debug-addr", "", "serve /metrics and /debug/vars on this address (advertised to coordinators for federation)")
 		pprofOn    = fs.Bool("pprof", false, "expose /debug/pprof/ on the debug address (requires -debug-addr)")

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"gobeagle/internal/cpuimpl"
 	"gobeagle/internal/remoteimpl"
 )
 
@@ -135,5 +136,13 @@ func TestRunPprofRequiresDebugAddr(t *testing.T) {
 	err := run(context.Background(), []string{"-pprof"}, logs)
 	if err == nil || !strings.Contains(err.Error(), "-debug-addr") {
 		t.Fatalf("run(-pprof) = %v, want the -debug-addr requirement error", err)
+	}
+}
+
+// TestThreadingNames holds -threading's default to the engine a flag-less
+// library instance runs.
+func TestThreadingNames(t *testing.T) {
+	if got, err := parseMode(defaultThreading); err != nil || got != cpuimpl.Default {
+		t.Fatalf("default -threading %q parses to %v, %v; want %v", defaultThreading, got, err, cpuimpl.Default)
 	}
 }

@@ -33,7 +33,7 @@ func main() {
 		resource  = flag.String("resource", "CPU (host)", "resource name (see -list)")
 		framework = flag.String("framework", "", "restrict resource lookup to CUDA or OpenCL")
 		precision = flag.String("precision", "double", "single or double")
-		threading = flag.String("threading", "none", "CPU threading: none, futures, threadcreate, threadpool, hybrid")
+		threading = flag.String("threading", "none", "CPU threading: none (the serial reference, or SSE with -sse), futures, threadcreate, threadpool, hybrid")
 		sse       = flag.Bool("sse", false, "use the SSE-style 4-state kernels (CPU resource)")
 		noFMA     = flag.Bool("no-fma", false, "build accelerator kernels without fused multiply-add")
 		workGroup = flag.Int("workgroup", 0, "accelerator work-group size in patterns (0 = default)")
@@ -210,8 +210,13 @@ func buildFlags(precision, threading string, sse, noFMA bool) (gobeagle.Flags, e
 	default:
 		return 0, fmt.Errorf("unknown threading %q", threading)
 	}
-	if sse {
+	switch {
+	case sse:
 		f |= gobeagle.FlagVectorSSE
+	case threading == "none" || threading == "":
+		// Without -sse, "none" is the serial reference, not the
+		// library's flag-less default.
+		f |= gobeagle.FlagVectorNone
 	}
 	if noFMA {
 		f |= gobeagle.FlagDisableFMA
@@ -270,7 +275,7 @@ func crossCheck(p *benchmarks.Problem, flags gobeagle.Flags) error {
 	// Every CPU threading strategy on the host resource, whatever threading
 	// the command line selected, so the check scripts exercise the futures,
 	// thread-pool and hybrid schedulers on each model configuration.
-	base := flags &^ (gobeagle.FlagThreadingFutures | gobeagle.FlagThreadingThreadCreate |
+	base := flags &^ (gobeagle.FlagVectorNone | gobeagle.FlagThreadingFutures | gobeagle.FlagThreadingThreadCreate |
 		gobeagle.FlagThreadingThreadPool | gobeagle.FlagThreadingThreadPoolHybrid)
 	for _, tf := range []gobeagle.Flags{
 		gobeagle.FlagThreadingFutures,

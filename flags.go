@@ -15,11 +15,11 @@ const (
 	// specialised for the state count: 4-state unrolled (SSE-style) for
 	// nucleotides, the AVX2 wide-state kernels for 5 to 64 states (amino
 	// acids, codons) on amd64 CPUs that have AVX2, generic otherwise.
-	// Without it (and without a threading flag) the CPU resource runs the
-	// serial implementation on the generic loop-over-states kernels, the
-	// baseline of the paper's speedup figures. Combining it with a
-	// threading flag changes nothing: the threaded implementations are
-	// built on the vectorised kernels already.
+	// A CPU instance with no threading or vector flag runs the same
+	// implementation, so the flag only states it; FlagVectorNone asks for
+	// the unvectorised serial reference instead. Combining it with a
+	// threading flag changes nothing: the threaded implementations are built
+	// on the vectorised kernels already.
 	FlagVectorSSE
 	// FlagThreadingFutures uses per-operation asynchronous tasks (§VI-A):
 	// each dependency level of a batch is one phase, every operation of the
@@ -87,6 +87,15 @@ const (
 	// kernel is deterministic. Counters are read through
 	// Instance.ReuseStats.
 	FlagReuse
+	// FlagVectorNone runs the serial CPU implementation on the generic
+	// loop-over-states kernels — the reference every other engine is checked
+	// against and the baseline of the paper's speedup figures — as
+	// BEAGLE_FLAG_VECTOR_NONE asks for BEAGLE's unvectorised path. A CPU
+	// instance created with no threading, vector or FlagVectorNone flag runs
+	// the FlagVectorSSE implementation instead (cpuimpl.Default). It cannot
+	// be combined with FlagVectorSSE or a threading flag; accelerator
+	// resources ignore it.
+	FlagVectorNone
 
 	// flagEnd closes the block: every flag is a bit below it, and
 	// TestFlagsString holds each of them to one name in String.
@@ -119,6 +128,7 @@ func (f Flags) String() string {
 		{FlagRebalance, "REBALANCE"},
 		{FlagTrace, "TRACE"},
 		{FlagReuse, "REUSE"},
+		{FlagVectorNone, "VECTOR_NONE"},
 	}
 	var out []string
 	for _, n := range names {

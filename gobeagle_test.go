@@ -150,7 +150,8 @@ func TestImplementationSelection(t *testing.T) {
 		flags        Flags
 		wantSub      string
 	}{
-		{"", "", 0, "CPU-serial"},
+		{"", "", 0, "CPU-SSE"},
+		{"", "", FlagVectorNone, "CPU-serial"},
 		{"", "", FlagVectorSSE, "CPU-SSE"},
 		{"", "", FlagThreadingFutures, "CPU-futures"},
 		{"", "", FlagThreadingThreadCreate, "CPU-threadcreate"},
@@ -161,6 +162,11 @@ func TestImplementationSelection(t *testing.T) {
 		{"Xeon E5-2680v4 x2", "OpenCL", 0, "OpenCL-x86"},
 		{"Xeon E5-2680v4 x2", "OpenCL", FlagKernelGPU, "OpenCL-GPU"},
 		{"Xeon Phi 7210", "OpenCL", 0, "OpenCL-x86"},
+		{"Quadro P5000", "CUDA", FlagVectorNone, "CUDA"},
+		// FlagVectorNone asks for the unvectorised reference, so it
+		// excludes every vectorised or threaded selection.
+		{"", "", FlagVectorNone | FlagVectorSSE, ""},
+		{"", "", FlagVectorNone | FlagThreadingThreadPool, ""},
 	}
 	for _, c := range cases {
 		id := 0
@@ -172,6 +178,13 @@ func TestImplementationSelection(t *testing.T) {
 			id = r.ID
 		}
 		inst, err := NewInstance(instanceConfig(tr, 4, 50, 1, id, c.flags))
+		if c.wantSub == "" {
+			if err == nil {
+				inst.Finalize()
+				t.Errorf("flags %v: created %s, want an error", c.flags, inst.Implementation())
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("%+v: %v", c, err)
 		}

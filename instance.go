@@ -62,6 +62,9 @@ type Config struct {
 	// Flags select precision, vectorization, threading and kernel options.
 	// At most one FlagThreading* flag may be set; FlagThreadingThreadPoolHybrid
 	// selects pattern slabs on the persistent pool with no pattern threshold.
+	// With no threading or vector flag a CPU instance runs the vectorised
+	// kernels on the calling goroutine (FlagVectorSSE's implementation);
+	// FlagVectorNone selects the serial reference instead.
 	Flags Flags
 	// Threads bounds CPU worker threads (0 = all hardware threads).
 	Threads int
@@ -112,9 +115,9 @@ func NewInstance(cfg Config) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	strategy := strategyName(cfg.Flags)
-	if rsc.Device() != nil {
-		strategy = "device"
+	strategy := "device"
+	if rsc.Device() == nil {
+		strategy = strategyName(cpuMode(cfg.Flags))
 	}
 	return &Instance{cfg: cfg, eng: eng, rsc: rsc, tr: ecfg.Trace, impl: eng.Name(), strategy: strategy}, nil
 }
@@ -124,6 +127,9 @@ func NewInstance(cfg Config) (*Instance, error) {
 func engineConfig(cfg Config) (engine.Config, error) {
 	if t := cfg.Flags & threadingFlags; t&(t-1) != 0 {
 		return engine.Config{}, errors.New("gobeagle: at most one threading flag may be set")
+	}
+	if cfg.Flags&FlagVectorNone != 0 && cfg.Flags&(FlagVectorSSE|threadingFlags) != 0 {
+		return engine.Config{}, errors.New("gobeagle: FlagVectorNone excludes FlagVectorSSE and the threading flags")
 	}
 	return engine.Config{
 		TipCount:        cfg.TipCount,

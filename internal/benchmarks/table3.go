@@ -22,9 +22,9 @@ type Table3Row struct {
 }
 
 // table3Flags are the threading selections compared by the Table III
-// machinery, in column order.
+// machinery, in column order; the baseline is the serial reference.
 var table3Flags = []gobeagle.Flags{
-	0, gobeagle.FlagThreadingFutures,
+	gobeagle.FlagVectorNone, gobeagle.FlagThreadingFutures,
 	gobeagle.FlagThreadingThreadCreate, gobeagle.FlagThreadingThreadPool,
 	gobeagle.FlagThreadingThreadPoolHybrid,
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -49,10 +50,18 @@ func scheduleOps(tr *tree.Tree, scaleWrite, scaleRead func(i int) int) []engine.
 func noScale(int) int    { return engine.None }
 func ownScale(i int) int { return i }
 
-// evalResult is what one engine computed for one scaling variant.
+// evalResult is what one engine computed for one scaling variant: root and
+// site lnL, and across the branch above the root's first internal child the
+// edge lnL and the lnL with its two derivatives from the derivative kernels.
 type evalResult struct {
-	lnL  float64
-	site []float64
+	lnL, edge, dL, d1, d2 float64
+	site                  []float64
+}
+
+// values names every scalar of the result for comparison.
+func (r evalResult) values() map[string]float64 {
+	return map[string]float64{"root lnL": r.lnL, "edge lnL": r.edge,
+		"derivative lnL": r.dL, "first derivative": r.d1, "second derivative": r.d2}
 }
 
 // TestKernelBinding pins, for every mode, state count and precision, which
@@ -62,9 +71,13 @@ type evalResult struct {
 // ways and logs which it saw), and that the binding is invisible in the
 // results: SSE and the four threaded modes agree bit for bit, unscaled, with
 // every operation rescaling (DestScaleWrite) and with every operation
-// re-applying its stored factors (DestScaleRead); with the Serial baseline
-// they agree bit for bit at 20 and 61 states — the wide family reproduces the
-// generic kernels exactly — and to rounding at 4.
+// re-applying its stored factors (DestScaleRead), in root, site and edge lnL
+// and edge derivatives; with the Serial baseline they agree bit for bit at 20
+// and 61 states — the wide family reproduces the generic kernels exactly —
+// and at 4 states on amd64, where Go never fuses multiply-adds, and to
+// rounding at 4 states elsewhere. 45 patterns force the threaded modes to cut
+// slabs; at 4 states 511, 512 and 1500 run them at the default pattern
+// threshold, one inline slab below it and slabs from it on.
 func TestKernelBinding(t *testing.T) {
 	models := map[int]func() (*substmodel.Model, error){
 		4:  func() (*substmodel.Model, error) { return substmodel.NewHKY85(2.5, []float64{0.3, 0.2, 0.25, 0.25}) },
@@ -92,62 +105,80 @@ func TestKernelBinding(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ps, err := seqgen.RandomPatterns(rng, tr.TipCount, states, 45)
-		if err != nil {
-			t.Fatal(err)
+		counts := []int{45, 511, 512, 1500}
+		if states != 4 {
+			counts = counts[:1] // the slab cuts do not depend on the state count
+		}
+		sets := make([]*seqgen.PatternSet, len(counts))
+		for i, patterns := range counts {
+			if sets[i], err = seqgen.RandomPatterns(rng, tr.TipCount, states, patterns); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for _, single := range []bool{false, true} {
 			t.Run(fmt.Sprintf("states=%d/single=%v", states, single), func(t *testing.T) {
-				// At 4 states Serial runs other kernels than the rest, so it
-				// may differ by rounding (it does not on amd64, where Go
-				// never fuses multiply-adds). Above 4 nothing may differ.
-				tol := 1e-13
-				if single {
-					tol = 1e-5
-				}
-				if states != 4 {
-					tol = 0
-				}
-				var serial, first map[string]evalResult
-				for _, mode := range Modes() {
-					e, err := New(testConfig(tr, states, ps.PatternCount(), 2, single), mode)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := kernels.FamilyGeneric
-					if mode != Serial {
-						want = table
-					}
-					if got := boundFamily(t, e); got != want {
-						t.Errorf("%v: bound kernel family %q, want %q", mode, got, want)
-					}
-					got := evalVariants(t, e, tr, m, rates, ps)
-					if err := e.Close(); err != nil {
-						t.Fatal(err)
-					}
-					switch {
-					case mode == Serial:
-						serial = got
-						continue
-					case first == nil:
-						first = got
-					}
-					for name, r := range got {
-						if r.lnL != first[name].lnL {
-							t.Errorf("%v %s: lnL %v differs from %v's %v", mode, name, r.lnL, SSE, first[name].lnL)
+				for _, ps := range sets {
+					patterns := ps.PatternCount()
+					t.Run(fmt.Sprintf("patterns=%d", patterns), func(t *testing.T) {
+						// At 4 states Serial runs other kernels than the rest, so
+						// off amd64 a compiler may fuse multiply-adds in one and
+						// not the other. Above 4 nothing may differ anywhere.
+						tol := 1e-13
+						if single {
+							tol = 1e-5
 						}
-						if math.IsNaN(r.lnL) || math.Abs(r.lnL-serial[name].lnL) > tol*math.Abs(serial[name].lnL) {
-							t.Errorf("%v %s: lnL %v, serial %v", mode, name, r.lnL, serial[name].lnL)
+						if states != 4 || runtime.GOARCH == "amd64" {
+							tol = 0
 						}
-						for p := range r.site {
-							if r.site[p] != first[name].site[p] {
-								t.Fatalf("%v %s: site %d lnL %v differs from %v's %v", mode, name, p, r.site[p], SSE, first[name].site[p])
+						var serial, first map[string]evalResult
+						for _, mode := range Modes() {
+							cfg := testConfig(tr, states, patterns, 2, single)
+							cfg.MatrixBuffers += 2 // the two derivative matrices
+							if patterns != counts[0] {
+								cfg.MinPatternsWork = 0 // DefaultMinPatterns
 							}
-							if math.Abs(r.site[p]-serial[name].site[p]) > tol*math.Abs(serial[name].site[p]) {
-								t.Fatalf("%v %s: site %d lnL %v, serial %v", mode, name, p, r.site[p], serial[name].site[p])
+							e, err := New(cfg, mode)
+							if err != nil {
+								t.Fatal(err)
+							}
+							want := kernels.FamilyGeneric
+							if mode != Serial {
+								want = table
+							}
+							if got := boundFamily(t, e); got != want {
+								t.Errorf("%v: bound kernel family %q, want %q", mode, got, want)
+							}
+							got := evalVariants(t, e, tr, m, rates, ps)
+							if err := e.Close(); err != nil {
+								t.Fatal(err)
+							}
+							switch {
+							case mode == Serial:
+								serial = got
+								continue
+							case first == nil:
+								first = got
+							}
+							for name, r := range got {
+								for what, v := range r.values() {
+									if f := first[name].values()[what]; v != f {
+										t.Errorf("%v %s: %s %v differs from %v's %v", mode, name, what, v, SSE, f)
+									}
+									if s := serial[name].values()[what]; math.IsNaN(v) || math.Abs(v-s) > tol*math.Abs(s) {
+										t.Errorf("%v %s: %s %v, serial %v", mode, name, what, v, s)
+									}
+								}
+								for p := range r.site {
+									if r.site[p] != first[name].site[p] {
+										t.Fatalf("%v %s: site %d lnL %v differs from %v's %v", mode, name, p, r.site[p], SSE, first[name].site[p])
+									}
+									if math.Abs(r.site[p]-serial[name].site[p]) > tol*math.Abs(serial[name].site[p]) {
+										t.Fatalf("%v %s: site %d lnL %v, serial %v", mode, name, p, r.site[p], serial[name].site[p])
+									}
+								}
 							}
 						}
-					}
+					})
 				}
 			})
 		}
@@ -161,15 +192,31 @@ func evalVariants(t *testing.T, e engine.Engine, tr *tree.Tree, m *substmodel.Mo
 	t.Helper()
 	root := tr.FullSchedule().Root
 	cum := tr.TipCount - 1 // driveEngine's cumulative buffer: one past the per-op ones
+	child := tr.Root.Left
+	if child.IsTip() {
+		child = tr.Root.Right
+	}
+	d1, d2 := tr.NodeCount(), tr.NodeCount()+1
 	out := map[string]evalResult{}
 	record := func(name string, lnL float64, cumBuf int) {
-		site, err := e.SiteLogLikelihoods(root, cumBuf)
-		if err != nil {
+		r := evalResult{lnL: lnL}
+		var err error
+		if r.site, err = e.SiteLogLikelihoods(root, cumBuf); err != nil {
 			t.Fatal(err)
 		}
-		out[name] = evalResult{lnL, site}
+		if r.edge, err = e.CalculateEdgeLogLikelihoods(root, child.Index, child.Index, cumBuf); err != nil {
+			t.Fatal(err)
+		}
+		if r.dL, r.d1, r.d2, err = e.CalculateEdgeDerivatives(root, child.Index, child.Index, d1, d2, cumBuf); err != nil {
+			t.Fatal(err)
+		}
+		out[name] = r
 	}
-	record("unscaled", driveEngine(t, e, tr, m, rates, ps, true, false), engine.None)
+	lnL := driveEngine(t, e, tr, m, rates, ps, true, false)
+	if err := e.UpdateTransitionDerivatives(0, []int{d1}, []int{d2}, []float64{child.Length}); err != nil {
+		t.Fatal(err)
+	}
+	record("unscaled", lnL, engine.None)
 	record("scale-write", driveEngine(t, e, tr, m, rates, ps, true, true), cum)
 	if err := e.UpdatePartials(scheduleOps(tr, noScale, ownScale)); err != nil {
 		t.Fatal(err)

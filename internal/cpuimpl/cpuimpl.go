@@ -9,10 +9,13 @@
 //
 //   - Serial: one inline slab over all patterns on the generic
 //     loop-over-states kernels, the baseline of every speedup figure in the
-//     paper;
+//     paper and the reference the other engines are checked against; a
+//     caller asks for it (gobeagle.FlagVectorNone), it is not the default;
 //   - SSE: the same plan on the vectorised kernels, the analogue of the SSE
 //     intrinsics path: 4-state unrolled for nucleotides, the AVX2 wide-state
-//     family for 5 to 64 states where the CPU has AVX2, generic otherwise;
+//     family for 5 to 64 states where the CPU has AVX2, generic otherwise,
+//     and the Default: a caller who asks for no mode gets the vectorised
+//     kernels and owns no worker goroutines;
 //   - Futures: concurrency across independent operations in the tree
 //     (§VI-A) — one phase per dependency level, each operation of the level
 //     one task over all patterns on its own goroutine;
@@ -34,9 +37,10 @@
 // The threaded strategies are layered on the vectorised path, as BEAGLE's
 // are: which kernels run is decided by the state count and the CPU
 // (kernels.ForStateCount), bound once per engine, and is the same for SSE and
-// all four threaded modes. Only Serial stays on the generic kernels, as the
-// reference: the wide-state family reproduces it bit for bit, so above 4
-// states every mode returns Serial's exact result. The wide kernels keep
+// all four threaded modes. Serial, the opt-in reference, is the one mode on
+// the generic kernels: the wide-state family reproduces it bit for bit, and
+// so does the 4-state family on amd64, where Go never fuses multiply-adds, so
+// there every mode returns Serial's exact result. The wide kernels keep
 // their scratch (one transposed matrix) on the calling goroutine's stack, so
 // nothing here owns or plumbs it: a pool worker's stack grows once and stays.
 package cpuimpl
@@ -64,6 +68,13 @@ const (
 	ThreadPool
 	ThreadPoolHybrid
 )
+
+// Default is the mode of a CPU instance that asks for no threading or vector
+// mode: one inline slab on the state-count-specialised kernels. It starts no
+// goroutines, so a caller running many instances at once does not
+// oversubscribe the CPU and one that forgets Close leaks nothing; threading
+// stays a flag the caller sets.
+const Default = SSE
 
 // String returns the implementation name used in resource listings.
 func (m Mode) String() string {

@@ -64,7 +64,9 @@ func buildEngine(cfg engine.Config, rsc *Resource, flags Flags) (engine.Engine, 
 
 // cpuMode maps flags to the CPU execution strategy. A threading flag wins
 // over FlagVectorSSE without losing it: every threaded strategy runs the
-// state-count-specialised kernels the SSE mode does.
+// state-count-specialised kernels the SSE mode does. FlagVectorNone asks for
+// the serial reference; with none of these flags an instance gets
+// cpuimpl.Default.
 func cpuMode(flags Flags) cpuimpl.Mode {
 	switch {
 	case flags&FlagThreadingThreadPoolHybrid != 0:
@@ -77,8 +79,10 @@ func cpuMode(flags Flags) cpuimpl.Mode {
 		return cpuimpl.Futures
 	case flags&FlagVectorSSE != 0:
 		return cpuimpl.SSE
-	default:
+	case flags&FlagVectorNone != 0:
 		return cpuimpl.Serial
+	default:
+		return cpuimpl.Default
 	}
 }
 

@@ -190,7 +190,8 @@ func TestReuseEquivalenceAcrossCPUStrategies(t *testing.T) {
 		name  string
 		flags Flags
 	}{
-		{"serial", 0},
+		{"default", 0},
+		{"serial", FlagVectorNone},
 		{"sse", FlagVectorSSE},
 		{"futures", FlagThreadingFutures},
 		{"threadcreate", FlagThreadingThreadCreate},

@@ -1,6 +1,7 @@
 package gobeagle
 
 import (
+	"gobeagle/internal/cpuimpl"
 	"gobeagle/internal/flops"
 	"gobeagle/internal/kernels"
 	"gobeagle/internal/multiimpl"
@@ -223,20 +224,20 @@ func (in *Instance) EnableTelemetry(on bool) { in.tr.SetStatsEnabled(on) }
 // TelemetryEnabled reports whether collection is currently on.
 func (in *Instance) TelemetryEnabled() bool { return in.tr.StatsEnabled() }
 
-// strategyName derives the reported scheduling-strategy label from the
-// instance flags (CPU resources only; device-backed instances report
-// "device" and multi-device instances "multi-device").
-func strategyName(flags Flags) string {
-	switch {
-	case flags&FlagThreadingThreadPoolHybrid != 0:
+// strategyName is the reported scheduling-strategy label of a CPU mode
+// (device-backed instances report "device" and multi-device instances
+// "multi-device").
+func strategyName(mode cpuimpl.Mode) string {
+	switch mode {
+	case cpuimpl.ThreadPoolHybrid:
 		return "thread-pool-hybrid"
-	case flags&FlagThreadingThreadPool != 0:
+	case cpuimpl.ThreadPool:
 		return "thread-pool"
-	case flags&FlagThreadingThreadCreate != 0:
+	case cpuimpl.ThreadCreate:
 		return "thread-create"
-	case flags&FlagThreadingFutures != 0:
+	case cpuimpl.Futures:
 		return "futures"
-	case flags&FlagVectorSSE != 0:
+	case cpuimpl.SSE:
 		return "sse"
 	default:
 		return "serial"

@@ -161,3 +161,35 @@ func TestStatsOnDeviceAndMultiDevice(t *testing.T) {
 		t.Errorf("multi-device partials ops = %d, want %d (no double counting)", p.Ops, tr.TipCount-1)
 	}
 }
+
+// TestStrategyNamesTheEngine holds Stats().Strategy to the engine that runs:
+// for every CPU flag selection the strategy label and Implementation() name
+// the same mode, the flag-less default included.
+func TestStrategyNamesTheEngine(t *testing.T) {
+	tr, _, _, ps := statsProblem(t)
+	for _, c := range []struct {
+		flags          Flags
+		implementation string
+		strategy       string
+	}{
+		{0, "CPU-SSE", "sse"},
+		{FlagVectorNone, "CPU-serial", "serial"},
+		{FlagVectorSSE, "CPU-SSE", "sse"},
+		{FlagThreadingFutures, "CPU-futures", "futures"},
+		{FlagThreadingThreadCreate, "CPU-threadcreate", "thread-create"},
+		{FlagThreadingThreadPool, "CPU-threadpool", "thread-pool"},
+		{FlagVectorSSE | FlagThreadingThreadPool, "CPU-threadpool", "thread-pool"},
+		{FlagThreadingThreadPoolHybrid, "CPU-threadpool-hybrid", "thread-pool-hybrid"},
+	} {
+		inst, err := NewInstance(instanceConfig(tr, 4, ps.PatternCount(), 4, 0, c.flags))
+		if err != nil {
+			t.Fatalf("flags %v: %v", c.flags, err)
+		}
+		impl, strategy := inst.Implementation(), inst.Stats().Strategy
+		inst.Finalize()
+		if impl != c.implementation || strategy != c.strategy {
+			t.Errorf("flags %v: implementation %q, strategy %q; want %q, %q",
+				c.flags, impl, strategy, c.implementation, c.strategy)
+		}
+	}
+}
