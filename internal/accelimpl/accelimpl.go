@@ -23,18 +23,18 @@
 // pool modes' executor, with Parallelism workers.
 //
 // The buffers are engine.Storage's — the same store, setters, getters, batch
-// planning, reuse filter and pattern migration every CPU engine runs on; this
-// package declares none of them. What it adds is only what is the
-// accelerator's own: variant and device checks, work-group geometry, the FMA
-// and roofline costs, kernel launches through device.Queue, one pooled device
-// allocation for the transition matrices addressed through sub-buffers
-// (§VII-A), and two charges that make the shared store behave as device
-// memory: its footprint is reserved against the device's memory after every
-// call that can allocate, and every setter, getter and migration is charged
-// to the queue as the host↔device copy it models. Transition-matrix
-// computation, partials updates, rescaling and site-likelihood integration
-// all run as device kernels, so that only scalar results need cross the
-// boundary, as the paper's design requires (§IV-F).
+// planning, reuse filter, pattern migration and likelihood integrations every
+// CPU engine runs on; this package declares none of them. What it adds is
+// only what is the accelerator's own: variant and device checks, work-group
+// geometry, the FMA and roofline costs, kernel launches through device.Queue,
+// one pooled device allocation for the transition matrices addressed through
+// sub-buffers (§VII-A), and two charges that make the shared store behave as
+// device memory: its footprint is reserved against the device's memory after
+// every call that can allocate, and every setter, getter and migration is
+// charged to the queue as the host↔device copy it models. Transition-matrix
+// computation, partials updates, rescaling and the integrations' per-pattern
+// bodies (the store's Integrator) all run as device kernels, so that only
+// their results cross the boundary, as the paper's design requires (§IV-F).
 //
 // In UpdatePartials the memory check sits between the store's validation and
 // its reuse decision: the reservation needs the destinations validation
@@ -133,11 +133,8 @@ type Engine[T kernels.Real] struct {
 	// set.
 	matrixPool  *device.Buffer[T]
 	matrixViews []*device.Buffer[T]
-	// site is the per-pattern staging buffer the integration kernels write
-	// and the host downloads.
-	site []float64
 	// reserved is the device memory currently claimed for the store's
-	// buffers and the staging buffer.
+	// buffers, its Site (the integrations' staging buffer) included.
 	reserved int64
 
 	kern       kernels.Set[T] // the CPU engines' state-count table
@@ -152,9 +149,9 @@ func newEngine[T kernels.Real](cfg engine.Config, variant Variant, dev *device.D
 		variant: variant,
 		dev:     dev,
 		q:       dev.NewQueue(cfg.SinglePrecision),
-		site:    make([]float64, cfg.Dims.PatternCount),
 	}
 	e.q.SetTracer(cfg.Trace, int32(cfg.TraceLane))
+	e.SetIntegrator(e.integrate)
 
 	// The CPU engines' kernels in every case. A build without FMA on
 	// hardware that advertises it runs below peak (Table IV): a rate in the
@@ -250,9 +247,9 @@ func (e *Engine[T]) Queue() *device.Queue { return e.q }
 func (e *Engine[T]) GroupPatterns() int { return e.groupPats }
 
 // reserve brings the device's accounting in line with what the store holds
-// now — partials, compact tip states, scale buffers — plus the site staging
-// buffer, and fails when the device cannot hold it. It runs after every call
-// that can allocate or resize a buffer.
+// now — partials, compact tip states, scale buffers and the site staging
+// buffer — and fails when the device cannot hold it. It runs after every
+// call that can allocate or resize a buffer.
 //
 // An engine that hit out-of-memory keeps the buffers the store allocated for
 // the failed call (zero-filled, as any lazily allocated destination is), but
@@ -262,7 +259,7 @@ func (e *Engine[T]) GroupPatterns() int { return e.groupPats }
 // (SetTipPartials over compact states, DetachPatterns) — in practice such an
 // engine is good for reading results back and Close.
 func (e *Engine[T]) reserve() error {
-	want := int64(len(e.site)) * 8
+	want := int64(len(e.Site)) * 8
 	for _, b := range e.Partials {
 		want += int64(len(b)) * int64(e.elemSize())
 	}

@@ -7,7 +7,7 @@ import "gobeagle/internal/engine"
 // device adds is the cost: every live per-pattern buffer (partials, compact
 // tip states, scale factors) is staged through the host — downloaded at the
 // old pattern count, re-uploaded at the new one — and the site staging buffer
-// is reallocated. Every copy is charged to the command queue, so the modeled
+// is re-reserved. Every copy is charged to the command queue, so the modeled
 // device clock carries the real host↔device traffic a rebalance costs — the
 // reason the rebalancer only migrates when the predicted steady-state win
 // exceeds its hysteresis threshold.
@@ -33,9 +33,8 @@ func (e *Engine[T]) AttachPatterns(atHigh bool, blk *engine.PatternBlock) error 
 }
 
 // restaged accounts for a migration the store has just performed from the
-// given pattern count: it charges each live buffer's round trip, resizes the
-// staging buffer (its contents are produced fresh by every integration) and
-// reserves the new footprint.
+// given pattern count: it charges each live buffer's round trip and reserves
+// the new footprint, the site scratch the store resized included.
 func (e *Engine[T]) restaged(before int) error {
 	after := e.Cfg.Dims.PatternCount
 	perPattern := e.Cfg.Dims.CategoryCount * e.Cfg.Dims.StateCount
@@ -57,7 +56,6 @@ func (e *Engine[T]) restaged(before int) error {
 			e.transferred(after, 8)
 		}
 	}
-	e.site = make([]float64, after)
 	return e.reserve()
 }
 

@@ -15,60 +15,58 @@ import (
 // re-reserve the store's footprint first, so a buffer the device cannot hold
 // is refused before its upload is charged.
 
-// transferred charges one copy of n elements of the given size, either way.
+// transferred charges one copy of n elements of the given size, either way;
+// nothing crosses for n == 0 (an integration without scale factors).
 func (e *Engine[T]) transferred(n, size int) {
-	e.q.ChargeTransfer(int64(n) * int64(size))
-}
-
-// uploaded accounts for a setter the store has just performed.
-func (e *Engine[T]) uploaded(n, size int) error {
-	if err := e.reserve(); err != nil {
-		return err
+	if n > 0 {
+		e.q.ChargeTransfer(int64(n) * int64(size))
 	}
-	e.transferred(n, size)
-	return nil
 }
 
-// SetTipStates uploads compact states for a tip buffer.
-func (e *Engine[T]) SetTipStates(buf int, states []int) error {
-	if err := e.Storage.SetTipStates(buf, states); err != nil {
-		return err
+// uploaded accounts for a setter the store has just performed, unless it
+// failed with err.
+func (e *Engine[T]) uploaded(err error, n, size int) error {
+	if err == nil {
+		err = e.reserve()
 	}
-	return e.uploaded(len(states), 4)
-}
-
-// SetTipPartials uploads per-pattern partials for a tip, replicated across
-// rate categories.
-func (e *Engine[T]) SetTipPartials(buf int, partials []float64) error {
-	if err := e.Storage.SetTipPartials(buf, partials); err != nil {
-		return err
+	if err == nil {
+		e.transferred(n, size)
 	}
-	return e.uploaded(e.Cfg.Dims.PartialsLen(), e.elemSize())
+	return err
 }
 
-// SetPartials uploads a full partials buffer.
-func (e *Engine[T]) SetPartials(buf int, partials []float64) error {
-	if err := e.Storage.SetPartials(buf, partials); err != nil {
-		return err
-	}
-	return e.uploaded(len(partials), e.elemSize())
-}
-
-// GetPartials downloads a partials buffer.
-func (e *Engine[T]) GetPartials(buf int) ([]float64, error) {
-	out, err := e.Storage.GetPartials(buf)
+// downloaded accounts for a getter the store has just performed.
+func (e *Engine[T]) downloaded(out []float64, err error) ([]float64, error) {
 	if err == nil {
 		e.transferred(len(out), e.elemSize())
 	}
 	return out, err
 }
 
+// SetTipStates uploads compact states for a tip buffer.
+func (e *Engine[T]) SetTipStates(buf int, states []int) error {
+	return e.uploaded(e.Storage.SetTipStates(buf, states), len(states), 4)
+}
+
+// SetTipPartials uploads per-pattern partials for a tip, replicated across
+// rate categories.
+func (e *Engine[T]) SetTipPartials(buf int, partials []float64) error {
+	return e.uploaded(e.Storage.SetTipPartials(buf, partials), e.Cfg.Dims.PartialsLen(), e.elemSize())
+}
+
+// SetPartials uploads a full partials buffer.
+func (e *Engine[T]) SetPartials(buf int, partials []float64) error {
+	return e.uploaded(e.Storage.SetPartials(buf, partials), len(partials), e.elemSize())
+}
+
+// GetPartials downloads a partials buffer.
+func (e *Engine[T]) GetPartials(buf int) ([]float64, error) {
+	return e.downloaded(e.Storage.GetPartials(buf))
+}
+
 // ResetScaleFactors zeroes a scale buffer on the device.
 func (e *Engine[T]) ResetScaleFactors(scaleBuf int) error {
-	if err := e.Storage.ResetScaleFactors(scaleBuf); err != nil {
-		return err
-	}
-	return e.uploaded(e.Cfg.Dims.PatternCount, 8)
+	return e.uploaded(e.Storage.ResetScaleFactors(scaleBuf), e.Cfg.Dims.PatternCount, 8)
 }
 
 // uploadMatrix moves a matrix the store produced on the host into its
@@ -92,11 +90,7 @@ func (e *Engine[T]) SetTransitionMatrix(matrix int, values []float64) error {
 
 // GetTransitionMatrix downloads a matrix buffer.
 func (e *Engine[T]) GetTransitionMatrix(matrix int) ([]float64, error) {
-	out, err := e.Storage.GetTransitionMatrix(matrix)
-	if err == nil {
-		e.transferred(len(out), e.elemSize())
-	}
-	return out, err
+	return e.downloaded(e.Storage.GetTransitionMatrix(matrix))
 }
 
 // UpdateTransitionMatrices computes the listed matrices on the device, one
@@ -345,128 +339,30 @@ func (e *Engine[T]) AccumulateScaleFactors(scaleBufs []int, cumBuf int) error {
 	return nil
 }
 
-// siteLikelihoods runs the integration kernel on the device and downloads
-// the per-pattern site likelihoods (into the staging buffer, valid until the
-// next integration) plus the cumulative scale factors.
-func (e *Engine[T]) siteLikelihoods(rootBuf, cumScaleBuf int) (site, scale []float64, err error) {
-	root, err := e.PartialsOperand(rootBuf)
-	if err != nil {
-		return nil, nil, err
-	}
-	if scale, err = e.CumulativeScale(cumScaleBuf); err != nil {
-		return nil, nil, err
-	}
+// integrate is the store's Integrator: one launch per integration, one
+// work-item per pattern. The root is charged as a streaming kernel, the edge
+// as a partials operation, its derivatives at twice those flops. The site
+// likelihoods (not for derivatives) and scale factors are downloaded.
+func (e *Engine[T]) integrate(kind engine.Integration, body func(lo, hi int), scale []float64) error {
 	d := e.Cfg.Dims
-	cost := e.patternCost(float64(d.CategoryCount)*float64(d.PatternCount)*float64(2*d.StateCount+2),
-		float64(d.PartialsLen())*float64(e.elemSize()))
-	site, wts, fr := e.site, e.CatWts, e.Freqs
-	if err := e.perPattern(cost, func(lo, hi int) { kernels.SiteLikelihoods(site, root, wts, fr, d, lo, hi) }); err != nil {
-		return nil, nil, err
-	}
-	e.transferred(len(site), 8)
-	if scale != nil {
+	root, cost := kind == engine.IntegrateRoot, e.opCost()
+	if root {
+		cost = e.patternCost(float64(d.CategoryCount)*float64(d.PatternCount)*float64(2*d.StateCount+2),
+			float64(d.PartialsLen())*float64(e.elemSize()))
+	} else {
 		e.transferred(len(scale), 8)
 	}
-	return site, scale, nil
-}
-
-// CalculateRootLogLikelihoods integrates the root partials into the total
-// log likelihood.
-func (e *Engine[T]) CalculateRootLogLikelihoods(rootBuf, cumScaleBuf int) (float64, error) {
-	start, on := e.Cfg.Trace.Begin()
-	site, scale, err := e.siteLikelihoods(rootBuf, cumScaleBuf)
-	if err != nil {
-		return 0, err
+	if kind == engine.IntegrateEdgeDerivatives {
+		cost.Flops *= 2 // likelihood plus derivative accumulations
 	}
-	lnL := kernels.RootLogLikelihood(site, e.PatWts, scale, 0, len(site))
-	if on {
-		e.Cfg.Trace.End(trace.Span{Kind: trace.KindRoot, Lane: int32(e.Cfg.TraceLane), Arg0: int64(len(site))}, start)
+	if err := e.perPattern(cost, body); err != nil {
+		return err
 	}
-	return lnL, nil
-}
-
-// SiteLogLikelihoods returns per-pattern root log likelihoods.
-func (e *Engine[T]) SiteLogLikelihoods(rootBuf, cumScaleBuf int) ([]float64, error) {
-	site, scale, err := e.siteLikelihoods(rootBuf, cumScaleBuf)
-	if err != nil {
-		return nil, err
+	if kind != engine.IntegrateEdgeDerivatives {
+		e.transferred(d.PatternCount, 8)
 	}
-	out := make([]float64, len(site))
-	for p, s := range site {
-		l := math.Log(s)
-		if scale != nil {
-			l += scale[p]
-		}
-		out[p] = l
-	}
-	return out, nil
-}
-
-// CalculateEdgeDerivatives integrates across one branch on the device,
-// returning the log likelihood and its branch-length derivatives.
-func (e *Engine[T]) CalculateEdgeDerivatives(parentBuf, childBuf, matrix, d1Matrix, d2Matrix, cumScaleBuf int) (float64, float64, float64, error) {
-	m1, err := e.Matrix(d1Matrix)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	var m2 []T
-	if d2Matrix != engine.None {
-		if m2, err = e.Matrix(d2Matrix); err != nil {
-			return 0, 0, 0, err
-		}
-	}
-	parent, child, m, scale, err := e.EdgeOperands(parentBuf, childBuf, matrix, cumScaleBuf)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if scale != nil {
+	if root {
 		e.transferred(len(scale), 8)
 	}
-	d := e.Cfg.Dims
-	siteL := make([]float64, d.PatternCount)
-	siteD1 := make([]float64, d.PatternCount)
-	var siteD2 []float64
-	if m2 != nil {
-		siteD2 = make([]float64, d.PatternCount)
-	}
-	start, on := e.Cfg.Trace.Begin()
-	wts, fr := e.CatWts, e.Freqs
-	cost := e.opCost()
-	cost.Flops *= 2 // likelihood plus derivative accumulations
-	if err := e.perPattern(cost, func(lo, hi int) {
-		kernels.EdgeSiteDerivatives(siteL, siteD1, siteD2, parent, child, m, m1, m2, wts, fr, d, lo, hi)
-	}); err != nil {
-		return 0, 0, 0, err
-	}
-	lnL := kernels.RootLogLikelihood(siteL, e.PatWts, scale, 0, d.PatternCount)
-	d1, d2 := kernels.ReduceEdgeDerivatives(siteL, siteD1, siteD2, e.PatWts, 0, d.PatternCount)
-	if on {
-		e.Cfg.Trace.End(trace.Span{Kind: trace.KindEdge, Lane: int32(e.Cfg.TraceLane), Arg0: int64(d.PatternCount)}, start)
-	}
-	return lnL, d1, d2, nil
-}
-
-// CalculateEdgeLogLikelihoods integrates across one branch on the device.
-func (e *Engine[T]) CalculateEdgeLogLikelihoods(parentBuf, childBuf, matrix, cumScaleBuf int) (float64, error) {
-	parent, child, m, scale, err := e.EdgeOperands(parentBuf, childBuf, matrix, cumScaleBuf)
-	if err != nil {
-		return 0, err
-	}
-	if scale != nil {
-		e.transferred(len(scale), 8)
-	}
-	start, on := e.Cfg.Trace.Begin()
-	d := e.Cfg.Dims
-	site, wts, fr := e.site, e.CatWts, e.Freqs
-	if err := e.perPattern(e.opCost(), func(lo, hi int) {
-		kernels.EdgeSiteLikelihoods(site, parent, child, m, wts, fr, d, lo, hi)
-	}); err != nil {
-		return 0, err
-	}
-	e.transferred(len(site), 8)
-	lnL := kernels.RootLogLikelihood(site, e.PatWts, scale, 0, d.PatternCount)
-	if on {
-		e.Cfg.Trace.End(trace.Span{Kind: trace.KindEdge, Lane: int32(e.Cfg.TraceLane), Arg0: int64(d.PatternCount)}, start)
-	}
-	return lnL, nil
+	return nil
 }

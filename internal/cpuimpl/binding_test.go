@@ -394,27 +394,72 @@ func TestResubmissionDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestRootLikelihoodDoesNotAllocate pins the engine-owned site scratch:
-// integrating the root allocates nothing once warm — inline, and as a slab
-// phase on the pool modes' workers — while SiteLogLikelihoods still hands out
-// a slice the caller owns.
+// TestRootLikelihoodDoesNotAllocate pins the store-owned integration
+// scratch: integrating the root allocates nothing once warm — inline, and as
+// a slab phase on the pool modes' workers — and neither do the edge
+// likelihood and its derivatives, while SiteLogLikelihoods still hands out a
+// slice the caller owns. Each warm result keeps the cold call's bits.
 func TestRootLikelihoodDoesNotAllocate(t *testing.T) {
 	tr, m, rates, ps := telemetryProblem(t)
 	for _, mode := range []Mode{Serial, ThreadPool, ThreadPoolHybrid} {
 		cfg := testConfig(tr, 4, ps.PatternCount(), 4, false)
 		cfg.Threads, cfg.MinPatternsWork = 2, 1 // force threading
+		cfg.MatrixBuffers += 2                  // the edge's derivative matrices
 		e, err := New(cfg, mode)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := driveEngine(t, e, tr, m, rates, ps, true, false)
 		root := tr.FullSchedule().Root
-		var got float64
-		if allocs := testing.AllocsPerRun(50, func() { got, _ = e.CalculateRootLogLikelihoods(root, engine.None) }); allocs != 0 {
-			t.Errorf("%v: CalculateRootLogLikelihoods allocates %.1f times per call, want 0", mode, allocs)
+		child := tr.Root.Left
+		if child.IsTip() {
+			child = tr.Root.Right
 		}
-		if got != want {
-			t.Errorf("%v: lnL %v on the warm scratch, %v cold", mode, got, want)
+		c, d1, d2 := child.Index, tr.NodeCount(), tr.NodeCount()+1
+		if err := e.UpdateTransitionDerivatives(0, []int{d1}, []int{d2}, []float64{child.Length}); err != nil {
+			t.Fatal(err)
+		}
+		integrations := []struct {
+			name string
+			run  func() ([3]float64, error)
+		}{
+			{"CalculateRootLogLikelihoods", func() ([3]float64, error) {
+				lnL, err := e.CalculateRootLogLikelihoods(root, engine.None)
+				return [3]float64{lnL}, err
+			}},
+			{"CalculateEdgeLogLikelihoods", func() ([3]float64, error) {
+				lnL, err := e.CalculateEdgeLogLikelihoods(root, c, c, engine.None)
+				return [3]float64{lnL}, err
+			}},
+			{"CalculateEdgeDerivatives", func() ([3]float64, error) {
+				lnL, g1, g2, err := e.CalculateEdgeDerivatives(root, c, c, d1, d2, engine.None)
+				return [3]float64{lnL, g1, g2}, err
+			}},
+			{"CalculateEdgeDerivatives without d2", func() ([3]float64, error) {
+				lnL, g1, g2, err := e.CalculateEdgeDerivatives(root, c, c, d1, engine.None, engine.None)
+				return [3]float64{lnL, g1, g2}, err
+			}},
+		}
+		for _, in := range integrations {
+			cold, err := in.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var warm [3]float64
+			if allocs := testing.AllocsPerRun(50, func() { warm, err = in.run() }); allocs != 0 {
+				t.Errorf("%v: %s allocates %.1f times per call, want 0", mode, in.name, allocs)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range warm {
+				if math.Float64bits(warm[i]) != math.Float64bits(cold[i]) {
+					t.Errorf("%v: %s result %d is %v on the warm scratch, %v cold", mode, in.name, i, warm[i], cold[i])
+				}
+			}
+		}
+		if got, err := e.CalculateRootLogLikelihoods(root, engine.None); err != nil || got != want {
+			t.Errorf("%v: lnL %v (%v) after the edge integrations, %v before", mode, got, err, want)
 		}
 		a, err := e.SiteLogLikelihoods(root, engine.None)
 		if err != nil {

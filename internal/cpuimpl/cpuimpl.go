@@ -22,8 +22,9 @@
 //   - ThreadCreate: one phase of Threads slabs on fresh goroutines, and one
 //     inline slab below a minimum pattern count (§VI-B);
 //   - ThreadPool: the same slabs on a persistent worker pool, which also
-//     runs the root likelihood integration (§VI-C), the design that won in
-//     Table III;
+//     runs the root's site likelihoods for the store's integration
+//     (engine.Storage) as one more slab phase (§VI-C), the design that won
+//     in Table III;
 //   - ThreadPoolHybrid: slabs on the pool with no whole-problem threshold,
 //     min(Threads, ⌈patterns / HybridMinChunk⌉) of them, so small pattern
 //     counts still use the workers instead of degrading to serial.
@@ -47,7 +48,6 @@ package cpuimpl
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 
@@ -135,17 +135,13 @@ type Engine[T kernels.Real] struct {
 	threads     int
 	minPatterns int
 	pool        *engine.WorkerPool
-	tr          *trace.Tracer
-	lane        int32
-	// site is the per-pattern scratch of the root integration.
-	site []float64
 
 	// The three tasks are bound once, so a phase allocates nothing; they
 	// read the call's state below, set before each phase.
 	slabTask, opTask, siteTask engine.Task
 	batch                      []engine.ResolvedOp[T]  // slabTask: the resolved list
 	level                      []*engine.ResolvedOp[T] // opTask: one dependency level
-	root                       []T                     // siteTask: the root partials
+	site                       func(lo, hi int)        // siteTask: the store's root body
 	batchID                    uint64                  // the batch's id, 0 when not recording
 }
 
@@ -164,8 +160,6 @@ func newEngine[T kernels.Real](cfg engine.Config, mode Mode) *Engine[T] {
 		kern:        kernels.Generic[T](),
 		threads:     threads,
 		minPatterns: minPat,
-		tr:          cfg.Trace,
-		lane:        int32(cfg.TraceLane),
 	}
 	// Serial is the paper's baseline and the reference other engines are
 	// compared against, so it alone keeps the generic kernels.
@@ -176,6 +170,9 @@ func newEngine[T kernels.Real](cfg engine.Config, mode Mode) *Engine[T] {
 		e.pool = engine.NewWorkerPool(threads, mode.String())
 	}
 	e.slabTask, e.opTask, e.siteTask = e.runSlab, e.runOp, e.siteSlab
+	if e.pool != nil {
+		e.SetIntegrator(e.integrate)
+	}
 	return e
 }
 
@@ -219,10 +216,10 @@ func (e *Engine[T]) UpdatePartials(ops []engine.Operation) error {
 	skipped := len(ops) - len(rops)
 	// One gate check: a tracer that is not recording costs one atomic load
 	// and takes no timestamps.
-	start, on := e.tr.Begin()
+	start, on := e.Cfg.Trace.Begin()
 	e.batchID = 0
 	if on {
-		e.batchID = e.tr.NextBatch()
+		e.batchID = e.Cfg.Trace.NextBatch()
 	}
 	e.batch = rops
 	switch {
@@ -238,7 +235,7 @@ func (e *Engine[T]) UpdatePartials(ops []engine.Operation) error {
 		e.levelPhase(0, len(rops), e.slabs(), e.slabTask)
 	}
 	if on {
-		e.tr.End(trace.Span{Kind: trace.KindBatch, Lane: e.lane, Batch: e.batchID,
+		e.Cfg.Trace.End(trace.Span{Kind: trace.KindBatch, Lane: int32(e.Cfg.TraceLane), Batch: e.batchID,
 			Arg0: int64(len(rops)), Arg1: int64(skipped)}, start)
 	}
 	return nil
@@ -271,11 +268,11 @@ func (e *Engine[T]) phase(n int, t engine.Task) {
 func (e *Engine[T]) levelPhase(level, ops, n int, t engine.Task) {
 	var start int64
 	if e.batchID != 0 {
-		start = e.tr.Now()
+		start = e.Cfg.Trace.Now()
 	}
 	e.phase(n, t)
 	if e.batchID != 0 {
-		e.tr.End(trace.Span{Kind: trace.KindLevel, Lane: e.lane, Batch: e.batchID,
+		e.Cfg.Trace.End(trace.Span{Kind: trace.KindLevel, Lane: int32(e.Cfg.TraceLane), Batch: e.batchID,
 			Arg0: trace.LevelArg(level, n), Arg1: int64(ops)}, start)
 	}
 }
@@ -302,16 +299,16 @@ func slab(i, n, p int) (lo, hi int) { return i * p / n, (i + 1) * p / n }
 // a task span on the worker's lane while spans are kept.
 func (e *Engine[T]) runSlab(i, n, worker int) {
 	lo, hi := slab(i, n, e.Cfg.Dims.PatternCount)
-	traced := n > 1 && e.pool != nil && e.batchID != 0 && e.tr.Enabled()
+	traced := n > 1 && e.pool != nil && e.batchID != 0 && e.Cfg.Trace.Enabled()
 	var start int64
 	if traced {
-		start = e.tr.Now()
+		start = e.Cfg.Trace.Now()
 	}
 	for j := range e.batch {
 		e.exec(&e.batch[j], lo, hi)
 	}
 	if traced {
-		e.tr.End(trace.Span{Kind: trace.KindTask, Lane: int32(worker), Batch: e.batchID, Arg0: int64(hi - lo)}, start)
+		e.Cfg.Trace.End(trace.Span{Kind: trace.KindTask, Lane: int32(worker), Batch: e.batchID, Arg0: int64(hi - lo)}, start)
 	}
 }
 
@@ -319,11 +316,22 @@ func (e *Engine[T]) runSlab(i, n, worker int) {
 // over every pattern.
 func (e *Engine[T]) runOp(i, _, _ int) { e.exec(e.level[i], 0, e.Cfg.Dims.PatternCount) }
 
+// integrate is the pool modes' Integrator: the root's site likelihoods are
+// one more slab phase on the workers (§VI-C), the edge integrations run
+// inline. The other modes leave every integration inline in the store.
+func (e *Engine[T]) integrate(kind engine.Integration, body func(lo, hi int), _ []float64) error {
+	if kind == engine.IntegrateRoot {
+		e.site = body
+		e.phase(e.slabs(), e.siteTask)
+	} else {
+		body(0, e.Cfg.Dims.PatternCount)
+	}
+	return nil
+}
+
 // siteSlab is the root task: the site likelihoods of pattern slab i of n.
 func (e *Engine[T]) siteSlab(i, n, _ int) {
-	d := e.Cfg.Dims
-	lo, hi := slab(i, n, d.PatternCount)
-	kernels.SiteLikelihoods(e.site, e.root, e.CatWts, e.Freqs, d, lo, hi)
+	e.site(slab(i, n, e.Cfg.Dims.PatternCount))
 }
 
 // opLevels groups operations into dependency levels so that all operations
@@ -387,121 +395,6 @@ func opLevels[T kernels.Real](ops []engine.ResolvedOp[T]) [][]*engine.ResolvedOp
 		out[l] = append(out[l], op)
 	}
 	return out
-}
-
-// SiteLogLikelihoods returns per-pattern root log likelihoods
-// (log site likelihood plus accumulated scale factors) in a fresh slice.
-func (e *Engine[T]) SiteLogLikelihoods(rootBuf, cumScaleBuf int) ([]float64, error) {
-	site, scale, err := e.siteLikelihoods(rootBuf, cumScaleBuf)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(site))
-	for p, s := range site {
-		l := math.Log(s)
-		if scale != nil {
-			l += scale[p]
-		}
-		out[p] = l
-	}
-	return out, nil
-}
-
-// CalculateRootLogLikelihoods integrates the root partials into the total
-// log likelihood. In the pool-backed modes (ThreadPool, ThreadPoolHybrid)
-// the per-pattern site likelihoods are one more slab phase on the worker
-// pool, as §VI-C describes.
-func (e *Engine[T]) CalculateRootLogLikelihoods(rootBuf, cumScaleBuf int) (float64, error) {
-	start, on := e.tr.Begin()
-	site, scale, err := e.siteLikelihoods(rootBuf, cumScaleBuf)
-	if err != nil {
-		return 0, err
-	}
-	lnL := kernels.RootLogLikelihood(site, e.PatWts, scale, 0, len(site))
-	if on {
-		e.tr.End(trace.Span{Kind: trace.KindRoot, Lane: e.lane, Arg0: int64(len(site))}, start)
-	}
-	return lnL, nil
-}
-
-// siteLikelihoods computes the per-pattern root likelihoods into the
-// engine-owned scratch, valid until the next call, and returns them with the
-// cumulative scale buffer (nil for None).
-func (e *Engine[T]) siteLikelihoods(rootBuf, cumScaleBuf int) ([]float64, []float64, error) {
-	root, err := e.PartialsOperand(rootBuf)
-	if err != nil {
-		return nil, nil, err
-	}
-	scale, err := e.CumulativeScale(cumScaleBuf)
-	if err != nil {
-		return nil, nil, err
-	}
-	p := e.Cfg.Dims.PatternCount
-	if cap(e.site) < p {
-		e.site = make([]float64, p)
-	}
-	e.site, e.root = e.site[:p], root
-	n := 1
-	if e.pool != nil {
-		n = e.slabs()
-	}
-	e.phase(n, e.siteTask)
-	return e.site, scale, nil
-}
-
-// CalculateEdgeLogLikelihoods integrates across a single branch between the
-// parent-side and child-side partials buffers.
-func (e *Engine[T]) CalculateEdgeLogLikelihoods(parentBuf, childBuf, matrix, cumScaleBuf int) (float64, error) {
-	parent, child, m, scale, err := e.EdgeOperands(parentBuf, childBuf, matrix, cumScaleBuf)
-	if err != nil {
-		return 0, err
-	}
-	start, on := e.tr.Begin()
-	d := e.Cfg.Dims
-	site := make([]float64, d.PatternCount)
-	kernels.EdgeSiteLikelihoods(site, parent, child, m, e.CatWts, e.Freqs, d, 0, d.PatternCount)
-	lnL := kernels.RootLogLikelihood(site, e.PatWts, scale, 0, d.PatternCount)
-	if on {
-		e.tr.End(trace.Span{Kind: trace.KindEdge, Lane: e.lane, Arg0: int64(d.PatternCount)}, start)
-	}
-	return lnL, nil
-}
-
-// CalculateEdgeDerivatives integrates across a single branch and returns
-// the log likelihood and its first and second derivatives with respect to
-// the branch length. matrix, d1Matrix (and d2Matrix unless None) must have
-// been computed by UpdateTransitionMatrices / UpdateTransitionDerivatives.
-func (e *Engine[T]) CalculateEdgeDerivatives(parentBuf, childBuf, matrix, d1Matrix, d2Matrix, cumScaleBuf int) (float64, float64, float64, error) {
-	parent, child, m, scale, err := e.EdgeOperands(parentBuf, childBuf, matrix, cumScaleBuf)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	m1, err := e.Matrix(d1Matrix)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	var m2 []T
-	if d2Matrix != engine.None {
-		if m2, err = e.Matrix(d2Matrix); err != nil {
-			return 0, 0, 0, err
-		}
-	}
-	start, on := e.tr.Begin()
-	d := e.Cfg.Dims
-	siteL := make([]float64, d.PatternCount)
-	siteD1 := make([]float64, d.PatternCount)
-	var siteD2 []float64
-	if m2 != nil {
-		siteD2 = make([]float64, d.PatternCount)
-	}
-	kernels.EdgeSiteDerivatives(siteL, siteD1, siteD2, parent, child, m, m1, m2,
-		e.CatWts, e.Freqs, d, 0, d.PatternCount)
-	lnL := kernels.RootLogLikelihood(siteL, e.PatWts, scale, 0, d.PatternCount)
-	d1, d2 := kernels.ReduceEdgeDerivatives(siteL, siteD1, siteD2, e.PatWts, 0, d.PatternCount)
-	if on {
-		e.tr.End(trace.Span{Kind: trace.KindEdge, Lane: e.lane, Arg0: int64(d.PatternCount)}, start)
-	}
-	return lnL, d1, d2, nil
 }
 
 // Modes returns all CPU modes in presentation order.

@@ -9,12 +9,13 @@
 // Storage is the only buffer store and the only place a batch is planned:
 // both backends embed it and inherit its setters, getters, index and
 // occupancy checks, pattern migration, use-after-Close refusal (ErrClosed),
-// the single validate-and-resolve pass over an operation list (Resolve) and
-// the single reuse filter (DropUnchanged). A backend adds how resolved
-// operations execute — kernel family and threading in cpuimpl; kernel
-// launches, device-memory reservation and transfer charges in accelimpl — and
-// the store knows nothing of either. The one seam is UpdateMatricesWith,
-// because an accelerator computes a transition matrix in a device kernel.
+// the single validate-and-resolve pass over an operation list (Resolve), the
+// single reuse filter (DropUnchanged) and the likelihood integrations. A
+// backend adds how resolved operations execute — kernel family and threading
+// in cpuimpl; kernel launches, device-memory reservation and transfer charges
+// in accelimpl — and the store knows nothing of either. The seams are
+// UpdateMatricesWith, as an accelerator computes a matrix in a device kernel,
+// and the Integrator that runs an integration's per-pattern body.
 // Resolve and DropUnchanged are separate calls so that a backend with its own
 // reason to refuse a batch (accelimpl: the destinations Resolve allocated do
 // not fit in device memory) can do so after validation and before the reuse

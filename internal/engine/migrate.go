@@ -112,6 +112,7 @@ func (s *Storage[T]) DetachPatterns(fromHigh bool, n int) (*PatternBlock, error)
 	}
 	s.PatWts = append([]float64(nil), s.PatWts[keepLo:keepHi]...)
 	s.Cfg.Dims.PatternCount = p - n
+	s.Site = make([]float64, p-n)
 	return blk, nil
 }
 
@@ -171,7 +172,7 @@ func (s *Storage[T]) AttachPatterns(atHigh bool, blk *PatternBlock) error {
 		if st == nil {
 			continue
 		}
-		s.TipStates[t] = spliceInt32(st, blk.TipStates[t], atHigh)
+		s.TipStates[t] = splice(st, blk.TipStates[t], atHigh)
 	}
 	for b, part := range s.Partials {
 		if part == nil {
@@ -200,25 +201,18 @@ func (s *Storage[T]) AttachPatterns(atHigh bool, blk *PatternBlock) error {
 		if sc == nil {
 			continue
 		}
-		s.Scale[b] = spliceFloat64(sc, blk.Scale[b], atHigh)
+		s.Scale[b] = splice(sc, blk.Scale[b], atHigh)
 	}
-	s.PatWts = spliceFloat64(s.PatWts, blk.Weights, atHigh)
+	s.PatWts = splice(s.PatWts, blk.Weights, atHigh)
 	s.Cfg.Dims.PatternCount = p + n
+	s.Site = make([]float64, p+n)
 	return nil
 }
 
-func spliceInt32(old, add []int32, atHigh bool) []int32 {
-	out := make([]int32, 0, len(old)+len(add))
-	if atHigh {
-		return append(append(out, old...), add...)
+// splice returns add joined to the high (atHigh) or low end of old, fresh.
+func splice[E any](old, add []E, atHigh bool) []E {
+	if !atHigh {
+		old, add = add, old
 	}
-	return append(append(out, add...), old...)
-}
-
-func spliceFloat64(old, add []float64, atHigh bool) []float64 {
-	out := make([]float64, 0, len(old)+len(add))
-	if atHigh {
-		return append(append(out, old...), add...)
-	}
-	return append(append(out, add...), old...)
+	return append(append(make([]E, 0, len(old)+len(add)), old...), add...)
 }

@@ -77,7 +77,7 @@ func (s *Storage[T]) Resolve(ops []Operation) ([]ResolvedOp[T], error) {
 			// The read buffer must exist before the batch: either written by
 			// an earlier batch, or allocated above by this or an earlier
 			// listed operation's DestScaleWrite.
-			if r.ReadScale, err = s.CumulativeScale(op.DestScaleRead); err != nil {
+			if r.ReadScale, err = s.cumulativeScale(op.DestScaleRead); err != nil {
 				return nil, err
 			}
 		}

@@ -36,7 +36,12 @@ type Storage[T kernels.Real] struct {
 	// it (all tracker methods are no-ops on nil), and DropUnchanged consults
 	// it to skip unchanged work.
 	Reuse *reuse.Tracker
+	// Site is the per-pattern scratch every likelihood integration writes
+	// (integrate.go), sized to the pattern count and valid until the next
+	// integration.
+	Site []float64
 
+	in     integration[T]
 	closed bool
 	// resolved holds the current batch's resolved operations between
 	// batches, so resubmitting a schedule (including the reuse filter's skip
@@ -58,7 +63,9 @@ func NewStorage[T kernels.Real](cfg Config) *Storage[T] {
 		Freqs:     make([]float64, cfg.Dims.StateCount),
 		PatWts:    make([]float64, cfg.Dims.PatternCount),
 		Scale:     make([][]float64, cfg.ScaleBuffers),
+		Site:      make([]float64, cfg.Dims.PatternCount),
 	}
+	s.bindIntegration()
 	// Sensible defaults: unit rates, uniform weights and frequencies,
 	// weight-1 patterns.
 	for i := range s.CatRates {
@@ -109,20 +116,12 @@ func (s *Storage[T]) checkScaleIndex(b int) error {
 	return s.index("scale buffer", b, len(s.Scale))
 }
 
-// toPrecision converts values arriving over the float64 API to the engine
-// precision; toFloat64 is the way back.
-func toPrecision[T kernels.Real](values []float64) []T {
-	out := make([]T, len(values))
+// convert converts values arriving over the float64 API to the engine
+// precision, or back.
+func convert[To, From kernels.Real](values []From) []To {
+	out := make([]To, len(values))
 	for i, v := range values {
-		out[i] = T(v)
-	}
-	return out
-}
-
-func toFloat64[T kernels.Real](values []T) []float64 {
-	out := make([]float64, len(values))
-	for i, v := range values {
-		out[i] = float64(v)
+		out[i] = To(v)
 	}
 	return out
 }
@@ -182,7 +181,7 @@ func (s *Storage[T]) SetPartials(buf int, partials []float64) error {
 	if len(partials) != s.Cfg.Dims.PartialsLen() {
 		return fmt.Errorf("engine: partials length %d, want %d", len(partials), s.Cfg.Dims.PartialsLen())
 	}
-	s.Partials[buf] = toPrecision[T](partials)
+	s.Partials[buf] = convert[T](partials)
 	if buf < s.Cfg.TipCount {
 		s.TipStates[buf] = nil
 	}
@@ -198,7 +197,7 @@ func (s *Storage[T]) GetPartials(buf int) ([]float64, error) {
 	if s.Partials[buf] == nil {
 		return nil, fmt.Errorf("engine: partials buffer %d has not been computed or set", buf)
 	}
-	return toFloat64(s.Partials[buf]), nil
+	return convert[float64](s.Partials[buf]), nil
 }
 
 // SetEigenDecomposition stores a decomposition in an eigen slot.
@@ -262,7 +261,7 @@ func (s *Storage[T]) SetTransitionMatrix(matrix int, values []float64) error {
 	if len(values) != s.Cfg.Dims.MatrixLen() {
 		return fmt.Errorf("engine: matrix length %d, want %d", len(values), s.Cfg.Dims.MatrixLen())
 	}
-	s.Matrices[matrix] = toPrecision[T](values)
+	s.Matrices[matrix] = convert[T](values)
 	s.Reuse.InvalidateMatrix(matrix)
 	return nil
 }
@@ -273,7 +272,7 @@ func (s *Storage[T]) GetTransitionMatrix(matrix int) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return toFloat64(m), nil
+	return convert[float64](m), nil
 }
 
 // Matrix returns a matrix buffer something is about to read; it must have
@@ -462,9 +461,9 @@ func (s *Storage[T]) writtenScale(scaleBuf int) ([]float64, error) {
 	return s.Scale[scaleBuf], nil
 }
 
-// CumulativeScale returns the scale buffer for likelihood integration, or
+// cumulativeScale returns the scale buffer for likelihood integration, or
 // nil when cumScaleBuf is None.
-func (s *Storage[T]) CumulativeScale(cumScaleBuf int) ([]float64, error) {
+func (s *Storage[T]) cumulativeScale(cumScaleBuf int) ([]float64, error) {
 	if cumScaleBuf == None {
 		return nil, nil
 	}
@@ -494,38 +493,6 @@ func (s *Storage[T]) ChildOperand(buf int) (OperandKind, []int32, []T, error) {
 		return 0, nil, nil, fmt.Errorf("engine: operand buffer %d holds no data", buf)
 	}
 	return OperandPartials, nil, s.Partials[buf], nil
-}
-
-// PartialsOperand returns a buffer the root, edge and derivative
-// integrations read: it must hold partials, not compact tip states.
-func (s *Storage[T]) PartialsOperand(buf int) ([]T, error) {
-	kind, _, partials, err := s.ChildOperand(buf)
-	if err != nil {
-		return nil, err
-	}
-	if kind != OperandPartials {
-		return nil, fmt.Errorf("engine: buffer %d holds compact tip states, the integration needs partials (use SetTipPartials for tips)", buf)
-	}
-	return partials, nil
-}
-
-// EdgeOperands returns what an integration across one branch reads: the
-// partials on either side, the branch's matrix and the cumulative scale
-// buffer (nil for None).
-func (s *Storage[T]) EdgeOperands(parentBuf, childBuf, matrix, cumScaleBuf int) (parent, child, m []T, scale []float64, err error) {
-	if parent, err = s.PartialsOperand(parentBuf); err != nil {
-		return nil, nil, nil, nil, err
-	}
-	if child, err = s.PartialsOperand(childBuf); err != nil {
-		return nil, nil, nil, nil, err
-	}
-	if m, err = s.Matrix(matrix); err != nil {
-		return nil, nil, nil, nil, err
-	}
-	if scale, err = s.CumulativeScale(cumScaleBuf); err != nil {
-		return nil, nil, nil, nil, err
-	}
-	return parent, child, m, scale, nil
 }
 
 // DestPartials returns (allocating if needed) a destination partials buffer.

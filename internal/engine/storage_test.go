@@ -179,15 +179,15 @@ func TestStorageScaleBuffers(t *testing.T) {
 	if s.Scale[2][2] != 7 {
 		t.Fatalf("accumulated %v", s.Scale[2])
 	}
-	// CumulativeScale: None means nil, unwritten errors.
-	if sc, err := s.CumulativeScale(None); err != nil || sc != nil {
+	// cumulativeScale: None means nil, unwritten errors.
+	if sc, err := s.cumulativeScale(None); err != nil || sc != nil {
 		t.Fatal("None must resolve to nil scale")
 	}
-	if _, err := s.CumulativeScale(2); err != nil {
+	if _, err := s.cumulativeScale(2); err != nil {
 		t.Fatal(err)
 	}
 	s2 := NewStorage[float64](validConfig())
-	if _, err := s2.CumulativeScale(0); err == nil {
+	if _, err := s2.cumulativeScale(0); err == nil {
 		t.Fatal("unwritten scale buffer must error")
 	}
 	if err := s.AccumulateScaleFactors([]int{9}, 0); err == nil {

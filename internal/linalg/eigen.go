@@ -166,24 +166,6 @@ func ReversibleEigen(q *Matrix, pi []float64) (*EigenDecomposition, error) {
 	}, nil
 }
 
-// GeneralEigen decomposes a general (possibly non-reversible) rate matrix by
-// falling back to a reversible decomposition when Q is detectably reversible
-// under pi, and otherwise returns an error. BEAGLE itself accepts arbitrary
-// precomputed decompositions through its API; this helper covers the standard
-// reversible model family used throughout the paper.
-func GeneralEigen(q *Matrix, pi []float64) (*EigenDecomposition, error) {
-	n := q.Rows
-	const tol = 1e-9
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if math.Abs(pi[i]*q.Data[i*n+j]-pi[j]*q.Data[j*n+i]) > tol {
-				return nil, errors.New("linalg: rate matrix is not time-reversible; supply an explicit decomposition")
-			}
-		}
-	}
-	return ReversibleEigen(q, pi)
-}
-
 // TransitionMatrix fills p (length StateCount²) with P(t) = V·exp(Λt)·V⁻¹,
 // returning an error when the buffer length does not match. Small negative
 // entries from round-off are clamped to zero.

@@ -216,26 +216,6 @@ func TestTransitionMatrixSemigroupProperty(t *testing.T) {
 	}
 }
 
-func TestGeneralEigenRejectsNonReversible(t *testing.T) {
-	q := NewMatrixFrom(3, 3, []float64{
-		-1, 1, 0,
-		0, -1, 1,
-		1, 0, -1,
-	})
-	pi := []float64{1.0 / 3, 1.0 / 3, 1.0 / 3}
-	if _, err := GeneralEigen(q, pi); err == nil {
-		t.Fatal("expected error for non-reversible matrix")
-	}
-}
-
-func TestGeneralEigenAcceptsReversible(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	q, pi := randomReversibleQ(rng, 4)
-	if _, err := GeneralEigen(q, pi); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestReversibleEigenErrors(t *testing.T) {
 	q := NewMatrix(3, 4)
 	if _, err := ReversibleEigen(q, []float64{0.5, 0.5, 0}); err == nil {

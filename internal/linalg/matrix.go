@@ -1,8 +1,8 @@
 // Package linalg provides the small dense linear-algebra routines that
-// statistical phylogenetics needs: matrix products, LU factorization, and a
-// Jacobi eigensolver used to decompose reversible substitution rate matrices
-// so that transition probability matrices P(t) = U·exp(Λt)·U⁻¹ can be formed
-// for arbitrary branch lengths.
+// statistical phylogenetics needs: matrix products and a Jacobi eigensolver
+// used to decompose reversible substitution rate matrices so that transition
+// probability matrices P(t) = U·exp(Λt)·U⁻¹ can be formed for arbitrary
+// branch lengths.
 //
 // All matrices are dense, row-major, and sized at most a few hundred rows
 // (4 for nucleotide models, 20 for amino-acid models, 61 for codon models),

@@ -32,13 +32,14 @@ import (
 // which also moves patterns across node boundaries. The global target is
 // adopted only when it beats the intra-node one AND its predicted per-batch
 // saving amortizes the estimated cross-node transfer time within
-// CrossNodeHorizon batches — transfer time charged from the remote
+// crossNodeHorizon batches — transfer time charged from the remote
 // backends' measured link bandwidth (LinkReporter). Otherwise the decision
 // falls back to the intra-node target, so local devices keep rebalancing
 // freely while patterns cross the network only when the imbalance is
 // persistent enough to pay for the trip.
 
-// Defaults for Options fields left zero.
+// Defaults for Options fields left zero, and the rebalancer's fixed
+// parameters.
 const (
 	// DefaultInterval is the number of UpdatePartials batches between
 	// rebalance checks.
@@ -47,11 +48,11 @@ const (
 	// must clear before any patterns move (hysteresis: small drifts are
 	// never worth the migration traffic).
 	DefaultThreshold = 1.05
-	// DefaultAlpha is the EWMA smoothing factor for throughput estimates.
-	DefaultAlpha = 0.3
-	// DefaultCrossNodeHorizon is the number of future batches over which a
+	// ewmaAlpha is the EWMA smoothing factor for throughput estimates.
+	ewmaAlpha = 0.3
+	// crossNodeHorizon is the number of future batches over which a
 	// cross-node migration's transfer cost must amortize.
-	DefaultCrossNodeHorizon = 50
+	crossNodeHorizon = 50
 
 	// maxEvents bounds the retained rebalance event history.
 	maxEvents = 32
@@ -82,17 +83,11 @@ type Options struct {
 	// Threshold is the predicted speedup required before repartitioning
 	// (default DefaultThreshold).
 	Threshold float64
-	// Alpha is the EWMA smoothing factor in (0, 1] (default DefaultAlpha).
-	Alpha float64
 	// Nodes assigns each backend to a node (machine). Backends of one node
 	// must be contiguous and ids non-decreasing, matching the contiguous
 	// pattern partition. Nil means all backends share one node, which makes
 	// the hierarchical rebalancer behave exactly like the flat one.
 	Nodes []int
-	// CrossNodeHorizon is the number of future batches over which a
-	// cross-node migration must pay for its transfer time (default
-	// DefaultCrossNodeHorizon).
-	CrossNodeHorizon int
 }
 
 // validateNodes checks a Nodes assignment against the backend count.
@@ -162,9 +157,7 @@ type RebalanceStats struct {
 type rebalancer struct {
 	interval  int
 	threshold float64
-	alpha     float64
 	nodes     []int // node id per backend; uniform when hierarchy is off
-	horizon   int   // batches a cross-node move must amortize over
 
 	batch      int
 	lastOps    int       // operations in the most recent batch (cost model)
@@ -180,8 +173,6 @@ func newRebalancer(n int, opts Options) *rebalancer {
 	r := &rebalancer{
 		interval:  opts.Interval,
 		threshold: opts.Threshold,
-		alpha:     opts.Alpha,
-		horizon:   opts.CrossNodeHorizon,
 		ewma:      make([]float64, n),
 		seeded:    make([]bool, n),
 	}
@@ -190,12 +181,6 @@ func newRebalancer(n int, opts Options) *rebalancer {
 	}
 	if r.threshold <= 1 {
 		r.threshold = DefaultThreshold
-	}
-	if r.alpha <= 0 || r.alpha > 1 {
-		r.alpha = DefaultAlpha
-	}
-	if r.horizon <= 0 {
-		r.horizon = DefaultCrossNodeHorizon
 	}
 	r.nodes = make([]int, n)
 	if opts.Nodes != nil {
@@ -237,7 +222,7 @@ func (r *rebalancer) Observe(i, patternOps int, seconds float64) {
 		r.seeded[i] = true
 		return
 	}
-	r.ewma[i] += r.alpha * (rate - r.ewma[i])
+	r.ewma[i] += ewmaAlpha * (rate - r.ewma[i])
 }
 
 // due reports whether a rebalance check should run after the current batch,
@@ -255,40 +240,33 @@ func (r *rebalancer) due() bool {
 	return true
 }
 
-// predictSpeedup models batch wall time as the slowest backend's span/rate
-// and returns oldTime/newTime for a move from the current to the target
-// boundaries.
-func (r *rebalancer) predictSpeedup(lo, hi, newLo, newHi []int) float64 {
-	var cur, next float64
+// batchTime models batch wall time for the span [lo, hi) per backend: the
+// slowest backend's span/rate, seconds per single operation sweep.
+func (r *rebalancer) batchTime(lo, hi []int) float64 {
+	var slowest float64
 	for i := range r.ewma {
-		if t := float64(hi[i]-lo[i]) / r.ewma[i]; t > cur {
-			cur = t
-		}
-		if t := float64(newHi[i]-newLo[i]) / r.ewma[i]; t > next {
-			next = t
+		if t := float64(hi[i]-lo[i]) / r.ewma[i]; t > slowest {
+			slowest = t
 		}
 	}
+	return slowest
+}
+
+// predictSpeedup returns oldTime/newTime for a move from the current to the
+// target boundaries.
+func (r *rebalancer) predictSpeedup(lo, hi, newLo, newHi []int) float64 {
+	next := r.batchTime(newLo, newHi)
 	if next <= 0 {
 		return 1
 	}
-	return cur / next
+	return r.batchTime(lo, hi) / next
 }
 
 // savedSecondsPerBatch converts the modeled wall-time improvement of a move
 // into seconds per batch, using the most recent batch's operation count:
-// span/rate is seconds per single operation sweep, so batch time is that
-// times the operations in the batch.
+// batch time is the sweep time times the operations in the batch.
 func (r *rebalancer) savedSecondsPerBatch(lo, hi, newLo, newHi []int) float64 {
-	var cur, next float64
-	for i := range r.ewma {
-		if t := float64(hi[i]-lo[i]) / r.ewma[i]; t > cur {
-			cur = t
-		}
-		if t := float64(newHi[i]-newLo[i]) / r.ewma[i]; t > next {
-			next = t
-		}
-	}
-	saved := (cur - next) * float64(r.lastOps)
+	saved := (r.batchTime(lo, hi) - r.batchTime(newLo, newHi)) * float64(r.lastOps)
 	if saved < 0 {
 		return 0
 	}
@@ -392,7 +370,7 @@ func (e *Engine) maybeRebalance() error {
 			c := e.migrationCostSeconds(gHi)
 			saved := r.savedSecondsPerBatch(e.lo, e.hi, gLo, gHi) -
 				r.savedSecondsPerBatch(e.lo, e.hi, newLo, newHi)
-			if saved*float64(r.horizon) > c {
+			if saved*crossNodeHorizon > c {
 				newLo, newHi, speedup = gLo, gHi, gSpeed
 				cross, cost = true, c
 			}

@@ -15,19 +15,26 @@ import (
 	"gobeagle/internal/trace"
 )
 
+// Fixed client parameters.
+const (
+	// callTimeout is the per-call deadline covering write, worker execution
+	// and response read.
+	callTimeout = 60 * time.Second
+	// maxRetries bounds retry attempts for idempotent reads after a
+	// transport failure; each attempt re-dials and resumes the worker-side
+	// session. Mutating calls are never retried (see package doc).
+	maxRetries = 3
+	// journalLimit caps the number of journaled mutating calls; past it the
+	// journal is dropped and failover disabled (the client cannot replay).
+	journalLimit = 1 << 16
+)
+
 // Options configures a remote engine client.
 type Options struct {
 	// Addr is the worker's TCP address. Required.
 	Addr string
 	// DialTimeout bounds connection establishment. Default 5 s.
 	DialTimeout time.Duration
-	// CallTimeout is the per-call deadline covering write, worker execution
-	// and response read. Default 60 s.
-	CallTimeout time.Duration
-	// MaxRetries bounds retry attempts for idempotent reads after a
-	// transport failure; each attempt re-dials and resumes the worker-side
-	// session. Mutating calls are never retried (see package doc). Default 3.
-	MaxRetries int
 	// RetryBackoff is the initial retry delay, doubled per attempt.
 	// Default 50 ms.
 	RetryBackoff time.Duration
@@ -40,10 +47,6 @@ type Options struct {
 	// calls there, bit-identically. Without a fallback, an unrecoverable
 	// failure surfaces as an error.
 	Fallback func(engine.Config) (engine.Engine, error)
-	// JournalLimit caps the number of journaled mutating calls; past it the
-	// journal is dropped and failover disabled (the client cannot replay).
-	// Default 65536.
-	JournalLimit int
 	// Logf, when non-nil, receives retry/redial/failover lifecycle messages.
 	Logf func(format string, args ...any)
 }
@@ -117,20 +120,11 @@ func New(cfg engine.Config, opts Options) (*Engine, error) {
 	if opts.DialTimeout <= 0 {
 		opts.DialTimeout = 5 * time.Second
 	}
-	if opts.CallTimeout <= 0 {
-		opts.CallTimeout = 60 * time.Second
-	}
-	if opts.MaxRetries <= 0 {
-		opts.MaxRetries = 3
-	}
 	if opts.RetryBackoff <= 0 {
 		opts.RetryBackoff = 50 * time.Millisecond
 	}
 	if opts.HealthInterval == 0 {
 		opts.HealthInterval = 5 * time.Second
-	}
-	if opts.JournalLimit <= 0 {
-		opts.JournalLimit = 1 << 16
 	}
 	session, err := randomHex(16)
 	if err != nil {
@@ -230,7 +224,7 @@ func (e *Engine) dial(resume bool) (net.Conn, *HelloInfo, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	conn.SetDeadline(time.Now().Add(e.opts.CallTimeout))
+	conn.SetDeadline(time.Now().Add(callTimeout))
 	if _, err := writeMsg(conn, &request{Op: opHello, Session: e.session, Resume: resume}); err != nil {
 		conn.Close()
 		return nil, nil, err
@@ -280,7 +274,7 @@ func (e *Engine) exchangeLocked(req *request) (*response, error) {
 		req.Traced = true
 		req.TraceReq = e.tr.CurrentRequest()
 	}
-	e.conn.SetDeadline(start.Add(e.opts.CallTimeout))
+	e.conn.SetDeadline(start.Add(callTimeout))
 	sent, err := writeMsg(e.conn, req)
 	e.bytesSent.Add(int64(sent))
 	if err != nil {
@@ -367,11 +361,11 @@ func (e *Engine) journalLocked(req *request, resp *response) {
 		return
 	}
 	e.journal = append(e.journal, cloneRequest(req))
-	if len(e.journal) > e.opts.JournalLimit {
+	if len(e.journal) > journalLimit {
 		e.journal = nil
 		e.overflow = true
 		e.logf("remoteimpl: journal exceeded %d entries; failover disabled for %s",
-			e.opts.JournalLimit, e.opts.Addr)
+			journalLimit, e.opts.Addr)
 	}
 }
 
@@ -448,7 +442,7 @@ func (e *Engine) doLocked(req *request) (*response, error) {
 	// Idempotent read: bounded retries with exponential backoff, re-dialing
 	// and resuming the session each attempt.
 	backoff := e.opts.RetryBackoff
-	for attempt := 0; attempt < e.opts.MaxRetries; attempt++ {
+	for attempt := 0; attempt < maxRetries; attempt++ {
 		e.retries.Add(1)
 		time.Sleep(backoff)
 		backoff *= 2

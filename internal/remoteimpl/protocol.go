@@ -14,7 +14,7 @@
 //
 // Robustness is part of the contract, not an afterthought:
 //
-//   - every call carries a deadline (Options.CallTimeout);
+//   - every call carries a deadline (callTimeout);
 //   - idempotent reads retry with bounded exponential backoff, re-dialing
 //     and resuming the worker-side session when the connection dropped;
 //   - mutating calls never retry against the same worker (the worker may
