@@ -141,7 +141,7 @@ type Engine[T kernels.Real] struct {
 	slabTask, opTask, siteTask engine.Task
 	batch                      []engine.ResolvedOp[T]  // slabTask: the resolved list
 	level                      []*engine.ResolvedOp[T] // opTask: one dependency level
-	site                       func(lo, hi int)        // siteTask: the store's root body
+	rootBody                   func(lo, hi int)        // siteTask: the store's root body
 	batchID                    uint64                  // the batch's id, 0 when not recording
 }
 
@@ -321,7 +321,7 @@ func (e *Engine[T]) runOp(i, _, _ int) { e.exec(e.level[i], 0, e.Cfg.Dims.Patter
 // inline. The other modes leave every integration inline in the store.
 func (e *Engine[T]) integrate(kind engine.Integration, body func(lo, hi int), _ []float64) error {
 	if kind == engine.IntegrateRoot {
-		e.site = body
+		e.rootBody = body
 		e.phase(e.slabs(), e.siteTask)
 	} else {
 		body(0, e.Cfg.Dims.PatternCount)
@@ -331,7 +331,7 @@ func (e *Engine[T]) integrate(kind engine.Integration, body func(lo, hi int), _ 
 
 // siteSlab is the root task: the site likelihoods of pattern slab i of n.
 func (e *Engine[T]) siteSlab(i, n, _ int) {
-	e.site(slab(i, n, e.Cfg.Dims.PatternCount))
+	e.rootBody(slab(i, n, e.Cfg.Dims.PatternCount))
 }
 
 // opLevels groups operations into dependency levels so that all operations
