@@ -9,24 +9,25 @@ package gobeagle_test
 //
 //	go test -bench=. -benchmem
 import (
+	"math/rand"
+	"strconv"
 	"testing"
 
 	"gobeagle"
-
 	"gobeagle/internal/benchmarks"
 	"gobeagle/internal/mcmc"
 	"gobeagle/internal/seqgen"
 	"gobeagle/internal/substmodel"
 	"gobeagle/internal/tree"
-	"math/rand"
 )
 
 // benchEval measures repeated full evaluations of the partial-likelihoods
-// operations through the public API.
-func benchEval(b *testing.B, p *benchmarks.Problem, resourceID int, flags gobeagle.Flags, workGroup int) {
+// operations through the public API, on threads CPU threads or device
+// compute units (0 = all) with an accelerator work-group size (0 = default).
+func benchEval(b *testing.B, p *benchmarks.Problem, resourceID int, flags gobeagle.Flags, threads, workGroup int) {
 	b.Helper()
 	cfg := p.InstanceConfig(resourceID, flags)
-	cfg.WorkGroupSize = workGroup
+	cfg.Threads, cfg.WorkGroupSize = threads, workGroup
 	inst, err := gobeagle.NewInstance(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -77,7 +78,7 @@ func BenchmarkTable3(b *testing.B) {
 		{"hybrid", gobeagle.FlagThreadingThreadPoolHybrid},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			benchEval(b, p, 0, c.flags|gobeagle.FlagPrecisionSingle, 0)
+			benchEval(b, p, 0, c.flags|gobeagle.FlagPrecisionSingle, 0, 0)
 		})
 	}
 }
@@ -100,7 +101,7 @@ func BenchmarkTable3Hybrid(b *testing.B) {
 			{"hybrid", gobeagle.FlagThreadingThreadPoolHybrid},
 		} {
 			b.Run(benchName(c.name+"-p", patterns), func(b *testing.B) {
-				benchEval(b, p, 0, c.flags|gobeagle.FlagPrecisionSingle, 0)
+				benchEval(b, p, 0, c.flags|gobeagle.FlagPrecisionSingle, 0, 0)
 			})
 		}
 	}
@@ -128,7 +129,7 @@ func BenchmarkTable4(b *testing.B) {
 		{"single-nofma", gobeagle.FlagPrecisionSingle | gobeagle.FlagDisableFMA},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			benchEval(b, p, rsc.ID, c.flags, 0)
+			benchEval(b, p, rsc.ID, c.flags, 0, 0)
 		})
 	}
 }
@@ -145,31 +146,17 @@ func BenchmarkTable5(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("gpu-style-wg64", func(b *testing.B) {
-		benchEval(b, p, rsc.ID, gobeagle.FlagPrecisionSingle|gobeagle.FlagKernelGPU, 64)
+		benchEval(b, p, rsc.ID, gobeagle.FlagPrecisionSingle|gobeagle.FlagKernelGPU, 0, 64)
 	})
 	for _, wg := range []int{64, 128, 256, 512, 1024} {
 		b.Run(benchName("x86-wg", wg), func(b *testing.B) {
-			benchEval(b, p, rsc.ID, gobeagle.FlagPrecisionSingle, wg)
+			benchEval(b, p, rsc.ID, gobeagle.FlagPrecisionSingle, 0, wg)
 		})
 	}
 }
 
 func benchName(prefix string, n int) string {
-	return prefix + "-" + itoa(n)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
+	return prefix + "-" + strconv.Itoa(n)
 }
 
 // BenchmarkFig4 measures the kernel-throughput sweep of Fig. 4 at three
@@ -198,7 +185,7 @@ func BenchmarkFig4(b *testing.B) {
 				{"opencl-r9nano", "Radeon R9 Nano", "OpenCL", gobeagle.FlagPrecisionSingle},
 				{"opencl-x86", "Xeon E5-2680v4 x2", "OpenCL", gobeagle.FlagPrecisionSingle},
 				{"cpu-threadpool", "", "", gobeagle.FlagPrecisionSingle | gobeagle.FlagThreadingThreadPool},
-				{"cpu-serial", "", "", gobeagle.FlagPrecisionSingle},
+				{"cpu-serial", "", "", gobeagle.FlagPrecisionSingle | gobeagle.FlagVectorNone},
 			} {
 				id := 0
 				if impl.resource != "" {
@@ -209,7 +196,7 @@ func BenchmarkFig4(b *testing.B) {
 					id = rsc.ID
 				}
 				b.Run(family.name+"/"+benchName(impl.name, pat), func(b *testing.B) {
-					benchEval(b, p, id, impl.flags, 0)
+					benchEval(b, p, id, impl.flags, 0, 0)
 				})
 			}
 		}
@@ -230,50 +217,10 @@ func BenchmarkFig5(b *testing.B) {
 	}
 	for _, threads := range []int{1, 2, 4} {
 		b.Run(benchName("threadpool-t", threads), func(b *testing.B) {
-			cfg := p.InstanceConfig(0, gobeagle.FlagPrecisionSingle|gobeagle.FlagThreadingThreadPool)
-			cfg.Threads = threads
-			inst, err := gobeagle.NewInstance(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer inst.Finalize()
-			if err := p.Load(inst); err != nil {
-				b.Fatal(err)
-			}
-			mats, lens, ops, _ := p.Schedule()
-			if err := inst.UpdateTransitionMatrices(0, mats, lens); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := inst.UpdatePartials(ops); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(p.FlopsPerEval()*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
+			benchEval(b, p, 0, gobeagle.FlagPrecisionSingle|gobeagle.FlagThreadingThreadPool, threads, 0)
 		})
 		b.Run(benchName("opencl-x86-fission-t", threads), func(b *testing.B) {
-			cfg := p.InstanceConfig(rsc.ID, gobeagle.FlagPrecisionSingle)
-			cfg.Threads = threads
-			inst, err := gobeagle.NewInstance(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer inst.Finalize()
-			if err := p.Load(inst); err != nil {
-				b.Fatal(err)
-			}
-			mats, lens, ops, _ := p.Schedule()
-			if err := inst.UpdateTransitionMatrices(0, mats, lens); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := inst.UpdatePartials(ops); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(p.FlopsPerEval()*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
+			benchEval(b, p, rsc.ID, gobeagle.FlagPrecisionSingle, threads, 0)
 		})
 	}
 }

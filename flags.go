@@ -54,9 +54,6 @@ const (
 	// FlagKernelGPU forces the GPU-style one-work-item-per-entry kernels on
 	// a CPU-class OpenCL device (the "OpenCL-GPU on Xeon" row of Table V).
 	FlagKernelGPU
-	// FlagKernelX86 forces the loop-over-states x86 kernels on a GPU
-	// device; chiefly for experimentation.
-	FlagKernelX86
 	// FlagTelemetry switches on the stats gate of the instance's recorder at
 	// creation: per-kernel operation counters and duration histograms,
 	// effective-GFLOPS accounting, and scheduler level traces, read through
@@ -123,7 +120,6 @@ func (f Flags) String() string {
 		{FlagThreadingThreadPoolHybrid, "THREADING_THREAD_POOL_HYBRID"},
 		{FlagDisableFMA, "NO_FMA"},
 		{FlagKernelGPU, "KERNEL_GPU"},
-		{FlagKernelX86, "KERNEL_X86"},
 		{FlagTelemetry, "TELEMETRY"},
 		{FlagRebalance, "REBALANCE"},
 		{FlagTrace, "TRACE"},

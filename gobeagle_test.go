@@ -196,6 +196,43 @@ func TestImplementationSelection(t *testing.T) {
 	}
 }
 
+// TestImplementationsListWhatTheRegistryBuilds holds every resource's
+// Implementations() to the registry: an instance built with either kernel
+// flag setting runs a listed implementation, and on a device every listed
+// variant is built by one of the settings.
+func TestImplementationsListWhatTheRegistryBuilds(t *testing.T) {
+	device.ResetPlatforms()
+	rng := rand.New(rand.NewSource(2))
+	tr, _ := tree.Random(rng, 4, 0.1)
+	for _, r := range ResourceList() {
+		listed := map[string]bool{}
+		for _, name := range r.Implementations() {
+			listed[name] = true
+		}
+		built := map[string]bool{}
+		for _, flags := range []Flags{0, FlagKernelGPU} {
+			inst, err := NewInstance(instanceConfig(tr, 4, 50, 1, r.ID, flags))
+			if err != nil {
+				t.Fatalf("%s flags %v: %v", r, flags, err)
+			}
+			name, _, _ := strings.Cut(inst.Implementation(), ": ")
+			inst.Finalize()
+			if !listed[name] {
+				t.Errorf("%s flags %v: built %q, not in %v", r, flags, name, r.Implementations())
+			}
+			built[name] = true
+		}
+		if r.Device() == nil {
+			continue
+		}
+		for name := range listed {
+			if !built[name] {
+				t.Errorf("%s lists %q, which no kernel flag setting builds", r, name)
+			}
+		}
+	}
+}
+
 func TestNewInstanceErrors(t *testing.T) {
 	device.ResetPlatforms()
 	rng := rand.New(rand.NewSource(3))

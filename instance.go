@@ -71,9 +71,6 @@ type Config struct {
 	// WorkGroupSize overrides the accelerator work-group size in patterns
 	// (0 = implementation default; Table V explores this parameter).
 	WorkGroupSize int
-	// MinPatternsForThreading overrides the minimum pattern count for
-	// pattern-level CPU threading (0 = the paper's 512).
-	MinPatternsForThreading int
 	// RebalanceInterval is the number of UpdatePartials batches between
 	// adaptive rebalance checks on multi-device instances created with
 	// FlagRebalance (0 = the default interval). Ignored otherwise.
@@ -144,7 +141,6 @@ func engineConfig(cfg Config) (engine.Config, error) {
 		},
 		SinglePrecision: cfg.Flags&FlagPrecisionSingle != 0,
 		Threads:         cfg.Threads,
-		MinPatternsWork: cfg.MinPatternsForThreading,
 		WorkGroupSize:   cfg.WorkGroupSize,
 		DisableFMA:      cfg.Flags&FlagDisableFMA != 0,
 		Reuse:           cfg.Flags&FlagReuse != 0,

@@ -245,6 +245,35 @@ func TestFMAOffMatchesOn(t *testing.T) {
 	}
 }
 
+// TestFMAOffChargesScaleAccumulation: the scale-accumulation kernel is a
+// pattern kernel like any other, so a build without FMA on FMA hardware is
+// charged the no-FMA rate for it too.
+func TestFMAOffChargesScaleAccumulation(t *testing.T) {
+	device.ResetPlatforms()
+	tr, _ := tree.Random(rand.New(rand.NewSource(20)), 4, 0.1)
+	cfgOn := testConfig(tr, 4, 100000, 1, false)
+	cfgOff := cfgOn
+	cfgOff.DisableFMA = true
+	accumulate := func(cfg engine.Config) time.Duration {
+		e := newCase(t, variantCases[2], cfg) // advertises FMA
+		defer e.Close()
+		for _, b := range []int{0, 1} {
+			if err := e.ResetScaleFactors(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		q := e.(interface{ Queue() *device.Queue }).Queue()
+		q.ResetTimers()
+		if err := e.AccumulateScaleFactors([]int{0, 1}, 2); err != nil {
+			t.Fatal(err)
+		}
+		return q.ModeledTime()
+	}
+	if on, off := accumulate(cfgOn), accumulate(cfgOff); off <= on {
+		t.Fatalf("FMA off modeled %v, on %v: the no-FMA rate was not charged", off, on)
+	}
+}
+
 func TestSinglePrecisionOnDevice(t *testing.T) {
 	device.ResetPlatforms()
 	rng := rand.New(rand.NewSource(23))

@@ -327,11 +327,7 @@ func (e *Engine[T]) AccumulateScaleFactors(scaleBufs []int, cumBuf int) error {
 		return err
 	}
 	p := e.Cfg.Dims.PatternCount
-	cost := device.Cost{
-		Flops:     float64(p * len(factors)),
-		Bytes:     float64(p*(len(factors)+1)) * 8,
-		GroupSize: e.groupPats,
-	}
+	cost := e.patternCost(float64(p*len(factors)), float64(p*(len(factors)+1))*8)
 	if err := e.perPattern(cost, func(lo, hi int) { kernels.AccumulateScaleFactors(cum, factors, lo, hi) }); err != nil {
 		return err
 	}

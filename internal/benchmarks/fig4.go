@@ -56,66 +56,23 @@ func fig4VerifyLimit(stateCount int) int {
 // deviceSweep produces one device-backed series across pattern counts.
 func deviceSweep(spec fig4DeviceSpec, stateCount, cats int, patterns []int) (Fig4Series, error) {
 	s := Fig4Series{Name: spec.name, Patterns: patterns}
+	rsc, err := gobeagle.FindResource(spec.resource, spec.framework)
+	if err != nil {
+		return s, err
+	}
 	limit := fig4VerifyLimit(stateCount)
 	for _, pat := range patterns {
 		p, err := NewProblem(int64(pat), fig4Tips, stateCount, pat, cats)
 		if err != nil {
 			return s, err
 		}
-		var gf float64
-		if pat <= limit {
-			gf, err = DeviceEval(p, spec.resource, spec.framework, spec.flags, 0, 1)
-		} else {
-			gf, err = deviceEvalDry(p, spec)
-		}
+		t, err := modeledEvalTime(p, rsc, spec.flags, 0, 0, 1, pat > limit)
 		if err != nil {
 			return s, err
 		}
-		s.GFLOPS = append(s.GFLOPS, gf)
+		s.GFLOPS = append(s.GFLOPS, flops.GFLOPS(p.FlopsPerEval(), t))
 	}
 	return s, nil
-}
-
-// deviceEvalDry charges one full evaluation to the modeled clock without
-// executing kernel bodies.
-func deviceEvalDry(p *Problem, spec fig4DeviceSpec) (float64, error) {
-	rsc, err := gobeagle.FindResource(spec.resource, spec.framework)
-	if err != nil {
-		return 0, err
-	}
-	inst, err := gobeagle.NewInstance(p.InstanceConfig(rsc.ID, spec.flags))
-	if err != nil {
-		return 0, err
-	}
-	defer inst.Finalize()
-	q := inst.DeviceQueue()
-	q.SetDryRun(true)
-	// Matrices must be marked computed for the op validation; a dry-run
-	// update does that without executing.
-	mats, lens, ops, _ := p.Schedule()
-	ed, err := p.Model.Eigen()
-	if err != nil {
-		return 0, err
-	}
-	if err := inst.SetEigenDecomposition(0, ed.Values, ed.Vectors.Data, ed.InverseVectors.Data); err != nil {
-		return 0, err
-	}
-	if err := inst.SetCategoryRates(p.Rates.Rates); err != nil {
-		return 0, err
-	}
-	for i := 0; i < p.Tree.TipCount; i++ {
-		if err := inst.SetTipStates(i, p.Patterns.TipStates(i)); err != nil {
-			return 0, err
-		}
-	}
-	if err := inst.UpdateTransitionMatrices(0, mats, lens); err != nil {
-		return 0, err
-	}
-	q.ResetTimers()
-	if err := inst.UpdatePartials(ops); err != nil {
-		return 0, err
-	}
-	return flops.GFLOPS(p.FlopsPerEval(), q.ModeledTime()), nil
 }
 
 // cpuModelSweep produces an analytically modeled CPU series.

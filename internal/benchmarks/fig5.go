@@ -6,6 +6,7 @@ import (
 
 	"gobeagle"
 	"gobeagle/internal/cpuimpl"
+	"gobeagle/internal/flops"
 )
 
 // Fig5Point is one point of Fig. 5: throughput at a given CPU thread count.
@@ -25,8 +26,8 @@ func Fig5() ([]Fig5Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Real execution pass for both implementations at a restricted thread
-	// count, verifying the fission path works end to end.
+	// Really execute the threaded model's configuration once; every
+	// OpenCL-x86 point below is itself executed and verified.
 	if err := HostEval(p, gobeagle.FlagPrecisionSingle|gobeagle.FlagThreadingThreadPool); err != nil {
 		return nil, err
 	}
@@ -34,22 +35,6 @@ func Fig5() ([]Fig5Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfgFission := p.InstanceConfig(rsc.ID, gobeagle.FlagPrecisionSingle)
-	cfgFission.Threads = 2
-	inst, err := gobeagle.NewInstance(cfgFission)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.Load(inst); err != nil {
-		inst.Finalize()
-		return nil, err
-	}
-	if err := p.Verify(inst); err != nil {
-		inst.Finalize()
-		return nil, err
-	}
-	inst.Finalize()
-
 	model := DefaultCPUModel()
 	var points []Fig5Point
 	for _, threads := range []int{1, 2, 4, 8, 12, 16, 20, 24, 28, 34, 40, 48, 56} {
@@ -57,24 +42,15 @@ func Fig5() ([]Fig5Point, error) {
 			Threads:       threads,
 			ThreadedModel: model.ThroughputGF(cpuimpl.ThreadPool, threads, p, true),
 		}
-		gf, err := fissionedX86Throughput(p, rsc, threads)
+		// The registry fissions the device down to the thread count.
+		t, err := modeledEvalTime(p, rsc, gobeagle.FlagPrecisionSingle, threads, 0, 1, false)
 		if err != nil {
 			return nil, err
 		}
-		pt.OpenCLX86 = gf
+		pt.OpenCLX86 = flops.GFLOPS(p.FlopsPerEval(), t)
 		points = append(points, pt)
 	}
 	return points, nil
-}
-
-// fissionedX86Throughput charges one evaluation on a fissioned sub-device to
-// the modeled clock.
-func fissionedX86Throughput(p *Problem, rsc *gobeagle.Resource, threads int) (float64, error) {
-	sub, err := rsc.Device().Fission(threads)
-	if err != nil {
-		return 0, err
-	}
-	return accelModeledThroughput(p, sub, gobeagle.FlagPrecisionSingle)
 }
 
 // PrintFig5 renders the scaling curve.

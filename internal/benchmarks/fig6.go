@@ -7,7 +7,6 @@ import (
 
 	"gobeagle"
 	"gobeagle/internal/cpuimpl"
-	"gobeagle/internal/device"
 )
 
 // Fig6Row is one bar of Fig. 6: the total-runtime speedup of MrBayes with a
@@ -59,11 +58,11 @@ var fig6Datasets = []fig6Dataset{
 func Fig6() ([]Fig6Row, error) {
 	xeon := DefaultCPUModel()
 	phi := PhiCPUModel()
-	gpu, err := device.FindDevice(device.OpenCL, "FirePro S9170")
+	gpu, err := gobeagle.FindResource("FirePro S9170", "OpenCL")
 	if err != nil {
 		return nil, err
 	}
-	cpuDev, err := device.FindDevice(device.OpenCL, "Xeon E5-2680v4 x2")
+	x86, err := gobeagle.FindResource("Xeon E5-2680v4 x2", "OpenCL")
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +116,7 @@ func Fig6() ([]Fig6Row, error) {
 				float64(tBase) / float64(overhead+lPhi)})
 
 			// OpenCL-x86 across the whole machine.
-			lX86, err := accelModeledEvalTime(p, cpuDev, prec.flag, true)
+			lX86, err := modeledEvalTime(p, x86, prec.flag, 0, 0, 1, true)
 			if err != nil {
 				return nil, err
 			}
@@ -125,7 +124,7 @@ func Fig6() ([]Fig6Row, error) {
 				float64(tBase) / float64(overhead+lX86)})
 
 			// OpenCL-GPU on the FirePro S9170.
-			lGPU, err := accelModeledEvalTime(p, gpu, prec.flag, true)
+			lGPU, err := modeledEvalTime(p, gpu, prec.flag, 0, 0, 1, true)
 			if err != nil {
 				return nil, err
 			}

@@ -21,7 +21,6 @@ import (
 	"math/rand"
 
 	"gobeagle"
-	"gobeagle/internal/engine"
 	"gobeagle/internal/flops"
 	"gobeagle/internal/kernels"
 	"gobeagle/internal/seqgen"
@@ -155,21 +154,6 @@ func (p *Problem) Schedule() (mats []int, lens []float64, ops []gobeagle.Operati
 		}
 	}
 	return mats, lens, ops, sched.Root
-}
-
-// EngineOps returns the operation list in internal engine form, for driving
-// implementations directly.
-func (p *Problem) EngineOps() []engine.Operation {
-	sched := p.Tree.FullSchedule()
-	ops := make([]engine.Operation, len(sched.Ops))
-	for i, op := range sched.Ops {
-		ops[i] = engine.Operation{
-			Dest: op.Dest, DestScaleWrite: engine.None, DestScaleRead: engine.None,
-			Child1: op.Child1, Child1Mat: op.Child1Mat,
-			Child2: op.Child2, Child2Mat: op.Child2Mat,
-		}
-	}
-	return ops
 }
 
 // OpCount returns the partial-likelihood operations per full evaluation.

@@ -52,7 +52,7 @@ func Recommend(tips, stateCount, patterns, categories int, single bool) ([]Recom
 		if err != nil {
 			return nil, err
 		}
-		t, err := accelModeledEvalTime(p, rsc.Device(), flags, true)
+		t, err := modeledEvalTime(p, rsc, flags, 0, 0, 1, true)
 		if err != nil {
 			return nil, err
 		}

@@ -182,11 +182,19 @@ func Probe(addr string, timeout time.Duration) (*HelloInfo, error) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(timeout))
-	if _, err := writeMsg(conn, &request{Op: opHello}); err != nil {
+	return hello(conn, addr, &request{Op: opHello})
+}
+
+// hello sends a hello request on a fresh connection and reads the worker's
+// reply under maxHelloFrame, as the worker reads the hello itself: nothing
+// has been agreed with the peer yet. The reply must carry a HelloInfo in a
+// protocol version this client speaks.
+func hello(conn net.Conn, addr string, req *request) (*HelloInfo, error) {
+	if _, err := writeMsg(conn, req); err != nil {
 		return nil, err
 	}
 	var resp response
-	if _, err := readMsg(conn, &resp, maxFrame); err != nil {
+	if _, err := readMsg(conn, &resp, maxHelloFrame); err != nil {
 		return nil, err
 	}
 	if resp.Err != "" {
@@ -195,9 +203,9 @@ func Probe(addr string, timeout time.Duration) (*HelloInfo, error) {
 	if resp.Hello == nil {
 		return nil, errors.New("remoteimpl: malformed hello reply")
 	}
-	if resp.Hello.Version < minProtocolVersion || resp.Hello.Version > protocolVersion {
+	if v := resp.Hello.Version; v < minProtocolVersion || v > protocolVersion {
 		return nil, fmt.Errorf("remoteimpl: protocol version %d on %s, want %d..%d",
-			resp.Hello.Version, addr, minProtocolVersion, protocolVersion)
+			v, addr, minProtocolVersion, protocolVersion)
 	}
 	return resp.Hello, nil
 }
@@ -225,30 +233,13 @@ func (e *Engine) dial(resume bool) (net.Conn, *HelloInfo, error) {
 		return nil, nil, err
 	}
 	conn.SetDeadline(time.Now().Add(callTimeout))
-	if _, err := writeMsg(conn, &request{Op: opHello, Session: e.session, Resume: resume}); err != nil {
-		conn.Close()
-		return nil, nil, err
-	}
-	var resp response
-	if _, err := readMsg(conn, &resp, maxFrame); err != nil {
+	info, err := hello(conn, e.opts.Addr, &request{Op: opHello, Session: e.session, Resume: resume})
+	if err != nil {
 		conn.Close()
 		return nil, nil, err
 	}
 	conn.SetDeadline(time.Time{})
-	if resp.Err != "" {
-		conn.Close()
-		return nil, nil, errors.New(resp.Err)
-	}
-	if resp.Hello == nil {
-		conn.Close()
-		return nil, nil, errors.New("remoteimpl: malformed hello reply")
-	}
-	if resp.Hello.Version < minProtocolVersion || resp.Hello.Version > protocolVersion {
-		conn.Close()
-		return nil, nil, fmt.Errorf("remoteimpl: protocol version %d on %s, want %d..%d",
-			resp.Hello.Version, e.opts.Addr, minProtocolVersion, protocolVersion)
-	}
-	return conn, resp.Hello, nil
+	return conn, info, nil
 }
 
 // exchangeLocked performs one request/response round trip on the current

@@ -7,27 +7,67 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
 
 // TestHelloFitsItsFrame keeps maxHelloFrame honest: the largest hello a
-// client sends (a session id, resuming) must fit with room to spare.
+// client sends (a session id, resuming) and the largest reply a worker sends
+// (a 255-byte debug address) must each fit with room to spare.
 func TestHelloFitsItsFrame(t *testing.T) {
-	var buf bytes.Buffer
 	id, err := randomHex(16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := writeMsg(&buf, &request{Op: opHello, Session: id, Resume: true, Seq: 1 << 62}); err != nil {
-		t.Fatal(err)
+	var buf bytes.Buffer
+	fits := func(what string, v any) {
+		t.Helper()
+		buf.Reset()
+		if _, err := writeMsg(&buf, v); err != nil {
+			t.Fatal(err)
+		}
+		if n := buf.Len() - 4; 4*n > maxHelloFrame {
+			t.Fatalf("a hello %s is %d bytes, more than a quarter of the %d-byte limit", what, n, maxHelloFrame)
+		}
 	}
-	if n := buf.Len() - 4; 4*n > maxHelloFrame {
-		t.Fatalf("a hello frame is %d bytes, more than a quarter of the %d-byte limit", n, maxHelloFrame)
-	}
+	fits("frame", &request{Op: opHello, Session: id, Resume: true, Seq: 1 << 62})
 	var req request
 	if _, err := readMsg(&buf, &req, maxHelloFrame); err != nil || req.Op != opHello || req.Session != id {
 		t.Fatalf("hello round trip: %+v, %v", req, err)
+	}
+	addr := strings.Repeat("d", 255)
+	fits("reply", &response{Seq: 1 << 62, Hello: &HelloInfo{Version: protocolVersion, Cores: 1 << 20, Resumed: true, DebugAddr: addr}})
+	var resp response
+	if _, err := readMsg(&buf, &resp, maxHelloFrame); err != nil || resp.Hello == nil || resp.Hello.DebugAddr != addr {
+		t.Fatalf("hello reply round trip: %+v, %v", resp, err)
+	}
+}
+
+// TestProbeRefusesOversizedHelloReply: a peer that answers the hello with
+// the header of a 1 GiB frame is refused under the hello bound, before a
+// buffer is made for it.
+func TestProbeRefusesOversizedHelloReply(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		var req request
+		if _, err := readMsg(conn, &req, maxHelloFrame); err == nil {
+			conn.Write(binary.BigEndian.AppendUint32(nil, 1<<30))
+		}
+		io.Copy(io.Discard, conn) // hold the connection open until the client closes it
+	}()
+	_, err = Probe(ln.Addr().String(), 5*time.Second)
+	if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+		t.Fatalf("Probe after a 1 GiB reply header: %v, want the frame-limit error", err)
 	}
 }
 

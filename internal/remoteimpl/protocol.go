@@ -130,7 +130,6 @@ type Geometry struct {
 	CategoryCount   int
 	SinglePrecision bool
 	Threads         int
-	MinPatternsWork int
 	WorkGroupSize   int
 	DisableFMA      bool
 	Reuse           bool
@@ -149,7 +148,6 @@ func geometryOf(cfg engine.Config) Geometry {
 		CategoryCount:   cfg.Dims.CategoryCount,
 		SinglePrecision: cfg.SinglePrecision,
 		Threads:         cfg.Threads,
-		MinPatternsWork: cfg.MinPatternsWork,
 		WorkGroupSize:   cfg.WorkGroupSize,
 		DisableFMA:      cfg.DisableFMA,
 		Reuse:           cfg.Reuse,
@@ -172,7 +170,6 @@ func (g Geometry) Config() engine.Config {
 		},
 		SinglePrecision: g.SinglePrecision,
 		Threads:         g.Threads,
-		MinPatternsWork: g.MinPatternsWork,
 		WorkGroupSize:   g.WorkGroupSize,
 		DisableFMA:      g.DisableFMA,
 		Reuse:           g.Reuse,

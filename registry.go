@@ -86,6 +86,21 @@ func cpuMode(flags Flags) cpuimpl.Mode {
 	}
 }
 
+// accelVariant picks the accelerator kernel variant for a device: CUDA on a
+// CUDA device, the GPU-style kernels on a GPU-class OpenCL device or when
+// FlagKernelGPU asks for them (Table V's "OpenCL-GPU on Xeon" row), and the
+// loop-over-states x86 kernels on any other CPU-class OpenCL device.
+func accelVariant(dev *device.Device, flags Flags) accelimpl.Variant {
+	switch {
+	case dev.Framework == device.CUDA:
+		return accelimpl.CUDA
+	case dev.Desc.Kind == device.KindGPU, flags&FlagKernelGPU != 0:
+		return accelimpl.OpenCLGPU
+	default:
+		return accelimpl.OpenCLX86
+	}
+}
+
 func init() {
 	// Host CPU implementations.
 	RegisterFactory(&Factory{
@@ -107,19 +122,6 @@ func init() {
 			if dev == nil {
 				return nil, nil
 			}
-			var variant accelimpl.Variant
-			switch {
-			case dev.Framework == device.CUDA:
-				variant = accelimpl.CUDA
-			case dev.Desc.Kind == device.KindGPU && flags&FlagKernelX86 == 0:
-				variant = accelimpl.OpenCLGPU
-			case flags&FlagKernelGPU != 0:
-				// The GPU-style kernels on a CPU-class OpenCL device
-				// (Table V's reference row).
-				variant = accelimpl.OpenCLGPU
-			default:
-				variant = accelimpl.OpenCLX86
-			}
 			// Honor restricted thread counts on CPU-class devices through
 			// OpenCL device fission (Fig. 5).
 			if cfg.Threads > 0 && dev.Desc.Kind != device.KindGPU && cfg.Threads < dev.Desc.Cores {
@@ -129,7 +131,7 @@ func init() {
 				}
 				dev = sub
 			}
-			return accelimpl.New(cfg, variant, dev)
+			return accelimpl.New(cfg, accelVariant(dev, flags), dev)
 		},
 	})
 }

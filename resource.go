@@ -54,8 +54,8 @@ func (r *Resource) Device() *device.Device { return r.dev }
 
 // Implementations lists the implementation names selectable on this
 // resource: every CPU execution strategy for the host resource (including
-// the hybrid op×pattern scheduler), or the kernel variants a device's
-// framework and kind admit.
+// the hybrid op×pattern scheduler), or the distinct kernel variants the
+// registry builds on the device with and without FlagKernelGPU.
 func (r *Resource) Implementations() []string {
 	if r.dev == nil {
 		modes := cpuimpl.Modes()
@@ -65,14 +65,13 @@ func (r *Resource) Implementations() []string {
 		}
 		return out
 	}
-	switch {
-	case r.dev.Framework == device.CUDA:
-		return []string{"CUDA"}
-	case r.dev.Desc.Kind == device.KindGPU:
-		return []string{"OpenCL-GPU"}
-	default:
-		return []string{"OpenCL-x86", "OpenCL-GPU"}
+	var out []string
+	for _, flags := range []Flags{0, FlagKernelGPU} {
+		if name := accelVariant(r.dev, flags).String(); len(out) == 0 || out[0] != name {
+			out = append(out, name)
+		}
 	}
+	return out
 }
 
 // String renders the resource for listings.
