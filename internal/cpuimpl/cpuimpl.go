@@ -41,7 +41,14 @@
 // all four threaded modes. Serial, the opt-in reference, is the one mode on
 // the generic kernels: the wide-state family reproduces it bit for bit, and
 // so does the 4-state family on amd64, where Go never fuses multiply-adds, so
-// there every mode returns Serial's exact result. The wide kernels keep
+// there every mode returns Serial's exact result. The modes on the 4-state
+// kernels also keep compact subtrees (engine.Storage.EnableCompact): an
+// unscaled operation over at most P/4 distinct child-class pairs is a class
+// table that Resolve builds before the plan's phase, not P rows the slabs
+// compute, and a full-width operation over one gathers its rows by class id
+// (DESIGN.md, "Compact subtrees"). The plans see only the full-width
+// operations; the batch span and level 0 count the compact ones too. The
+// wide kernels keep
 // their scratch (one transposed matrix) on the calling goroutine's stack, so
 // nothing here owns or plumbs it: a pool worker's stack grows once and stays.
 package cpuimpl
@@ -166,6 +173,11 @@ func newEngine[T kernels.Real](cfg engine.Config, mode Mode) *Engine[T] {
 	if mode != Serial {
 		e.kern = kernels.ForStateCount[T](cfg.Dims.StateCount)
 	}
+	// Compact subtrees are built from the 4-state kernels' own operations,
+	// so the modes that run those kernels keep them.
+	if e.kern.Family == kernels.FamilyUnrolled4 {
+		e.EnableCompact()
+	}
 	if mode == ThreadPool || mode == ThreadPoolHybrid {
 		e.pool = engine.NewWorkerPool(threads, mode.String())
 	}
@@ -213,7 +225,8 @@ func (e *Engine[T]) UpdatePartials(ops []engine.Operation) error {
 		return err
 	}
 	rops = e.DropUnchanged(rops)
-	skipped := len(ops) - len(rops)
+	// Resolve has run the compact operations; rops is the full-width rest.
+	computed := len(rops) + e.Compacted()
 	// One gate check: a tracer that is not recording costs one atomic load
 	// and takes no timestamps.
 	start, on := e.Cfg.Trace.Begin()
@@ -229,14 +242,18 @@ func (e *Engine[T]) UpdatePartials(ops []engine.Operation) error {
 	case e.mode == Futures:
 		for li, level := range opLevels(rops) {
 			e.level = level
-			e.levelPhase(li, len(level), len(level), e.opTask)
+			ahead := 0
+			if li == 0 {
+				ahead = e.Compacted() // one inline task each
+			}
+			e.levelPhase(li, len(level)+ahead, len(level)+ahead, len(level), e.opTask)
 		}
 	default:
-		e.levelPhase(0, len(rops), e.slabs(), e.slabTask)
+		e.levelPhase(0, computed, e.slabs(), e.slabs(), e.slabTask)
 	}
 	if on {
 		e.Cfg.Trace.End(trace.Span{Kind: trace.KindBatch, Lane: int32(e.Cfg.TraceLane), Batch: e.batchID,
-			Arg0: int64(len(rops)), Arg1: int64(skipped)}, start)
+			Arg0: int64(computed), Arg1: int64(len(ops) - computed)}, start)
 	}
 	return nil
 }
@@ -263,9 +280,11 @@ func (e *Engine[T]) phase(n int, t engine.Task) {
 	}
 }
 
-// levelPhase runs one phase of a batch and records it as one of the batch's
-// level spans: ops operations as n tasks.
-func (e *Engine[T]) levelPhase(level, ops, n int, t engine.Task) {
+// levelPhase runs one phase of n tasks and records it as one of the batch's
+// level spans: ops operations as tasks tasks. Level 0 also counts the compact
+// operations Resolve ran ahead of the phase, so a batch's levels sum to the
+// operations it computed.
+func (e *Engine[T]) levelPhase(level, ops, tasks, n int, t engine.Task) {
 	var start int64
 	if e.batchID != 0 {
 		start = e.Cfg.Trace.Now()
@@ -273,7 +292,7 @@ func (e *Engine[T]) levelPhase(level, ops, n int, t engine.Task) {
 	e.phase(n, t)
 	if e.batchID != 0 {
 		e.Cfg.Trace.End(trace.Span{Kind: trace.KindLevel, Lane: int32(e.Cfg.TraceLane), Batch: e.batchID,
-			Arg0: trace.LevelArg(level, n), Arg1: int64(ops)}, start)
+			Arg0: trace.LevelArg(level, tasks), Arg1: int64(ops)}, start)
 	}
 }
 

@@ -19,7 +19,10 @@
 // Resolve and DropUnchanged are separate calls so that a backend with its own
 // reason to refuse a batch (accelimpl: the destinations Resolve allocated do
 // not fit in device memory) can do so after validation and before the reuse
-// tracker records the batch as computed.
+// tracker records the batch as computed. A backend that keeps compact
+// subtrees (cpuimpl on the 4-state kernels, EnableCompact) has no such
+// reason: its Resolve applies the filter itself, runs the compact operations
+// and returns the full-width rest (compact.go).
 //
 // WorkerPool is the one executor of concurrent work: the CPU pool modes run
 // their phases on it, and every accelerator engine owns one that runs its

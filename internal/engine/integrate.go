@@ -75,9 +75,17 @@ func (s *Storage[T]) lnL(scale []float64, kind trace.Kind, start int64, on bool)
 	return lnL
 }
 
-// partialsOperand returns a buffer an integration reads: it must hold
-// partials, not compact tip states.
-func (s *Storage[T]) partialsOperand(buf int) ([]T, error) {
+// partialsOperand returns a buffer an integration reads as its operand slot
+// (0 or 1): it must hold partials, not compact tip states. A compact node is
+// expanded into the slot's scratch.
+func (s *Storage[T]) partialsOperand(buf, slot int) ([]T, error) {
+	if err := s.checkPartialsIndex(buf); err != nil {
+		return nil, err
+	}
+	if rec := s.compactLive(buf); rec != nil {
+		s.cp.exp[slot] = s.expand(rec, s.cp.exp[slot])
+		return s.cp.exp[slot], nil
+	}
 	kind, _, partials, err := s.ChildOperand(buf)
 	if err != nil {
 		return nil, err
@@ -91,7 +99,7 @@ func (s *Storage[T]) partialsOperand(buf int) ([]T, error) {
 // rootSites runs the root integration into Site and returns its cumulative
 // scale buffer (nil for None).
 func (s *Storage[T]) rootSites(rootBuf, cumScaleBuf int) (scale []float64, err error) {
-	if s.in.a, err = s.partialsOperand(rootBuf); err != nil {
+	if s.in.a, err = s.partialsOperand(rootBuf, 0); err != nil {
 		return nil, err
 	}
 	if scale, err = s.cumulativeScale(cumScaleBuf); err != nil {
@@ -104,10 +112,10 @@ func (s *Storage[T]) rootSites(rootBuf, cumScaleBuf int) (scale []float64, err e
 // partials on either side and the branch's matrix, and returns its
 // cumulative scale buffer (nil for None).
 func (s *Storage[T]) edgeOperands(parentBuf, childBuf, matrix, cumScaleBuf int) (scale []float64, err error) {
-	if s.in.a, err = s.partialsOperand(parentBuf); err != nil {
+	if s.in.a, err = s.partialsOperand(parentBuf, 0); err != nil {
 		return nil, err
 	}
-	if s.in.b, err = s.partialsOperand(childBuf); err != nil {
+	if s.in.b, err = s.partialsOperand(childBuf, 1); err != nil {
 		return nil, err
 	}
 	if s.in.m, err = s.Matrix(matrix); err != nil {

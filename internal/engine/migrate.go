@@ -58,7 +58,9 @@ func blockRange(patterns int, fromHigh bool, n int) (lo, hi int) {
 
 // DetachPatterns removes n patterns from one end of the storage, returning
 // their tip states, partials, weights and scale factors. The storage keeps
-// at least one pattern.
+// at least one pattern. Compact nodes are expanded first and their records
+// dropped (expandAll): a block carries partials, and the records were built
+// for the old pattern count.
 func (s *Storage[T]) DetachPatterns(fromHigh bool, n int) (*PatternBlock, error) {
 	if s.closed {
 		return nil, ErrClosed
@@ -67,6 +69,7 @@ func (s *Storage[T]) DetachPatterns(fromHigh bool, n int) (*PatternBlock, error)
 	if n <= 0 || n >= p {
 		return nil, fmt.Errorf("engine: cannot detach %d of %d patterns", n, p)
 	}
+	s.expandAll()
 	lo, hi := blockRange(p, fromHigh, n)
 	keepLo, keepHi := 0, lo
 	if !fromHigh {
@@ -121,7 +124,8 @@ func (s *Storage[T]) DetachPatterns(fromHigh bool, n int) (*PatternBlock, error)
 // for a buffer the storage has never seen (or vice versa) indicates the two
 // engines diverged and is an error. Every entry must span the block's
 // patterns and every tip state lie in [0, StateCount], since a block can
-// arrive off the wire.
+// arrive off the wire. Compact nodes are expanded first, as in
+// DetachPatterns.
 func (s *Storage[T]) AttachPatterns(atHigh bool, blk *PatternBlock) error {
 	if s.closed {
 		return ErrClosed
@@ -134,6 +138,7 @@ func (s *Storage[T]) AttachPatterns(atHigh bool, blk *PatternBlock) error {
 			len(blk.TipStates), len(blk.Partials), len(blk.Scale),
 			len(s.TipStates), len(s.Partials), len(s.Scale))
 	}
+	s.expandAll()
 	d := s.Cfg.Dims
 	p, n := d.PatternCount, blk.Patterns
 	for t := range s.TipStates {

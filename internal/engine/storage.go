@@ -42,11 +42,16 @@ type Storage[T kernels.Real] struct {
 	Site []float64
 
 	in     integration[T]
+	cp     *compactStore[T] // compact subtrees, nil unless EnableCompact
 	closed bool
 	// resolved holds the current batch's resolved operations between
 	// batches, so resubmitting a schedule (including the reuse filter's skip
 	// path) allocates nothing once warmed up.
 	resolved []ResolvedOp[T]
+	// epoch numbers Resolve's batches: written[b] == epoch marks b as the
+	// destination of an earlier listed operation while a batch validates.
+	epoch   uint64
+	written []uint64
 }
 
 // NewStorage allocates a buffer store for the given configuration; the
@@ -64,6 +69,7 @@ func NewStorage[T kernels.Real](cfg Config) *Storage[T] {
 		PatWts:    make([]float64, cfg.Dims.PatternCount),
 		Scale:     make([][]float64, cfg.ScaleBuffers),
 		Site:      make([]float64, cfg.Dims.PatternCount),
+		written:   make([]uint64, cfg.PartialsBuffers),
 	}
 	s.bindIntegration()
 	// Sensible defaults: unit rates, uniform weights and frequencies,
@@ -146,6 +152,10 @@ func (s *Storage[T]) SetTipStates(buf int, states []int) error {
 		out[i] = int32(st)
 	}
 	s.TipStates[buf] = out
+	// The states are the tip's value now: partials set before would
+	// otherwise linger, readable and migrated but never used.
+	s.Partials[buf] = nil
+	s.bumpClasses(buf)
 	s.Reuse.InvalidatePartials(buf)
 	return nil
 }
@@ -169,6 +179,7 @@ func (s *Storage[T]) SetTipPartials(buf int, partials []float64) error {
 	}
 	s.Partials[buf] = full
 	s.TipStates[buf] = nil // expanded representation wins
+	s.bumpClasses(buf)
 	s.Reuse.InvalidatePartials(buf)
 	return nil
 }
@@ -185,14 +196,22 @@ func (s *Storage[T]) SetPartials(buf int, partials []float64) error {
 	if buf < s.Cfg.TipCount {
 		s.TipStates[buf] = nil
 	}
+	s.bumpClasses(buf)
 	s.Reuse.InvalidatePartials(buf)
 	return nil
 }
 
-// GetPartials retrieves a partials buffer as float64.
+// GetPartials retrieves a partials buffer as float64, a compact node
+// expanded.
 func (s *Storage[T]) GetPartials(buf int) ([]float64, error) {
 	if err := s.checkPartialsIndex(buf); err != nil {
 		return nil, err
+	}
+	if rec := s.compactLive(buf); rec != nil {
+		return convert[float64](s.expand(rec, nil)), nil
+	}
+	if buf < s.Cfg.TipCount && s.TipStates[buf] != nil {
+		return nil, fmt.Errorf("engine: buffer %d holds compact tip states, not partials", buf)
 	}
 	if s.Partials[buf] == nil {
 		return nil, fmt.Errorf("engine: partials buffer %d has not been computed or set", buf)
@@ -486,27 +505,14 @@ func (s *Storage[T]) ChildOperand(buf int) (OperandKind, []int32, []T, error) {
 	if err := s.checkPartialsIndex(buf); err != nil {
 		return 0, nil, nil, err
 	}
-	if buf < s.Cfg.TipCount && s.TipStates[buf] != nil {
-		return OperandStates, s.TipStates[buf], nil, nil
-	}
-	if s.Partials[buf] == nil {
+	states, partials := s.operand(buf)
+	switch {
+	case states != nil:
+		return OperandStates, states, nil, nil
+	case partials == nil:
 		return 0, nil, nil, fmt.Errorf("engine: operand buffer %d holds no data", buf)
 	}
-	return OperandPartials, nil, s.Partials[buf], nil
-}
-
-// DestPartials returns (allocating if needed) a destination partials buffer.
-func (s *Storage[T]) DestPartials(buf int) ([]T, error) {
-	if err := s.checkPartialsIndex(buf); err != nil {
-		return nil, err
-	}
-	if buf < s.Cfg.TipCount && s.TipStates[buf] != nil {
-		return nil, fmt.Errorf("engine: buffer %d holds compact tip states and cannot be a destination", buf)
-	}
-	if s.Partials[buf] == nil {
-		s.Partials[buf] = make([]T, s.Cfg.Dims.PartialsLen())
-	}
-	return s.Partials[buf], nil
+	return OperandPartials, nil, partials, nil
 }
 
 // OpMatrices validates and returns the two matrices of an operation.

@@ -85,6 +85,32 @@ func TestStorageTipStatesNormalizesGaps(t *testing.T) {
 	}
 }
 
+// TestStorageTipStatesReplaceTipPartials holds SetTipStates to replacing
+// the tip's value: partials set before must not stay behind, readable by
+// GetPartials and carried by a migration as if they were the tip's.
+func TestStorageTipStatesReplaceTipPartials(t *testing.T) {
+	s := NewStorage[float64](validConfig())
+	if err := s.SetTipPartials(0, make([]float64, 5*4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetTipStates(0, []int{0, 1, 2, 3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	if s.Partials[0] != nil {
+		t.Fatal("SetTipStates left the tip's partials in place")
+	}
+	if _, err := s.GetPartials(0); err == nil {
+		t.Fatal("GetPartials on a compact-state tip returned partials")
+	}
+	blk, err := s.DetachPatterns(true, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blk.Partials[0] != nil || blk.TipStates[0] == nil {
+		t.Fatal("a migration carries the tip as partials")
+	}
+}
+
 func TestStorageTipPartialsReplicatesCategories(t *testing.T) {
 	s := NewStorage[float32](validConfig())
 	in := make([]float64, 5*4)
@@ -145,20 +171,45 @@ func TestStorageChildOperand(t *testing.T) {
 	}
 }
 
+// TestStorageDestPartials holds Resolve's destinations: allocated at full
+// length, not left allocated by a batch that fails, never one of the
+// operation's children, and never a tip buffer that holds compact states.
 func TestStorageDestPartials(t *testing.T) {
 	s := NewStorage[float64](validConfig())
-	d, err := s.DestPartials(5)
+	for m := 0; m < 2; m++ {
+		if err := s.SetTransitionMatrix(m, make([]float64, s.Cfg.Dims.MatrixLen())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for tip := 0; tip < 2; tip++ {
+		if err := s.SetTipStates(tip, []int{0, 0, 0, 0, 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	op := Operation{Dest: 5, DestScaleWrite: None, DestScaleRead: None, Child1: 0, Child1Mat: 0, Child2: 2, Child2Mat: 1}
+	if _, err := s.Resolve([]Operation{op}); err == nil {
+		t.Fatal("a child with no data must be rejected")
+	}
+	if s.Partials[5] != nil {
+		t.Fatal("a rejected batch left its destination allocated")
+	}
+	op.Child2 = 1
+	rops, err := s.Resolve([]Operation{op})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d) != s.Cfg.Dims.PartialsLen() {
-		t.Fatalf("allocated length %d", len(d))
+	if len(rops[0].Out) != s.Cfg.Dims.PartialsLen() {
+		t.Fatalf("allocated length %d", len(rops[0].Out))
+	}
+	// No kernel computes in place.
+	inPlace := op
+	inPlace.Child1 = 5
+	if _, err := s.Resolve([]Operation{inPlace}); err == nil {
+		t.Fatal("a destination that is also a child must be rejected")
 	}
 	// Tip buffer holding compact states cannot be a destination.
-	if err := s.SetTipStates(1, []int{0, 0, 0, 0, 0}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.DestPartials(1); err == nil {
+	op.Dest = 1
+	if _, err := s.Resolve([]Operation{op}); err == nil {
 		t.Fatal("states tip must be rejected as a destination")
 	}
 }

@@ -14,7 +14,10 @@
 //   - 4-state kernels, the analogue of the SSE code path: AVX2 assembly
 //     for PartialsPartials4 and StatesPartials4 with lanes across the four
 //     states, their unrolled Go bodies, and StatesStates4 as a table of the
-//     25 possible destination rows (partials4.go). Outside the partials
+//     25 possible destination rows (partials4.go), and the compact-subtree
+//     kernels that build a small subtree's distinct rows as a class table
+//     and gather them by class id, in the same operations and order
+//     (compact4.go, the gathers in AVX2). Outside the partials
 //     kernels, RescalePartials' 4-state path is AVX2 assembly as well
 //     (rescale4_amd64.s), and UpdateTransitionMatrix's 4-state body is
 //     unrolled Go;

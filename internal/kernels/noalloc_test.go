@@ -35,8 +35,24 @@ func TestKernelsAllocateNothing(t *testing.T) {
 		patternWeights[i] = 1
 	}
 
+	// A compact cherry's class table and ids over pr's states, and the side
+	// tables a parent gathers from, in both precisions.
+	side1, side2, tab := make([]float64, 5*2*4), make([]float64, 5*2*4), make([]float64, 25*2*4)
+	side32, tab32 := make([]float32, 25*2*4), make([]float32, 25*2*4)
+	ids := make([]int32, d.PatternCount)
+
 	var sink float64
 	allocs := testing.AllocsPerRun(100, func() {
+		TipSide4(side1, pr.m1, d.CategoryCount)
+		TipSide4(side2, pr.m2, d.CategoryCount)
+		ClassTable4(tab, side1, 5, side2, 5, d.CategoryCount)
+		ClassIDs(ids, pr.s1, 5, pr.s2)
+		SideRows4(tab32, tab32, pr32.m1, 25, d.CategoryCount)
+		ExpandClasses4(dest, tab, ids, 25, d)
+		GatherGather4(dest, ids, tab, 25, pr.s2, side2, 5, d, 0, d.PatternCount)
+		GatherGather4(dest32, ids, side32, 25, ids, tab32, 25, d, 1, d.PatternCount)
+		GatherPartials4(dest, ids, tab, 25, pr.p2, pr.m2, d, 0, d.PatternCount)
+		GatherPartials4(dest32, ids, tab32, 25, pr32.p2, pr32.m2, d, 1, d.PatternCount) // odd span: Go-body tail
 		PartialsPartials(dest, pr.p1, pr.m1, pr.p2, pr.m2, d, 0, d.PatternCount)
 		StatesPartials(dest, pr.s1, pr.m1, pr.p2, pr.m2, d, 0, d.PatternCount)
 		StatesStates(dest, pr.s1, pr.m1, pr.s2, pr.m2, d, 0, d.PatternCount)

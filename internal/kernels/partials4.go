@@ -25,7 +25,13 @@ package kernels
 //
 // StatesStates4 needs no assembly: with both children compact states, a
 // category has 25 distinct destination rows, so it builds them once and
-// copies one per pattern.
+// copies one per pattern. An engine that keeps compact subtrees
+// (compact4.go) generalises that table beyond two tips: it builds a node's
+// distinct rows from the same operations in the same order — a side is
+// ((m0·a0 + m1·a1) + m2·a2) + m3·a3 or a matrix column, a row is one side
+// times the other — and never writes the node at full width, so it runs
+// StatesStates4 only where a cherry cannot be compact: scaled, under 100
+// patterns, or listed after a full-width operation on its destination.
 //
 // The other 4-state paths live beside their generic kernels: RescalePartials
 // runs its pattern loop in AVX2 assembly under the same gate

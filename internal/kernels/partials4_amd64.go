@@ -58,3 +58,62 @@ func statesPartials4F64AVX2(dest []float64, s []int32, p2, mt []float64)
 //beagle:noalloc
 //go:noescape
 func statesPartials4F32AVX2(dest []float32, s []int32, p2, mt []float32)
+
+// gatherGather4Asm runs one category of GatherGather4 over a pattern span in
+// assembly and reports whether it did: dest is cut to the span, g1 and g2
+// hold its class ids and t1, t2 the category's side tables.
+//
+//beagle:noalloc
+func gatherGather4Asm[T Real](dest []T, g1 []int32, t1 []T, g2 []int32, t2 []T) bool {
+	if !vecMatAccelerated {
+		return false
+	}
+	switch dst := any(dest).(type) { //beagle:allow noalloc the boxed slice headers never leave this frame; TestKernelsAllocateNothing holds it to zero
+	case []float64:
+		gatherGather4F64AVX2(dst, g1, any(t1).([]float64), g2, any(t2).([]float64)) //beagle:allow noalloc as above
+	case []float32:
+		gatherGather4F32AVX2(dst, g1, any(t1).([]float32), g2, any(t2).([]float32)) //beagle:allow noalloc as above
+	}
+	return true
+}
+
+// gatherPartials4Asm is statesPartials4Asm for GatherPartials4: g holds the
+// span's class ids, t1 the compact child's side table for the category and
+// mt the partials child's matrix transposed.
+//
+//beagle:noalloc
+func gatherPartials4Asm[T Real](dest []T, g []int32, t1, p2, mt []T) {
+	switch dst := any(dest).(type) { //beagle:allow noalloc the boxed slice headers never leave this frame; TestKernelsAllocateNothing holds it to zero
+	case []float64:
+		gatherPartials4F64AVX2(dst, g, any(t1).([]float64), any(p2).([]float64), any(mt).([]float64)) //beagle:allow noalloc as above
+	case []float32:
+		gatherPartials4F32AVX2(dst, g, any(t1).([]float32), any(p2).([]float32), any(mt).([]float32)) //beagle:allow noalloc as above
+	}
+}
+
+// gatherGather4F64AVX2 requires len(g1), len(g2) ≥ len(dest)/4 and every id
+// below its table's row count.
+//
+//beagle:noalloc
+//go:noescape
+func gatherGather4F64AVX2(dest []float64, g1 []int32, t1 []float64, g2 []int32, t2 []float64)
+
+// gatherGather4F32AVX2 is gatherGather4F64AVX2 in float32.
+//
+//beagle:noalloc
+//go:noescape
+func gatherGather4F32AVX2(dest []float32, g1 []int32, t1 []float32, g2 []int32, t2 []float32)
+
+// gatherPartials4F64AVX2 requires len(p2) ≥ len(dest), len(dest)%4 == 0,
+// len(g) ≥ len(dest)/4, every id below t1's row count and len(mt) ≥ 16.
+//
+//beagle:noalloc
+//go:noescape
+func gatherPartials4F64AVX2(dest []float64, g []int32, t1, p2, mt []float64)
+
+// gatherPartials4F32AVX2 requires len(p2) ≥ len(dest), len(dest)%8 == 0,
+// len(g) ≥ len(dest)/4, every id below t1's row count and len(mt) ≥ 16.
+//
+//beagle:noalloc
+//go:noescape
+func gatherPartials4F32AVX2(dest []float32, g []int32, t1, p2, mt []float32)

@@ -188,3 +188,133 @@ loop:
 
 done:
 	RET
+
+// Compact-child kernels (compact4.go). A side table row is one vector: 32
+// bytes in float64, 16 in float32, found at the class id shifted left.
+//
+//	DI dest cursor   BX first ids cursor   R8 second ids cursor
+//	R9 first side table   R10 second side table   DX p2 cursor
+//	CX iterations left
+
+// func gatherGather4F64AVX2(dest []float64, g1 []int32, t1 []float64, g2 []int32, t2 []float64)
+TEXT ·gatherGather4F64AVX2(SB), NOSPLIT, $0-120
+	MOVQ dest_base+0(FP), DI
+	MOVQ dest_len+8(FP), CX
+	MOVQ g1_base+24(FP), BX
+	MOVQ t1_base+48(FP), R9
+	MOVQ g2_base+72(FP), R8
+	MOVQ t2_base+96(FP), R10
+	SHRQ $2, CX
+	JZ   done
+
+loop:
+	MOVL    0(BX), R11
+	SHLQ    $5, R11
+	MOVL    0(R8), R12
+	SHLQ    $5, R12
+	VMOVUPD (R9)(R11*1), Y0
+	VMULPD  (R10)(R12*1), Y0, Y0
+	VMOVUPD Y0, 0(DI)
+	ADDQ    $4, BX
+	ADDQ    $4, R8
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     loop
+	VZEROUPPER
+
+done:
+	RET
+
+// func gatherGather4F32AVX2(dest []float32, g1 []int32, t1 []float32, g2 []int32, t2 []float32)
+TEXT ·gatherGather4F32AVX2(SB), NOSPLIT, $0-120
+	MOVQ dest_base+0(FP), DI
+	MOVQ dest_len+8(FP), CX
+	MOVQ g1_base+24(FP), BX
+	MOVQ t1_base+48(FP), R9
+	MOVQ g2_base+72(FP), R8
+	MOVQ t2_base+96(FP), R10
+	SHRQ $2, CX
+	JZ   done
+
+loop:
+	MOVL    0(BX), R11
+	SHLQ    $4, R11
+	MOVL    0(R8), R12
+	SHLQ    $4, R12
+	VMOVUPS (R9)(R11*1), X0
+	VMULPS  (R10)(R12*1), X0, X0
+	VMOVUPS X0, 0(DI)
+	ADDQ    $4, BX
+	ADDQ    $4, R8
+	ADDQ    $16, DI
+	DECQ    CX
+	JNZ     loop
+
+done:
+	RET
+
+// func gatherPartials4F64AVX2(dest []float64, g []int32, t1, p2, mt []float64)
+TEXT ·gatherPartials4F64AVX2(SB), NOSPLIT, $0-120
+	MOVQ dest_base+0(FP), DI
+	MOVQ dest_len+8(FP), CX
+	MOVQ g_base+24(FP), BX
+	MOVQ t1_base+48(FP), R9
+	MOVQ p2_base+72(FP), DX
+	MOVQ mt_base+96(FP), AX
+	SHRQ $2, CX
+	JZ   done
+	VMOVUPD 0(AX), Y8
+	VMOVUPD 32(AX), Y9
+	VMOVUPD 64(AX), Y10
+	VMOVUPD 96(AX), Y11
+
+loop:
+	MOVL    0(BX), R11
+	SHLQ    $5, R11
+	DOT4F64(DX, Y8, Y9, Y10, Y11, Y0, Y1)
+	VMULPD  (R9)(R11*1), Y0, Y0
+	VMOVUPD Y0, 0(DI)
+	ADDQ    $4, BX
+	ADDQ    $32, DX
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     loop
+	VZEROUPPER
+
+done:
+	RET
+
+// func gatherPartials4F32AVX2(dest []float32, g []int32, t1, p2, mt []float32)
+TEXT ·gatherPartials4F32AVX2(SB), NOSPLIT, $0-120
+	MOVQ dest_base+0(FP), DI
+	MOVQ dest_len+8(FP), CX
+	MOVQ g_base+24(FP), BX
+	MOVQ t1_base+48(FP), R9
+	MOVQ p2_base+72(FP), DX
+	MOVQ mt_base+96(FP), AX
+	SHRQ $3, CX
+	JZ   done
+	VBROADCASTF128 0(AX), Y8
+	VBROADCASTF128 16(AX), Y9
+	VBROADCASTF128 32(AX), Y10
+	VBROADCASTF128 48(AX), Y11
+
+loop:
+	MOVL        0(BX), R11
+	SHLQ        $4, R11
+	MOVL        4(BX), R12
+	SHLQ        $4, R12
+	DOT4F32(DX, Y8, Y9, Y10, Y11, Y0, Y1, Y4)
+	VMOVUPS     (R9)(R11*1), X2
+	VINSERTF128 $1, (R9)(R12*1), Y2, Y2
+	VMULPS      Y2, Y0, Y0
+	VMOVUPS     Y0, 0(DI)
+	ADDQ        $8, BX
+	ADDQ        $32, DX
+	ADDQ        $32, DI
+	DECQ        CX
+	JNZ         loop
+	VZEROUPPER
+
+done:
+	RET

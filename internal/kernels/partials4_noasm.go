@@ -13,3 +13,9 @@ func statesPartials4Asm[T Real](dest []T, s []int32, p2, mt []T) {}
 
 //beagle:noalloc
 func rescale4Asm[T Real](partials []T, scale []float64, d Dims, lo, hi int) int { return hi }
+
+//beagle:noalloc
+func gatherGather4Asm[T Real](dest []T, g1 []int32, t1 []T, g2 []int32, t2 []T) bool { return false }
+
+//beagle:noalloc
+func gatherPartials4Asm[T Real](dest []T, g []int32, t1, p2, mt []T) {}

@@ -57,7 +57,7 @@ go -C "$ROOT" test -race -run '^TestConcurrentRecording$' -count=200 ./internal/
 # races intermittently, so the executor tests are run many times. The root
 # integration's operands, bound in the store, reach the workers the same way.
 section "executor -race -count=50"
-go -C "$ROOT" test -race -count=50 -run 'Aliased|MatchSerial|KernelBinding|TraceSpans|LevelTraces|WorkerPool|RootLikelihood' ./internal/cpuimpl ./internal/engine
+go -C "$ROOT" test -race -count=50 -run 'Aliased|MatchSerial|KernelBinding|TraceSpans|LevelTraces|WorkerPool|RootLikelihood|Compact' ./internal/cpuimpl ./internal/engine
 
 # A device launch runs its work-groups concurrently on the engine's worker
 # pool, and each group writes its own per-category pattern runs of the
@@ -76,6 +76,11 @@ go -C "$ROOT" test -count=200 -cpu 1 -run TestDrainSpansStitchesWorkerSpans ./in
 # request may panic a worker or leave its engine unable to evaluate.
 section "fuzz FuzzApplyRequest 30s"
 go -C "$ROOT" test -run '^$' -fuzz FuzzApplyRequest -fuzztime 30s ./internal/remoteimpl
+
+# Call sequences in lockstep on every CPU engine kind against Serial: setters
+# between evaluations, reuse, compact subtrees and a forced rebalance.
+section "fuzz FuzzInstanceSequence 30s"
+go -C "$ROOT" test -run '^$' -fuzz FuzzInstanceSequence -fuzztime 30s ./internal/multiimpl
 
 run() {
     section "genomictest -check $*"
