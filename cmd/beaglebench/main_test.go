@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"gobeagle/internal/benchmarks"
 )
 
 // registered is what the registry must be: the paper reproduction on the
@@ -15,15 +17,15 @@ import (
 var registered = []string{"fig4", "fig4smoke", "fig5", "fig6", "table3", "table3hybrid", "table4", "table5"}
 
 func TestRegistryIsThePaperReproduction(t *testing.T) {
-	if got := experimentNames(); strings.Join(got, ",") != strings.Join(registered, ",") {
+	if got := benchmarks.ExperimentNames(); strings.Join(got, ",") != strings.Join(registered, ",") {
 		t.Errorf("registry = %v, want %v", got, registered)
 	}
 
 	// "all" is the registry without the CI-sized fig4smoke.
-	all := append([]string{"fig4smoke"}, allOrder...)
+	all := append([]string{"fig4smoke"}, benchmarks.AllOrder...)
 	sort.Strings(all)
 	if strings.Join(all, ",") != strings.Join(registered, ",") {
-		t.Errorf("all runs %v, want the registry without fig4smoke", allOrder)
+		t.Errorf("all runs %v, want the registry without fig4smoke", benchmarks.AllOrder)
 	}
 
 	// The -experiment flag help lists exactly the registry.
@@ -34,8 +36,8 @@ func TestRegistryIsThePaperReproduction(t *testing.T) {
 
 // TestNothingDangling checks, offline, what only a CI run would otherwise
 // show: every experiment a script, workflow or documented command names has a
-// runner, every committed baseline has one, and nothing refers to a script or
-// report this repository no longer has.
+// runner, and nothing refers to a script or report this repository no longer
+// has.
 func TestNothingDangling(t *testing.T) {
 	root := filepath.Join("..", "..")
 	files, err := filepath.Glob(filepath.Join(root, "scripts", "*.sh"))
@@ -47,10 +49,10 @@ func TestNothingDangling(t *testing.T) {
 		filepath.Join(root, "README.md"),
 		filepath.Join(root, ".claude", "skills", "verify", "SKILL.md"))
 
-	known := func(name string) bool { _, ok := runners[name]; return ok }
-	// `-experiment a|b|all` and `bench_gate.sh a` name experiments;
-	// BENCH_<x>.json names a report; scripts/<x>.sh names a script.
-	experimentArg := regexp.MustCompile(`(?:-experiment|bench_gate\.sh)[ \t]+([A-Za-z0-9_|]+)`)
+	known := func(name string) bool { _, ok := benchmarks.Experiments[name]; return ok }
+	// `-experiment a|b|all` names experiments; BENCH_<x>.json names a
+	// report; scripts/<x>.sh names a script.
+	experimentArg := regexp.MustCompile(`-experiment[ \t]+([A-Za-z0-9_|]+)`)
 	report := regexp.MustCompile(`BENCH_([A-Za-z0-9]+)\.json`)
 	script := regexp.MustCompile(`scripts/([A-Za-z0-9_]+\.sh)`)
 	for _, file := range files {
@@ -80,18 +82,6 @@ func TestNothingDangling(t *testing.T) {
 		// the tree finds nothing, this file included.
 		if gone := "BENCH_GATE" + "_JSON"; strings.Contains(text, gone) {
 			t.Errorf("%s: %s is no longer read by anything", file, gone)
-		}
-	}
-
-	baselines, err := os.ReadDir(filepath.Join(root, "bench", "baselines"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range baselines {
-		name, ok := strings.CutPrefix(e.Name(), "BENCH_")
-		name, ok2 := strings.CutSuffix(name, ".json")
-		if !ok || !ok2 || !known(name) {
-			t.Errorf("bench/baselines/%s is not BENCH_<registered experiment>.json", e.Name())
 		}
 	}
 }

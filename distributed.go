@@ -2,17 +2,10 @@ package gobeagle
 
 import (
 	"errors"
-	"fmt"
-	"time"
 
-	"gobeagle/internal/engine"
 	"gobeagle/internal/multiimpl"
 	"gobeagle/internal/remoteimpl"
 )
-
-// probeTimeout bounds the stateless hello used to size a worker's default
-// share at creation time.
-const probeTimeout = 5 * time.Second
 
 // WorkerStats is a public snapshot of one remote backend's transport
 // counters, for monitoring a distributed instance.
@@ -65,80 +58,7 @@ func NewDistributedInstance(cfg Config, workers []string, localResourceIDs []int
 	if len(workers) == 0 {
 		return nil, errors.New("gobeagle: need at least one worker (use NewMultiDeviceInstance for local-only instances)")
 	}
-	ecfg, err := engineConfig(cfg)
-	if err != nil {
-		return nil, err
-	}
-	resources := ResourceList()
-	locals := make([]*Resource, len(localResourceIDs))
-	for i, id := range localResourceIDs {
-		if id < 0 || id >= len(resources) {
-			return nil, errors.New("gobeagle: resource id out of range")
-		}
-		locals[i] = resources[id]
-	}
-	host := resources[0] // fallback engines always build on the host CPU
-
-	n := len(locals) + len(workers)
-	if shares == nil {
-		shares = make([]float64, 0, n)
-		for _, r := range locals {
-			shares = append(shares, throughputShare(r, ecfg.SinglePrecision))
-		}
-		for _, addr := range workers {
-			hello, err := remoteimpl.Probe(addr, probeTimeout)
-			if err != nil {
-				return nil, fmt.Errorf("gobeagle: probing worker %s: %w", addr, err)
-			}
-			// A worker is a host CPU of its probed core count.
-			shares = append(shares, throughputShare(&Resource{Cores: hello.Cores}, ecfg.SinglePrecision))
-		}
-	} else if len(shares) != n {
-		return nil, errors.New("gobeagle: shares length must match locals+workers")
-	}
-
-	// Local devices share node 0; each worker is its own node, so the
-	// rebalancer treats worker boundaries as costed cross-node moves.
-	nodes := make([]int, 0, n)
-	for range locals {
-		nodes = append(nodes, 0)
-	}
-	for i := range workers {
-		nodes = append(nodes, 1+i)
-	}
-
-	builders := make([]multiimpl.Builder, 0, n)
-	for _, rsc := range locals {
-		rsc := rsc
-		builders = append(builders, func(sub engine.Config) (engine.Engine, error) {
-			return buildEngine(sub, rsc, cfg.Flags)
-		})
-	}
-	for _, addr := range workers {
-		addr := addr
-		builders = append(builders, func(sub engine.Config) (engine.Engine, error) {
-			return remoteimpl.New(sub, remoteimpl.Options{
-				Addr: addr,
-				Fallback: func(fb engine.Config) (engine.Engine, error) {
-					return buildEngine(fb, host, cfg.Flags)
-				},
-			})
-		})
-	}
-
-	eng, err := multiimpl.NewBalanced(ecfg, builders, shares, multiimpl.Options{
-		Rebalance: cfg.Flags&FlagRebalance != 0,
-		Interval:  cfg.RebalanceInterval,
-		Nodes:     nodes,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rsc := host
-	if len(locals) > 0 {
-		rsc = locals[0]
-	}
-	return &Instance{cfg: cfg, eng: eng, rsc: rsc, tr: ecfg.Trace, impl: eng.Name(), strategy: "distributed"}, nil
+	return newPartitionedInstance(cfg, localResourceIDs, workers, shares, "distributed")
 }
 
 // RemoteStats reports transport counters for each remote backend of a

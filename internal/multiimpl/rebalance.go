@@ -15,11 +15,11 @@ import (
 // measurements into per-backend EWMA throughput estimates
 // (pattern-operations per second). Every Interval batches it derives the
 // throughput-proportional target partition; when the predicted batch-time
-// speedup of moving to that partition clears the hysteresis Threshold, it
-// migrates the boundary pattern spans between neighboring sub-engines via
-// the engines' PatternMigrator capability and adopts the new partition. The
-// batch boundary — under the engine mutex, with every backend quiescent — is
-// the safe barrier the migration requires.
+// speedup of moving to that partition clears the hysteresis
+// DefaultThreshold, it migrates the boundary pattern spans between
+// neighboring sub-engines via the engines' PatternMigrator capability and
+// adopts the new partition. The batch boundary — under the engine mutex, with
+// every backend quiescent — is the safe barrier the migration requires.
 //
 // With Options.Nodes set the rebalancer becomes hierarchical, for
 // coordinators whose backends span machines (remote engines beside local
@@ -38,7 +38,7 @@ import (
 // freely while patterns cross the network only when the imbalance is
 // persistent enough to pay for the trip.
 
-// Defaults for Options fields left zero, and the rebalancer's fixed
+// The default for Options.Interval left zero, and the rebalancer's fixed
 // parameters.
 const (
 	// DefaultInterval is the number of UpdatePartials batches between
@@ -80,9 +80,6 @@ type Options struct {
 	// Interval is the number of batches between rebalance checks
 	// (default DefaultInterval).
 	Interval int
-	// Threshold is the predicted speedup required before repartitioning
-	// (default DefaultThreshold).
-	Threshold float64
 	// Nodes assigns each backend to a node (machine). Backends of one node
 	// must be contiguous and ids non-decreasing, matching the contiguous
 	// pattern partition. Nil means all backends share one node, which makes
@@ -155,9 +152,8 @@ type RebalanceStats struct {
 // rebalancer holds the measurement and decision state. All access happens
 // under the owning Engine's mutex.
 type rebalancer struct {
-	interval  int
-	threshold float64
-	nodes     []int // node id per backend; uniform when hierarchy is off
+	interval int
+	nodes    []int // node id per backend; uniform when hierarchy is off
 
 	batch      int
 	lastOps    int       // operations in the most recent batch (cost model)
@@ -171,16 +167,12 @@ type rebalancer struct {
 
 func newRebalancer(n int, opts Options) *rebalancer {
 	r := &rebalancer{
-		interval:  opts.Interval,
-		threshold: opts.Threshold,
-		ewma:      make([]float64, n),
-		seeded:    make([]bool, n),
+		interval: opts.Interval,
+		ewma:     make([]float64, n),
+		seeded:   make([]bool, n),
 	}
 	if r.interval <= 0 {
 		r.interval = DefaultInterval
-	}
-	if r.threshold <= 1 {
-		r.threshold = DefaultThreshold
 	}
 	r.nodes = make([]int, n)
 	if opts.Nodes != nil {
@@ -366,7 +358,7 @@ func (e *Engine) maybeRebalance() error {
 	var cost float64
 	if r.multiNode() {
 		gLo, gHi := partition(p, r.ewma)
-		if gSpeed := r.predictSpeedup(e.lo, e.hi, gLo, gHi); gSpeed > speedup && gSpeed >= r.threshold {
+		if gSpeed := r.predictSpeedup(e.lo, e.hi, gLo, gHi); gSpeed > speedup && gSpeed >= DefaultThreshold {
 			c := e.migrationCostSeconds(gHi)
 			saved := r.savedSecondsPerBatch(e.lo, e.hi, gLo, gHi) -
 				r.savedSecondsPerBatch(e.lo, e.hi, newLo, newHi)
@@ -376,7 +368,7 @@ func (e *Engine) maybeRebalance() error {
 			}
 		}
 	}
-	if speedup < r.threshold {
+	if speedup < DefaultThreshold {
 		return nil
 	}
 	oldHi := append([]int(nil), e.hi...)

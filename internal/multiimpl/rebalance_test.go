@@ -333,13 +333,16 @@ func TestRebalanceDisabledStatic(t *testing.T) {
 
 // TestRebalanceConcurrentBatches drives UpdatePartials batches from several
 // goroutines through rebalances while another goroutine polls telemetry;
-// run with -race this checks the engine's internal serialization.
+// run with -race this checks the engine's internal serialization. The
+// backends are 4× apart, far past DefaultThreshold, so a rebalance must run;
+// their per-batch sleeps (about 1.4 and 5.6 ms) are long enough that a
+// millisecond timer granularity cannot make them look alike.
 func TestRebalanceConcurrentBatches(t *testing.T) {
 	tr, m, rates, ps := problem(t, 12, 6, 120)
 	cfg := multiConfig(tr, ps.PatternCount())
 	multi, err := NewBalanced(cfg,
-		[]Builder{slowBuilder(time.Microsecond), slowBuilder(4 * time.Microsecond)},
-		nil, Options{Rebalance: true, Interval: 1, Threshold: 1.01})
+		[]Builder{slowBuilder(10 * time.Microsecond), slowBuilder(40 * time.Microsecond)},
+		nil, Options{Rebalance: true, Interval: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,6 +384,9 @@ func TestRebalanceConcurrentBatches(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+	if stats, _ := multi.RebalanceStats(); stats.Rebalances == 0 {
+		t.Fatalf("backends 4x apart never rebalanced: %+v", stats)
+	}
 
 	// The computation must still be exact after concurrent rebalances.
 	single, err := cpuimpl.New(cfg, cpuimpl.Serial)

@@ -53,17 +53,15 @@ type Options struct {
 
 // Stats is a snapshot of the client's transport counters.
 type Stats struct {
-	RPCs            int64 // exchange attempts, including failed ones
-	Retries         int64 // idempotent-read retry attempts
-	Redials         int64 // successful reconnect+resume cycles
-	Failovers       int64 // local-fallback activations (0 or 1)
-	PingFailures    int64 // health-check pings that got no answer
-	BytesSent       int64
-	BytesReceived   int64
-	LinkBandwidth   float64 // EWMA payload bandwidth, bytes/sec; 0 = unmeasured
-	FailedOver      bool
-	JournalLen      int
-	JournalOverflow bool
+	RPCs          int64 // exchange attempts, including failed ones
+	Retries       int64 // idempotent-read retry attempts
+	Redials       int64 // successful reconnect+resume cycles
+	Failovers     int64 // local-fallback activations (0 or 1)
+	PingFailures  int64 // health-check pings that got no answer
+	BytesSent     int64
+	BytesReceived int64
+	LinkBandwidth float64 // EWMA payload bandwidth, bytes/sec; 0 = unmeasured
+	FailedOver    bool
 }
 
 // Engine is an engine.Engine whose computation runs in a beagleworker
@@ -187,8 +185,8 @@ func Probe(addr string, timeout time.Duration) (*HelloInfo, error) {
 
 // hello sends a hello request on a fresh connection and reads the worker's
 // reply under maxHelloFrame, as the worker reads the hello itself: nothing
-// has been agreed with the peer yet. The reply must carry a HelloInfo in a
-// protocol version this client speaks.
+// has been agreed with the peer yet. The reply must carry a HelloInfo in
+// this client's protocol version.
 func hello(conn net.Conn, addr string, req *request) (*HelloInfo, error) {
 	if _, err := writeMsg(conn, req); err != nil {
 		return nil, err
@@ -203,9 +201,8 @@ func hello(conn net.Conn, addr string, req *request) (*HelloInfo, error) {
 	if resp.Hello == nil {
 		return nil, errors.New("remoteimpl: malformed hello reply")
 	}
-	if v := resp.Hello.Version; v < minProtocolVersion || v > protocolVersion {
-		return nil, fmt.Errorf("remoteimpl: protocol version %d on %s, want %d..%d",
-			v, addr, minProtocolVersion, protocolVersion)
+	if v := resp.Hello.Version; v != protocolVersion {
+		return nil, fmt.Errorf("remoteimpl: protocol version %d on %s, want %d", v, addr, protocolVersion)
 	}
 	return resp.Hello, nil
 }
@@ -258,10 +255,9 @@ func (e *Engine) exchangeLocked(req *request) (*response, error) {
 	traced := e.tr.Enabled()
 	if traced {
 		t0 = e.tr.Now()
-		// Propagate trace context (protocol v2): the worker mirrors the
-		// enabled bit onto its session tracer and stamps its engine-side
-		// spans with the originating request identity. A v1 worker decodes
-		// and ignores these fields.
+		// Propagate trace context: the worker mirrors the enabled bit onto
+		// its session tracer and stamps its engine-side spans with the
+		// originating request identity.
 		req.Traced = true
 		req.TraceReq = e.tr.CurrentRequest()
 	}
@@ -495,23 +491,19 @@ func (e *Engine) pingLocked() {
 	}
 }
 
-// Stats snapshots the transport counters.
+// Stats snapshots the transport counters. It reads atomics only, so it never
+// waits for a call in flight.
 func (e *Engine) Stats() Stats {
-	e.mu.Lock()
-	jl, of := len(e.journal), e.overflow
-	e.mu.Unlock()
 	return Stats{
-		RPCs:            e.rpcs.Load(),
-		Retries:         e.retries.Load(),
-		Redials:         e.redials.Load(),
-		Failovers:       e.failovers.Load(),
-		PingFailures:    e.pingFailures.Load(),
-		BytesSent:       e.bytesSent.Load(),
-		BytesReceived:   e.bytesRecv.Load(),
-		LinkBandwidth:   e.LinkBandwidth(),
-		FailedOver:      e.failedOver.Load(),
-		JournalLen:      jl,
-		JournalOverflow: of,
+		RPCs:          e.rpcs.Load(),
+		Retries:       e.retries.Load(),
+		Redials:       e.redials.Load(),
+		Failovers:     e.failovers.Load(),
+		PingFailures:  e.pingFailures.Load(),
+		BytesSent:     e.bytesSent.Load(),
+		BytesReceived: e.bytesRecv.Load(),
+		LinkBandwidth: e.LinkBandwidth(),
+		FailedOver:    e.failedOver.Load(),
 	}
 }
 
@@ -532,15 +524,15 @@ func (e *Engine) Name() string { return e.name }
 func (e *Engine) Addr() string { return e.opts.Addr }
 
 // DebugAddr reports the worker's advertised debug/metrics HTTP address,
-// empty when the worker serves none (or predates protocol v2).
+// empty when the worker serves none.
 func (e *Engine) DebugAddr() string { return e.debugAddr }
 
 // DrainSpans fetches and clears the worker-side session tracer, returning
 // the worker's engine spans rebased into this client's tracer timeline by
 // rebaseDelta. Host-layer spans move; modeled-device-clock spans
 // (KindKernel/KindTransfer) keep their own timebase, as they do locally.
-// Returns nil when tracing is off, after failover, or when the worker
-// predates the drain op (a v1 worker answers with an unknown-op error).
+// Returns nil when tracing is off or after failover, and the worker's error
+// when it refuses the drain.
 func (e *Engine) DrainSpans() ([]trace.Span, error) {
 	if !e.tr.Enabled() {
 		return nil, nil
@@ -553,11 +545,11 @@ func (e *Engine) DrainSpans() ([]trace.Span, error) {
 	t0 := e.tr.Now()
 	resp, err := e.exchangeLocked(&request{Op: opDrainSpans})
 	t1 := e.tr.Now()
+	if err == nil {
+		err = respErr(resp)
+	}
 	if err != nil {
 		return nil, err
-	}
-	if resp.Err != "" {
-		return nil, nil // v1 worker: no spans to stitch
 	}
 	spans := resp.Spans
 	earliest := int64(math.MaxInt64)

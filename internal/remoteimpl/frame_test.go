@@ -71,6 +71,32 @@ func TestProbeRefusesOversizedHelloReply(t *testing.T) {
 	}
 }
 
+// TestProbeRefusesVersionOneWorker answers a probe's hello as a version-1
+// worker would: the client speaks only protocolVersion and must refuse it.
+func TestProbeRefusesVersionOneWorker(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		var req request
+		if _, err := readMsg(conn, &req, maxHelloFrame); err == nil {
+			writeMsg(conn, &response{Seq: req.Seq, Hello: &HelloInfo{Version: 1, Cores: 1}})
+		}
+		io.Copy(io.Discard, conn) // hold the connection open until the client closes it
+	}()
+	info, err := Probe(ln.Addr().String(), 5*time.Second)
+	if err == nil || !strings.Contains(err.Error(), "protocol version 1") {
+		t.Fatalf("Probe of a version-1 worker = %+v, %v; want the version error", info, err)
+	}
+}
+
 // TestOversizedHelloIsRefused sends a worker the 4-byte header of a 1 GiB
 // first frame from a raw connection: the worker must close the connection
 // without making a buffer for it.

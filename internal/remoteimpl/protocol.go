@@ -41,16 +41,10 @@ import (
 )
 
 // protocolVersion guards against coordinator/worker skew; bumped on any wire
-// format change. Version 2 added trace-context propagation (request.Traced /
-// request.TraceReq), the span-drain op and HelloInfo.DebugAddr — all pure
-// additions that gob-decode as zero values on a version-1 peer, so any
-// version in [minProtocolVersion, protocolVersion] interoperates: a v1
-// worker ignores trace context and answers opDrainSpans with an unknown-op
-// error the client treats as "no spans".
+// format change, and the client accepts only a worker that speaks it.
+// Version 2 added trace-context propagation (request.Traced /
+// request.TraceReq), the span-drain op and HelloInfo.DebugAddr.
 const protocolVersion = 2
-
-// minProtocolVersion is the oldest peer version the client accepts.
-const minProtocolVersion = 1
 
 // maxFrame bounds one wire frame. Migration blocks are the largest payloads
 // (all partials buffers for a pattern span); 1 GiB leaves headroom for any

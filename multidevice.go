@@ -2,10 +2,17 @@ package gobeagle
 
 import (
 	"errors"
+	"fmt"
+	"time"
 
 	"gobeagle/internal/engine"
 	"gobeagle/internal/multiimpl"
+	"gobeagle/internal/remoteimpl"
 )
+
+// probeTimeout bounds the stateless hello used to size a worker's default
+// share at creation time.
+const probeTimeout = 5 * time.Second
 
 // NewMultiDeviceInstance creates a single instance whose computation is
 // partitioned across several resources — the multi-device load balancing the
@@ -21,40 +28,78 @@ func NewMultiDeviceInstance(cfg Config, resourceIDs []int, shares []float64) (*I
 	if len(resourceIDs) == 0 {
 		return nil, errors.New("gobeagle: need at least one resource")
 	}
-	resources := ResourceList()
+	return newPartitionedInstance(cfg, resourceIDs, nil, shares, "multi-device")
+}
+
+// newPartitionedInstance builds the instance behind NewMultiDeviceInstance
+// and NewDistributedInstance: site patterns split over the local resources
+// localIDs, then the workers, in proportion to shares. Nil shares are derived
+// from throughput, probing each worker for its core count; given shares
+// probe nothing. Local resources share node 0 and each worker is a node of
+// its own, so the rebalancer costs a move across a worker boundary and, with
+// no workers, is the flat rebalancer.
+func newPartitionedInstance(cfg Config, localIDs []int, workers []string, shares []float64, strategy string) (*Instance, error) {
 	ecfg, err := engineConfig(cfg)
 	if err != nil {
 		return nil, err
 	}
-	selected := make([]*Resource, len(resourceIDs))
-	for i, id := range resourceIDs {
+	resources := ResourceList()
+	locals := make([]*Resource, len(localIDs))
+	for i, id := range localIDs {
 		if id < 0 || id >= len(resources) {
 			return nil, errors.New("gobeagle: resource id out of range")
 		}
-		selected[i] = resources[id]
+		locals[i] = resources[id]
 	}
+	host := resources[0] // fallback engines always build on the host CPU
+
 	if shares == nil {
-		shares = make([]float64, len(selected))
-		for i, r := range selected {
-			shares[i] = throughputShare(r, ecfg.SinglePrecision)
+		for _, r := range locals {
+			shares = append(shares, throughputShare(r, ecfg.SinglePrecision))
+		}
+		for _, addr := range workers {
+			hello, err := remoteimpl.Probe(addr, probeTimeout)
+			if err != nil {
+				return nil, fmt.Errorf("gobeagle: probing worker %s: %w", addr, err)
+			}
+			// A worker is a host CPU of its probed core count.
+			shares = append(shares, throughputShare(&Resource{Cores: hello.Cores}, ecfg.SinglePrecision))
 		}
 	}
 
-	builders := make([]multiimpl.Builder, len(selected))
-	for i, rsc := range selected {
-		rsc := rsc
-		builders[i] = func(sub engine.Config) (engine.Engine, error) {
+	var builders []multiimpl.Builder
+	var nodes []int
+	for _, rsc := range locals {
+		builders = append(builders, func(sub engine.Config) (engine.Engine, error) {
 			return buildEngine(sub, rsc, cfg.Flags)
-		}
+		})
+		nodes = append(nodes, 0)
 	}
+	for i, addr := range workers {
+		builders = append(builders, func(sub engine.Config) (engine.Engine, error) {
+			return remoteimpl.New(sub, remoteimpl.Options{
+				Addr: addr,
+				Fallback: func(fb engine.Config) (engine.Engine, error) {
+					return buildEngine(fb, host, cfg.Flags)
+				},
+			})
+		})
+		nodes = append(nodes, 1+i)
+	}
+
 	eng, err := multiimpl.NewBalanced(ecfg, builders, shares, multiimpl.Options{
 		Rebalance: cfg.Flags&FlagRebalance != 0,
 		Interval:  cfg.RebalanceInterval,
+		Nodes:     nodes,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Instance{cfg: cfg, eng: eng, rsc: selected[0], tr: ecfg.Trace, impl: eng.Name(), strategy: "multi-device"}, nil
+	rsc := host
+	if len(locals) > 0 {
+		rsc = locals[0]
+	}
+	return &Instance{cfg: cfg, eng: eng, rsc: rsc, tr: ecfg.Trace, impl: eng.Name(), strategy: strategy}, nil
 }
 
 // throughputShare estimates a resource's relative likelihood throughput at

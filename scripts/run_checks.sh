@@ -100,13 +100,6 @@ run -states 20 -taxa 8 -patterns 200 -categories 2 -precision double
 run -states 61 -taxa 6 -patterns 100 -categories 1 -precision double
 run -states 61 -taxa 6 -patterns 100 -categories 1 -precision single
 
-# Modeled-number gate: fig4smoke is computed from the device and CPU models and
-# is deterministic, so it must reproduce the committed baseline exactly (1e-6,
-# up or down); a refactor of the accelerator path that moves a launch, a
-# transfer or an efficiency shows up here in five seconds.
-section "bench gate fig4smoke (modeled, exact)"
-sh "$ROOT/scripts/bench_gate.sh"
-
 # Telemetry smoke: -stats must report per-kernel counts without breaking
 # the benchmark path.
 section "genomictest -stats smoke"

@@ -72,9 +72,9 @@ func (in *Instance) TraceJSON(w io.Writer) error {
 // RemoteTraceProcesses drains the engine-side spans each remote worker
 // recorded for this instance's traced calls, rebased into this instance's
 // span timeline and grouped per worker process. It returns nil for local
-// instances, when tracing is off, or when the workers predate the span
-// drain protocol. Draining clears the worker-side buffers, so each call
-// returns only spans recorded since the previous drain.
+// instances or when tracing is off, and leaves out a worker whose drain
+// failed. Draining clears the worker-side buffers, so each call returns only
+// spans recorded since the previous drain.
 func (in *Instance) RemoteTraceProcesses() []trace.Process {
 	me, ok := in.eng.(*multiimpl.Engine)
 	if !ok {
