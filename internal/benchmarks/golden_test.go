@@ -2,11 +2,13 @@ package benchmarks
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -47,33 +49,42 @@ func TestExperimentsGolden(t *testing.T) {
 			if name == "fig4" && testing.Short() {
 				t.Skip("the full Fig. 4 sweep takes about 10 s")
 			}
-			data, err := os.ReadFile(filepath.Join("testdata", "BENCH_"+name+".json"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var golden Report
-			if err := json.Unmarshal(data, &golden); err != nil {
-				t.Fatal(err)
-			}
+			golden := readGolden(t, name)
 			got, err := Experiments[name](io.Discard)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkReport(t, got, golden)
+			for _, d := range reportDiffs(got, golden) {
+				t.Error(d)
+			}
 		})
 	}
 }
 
-// checkReport holds a fresh report to its golden copy, naming the first few
-// records that differ.
-func checkReport(t *testing.T, got, want Report) {
+// readGolden reads testdata/BENCH_<name>.json.
+func readGolden(t *testing.T, name string) Report {
 	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "BENCH_"+name+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden Report
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
+	}
+	return golden
+}
+
+// reportDiffs lists how got differs from its golden copy, naming the first
+// few records that differ; it is empty when got reproduces want.
+func reportDiffs(got, want Report) []string {
+	var diffs []string
 	if got.Experiment != want.Experiment || got.Description != want.Description || got.Unit != want.Unit {
-		t.Errorf("report is (%q, %q, %q), want (%q, %q, %q)",
-			got.Experiment, got.Description, got.Unit, want.Experiment, want.Description, want.Unit)
+		diffs = append(diffs, fmt.Sprintf("report is (%q, %q, %q), want (%q, %q, %q)",
+			got.Experiment, got.Description, got.Unit, want.Experiment, want.Description, want.Unit))
 	}
 	if len(got.Records) != len(want.Records) {
-		t.Fatalf("%d records, want %d", len(got.Records), len(want.Records))
+		return append(diffs, fmt.Sprintf("%d records, want %d", len(got.Records), len(want.Records)))
 	}
 	const shown = 5
 	differ := 0
@@ -85,15 +96,121 @@ func checkReport(t *testing.T, got, want Report) {
 			continue
 		}
 		if differ++; differ <= shown {
-			t.Errorf("record %d is %+v, want %+v", i, g, w)
+			diffs = append(diffs, fmt.Sprintf("record %d is %+v, want %+v", i, g, w))
 		}
 	}
 	if differ > shown {
-		t.Errorf("and %d more records differ", differ-shown)
+		diffs = append(diffs, fmt.Sprintf("and %d more records differ", differ-shown))
 	}
+	return diffs
 }
 
 // near reports whether got is within goldenTolerance of want, relatively.
 func near(got, want float64) bool {
 	return math.Abs(got-want) <= goldenTolerance*math.Abs(want)
+}
+
+// cloneReport copies r with its own record slice, so a test can move one
+// record without touching the golden copy.
+func cloneReport(r Report) Report {
+	r.Records = slices.Clone(r.Records)
+	return r
+}
+
+// TestCompareDetectsInjectedSlowdown is the golden comparison's acceptance
+// test. Every golden record is model output, so the comparison is an
+// equality check: a record that moved by 0.1% must be reported whether it
+// went down or up (a dropped transfer charge makes modeled GFLOPS rise), while
+// an identical report and the last-bit noise of a JSON round trip pass.
+func TestCompareDetectsInjectedSlowdown(t *testing.T) {
+	golden := readGolden(t, "fig4smoke")
+	if golden.Unit != "GFLOPS" || golden.Records[3].GFLOPS == 0 {
+		t.Fatalf("fig4smoke golden is not a GFLOPS report: %+v", golden.Records[3])
+	}
+	for _, factor := range []float64{0.8, 0.999, 1.001} {
+		moved := cloneReport(golden)
+		moved.Records[3].GFLOPS *= factor
+		diffs := reportDiffs(moved, golden)
+		if len(diffs) != 1 || !strings.HasPrefix(diffs[0], "record 3 ") {
+			t.Errorf("x%v on record 3 reported as %q", factor, diffs)
+		}
+	}
+	if diffs := reportDiffs(cloneReport(golden), golden); len(diffs) != 0 {
+		t.Errorf("identical report reported as %q", diffs)
+	}
+	rounded := cloneReport(golden)
+	for i := range rounded.Records {
+		rounded.Records[i].GFLOPS *= 1 + 1e-9
+	}
+	if diffs := reportDiffs(rounded, golden); len(diffs) != 0 {
+		t.Errorf("1e-9 rounding reported as %q", diffs)
+	}
+	// Every record moved: the first few are named, the rest counted.
+	slowed := cloneReport(golden)
+	for i := range slowed.Records {
+		slowed.Records[i].GFLOPS *= 0.5
+	}
+	diffs := reportDiffs(slowed, golden)
+	if want := fmt.Sprintf("and %d more records differ", len(golden.Records)-5); len(diffs) != 6 || diffs[5] != want {
+		t.Errorf("all records halved reported as %q, want five records and %q", diffs, want)
+	}
+}
+
+// TestCompareSpeedupMetric checks speedup-unit records (fig6) are held on
+// their speedup factor, in both directions.
+func TestCompareSpeedupMetric(t *testing.T) {
+	golden := readGolden(t, "fig6")
+	if golden.Unit != "speedup" || golden.Records[0].Speedup == 0 {
+		t.Fatalf("fig6 golden is not a speedup report: %+v", golden.Records[0])
+	}
+	for _, factor := range []float64{0.999, 1.001} {
+		moved := cloneReport(golden)
+		moved.Records[0].Speedup *= factor
+		if diffs := reportDiffs(moved, golden); len(diffs) != 1 || !strings.HasPrefix(diffs[0], "record 0 ") {
+			t.Errorf("speedup x%v on record 0 reported as %q", factor, diffs)
+		}
+	}
+}
+
+// TestCompareMissingRecordFailsGate checks that coverage cannot change
+// silently: a dropped record, an added one and a reordering are all reported.
+func TestCompareMissingRecordFailsGate(t *testing.T) {
+	golden := readGolden(t, "fig4smoke")
+	dropped := cloneReport(golden)
+	dropped.Records = dropped.Records[:len(dropped.Records)-1]
+	if diffs := reportDiffs(dropped, golden); len(diffs) != 1 {
+		t.Errorf("dropped record reported as %q", diffs)
+	}
+	added := cloneReport(golden)
+	added.Records = append(added.Records, added.Records[0])
+	if diffs := reportDiffs(added, golden); len(diffs) != 1 {
+		t.Errorf("added record reported as %q", diffs)
+	}
+	swapped := cloneReport(golden)
+	swapped.Records[0], swapped.Records[1] = swapped.Records[1], swapped.Records[0]
+	if diffs := reportDiffs(swapped, golden); len(diffs) != 2 {
+		t.Errorf("two swapped records reported as %q", diffs)
+	}
+}
+
+// TestCompareExperimentMismatch checks that the report header and every
+// identity field of a record must equal the golden copy's.
+func TestCompareExperimentMismatch(t *testing.T) {
+	golden := readGolden(t, "fig4smoke")
+	for _, edit := range []func(*Report){
+		func(r *Report) { r.Experiment = "fig4" },
+		func(r *Report) { r.Description += "." },
+		func(r *Report) { r.Unit = "speedup" },
+	} {
+		other := cloneReport(golden)
+		edit(&other)
+		if diffs := reportDiffs(other, golden); len(diffs) != 1 || !strings.HasPrefix(diffs[0], "report is ") {
+			t.Errorf("header change reported as %q", diffs)
+		}
+	}
+	other := cloneReport(golden)
+	other.Records[2].Device += " "
+	if diffs := reportDiffs(other, golden); len(diffs) != 1 || !strings.HasPrefix(diffs[0], "record 2 ") {
+		t.Errorf("device name change reported as %q", diffs)
+	}
 }
