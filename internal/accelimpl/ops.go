@@ -337,8 +337,9 @@ func (e *Engine[T]) AccumulateScaleFactors(scaleBufs []int, cumBuf int) error {
 
 // integrate is the store's Integrator: one launch per integration, one
 // work-item per pattern. The root is charged as a streaming kernel, the edge
-// as a partials operation, its derivatives at twice those flops. The site
-// likelihoods (not for derivatives) and scale factors are downloaded.
+// as a partials operation, its derivatives at twice those flops. The body
+// takes each pattern's log on the device, so the values downloaded (not for
+// derivatives) are the site log likelihoods, and the scale factors.
 func (e *Engine[T]) integrate(kind engine.Integration, body func(lo, hi int), scale []float64) error {
 	d := e.Cfg.Dims
 	root, cost := kind == engine.IntegrateRoot, e.opCost()

@@ -182,7 +182,7 @@ func TestTable3HybridShape(t *testing.T) {
 }
 
 func TestTable4Shape(t *testing.T) {
-	rows, err := Table4()
+	rows, err := table4Rows()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
-	rows, err := Fig6()
+	rows, err := fig6Rows()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,76 +35,48 @@ func ExperimentNames() []string {
 	return names
 }
 
-func runTable3(w io.Writer) (Report, error) {
-	rows, err := Table3(600)
+// experiment runs an experiment's rows, prints them to w and returns their
+// report: the shape of every registry entry.
+func experiment[R any](w io.Writer, rows func() (R, error), print func(io.Writer, R), report func(R) Report) (Report, error) {
+	r, err := rows()
 	if err != nil {
 		return Report{}, err
 	}
-	PrintTable3(w, rows)
-	return Table3Report(rows), nil
+	print(w, r)
+	return report(r), nil
+}
+
+func runTable3(w io.Writer) (Report, error) {
+	return experiment(w, func() ([]Table3Row, error) { return Table3(600) }, PrintTable3, Table3Report)
 }
 
 func runTable3Hybrid(w io.Writer) (Report, error) {
-	rows, err := Table3Hybrid(true)
-	if err != nil {
-		return Report{}, err
-	}
-	PrintTable3Hybrid(w, rows)
-	return Table3HybridReport(rows), nil
+	return experiment(w, func() ([]HybridRow, error) { return Table3Hybrid(true) }, PrintTable3Hybrid, Table3HybridReport)
 }
 
 func runTable4(w io.Writer) (Report, error) {
-	rows, err := Table4()
-	if err != nil {
-		return Report{}, err
-	}
-	PrintTable4(w, rows)
-	return Table4Report(rows), nil
+	return experiment(w, Table4, PrintTable4, Table4Report)
 }
 
 func runTable5(w io.Writer) (Report, error) {
-	rows, err := Table5()
-	if err != nil {
-		return Report{}, err
-	}
-	PrintTable5(w, rows)
-	return Table5Report(rows), nil
+	return experiment(w, Table5, PrintTable5, Table5Report)
 }
 
 func runFig4(w io.Writer) (Report, error) {
-	panels, err := Fig4()
-	if err != nil {
-		return Report{}, err
-	}
-	PrintFig4(w, panels)
-	return Fig4Report("fig4", panels), nil
+	return experiment(w, Fig4, PrintFig4, func(p []Fig4Panel) Report { return Fig4Report("fig4", p) })
 }
 
 // runFig4Smoke runs the Fig. 4 sweep at a handful of pattern counts so CI can
 // produce a BENCH JSON artifact in seconds rather than minutes.
 func runFig4Smoke(w io.Writer) (Report, error) {
-	panels, err := Fig4With([]int{100, 1000, 10000}, []int{100, 1000})
-	if err != nil {
-		return Report{}, err
-	}
-	PrintFig4(w, panels)
-	return Fig4Report("fig4smoke", panels), nil
+	return experiment(w, func() ([]Fig4Panel, error) { return Fig4With([]int{100, 1000, 10000}, []int{100, 1000}) },
+		PrintFig4, func(p []Fig4Panel) Report { return Fig4Report("fig4smoke", p) })
 }
 
 func runFig5(w io.Writer) (Report, error) {
-	points, err := Fig5()
-	if err != nil {
-		return Report{}, err
-	}
-	PrintFig5(w, points)
-	return Fig5Report(points), nil
+	return experiment(w, Fig5, PrintFig5, Fig5Report)
 }
 
 func runFig6(w io.Writer) (Report, error) {
-	rows, err := Fig6()
-	if err != nil {
-		return Report{}, err
-	}
-	PrintFig6(w, rows)
-	return Fig6Report(rows), nil
+	return experiment(w, Fig6, PrintFig6, Fig6Report)
 }

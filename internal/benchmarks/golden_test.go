@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -50,7 +51,7 @@ func TestExperimentsGolden(t *testing.T) {
 				t.Skip("the full Fig. 4 sweep takes about 10 s")
 			}
 			golden := readGolden(t, name)
-			got, err := Experiments[name](io.Discard)
+			got, err := goldenRun(name)(io.Discard)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,6 +60,27 @@ func TestExperimentsGolden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// table4Rows and fig6Rows are the one run of each of the two slowest
+// experiments that this package's tests share: TestExperimentsGolden checks
+// its report, TestTable4Shape and TestFig6Shape its rows.
+var (
+	table4Rows = sync.OnceValues(Table4)
+	fig6Rows   = sync.OnceValues(Fig6)
+)
+
+// goldenRun is the registry entry TestExperimentsGolden runs for name: the
+// registered one, except that table4 and fig6 read their rows from the
+// shared run, with the registry's print and report steps.
+func goldenRun(name string) func(io.Writer) (Report, error) {
+	switch name {
+	case "table4":
+		return func(w io.Writer) (Report, error) { return experiment(w, table4Rows, PrintTable4, Table4Report) }
+	case "fig6":
+		return func(w io.Writer) (Report, error) { return experiment(w, fig6Rows, PrintFig6, Fig6Report) }
+	}
+	return Experiments[name]
 }
 
 // readGolden reads testdata/BENCH_<name>.json.

@@ -22,9 +22,9 @@
 //   - ThreadCreate: one phase of Threads slabs on fresh goroutines, and one
 //     inline slab below a minimum pattern count (§VI-B);
 //   - ThreadPool: the same slabs on a persistent worker pool, which also
-//     runs the root's site likelihoods for the store's integration
-//     (engine.Storage) as one more slab phase (§VI-C), the design that won
-//     in Table III;
+//     runs the root's site likelihoods and their logs for the store's
+//     integration (engine.Storage) as one more slab phase (§VI-C), the
+//     design that won in Table III;
 //   - ThreadPoolHybrid: slabs on the pool with no whole-problem threshold,
 //     min(Threads, ⌈patterns / HybridMinChunk⌉) of them, so small pattern
 //     counts still use the workers instead of degrading to serial.
@@ -335,8 +335,8 @@ func (e *Engine[T]) runSlab(i, n, worker int) {
 // over every pattern.
 func (e *Engine[T]) runOp(i, _, _ int) { e.exec(e.level[i], 0, e.Cfg.Dims.PatternCount) }
 
-// integrate is the pool modes' Integrator: the root's site likelihoods are
-// one more slab phase on the workers (§VI-C), the edge integrations run
+// integrate is the pool modes' Integrator: the root's site log likelihoods
+// are one more slab phase on the workers (§VI-C), the edge integrations run
 // inline. The other modes leave every integration inline in the store.
 func (e *Engine[T]) integrate(kind engine.Integration, body func(lo, hi int), _ []float64) error {
 	if kind == engine.IntegrateRoot {
@@ -348,7 +348,8 @@ func (e *Engine[T]) integrate(kind engine.Integration, body func(lo, hi int), _ 
 	return nil
 }
 
-// siteSlab is the root task: the site likelihoods of pattern slab i of n.
+// siteSlab is the root task: the site log likelihoods of pattern slab i of
+// n.
 func (e *Engine[T]) siteSlab(i, n, _ int) {
 	e.rootBody(slab(i, n, e.Cfg.Dims.PatternCount))
 }

@@ -2,15 +2,14 @@ package engine
 
 import (
 	"fmt"
-	"math"
 
 	"gobeagle/internal/kernels"
 	"gobeagle/internal/trace"
 )
 
 // Integration is the kind of a likelihood integration's per-pattern body:
-// the root's site likelihoods, the site likelihoods across one branch, or
-// those with their branch-length derivatives.
+// the root's site log likelihoods, the site log likelihoods across one
+// branch, or those with their branch-length derivatives.
 type Integration int
 
 const (
@@ -22,20 +21,24 @@ const (
 // Integrator is the one step of an integration a backend supplies: it runs
 // body over the patterns [0, PatternCount), as one range or as disjoint
 // ranges in any order or concurrently, and returns when all have run. scale
-// is the cumulative scale buffer the integration reads (nil for None). The
-// store validates the operands, reduces in one left-to-right order and
+// is the cumulative scale buffer the integration reads (nil for None). A
+// body leaves each pattern's terms in place — its site log likelihood
+// log(site_p) + scale_p in Site, and for derivatives the ratios in the
+// derivative buffers — so the log runs wherever the body runs. The store
+// validates the operands, sums the terms in one left-to-right order and
 // records the span, so every backend returns the same bits.
 type Integrator func(kind Integration, body func(lo, hi int), scale []float64) error
 
 // integration is the store's integration state: the backend's Integrator
 // (nil runs bodies inline), the bodies, bound once so handing one on
 // allocates nothing, and the running call's operands they read: partials,
-// matrices and derivative outputs cut from dd (m2, d2 nil for no second).
+// matrices, the cumulative scale buffer (nil for None) and derivative
+// outputs cut from dd (m2, d2 nil for no second).
 type integration[T kernels.Real] struct {
-	run             Integrator
-	body            [3]func(lo, hi int)
-	a, b, m, m1, m2 []T
-	d1, d2, dd      []float64
+	run               Integrator
+	body              [3]func(lo, hi int)
+	a, b, m, m1, m2   []T
+	scale, d1, d2, dd []float64
 }
 
 // SetIntegrator makes run the way the store's integrations run their
@@ -45,19 +48,27 @@ func (s *Storage[T]) SetIntegrator(run Integrator) { s.in.run = run }
 func (s *Storage[T]) bindIntegration() {
 	in := &s.in
 	in.body = [...]func(lo, hi int){
-		IntegrateRoot: func(lo, hi int) { kernels.SiteLikelihoods(s.Site, in.a, s.CatWts, s.Freqs, s.Cfg.Dims, lo, hi) },
+		IntegrateRoot: func(lo, hi int) {
+			kernels.SiteLikelihoods(s.Site, in.a, s.CatWts, s.Freqs, s.Cfg.Dims, lo, hi)
+			kernels.LogSites(s.Site, s.Site, in.scale, lo, hi)
+		},
 		IntegrateEdge: func(lo, hi int) {
 			kernels.EdgeSiteLikelihoods(s.Site, in.a, in.b, in.m, s.CatWts, s.Freqs, s.Cfg.Dims, lo, hi)
+			kernels.LogSites(s.Site, s.Site, in.scale, lo, hi)
 		},
 		IntegrateEdgeDerivatives: func(lo, hi int) {
 			kernels.EdgeSiteDerivatives(s.Site, in.d1, in.d2, in.a, in.b, in.m, in.m1, in.m2,
 				s.CatWts, s.Freqs, s.Cfg.Dims, lo, hi)
+			kernels.EdgeDerivativeRatios(s.Site, in.d1, in.d2, lo, hi)
+			kernels.LogSites(s.Site, s.Site, in.scale, lo, hi)
 		},
 	}
 }
 
-// integrate runs the kind's body over every pattern, into Site.
+// integrate runs the kind's body over every pattern, leaving the site log
+// likelihoods in Site.
 func (s *Storage[T]) integrate(kind Integration, scale []float64) error {
+	s.in.scale = scale
 	if s.in.run == nil {
 		s.in.body[kind](0, len(s.Site))
 		return nil
@@ -65,10 +76,10 @@ func (s *Storage[T]) integrate(kind Integration, scale []float64) error {
 	return s.in.run(kind, s.in.body[kind], scale)
 }
 
-// lnL reduces Site to the log likelihood, left to right, and ends the call's
-// span of the given kind.
-func (s *Storage[T]) lnL(scale []float64, kind trace.Kind, start int64, on bool) float64 {
-	lnL := kernels.RootLogLikelihood(s.Site, s.PatWts, scale, 0, len(s.Site))
+// lnL sums the site log likelihoods in Site, weighted, left to right, and
+// ends the call's span of the given kind.
+func (s *Storage[T]) lnL(kind trace.Kind, start int64, on bool) float64 {
+	lnL := kernels.WeightedSum(0, s.Site, s.PatWts)
 	if on {
 		s.Cfg.Trace.End(trace.Span{Kind: kind, Lane: int32(s.Cfg.TraceLane), Arg0: int64(len(s.Site))}, start)
 	}
@@ -96,16 +107,17 @@ func (s *Storage[T]) partialsOperand(buf, slot int) ([]T, error) {
 	return partials, nil
 }
 
-// rootSites runs the root integration into Site and returns its cumulative
-// scale buffer (nil for None).
-func (s *Storage[T]) rootSites(rootBuf, cumScaleBuf int) (scale []float64, err error) {
+// rootSites runs the root integration, leaving the site log likelihoods in
+// Site.
+func (s *Storage[T]) rootSites(rootBuf, cumScaleBuf int) (err error) {
 	if s.in.a, err = s.partialsOperand(rootBuf, 0); err != nil {
-		return nil, err
+		return err
 	}
-	if scale, err = s.cumulativeScale(cumScaleBuf); err != nil {
-		return nil, err
+	scale, err := s.cumulativeScale(cumScaleBuf)
+	if err != nil {
+		return err
 	}
-	return scale, s.integrate(IntegrateRoot, scale)
+	return s.integrate(IntegrateRoot, scale)
 }
 
 // edgeOperands binds what an integration across one branch reads, the
@@ -128,28 +140,19 @@ func (s *Storage[T]) edgeOperands(parentBuf, childBuf, matrix, cumScaleBuf int) 
 // log likelihood.
 func (s *Storage[T]) CalculateRootLogLikelihoods(rootBuf, cumScaleBuf int) (float64, error) {
 	start, on := s.Cfg.Trace.Begin()
-	scale, err := s.rootSites(rootBuf, cumScaleBuf)
-	if err != nil {
+	if err := s.rootSites(rootBuf, cumScaleBuf); err != nil {
 		return 0, err
 	}
-	return s.lnL(scale, trace.KindRoot, start, on), nil
+	return s.lnL(trace.KindRoot, start, on), nil
 }
 
 // SiteLogLikelihoods returns per-pattern root log likelihoods (log site
 // likelihood plus accumulated scale factors) in a fresh slice.
 func (s *Storage[T]) SiteLogLikelihoods(rootBuf, cumScaleBuf int) ([]float64, error) {
-	scale, err := s.rootSites(rootBuf, cumScaleBuf)
-	if err != nil {
+	if err := s.rootSites(rootBuf, cumScaleBuf); err != nil {
 		return nil, err
 	}
-	out := make([]float64, len(s.Site))
-	for p, site := range s.Site {
-		out[p] = math.Log(site)
-		if scale != nil {
-			out[p] += scale[p]
-		}
-	}
-	return out, nil
+	return append([]float64(nil), s.Site...), nil
 }
 
 // CalculateEdgeLogLikelihoods integrates across a single branch between the
@@ -163,7 +166,7 @@ func (s *Storage[T]) CalculateEdgeLogLikelihoods(parentBuf, childBuf, matrix, cu
 	if err := s.integrate(IntegrateEdge, scale); err != nil {
 		return 0, err
 	}
-	return s.lnL(scale, trace.KindEdge, start, on), nil
+	return s.lnL(trace.KindEdge, start, on), nil
 }
 
 // CalculateEdgeDerivatives integrates across a single branch and returns
@@ -193,6 +196,9 @@ func (s *Storage[T]) CalculateEdgeDerivatives(parentBuf, childBuf, matrix, d1Mat
 	if err := s.integrate(IntegrateEdgeDerivatives, scale); err != nil {
 		return 0, 0, 0, err
 	}
-	d1, d2 := kernels.ReduceEdgeDerivatives(s.Site, s.in.d1, s.in.d2, s.PatWts, 0, p)
-	return s.lnL(scale, trace.KindEdge, start, on), d1, d2, nil
+	d1, d2 := kernels.WeightedSum(0, s.in.d1, s.PatWts), 0.0
+	if s.in.d2 != nil {
+		d2 = kernels.WeightedSum(0, s.in.d2, s.PatWts)
+	}
+	return s.lnL(trace.KindEdge, start, on), d1, d2, nil
 }

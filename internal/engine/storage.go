@@ -37,8 +37,8 @@ type Storage[T kernels.Real] struct {
 	// it to skip unchanged work.
 	Reuse *reuse.Tracker
 	// Site is the per-pattern scratch every likelihood integration writes
-	// (integrate.go), sized to the pattern count and valid until the next
-	// integration.
+	// (integrate.go): after one it holds the site log likelihoods. It is
+	// sized to the pattern count and valid until the next integration.
 	Site []float64
 
 	in     integration[T]

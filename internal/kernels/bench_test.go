@@ -121,8 +121,8 @@ func BenchmarkAccumulateScaleFactors(b *testing.B) {
 
 // BenchmarkSiteLikelihoods integrates a root of nuc_large's shape (20 000
 // patterns, four categories, four states) in both precisions: unrolled4 is
-// SiteLikelihoods, which takes the 4-state path, generic the loop over
-// states it is held to. Reported per pattern.
+// SiteLikelihoods, which takes the 4-state path (AVX2 where the CPU has
+// it), generic the loop over states it is held to. Reported per pattern.
 func BenchmarkSiteLikelihoods(b *testing.B) {
 	b.Run("float32", func(b *testing.B) { benchSiteLikelihoods[float32](b) })
 	b.Run("float64", func(b *testing.B) { benchSiteLikelihoods[float64](b) })
@@ -145,4 +145,67 @@ func benchSiteLikelihoods[T Real](b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*patterns), "ns/pattern")
 		})
 	}
+}
+
+// BenchmarkRootIntegration times the root integration's per-pattern work at
+// nuc_large's shape (20 000 patterns, four categories, float32): the site
+// likelihoods, the site logs and the weighted sum. site and log time the
+// two kernels alone, each bound kernel (avx2 where the CPU has it) against
+// its Go body, and the log against a math.Log loop too; total times the
+// three steps together, the Go site body with a math.Log loop against
+// SiteLikelihoods with LogSites. Reported per pattern.
+func BenchmarkRootIntegration(b *testing.B) {
+	const patterns = 20000
+	pr := newProblem[float32](rand.New(rand.NewSource(1)), 4, patterns, 4)
+	site := make([]float64, patterns)
+	out := make([]float64, patterns)
+	wts := []float64{0.25, 0.25, 0.25, 0.25}
+	freqs := []float64{0.1, 0.2, 0.3, 0.4}
+	patW := make([]float64, patterns)
+	for i := range patW {
+		patW[i] = 1
+	}
+	siteLikelihoods4Go(site, pr.p1, wts, freqs, pr.d, 0, patterns)
+	mathLog := func(out, site, _ []float64, lo, hi int) {
+		for p := lo; p < hi; p++ {
+			out[p] = math.Log(site[p])
+		}
+	}
+	var sink float64
+	run := func(name string, body func()) {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				body()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*patterns), "ns/pattern")
+		})
+	}
+	type siteBody func(out []float64, root []float32, catWeights, freqs []float64, d Dims, lo, hi int)
+	type logBody func(out, site, scale []float64, lo, hi int)
+	sites := []struct {
+		name string
+		fn   siteBody
+	}{{"go", siteLikelihoods4Go[float32]}, {"avx2", SiteLikelihoods[float32]}}
+	logs := []struct {
+		name string
+		fn   logBody
+	}{{"math.Log", mathLog}, {"go", logSitesGo}, {"avx2", LogSites}}
+	for _, k := range sites {
+		run("site/"+k.name, func() { k.fn(site, pr.p1, wts, freqs, pr.d, 0, patterns) })
+	}
+	for _, k := range logs {
+		run("log/"+k.name, func() { k.fn(out, site, nil, 0, patterns) })
+	}
+	for _, k := range []struct {
+		name string
+		site siteBody
+		log  logBody
+	}{{"math.Log", siteLikelihoods4Go[float32], mathLog}, {"avx2", SiteLikelihoods[float32], LogSites}} {
+		run("total/"+k.name, func() {
+			k.site(out, pr.p1, wts, freqs, pr.d, 0, patterns)
+			k.log(out, out, nil, 0, patterns)
+			sink += WeightedSum(0, out, patW)
+		})
+	}
+	_ = sink
 }

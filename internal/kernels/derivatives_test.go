@@ -99,20 +99,24 @@ func TestEdgeSiteDerivativesMatchNumericLikelihood(t *testing.T) {
 	for i := range patW {
 		patW[i] = 1 + float64(i%3)
 	}
-	d1, d2 := ReduceEdgeDerivatives(siteL, siteD1, siteD2, patW, 0, 9)
+	r1 := append([]float64(nil), siteD1...)
+	r2 := append([]float64(nil), siteD2...)
+	EdgeDerivativeRatios(siteL, r1, r2, 0, 9)
+	d1, d2 := WeightedSum(0, r1, patW), WeightedSum(0, r2, patW)
 	var wantD1 float64
 	for p := 0; p < 9; p++ {
 		wantD1 += patW[p] * siteD1[p] / siteL[p]
 	}
 	if math.Abs(d1-wantD1) > 1e-12 {
-		t.Fatalf("ReduceEdgeDerivatives d1 %v want %v", d1, wantD1)
+		t.Fatalf("EdgeDerivativeRatios d1 %v want %v", d1, wantD1)
 	}
 	if math.IsNaN(d2) {
 		t.Fatal("d2 is NaN")
 	}
-	// First-derivative-only reduction.
-	d1b, d2b := ReduceEdgeDerivatives(siteL, siteD1, nil, patW, 0, 9)
-	if d1b != d1 || d2b != 0 {
-		t.Fatalf("nil-d2 reduction gave %v %v", d1b, d2b)
+	// First-derivative-only ratios.
+	r1b := append([]float64(nil), siteD1...)
+	EdgeDerivativeRatios(siteL, r1b, nil, 0, 9)
+	if d1b := WeightedSum(0, r1b, patW); d1b != d1 {
+		t.Fatalf("nil-d2 ratios gave d1 %v, want %v", d1b, d1)
 	}
 }

@@ -18,8 +18,9 @@
 //     kernels that build a small subtree's distinct rows as a class table
 //     and gather them by class id, in the same operations and order
 //     (compact4.go, the gathers in AVX2). Outside the partials
-//     kernels, RescalePartials' 4-state path is AVX2 assembly as well
-//     (rescale4_amd64.s), and UpdateTransitionMatrix's 4-state body is
+//     kernels, RescalePartials' and SiteLikelihoods' 4-state paths are
+//     AVX2 assembly as well, lanes across four patterns (rescale4_amd64.s,
+//     root4_amd64.s), and UpdateTransitionMatrix's 4-state body is
 //     unrolled Go;
 //   - wide-state kernels for 5 to MaxWideStates states (amino acids,
 //     codons), the analogue of BEAGLE's hand-vectorised CPU path.
@@ -74,7 +75,10 @@
 // the pattern loop itself is in assembly, with the transposed columns held
 // in registers. The 4-state rescale has no dot product, but the same gate
 // and the same rule: each instruction is the Go body's own operation, so
-// the bits are its bits.
+// the bits are its bits. So does LogSites, the site log likelihoods: its
+// AVX2 body and its Go body are both Go's amd64 math.Log operation for
+// operation, so the integrations' logs are amd64's bits on every
+// architecture.
 //
 // Buffer layouts (identical everywhere):
 //

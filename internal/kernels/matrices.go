@@ -54,7 +54,8 @@ func UpdateTransitionDerivatives[T Real](d1, d2 []T, e *Eigen, edgeLength float6
 // likelihood and its first and second derivatives with respect to the branch
 // length, given the branch's transition matrix and its derivatives. out
 // slices may alias each other only if identical; outD2/md2 may be nil when
-// second derivatives are not requested.
+// second derivatives are not requested. Every product is rounded before it
+// is added, so no architecture fuses it.
 func EdgeSiteDerivatives[T Real](outL, outD1, outD2 []float64, parent, child, m, md1, md2 []T,
 	catWeights, freqs []float64, d Dims, lo, hi int) {
 	s := d.StateCount
@@ -71,23 +72,23 @@ func EdgeSiteDerivatives[T Real](outL, outD1, outD2 []float64, parent, child, m,
 				row1 := md1[mOff+i*s : mOff+(i+1)*s]
 				var inner, inner1, inner2 T
 				for j := 0; j < s; j++ {
-					inner += row[j] * cv[j]
-					inner1 += row1[j] * cv[j]
+					inner += T(row[j] * cv[j])
+					inner1 += T(row1[j] * cv[j])
 				}
 				if md2 != nil {
 					row2 := md2[mOff+i*s : mOff+(i+1)*s]
 					for j := 0; j < s; j++ {
-						inner2 += row2[j] * cv[j]
+						inner2 += T(row2[j] * cv[j])
 					}
 				}
 				w := freqs[i] * float64(pv[i])
-				catL += w * float64(inner)
-				catD1 += w * float64(inner1)
-				catD2 += w * float64(inner2)
+				catL += float64(w * float64(inner))
+				catD1 += float64(w * float64(inner1))
+				catD2 += float64(w * float64(inner2))
 			}
-			siteL += catWeights[c] * catL
-			siteD1 += catWeights[c] * catD1
-			siteD2 += catWeights[c] * catD2
+			siteL += float64(catWeights[c] * catL)
+			siteD1 += float64(catWeights[c] * catD1)
+			siteD2 += float64(catWeights[c] * catD2)
 		}
 		outL[p] = siteL
 		outD1[p] = siteD1
@@ -97,18 +98,21 @@ func EdgeSiteDerivatives[T Real](outL, outD1, outD2 []float64, parent, child, m,
 	}
 }
 
-// ReduceEdgeDerivatives folds per-pattern site likelihoods and derivatives
-// into the total log-likelihood derivatives:
+// EdgeDerivativeRatios turns per-pattern site likelihoods and derivatives
+// into the terms of the log-likelihood derivatives, in place, for patterns
+// [lo, hi): siteD1_p becomes r_p = L'_p/L_p and siteD2_p (unless nil)
+// L”_p/L_p − r_p². Weighted by WeightedSum they are
 // d lnL/dt = Σ w_p·L'_p/L_p and d² lnL/dt² = Σ w_p·(L”_p/L_p − (L'_p/L_p)²).
-func ReduceEdgeDerivatives(siteL, siteD1, siteD2, patternWeights []float64, lo, hi int) (d1, d2 float64) {
+//
+//beagle:noalloc
+func EdgeDerivativeRatios(siteL, siteD1, siteD2 []float64, lo, hi int) {
 	for p := lo; p < hi; p++ {
 		r := siteD1[p] / siteL[p]
-		d1 += patternWeights[p] * r
+		siteD1[p] = r
 		if siteD2 != nil {
-			d2 += patternWeights[p] * (siteD2[p]/siteL[p] - r*r)
+			siteD2[p] = siteD2[p]/siteL[p] - float64(r*r)
 		}
 	}
-	return d1, d2
 }
 
 // expScratch returns the exp(λt) scratch for s states: the caller's stack

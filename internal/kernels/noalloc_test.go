@@ -65,12 +65,17 @@ func TestKernelsAllocateNothing(t *testing.T) {
 		PartialsPartialsFMA(dest, pr.p1, pr.m1, pr.p2, pr.m2, d, 0, d.PatternCount)
 		SiteLikelihoods(site, dest, weights, freqs, d, 0, d.PatternCount)
 		SiteLikelihoods(site, dest32, weights, freqs, d, 0, d.PatternCount)
+		SiteLikelihoods(site, dest32, weights, freqs, d, 1, d.PatternCount) // odd span: Go-body tail
+		LogSites(site, site, nil, 0, d.PatternCount)
+		LogSites(site, site, cum, 1, d.PatternCount) // odd span: Go-body tail
+		EdgeDerivativeRatios(site, scale, cum, 0, d.PatternCount)
 		EdgeSiteLikelihoods(site, pr.p1, pr.p2, pr.m1, weights, freqs, d, 0, d.PatternCount)
 		RescalePartials(dest, scale, d, 0, d.PatternCount)
 		RescalePartials(rare32, scale, d, 1, d.PatternCount) // odd lo: float32 blocks, a declined pattern, a tail
 		ApplyReadScale(dest, scale, d, 0, d.PatternCount)
 		AccumulateScaleFactors(cum, factors, 0, d.PatternCount)
 		sink = RootLogLikelihood(site, patternWeights, cum, 0, d.PatternCount)
+		sink += WeightedSum(0, site, patternWeights)
 	})
 	if allocs != 0 {
 		t.Errorf("kernel sweep allocates %.1f times per run, want 0", allocs)

@@ -3,7 +3,8 @@
 package kernels
 
 // Without the assembly asmPatterns4 hands every pattern to the Go bodies,
-// and RescalePartials never leaves its Go body, so these are never called.
+// and RescalePartials, SiteLikelihoods and LogSites never leave theirs, so
+// these are never called.
 
 //beagle:noalloc
 func partialsPartials4Asm[T Real](dest, p1, p2, mt []T) {}
@@ -19,3 +20,11 @@ func gatherGather4Asm[T Real](dest []T, g1 []int32, t1 []T, g2 []int32, t2 []T) 
 
 //beagle:noalloc
 func gatherPartials4Asm[T Real](dest []T, g []int32, t1, p2, mt []T) {}
+
+//beagle:noalloc
+func siteLikelihoods4Asm[T Real](out []float64, root []T, catWeights, freqs []float64, d Dims, lo, hi int) int {
+	return lo
+}
+
+//beagle:noalloc
+func logSitesAsm(out, site, scale []float64, lo, hi int) int { return lo }

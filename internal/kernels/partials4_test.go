@@ -82,21 +82,22 @@ func (k *partials4Case[T]) check(t *testing.T, name string, kernels ...string) {
 	}
 }
 
-// checkSite holds SiteLikelihoods on the case's root (p1) to the loop over
-// states.
+// checkSite holds SiteLikelihoods on the case's root (p1) — the assembly
+// where the CPU has it — to its 4-state Go body and to the loop over states.
 func (k *partials4Case[T]) checkSite(t *testing.T, name string) {
 	t.Helper()
 	n := k.d.PatternCount
-	got, want := canaries[float64](n+8), canaries[float64](n+8)
+	got, goBody, want := canaries[float64](n+8), canaries[float64](n+8), canaries[float64](n+8)
 	SiteLikelihoods(got[:n:n], k.p1, k.weights, k.freqs, k.d, k.lo, k.hi)
+	siteLikelihoods4Go(goBody[:n:n], k.p1, k.weights, k.freqs, k.d, k.lo, k.hi)
 	siteLikelihoodsGeneric(want[:n:n], k.p1, k.weights, k.freqs, k.d, k.lo, k.hi)
 	for p := range got {
 		if inside := p < n && p >= k.lo && p < k.hi; !inside && !bitsEqual(got[p], partials4Canary) {
 			t.Fatalf("%s %s: pattern %d outside [%d, %d) overwritten with %v", name, kernelSite, p, k.lo, k.hi, got[p])
 		}
-		if !sameResult(got[p], want[p]) {
-			t.Fatalf("%s %s: pattern %d is %v (%#x), loop %v (%#x)", name, kernelSite, p,
-				got[p], math.Float64bits(got[p]), want[p], math.Float64bits(want[p]))
+		if !sameResult(got[p], goBody[p]) || !sameResult(got[p], want[p]) {
+			t.Fatalf("%s %s: pattern %d is %v (%#x), Go body %v (%#x), loop %v (%#x)", name, kernelSite, p,
+				got[p], math.Float64bits(got[p]), goBody[p], math.Float64bits(goBody[p]), want[p], math.Float64bits(want[p]))
 		}
 	}
 }
@@ -186,12 +187,55 @@ func TestStatesStates4Exact(t *testing.T) {
 	testPartials4ExactBoth(t, kernelSS4)
 }
 
-// TestSiteLikelihoods4Exact holds SiteLikelihoods' 4-state path to the loop
-// over states, bit for bit, on float32 and float64 roots — special values in
-// the root, the weights and the frequencies, and patterns whose first product
-// (or every product) is −0.
+// TestSiteLikelihoods4Exact holds SiteLikelihoods' 4-state path — the
+// assembly where the CPU has it — to its Go body and to the loop over
+// states, bit for bit, on float32 and float64 roots: special values and gap
+// rows in the root, the weights and the frequencies, patterns whose first
+// product (or every product) is −0, pattern counts from 1 to 9 and 20 000,
+// one to eight categories, and spans that are not multiples of four.
 func TestSiteLikelihoods4Exact(t *testing.T) {
 	testPartials4ExactBoth(t, kernelSite)
+	t.Run("float64/sizes", func(t *testing.T) {
+		testSiteLikelihoods4Sizes(t, partials4Specials[float64](math.SmallestNonzeroFloat64, 1e150))
+	})
+	t.Run("float32/sizes", func(t *testing.T) {
+		testSiteLikelihoods4Sizes(t, partials4Specials[float32](math.SmallestNonzeroFloat32, 1e17))
+	})
+}
+
+// testSiteLikelihoods4Sizes holds SiteLikelihoods to its Go body and the
+// loop over states at every pattern count from 1 to 9 and 20 000 and one to
+// eight categories, with gap rows (all ones) among the special values.
+func testSiteLikelihoods4Sizes[T Real](t *testing.T, specials []T) {
+	rng := rand.New(rand.NewSource(44))
+	f64Specials := partials4Specials[float64](math.SmallestNonzeroFloat64, 1e150)
+	for _, patterns := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 20000} {
+		for cats := 1; cats <= 8; cats++ {
+			if patterns == 20000 && cats%3 != 1 {
+				continue
+			}
+			d := Dims{StateCount: 4, PatternCount: patterns, CategoryCount: cats}
+			k := &partials4Case[T]{d: d, p1: randomOperand(rng, d.PartialsLen(), specials),
+				weights: randomOperand(rng, cats, f64Specials), freqs: randomOperand(rng, 4, f64Specials)}
+			// Gap rows, which tips carry as all ones.
+			for p := 0; p < patterns; p += 3 {
+				row := k.p1[p*4 : p*4+4]
+				row[0], row[1], row[2], row[3] = 1, 1, 1, 1
+			}
+			if cats%2 == 0 {
+				k.weights = randomOperand(rng, cats, []float64{0.25})
+				k.freqs = []float64{0.1, 0.2, 0.3, 0.4}
+			}
+			spans := [][2]int{{0, patterns}, {1, patterns}, {0, patterns - 1}, {patterns / 3, patterns}}
+			if patterns > 5 {
+				spans = append(spans, [2]int{3, patterns - 2}, [2]int{1, 6}, [2]int{2, 5})
+			}
+			for _, span := range spans {
+				k.lo, k.hi = span[0], span[1]
+				k.check(t, fmt.Sprintf("P=%d C=%d [%d,%d)", patterns, cats, k.lo, k.hi), kernelSite)
+			}
+		}
+	}
 }
 
 // TestStatesPartials4ClampsNegativeStates holds every family's compact-state

@@ -5,7 +5,8 @@ import "math"
 // SiteLikelihoods computes the per-pattern site likelihoods at the root for
 // patterns [lo, hi): site_p = Σ_c w_c · Σ_s π_s · L_root[c,p,s]. Results are
 // accumulated in double precision regardless of kernel precision, as BEAGLE's
-// integration kernels do. Four-state roots take an unrolled path that
+// integration kernels do. Four-state roots take an unrolled path, AVX2
+// assembly with lanes across four patterns where the CPU has it, that
 // returns the same bits.
 //
 //beagle:noalloc
@@ -18,7 +19,8 @@ func SiteLikelihoods[T Real](out []float64, root []T, catWeights, freqs []float6
 }
 
 // siteLikelihoodsGeneric is SiteLikelihoods for any state count, and the
-// reference its 4-state path is held to.
+// reference its 4-state path is held to. Every product is rounded before it
+// is added (as in every body below), so no architecture fuses it.
 //
 //beagle:noalloc
 func siteLikelihoodsGeneric[T Real](out []float64, root []T, catWeights, freqs []float64, d Dims, lo, hi int) {
@@ -30,22 +32,33 @@ func siteLikelihoodsGeneric[T Real](out []float64, root []T, catWeights, freqs [
 			v := root[pOff : pOff+s]
 			var cat float64
 			for i := 0; i < s; i++ {
-				cat += freqs[i] * float64(v[i])
+				cat += float64(freqs[i] * float64(v[i]))
 			}
-			site += catWeights[c] * cat
+			site += float64(catWeights[c] * cat)
 		}
 		out[p] = site
 	}
 }
 
-// siteLikelihoods4 is SiteLikelihoods for four states: the generic loop's
-// order — patterns outer, categories inner, each category's sum started at
-// +0 and taken over the states in order — with the state loop unrolled. The
-// leading 0 + is kept: it turns a −0 first product into +0, as the loop
-// does.
+// siteLikelihoods4 is SiteLikelihoods for four states: AVX2 assembly over
+// the span's whole blocks of four patterns where the CPU has it (the gate
+// VecMatT uses), the Go body for the rest.
 //
 //beagle:noalloc
 func siteLikelihoods4[T Real](out []float64, root []T, catWeights, freqs []float64, d Dims, lo, hi int) {
+	if vecMatAccelerated && d.CategoryCount > 0 {
+		lo = siteLikelihoods4Asm(out, root, catWeights, freqs, d, lo, hi)
+	}
+	siteLikelihoods4Go(out, root, catWeights, freqs, d, lo, hi)
+}
+
+// siteLikelihoods4Go is the 4-state Go body: the generic loop's order —
+// patterns outer, categories inner, each category's sum started at +0 and
+// taken over the states in order — with the state loop unrolled. The leading
+// 0 + is kept: it turns a −0 first product into +0, as the loop does.
+//
+//beagle:noalloc
+func siteLikelihoods4Go[T Real](out []float64, root []T, catWeights, freqs []float64, d Dims, lo, hi int) {
 	f0, f1, f2, f3 := freqs[0], freqs[1], freqs[2], freqs[3]
 	w := catWeights[:d.CategoryCount]
 	stride := d.PatternCount * 4
@@ -54,27 +67,132 @@ func siteLikelihoods4[T Real](out []float64, root []T, catWeights, freqs []float
 		off := p * 4
 		for _, wc := range w {
 			v := root[off : off+4 : off+4]
-			site += wc * ((((0 + f0*float64(v[0])) + f1*float64(v[1])) + f2*float64(v[2])) + f3*float64(v[3]))
+			cat := (((0 + float64(f0*float64(v[0]))) + float64(f1*float64(v[1]))) + float64(f2*float64(v[2]))) + float64(f3*float64(v[3]))
+			site += float64(wc * cat)
 			off += stride
 		}
 		out[p] = site
 	}
 }
 
+// LogSites turns site likelihoods into site log likelihoods for patterns
+// [lo, hi): out_p = log(site_p) + scale_p, or log(site_p) when scale is nil.
+// out may be site. The log is amd64's math.Log bit for bit on every
+// architecture: AVX2 assembly four patterns at a time where the CPU has it,
+// logAMD64 for the rest.
+//
+//beagle:noalloc
+func LogSites(out, site, scale []float64, lo, hi int) {
+	if vecMatAccelerated {
+		lo = logSitesAsm(out, site, scale, lo, hi)
+	}
+	logSitesGo(out, site, scale, lo, hi)
+}
+
+// logSitesGo is LogSites' Go body.
+//
+//beagle:noalloc
+func logSitesGo(out, site, scale []float64, lo, hi int) {
+	if scale == nil {
+		for p := lo; p < hi; p++ {
+			out[p] = logAMD64(site[p])
+		}
+		return
+	}
+	for p := lo; p < hi; p++ {
+		out[p] = logAMD64(site[p]) + scale[p]
+	}
+}
+
+// The constants of Go's math/log_amd64.s.
+const (
+	logHSqrt2 = 7.07106781186547524401e-01 // √2/2
+	logLn2Hi  = 6.93147180369123816490e-01 // 0x3fe62e42fee00000
+	logLn2Lo  = 1.90821492927058770002e-10 // 0x3dea39ef35793c76
+	logL1     = 6.666666666666735130e-01   // 0x3FE5555555555593
+	logL2     = 3.999999999940941908e-01   // 0x3FD999999997FA04
+	logL3     = 2.857142874366239149e-01   // 0x3FD2492494229359
+	logL4     = 2.222219843214978396e-01   // 0x3FCC71C51D8E78AF
+	logL5     = 1.818357216161805012e-01   // 0x3FC7466496CB03DE
+	logL6     = 1.531383769920937332e-01   // 0x3FC39A09D078C69F
+	logL7     = 1.479819860511658591e-01   // 0x3FC2F112DF3E5244
+	logNaN    = 0x7FF8000000000001         // what amd64's log returns below zero
+)
+
+// logAMD64 is Go's math/log_amd64.s (archLog, which is math.Log on amd64)
+// operation for operation, so it returns amd64's bits on every architecture:
+// ±0 give −Inf; anything with the sign bit set, −NaN included, gives the NaN
+// 0x7FF8000000000001; +Inf and NaNs with the sign bit clear are returned as
+// they are. The exponent and fraction are cut from the bits with no
+// subnormal case, and the fraction is doubled when √2/2 is not less than it.
+// Every product is rounded before it is added, so nothing is fused.
+//
+//beagle:noalloc
+func logAMD64(x float64) float64 {
+	b := math.Float64bits(x)
+	switch {
+	case b&^(1<<63) == 0:
+		return math.Inf(-1)
+	case int64(b) < 0:
+		return math.Float64frombits(logNaN)
+	case b >= 0x7FF0000000000000:
+		return x
+	}
+	f1 := math.Float64frombits(b&(1<<52-1) | 0x3FE0000000000000)
+	k := float64(int(b>>52&0x7FF) - 0x3FE)
+	if !(logHSqrt2 < f1) {
+		k--
+		f1 *= 2
+	}
+	f := f1 - 1
+	s := f / (2 + f)
+	s2 := float64(s * s)
+	s4 := float64(s2 * s2)
+	t1 := float64(s2 * (logL1 + float64(s4*(logL3+float64(s4*(logL5+float64(s4*logL7)))))))
+	t2 := float64(s4 * (logL2 + float64(s4*(logL4+float64(s4*logL6)))))
+	r := t1 + t2
+	hfsq := float64(float64(0.5*f) * f)
+	return float64(k*logLn2Hi) - ((hfsq - (float64(s*(hfsq+r)) + float64(k*logLn2Lo))) - f)
+}
+
+// WeightedSum continues a weighted sum from acc: acc + Σ_i weights_i·terms_i,
+// added left to right, each product rounded before it is added. It is the
+// one reduction behind every log likelihood and derivative an engine
+// returns; started from 0 it is the sum, and carried across consecutive
+// ranges it is the sum over their union, bit for bit.
+//
+//beagle:noalloc
+func WeightedSum(acc float64, terms, weights []float64) float64 {
+	weights = weights[:len(terms)]
+	for i, t := range terms {
+		acc += float64(weights[i] * t)
+	}
+	return acc
+}
+
+// rootLogChunk is how many site log likelihoods RootLogLikelihood holds on
+// its stack at a time.
+const rootLogChunk = 256
+
 // RootLogLikelihood reduces site likelihoods to the total log likelihood:
 // Σ_p patternWeight_p · (log(site_p) + scale_p). cumScale may be nil when no
 // rescaling is active; otherwise it holds the accumulated per-pattern log
-// scale factors.
+// scale factors. The logs are LogSites', taken a chunk at a time into a
+// stack buffer; the sum is WeightedSum's, one left-to-right pass.
 //
 //beagle:noalloc
 func RootLogLikelihood(siteLik []float64, patternWeights, cumScale []float64, lo, hi int) float64 {
+	var buf [rootLogChunk]float64
 	var lnL float64
-	for p := lo; p < hi; p++ {
-		l := math.Log(siteLik[p])
+	for lo < hi {
+		n := min(hi-lo, rootLogChunk)
+		var scale []float64
 		if cumScale != nil {
-			l += cumScale[p]
+			scale = cumScale[lo : lo+n]
 		}
-		lnL += patternWeights[p] * l
+		LogSites(buf[:n], siteLik[lo:lo+n], scale, 0, n)
+		lnL = WeightedSum(lnL, buf[:n], patternWeights[lo:lo+n])
+		lo += n
 	}
 	return lnL
 }
@@ -100,11 +218,11 @@ func EdgeSiteLikelihoods[T Real](out []float64, parent, child, m []T, catWeights
 				row := m[mOff+i*s : mOff+(i+1)*s]
 				var inner T
 				for j := 0; j < s; j++ {
-					inner += row[j] * cv[j]
+					inner += T(row[j] * cv[j])
 				}
-				cat += freqs[i] * float64(pv[i]) * float64(inner)
+				cat += float64(float64(freqs[i]*float64(pv[i])) * float64(inner))
 			}
-			site += catWeights[c] * cat
+			site += float64(catWeights[c] * cat)
 		}
 		out[p] = site
 	}

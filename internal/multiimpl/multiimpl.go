@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"gobeagle/internal/engine"
+	"gobeagle/internal/kernels"
 	"gobeagle/internal/reuse"
 	"gobeagle/internal/trace"
 )
@@ -56,6 +57,9 @@ type Engine struct {
 	// regardless of how many backends the patterns are spread over or where
 	// the rebalancer has moved the boundaries.
 	patWts []float64
+	// sites holds each backend's site log likelihoods during a root
+	// gather, under mu; it is cleared before the call returns.
+	sites [][]float64
 }
 
 // partition splits p patterns into contiguous per-backend ranges sized
@@ -137,6 +141,7 @@ func NewBalanced(cfg engine.Config, builders []Builder, shares []float64, opts O
 		e.patWts[i] = 1
 	}
 	e.lo, e.hi = partition(p, shares)
+	e.sites = make([][]float64, n)
 	for i, b := range builders {
 		sub := cfg
 		sub.Dims.PatternCount = e.hi[i] - e.lo[i]
@@ -475,34 +480,32 @@ func (e *Engine) AccumulateScaleFactors(scaleBufs []int, cumBuf int) error {
 }
 
 // CalculateRootLogLikelihoods gathers per-pattern site log likelihoods from
-// the backends and reduces Σ_p w_p·site_p in global pattern order. Patterns
-// are independent, so the partition is exact; reducing in global order
-// additionally makes the result bit-identical to the single-node root kernel
-// (which accumulates the same terms left to right) — summing per-backend
-// partial sums instead would tie the floating-point association to wherever
-// the partition boundaries happen to sit.
+// the backends and reduces Σ_p w_p·site_p in global pattern order with
+// kernels.WeightedSum, the single-node store's own reduction, carried from
+// one backend's contiguous pattern range to the next. Patterns are
+// independent, so the partition is exact; reducing in global order with the
+// same function makes the result bit-identical to a single node's — summing
+// per-backend partial sums instead would tie the floating-point association
+// to wherever the partition boundaries happen to sit.
 func (e *Engine) CalculateRootLogLikelihoods(rootBuf, cumScaleBuf int) (float64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	start, on := e.cfg.Trace.Begin()
-	sites := make([]float64, e.cfg.Dims.PatternCount)
+	defer clear(e.sites)
 	err := e.parallel(func(i int, sub engine.Engine) error {
-		site, err := sub.SiteLogLikelihoods(rootBuf, cumScaleBuf)
-		if err != nil {
-			return err
-		}
-		copy(sites[e.lo[i]:e.hi[i]], site)
-		return nil
+		var err error
+		e.sites[i], err = sub.SiteLogLikelihoods(rootBuf, cumScaleBuf)
+		return err
 	})
 	if err != nil {
 		return 0, err
 	}
 	var total float64
-	for p, site := range sites {
-		total += e.patWts[p] * site
+	for i, site := range e.sites {
+		total = kernels.WeightedSum(total, site, e.patWts[e.lo[i]:e.hi[i]])
 	}
 	if on {
-		e.cfg.Trace.End(trace.Span{Kind: trace.KindRoot, Lane: -1, Arg0: int64(len(sites))}, start)
+		e.cfg.Trace.End(trace.Span{Kind: trace.KindRoot, Lane: -1, Arg0: int64(len(e.patWts))}, start)
 	}
 	return total, nil
 }

@@ -77,6 +77,11 @@ go -C "$ROOT" test -count=200 -cpu 1 -run TestDrainSpansStitchesWorkerSpans ./in
 section "fuzz FuzzApplyRequest 30s"
 go -C "$ROOT" test -run '^$' -fuzz FuzzApplyRequest -fuzztime 30s ./internal/remoteimpl
 
+# The site log likelihoods' log: the AVX2 body, the Go body and amd64's
+# math.Log must agree bit for bit on every bit pattern, NaN payloads included.
+section "fuzz FuzzLogSites 30s"
+go -C "$ROOT" test -run '^$' -fuzz FuzzLogSites -fuzztime 30s ./internal/kernels
+
 # Call sequences in lockstep on every CPU engine kind against Serial: setters
 # between evaluations, reuse, compact subtrees and a forced rebalance.
 section "fuzz FuzzInstanceSequence 30s"
