@@ -24,11 +24,14 @@ package kernels
 // recomputing them per pattern. ExpandClasses4 writes a compact node out at
 // full width, for the boundaries that need one.
 //
-// GatherGather4 and GatherPartials4 run their pattern loops in AVX2 assembly
-// under the gate of the other 4-state kernels; GatherPartials4 is
-// StatesPartials4's loop with the five tip columns replaced by a side table
-// of any height. The table builders run once per operation over at most P/4
-// rows and stay in Go.
+// Every loop here but TipSide4's, ClassIDs' and ExpandClasses4's runs in AVX2
+// assembly under the gate of the other 4-state kernels (partials4_amd64.s),
+// with the Go bodies as the portable path and the references the assembly is
+// held to. GatherPartials4 is StatesPartials4's loop with the five tip
+// columns replaced by a side table of any height; SideRows4 is its matrix
+// half with a plain store, one row a register in float64 and two in float32
+// (an odd last row runs the Go body); ClassTable4 holds a row of the first
+// side table in a register and multiplies the second table's rows by it.
 
 // TipSide4 writes a compact-state tip's side table through m into out: five
 // rows per category, row a (< 4) column a of that category's matrix and row
@@ -52,18 +55,33 @@ func TipSide4[T Real](out, m []T, cats int) {
 //
 //beagle:noalloc
 func SideRows4[T Real](out, tab, m []T, rows, cats int) {
+	n := asmPatterns4[T](0, rows) // rows take a pattern's place: 4 entries each
+	var mt [16]T
 	for c := 0; c < cats; c++ {
-		n := m[c*16 : c*16+16]
 		o := out[c*rows*4 : (c+1)*rows*4]
 		a := tab[c*rows*4 : (c+1)*rows*4]
-		for len(o) >= 4 && len(a) >= 4 {
-			a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
-			o[0] = n[0]*a0 + n[1]*a1 + n[2]*a2 + n[3]*a3
-			o[1] = n[4]*a0 + n[5]*a1 + n[6]*a2 + n[7]*a3
-			o[2] = n[8]*a0 + n[9]*a1 + n[10]*a2 + n[11]*a3
-			o[3] = n[12]*a0 + n[13]*a1 + n[14]*a2 + n[15]*a3
-			o, a = o[4:], a[4:]
+		mc := m[c*16 : c*16+16]
+		if n > 0 {
+			transpose4(mt[:], mc)
+			sideRows4Asm(o[:4*n], a[:4*n], mt[:])
 		}
+		sideRows4Go(o[4*n:], a[4*n:], mc)
+	}
+}
+
+// sideRows4Go is SideRows4's portable body for one category, out and tab cut
+// to its rows and n its matrix, and the reference its assembly is held to.
+//
+//beagle:noalloc
+func sideRows4Go[T Real](out, tab, n []T) {
+	n = n[:16]
+	for len(out) >= 4 && len(tab) >= 4 {
+		a0, a1, a2, a3 := tab[0], tab[1], tab[2], tab[3]
+		out[0] = T(n[0]*a0) + T(n[1]*a1) + T(n[2]*a2) + T(n[3]*a3)
+		out[1] = T(n[4]*a0) + T(n[5]*a1) + T(n[6]*a2) + T(n[7]*a3)
+		out[2] = T(n[8]*a0) + T(n[9]*a1) + T(n[10]*a2) + T(n[11]*a3)
+		out[3] = T(n[12]*a0) + T(n[13]*a1) + T(n[14]*a2) + T(n[15]*a3)
+		out, tab = out[4:], tab[4:]
 	}
 }
 
@@ -75,13 +93,26 @@ func SideRows4[T Real](out, tab, m []T, rows, cats int) {
 func ClassTable4[T Real](tab, s1 []T, r1 int, s2 []T, r2, cats int) {
 	for c := 0; c < cats; c++ {
 		o := tab[c*r1*r2*4 : (c+1)*r1*r2*4]
-		b := s2[c*r2*4 : (c+1)*r2*4]
-		for i := 0; i < r1; i++ {
-			f := (*[4]T)(s1[(c*r1+i)*4:])
-			for j := 0; j < r2; j++ {
-				g := (*[4]T)(b[j*4:])
-				*(*[4]T)(o[(i*r2+j)*4:]) = [4]T{f[0] * g[0], f[1] * g[1], f[2] * g[2], f[3] * g[3]}
-			}
+		f := s1[c*r1*4 : (c+1)*r1*4]
+		g := s2[c*r2*4 : (c+1)*r2*4]
+		if !classTable4Asm(o, f, g) {
+			classTable4Go(o, f, g)
+		}
+	}
+}
+
+// classTable4Go is ClassTable4's portable body for one category, tab, s1
+// and s2 cut to its rows, and the reference its assembly is held to.
+//
+//beagle:noalloc
+func classTable4Go[T Real](tab, s1, s2 []T) {
+	r2 := len(s2) / 4
+	for i := 0; i < len(s1)/4; i++ {
+		f := (*[4]T)(s1[i*4:])
+		o := tab[i*r2*4 : (i+1)*r2*4]
+		for j := 0; j < r2; j++ {
+			g := (*[4]T)(s2[j*4:])
+			*(*[4]T)(o[j*4:]) = [4]T{f[0] * g[0], f[1] * g[1], f[2] * g[2], f[3] * g[3]}
 		}
 	}
 }
@@ -163,10 +194,10 @@ func gatherPartials4Go[T Real](dest []T, g1 []int32, t1, p2, m2 []T, d Dims, c, 
 	for p := lo; p < hi; p++ {
 		o := (c*d.PatternCount + p) * 4
 		b0, b1, b2, b3 := p2[o], p2[o+1], p2[o+2], p2[o+3]
-		t0 := n[0]*b0 + n[1]*b1 + n[2]*b2 + n[3]*b3
-		t1v := n[4]*b0 + n[5]*b1 + n[6]*b2 + n[7]*b3
-		t2 := n[8]*b0 + n[9]*b1 + n[10]*b2 + n[11]*b3
-		t3 := n[12]*b0 + n[13]*b1 + n[14]*b2 + n[15]*b3
+		t0 := T(n[0]*b0) + T(n[1]*b1) + T(n[2]*b2) + T(n[3]*b3)
+		t1v := T(n[4]*b0) + T(n[5]*b1) + T(n[6]*b2) + T(n[7]*b3)
+		t2 := T(n[8]*b0) + T(n[9]*b1) + T(n[10]*b2) + T(n[11]*b3)
+		t3 := T(n[12]*b0) + T(n[13]*b1) + T(n[14]*b2) + T(n[15]*b3)
 		f := (*[4]T)(t1[4*g1[p]:])
 		dest[o] = f[0] * t0
 		dest[o+1] = f[1] * t1v

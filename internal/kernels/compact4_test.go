@@ -134,11 +134,65 @@ func testCompact4Exact[T Real](t *testing.T, finite, specials []T) {
 	}
 }
 
+// checkCompactBuilders holds SideRows4 of tab (r1 rows a category) through
+// m, and ClassTable4 of tab and s2 (r2 rows), to their Go bodies: the same
+// bits, NaN as NaN, and the canaries past each table's end untouched.
+func checkCompactBuilders[T Real](t *testing.T, name string, tab, m []T, r1 int, s2 []T, r2, cats int) {
+	t.Helper()
+	const pad = 9
+	check := func(what string, got, want []T) {
+		t.Helper()
+		n := len(got) - pad
+		for i := range got {
+			if i >= n && !bitsEqual(got[i], partials4Canary) {
+				t.Fatalf("%s %s: canary %d past the table's end overwritten with %v", name, what, i-n, got[i])
+			}
+			if i < n && !sameResult(got[i], want[i]) {
+				t.Fatalf("%s %s: entry %d (row %d, state %d) is %v (%#x), Go body %v (%#x)", name, what, i, i/4, i%4,
+					got[i], math.Float64bits(float64(got[i])), want[i], math.Float64bits(float64(want[i])))
+			}
+		}
+	}
+	got, want := canaries[T](r1*cats*4+pad), canaries[T](r1*cats*4+pad)
+	SideRows4(got, tab, m, r1, cats)
+	sideRows4Cats(want, tab, m, r1, cats)
+	check("SideRows4", got, want)
+	got, want = canaries[T](r1*r2*cats*4+pad), canaries[T](r1*r2*cats*4+pad)
+	ClassTable4(got, tab, r1, s2, r2, cats)
+	classTable4Cats(want, tab, r1, s2, r2, cats)
+	check("ClassTable4", got, want)
+}
+
+// testCompactBuilders checks both table builders on every row count from 1
+// to 40 and the k = 3, 4 and 5 nodes' 125, 625 and 3 125, in 1 to 4
+// categories, each count as the first child's rows and as the second's.
+func testCompactBuilders[T Real](t *testing.T, specials []T) {
+	rng := rand.New(rand.NewSource(43))
+	counts := []int{125, 625, 3125}
+	for r := 1; r <= 40; r++ {
+		counts = append(counts, r)
+	}
+	for _, r := range counts {
+		for cats := 1; cats <= 4; cats++ {
+			m := randomOperand(rng, cats*16, specials)
+			other := 1 + rng.Intn(6)
+			for _, rr := range [][2]int{{r, other}, {other, r}} {
+				tab := randomOperand(rng, rr[0]*cats*4, specials)
+				s2 := randomOperand(rng, rr[1]*cats*4, specials)
+				name := fmt.Sprintf("r1=%d r2=%d C=%d", rr[0], rr[1], cats)
+				checkCompactBuilders(t, name, tab, m, rr[0], s2, rr[1], cats)
+			}
+		}
+	}
+}
+
 // TestCompact4Exact holds every compact row to the full-width kernels' row,
 // bit for bit with NaN as NaN: class tables (through ExpandClasses4) and the
 // two gathers, assembly and Go body, on subtrees of 2 to 5 tips with gaps,
 // signed zeros, subnormals, infinities and NaNs in the matrices, odd pattern
-// counts and odd spans, in both precisions.
+// counts and odd spans, in both precisions. The builders subtests hold the
+// table builders' assembly to their Go bodies over row counts the trees do
+// not reach.
 func TestCompact4Exact(t *testing.T) {
 	t.Logf("4-state kernels accelerated: %v", vecMatAccelerated)
 	t.Run("float64", func(t *testing.T) {
@@ -149,6 +203,40 @@ func TestCompact4Exact(t *testing.T) {
 		testCompact4Exact(t, vecMatSpecials[float32](math.SmallestNonzeroFloat32, 1e17),
 			partials4Specials[float32](math.SmallestNonzeroFloat32, 1e17))
 	})
+	t.Run("float64/builders", func(t *testing.T) {
+		testCompactBuilders(t, partials4Specials[float64](math.SmallestNonzeroFloat64, 1e150))
+	})
+	t.Run("float32/builders", func(t *testing.T) {
+		testCompactBuilders(t, partials4Specials[float32](math.SmallestNonzeroFloat32, 1e17))
+	})
+}
+
+// FuzzCompact4 builds the table builders' operands from arbitrary bytes —
+// entries in either precision, any row counts up to 40 for both children in
+// up to four categories — and holds SideRows4 and ClassTable4 to their Go
+// bodies, canaries included.
+func FuzzCompact4(f *testing.F) {
+	negZero, inf, nan := math.Copysign(0, -1), math.Inf(1), math.NaN()
+	f.Add(float64Bytes(0.25, 0.5, 1, 2, 3, 0.125), uint8(5), uint8(5), uint8(1), false)
+	f.Add(float64Bytes(0.25, 0.5, 1, 2, 3, 0.125), uint8(25), uint8(5), uint8(3), true)
+	f.Add(float64Bytes(negZero, 1e-310, inf, -inf, nan, 1), uint8(7), uint8(2), uint8(0), false)
+	f.Add(float64Bytes(1e-40, -1e-45, 3, -0.5, 1e38, 2), uint8(1), uint8(40), uint8(2), true)
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 4, 5, 6}, uint8(0), uint8(3), uint8(3), true)
+	f.Add([]byte{}, uint8(0), uint8(0), uint8(0), false)
+	f.Fuzz(func(t *testing.T, data []byte, r1Sel, r2Sel, catSel uint8, single bool) {
+		r1, r2, cats := int(r1Sel)%41, int(r2Sel)%41, 1+int(catSel)%4
+		name := fmt.Sprintf("r1=%d r2=%d C=%d single=%v", r1, r2, cats, single)
+		if single {
+			fuzzCompact4(t, name, r1, r2, cats, fuzzEntries[float32](data))
+		} else {
+			fuzzCompact4(t, name, r1, r2, cats, fuzzEntries[float64](data))
+		}
+	})
+}
+
+func fuzzCompact4[T Real](t *testing.T, name string, r1, r2, cats int, entries func(int) []T) {
+	tab, m, s2 := entries(r1*cats*4), entries(cats*16), entries(r2*cats*4)
+	checkCompactBuilders(t, name, tab, m, r1, s2, r2, cats)
 }
 
 // BenchmarkCompact4 times a compact operation against the full-width kernel
@@ -172,6 +260,16 @@ func TestCompact4Exact(t *testing.T) {
 // and 305), so both gathers run in AVX2 under VecMatT's CPUID gate
 // (partials4_amd64.s): gather × gather took 59 and 105 µs, gather × partials
 // 92 and 214 µs.
+//
+// side/R and table/R time the two table builders alone at the k = 4 and
+// k = 5 nodes' R rows a category (a class table of 25 × 25 and 25 × 125
+// rows), /go their Go bodies. The builders run serially in an engine's
+// plan, where the Go bodies took about a quarter of nuc_large's CPU samples,
+// so they run in AVX2 too. Same host, -benchtime 3000x -count 5, medians,
+// Go body → AVX2 at 625 and 3 125 rows: side rows 18.4 → 3.0 µs and 57.2 →
+// 12.1 µs in float32, 16.8 → 5.3 µs and 87.3 → 20.2 µs in float64; class
+// tables 13.1 → 1.8 µs and 60.8 → 6.4 µs in float32, 13.7 → 2.2 µs and
+// 65.5 → 11.1 µs in float64.
 func BenchmarkCompact4(b *testing.B) {
 	b.Run("float32", func(b *testing.B) { benchCompact4[float32](b) })
 	b.Run("float64", func(b *testing.B) { benchCompact4[float64](b) })
@@ -250,6 +348,32 @@ func benchCompact4[T Real](b *testing.B) {
 			}
 		})
 	}
+	// The table builders alone, at the k = 4 and k = 5 nodes' sizes: side
+	// rows through a matrix, and a class table of 25 × 25 and 25 × 125 rows,
+	// each also in its Go body.
+	t2, _, r2 := node(2)
+	t5, _, r5 := node(5)
+	s2 := compactSide(t2, r2, pr.m1, cats)
+	side := make([]T, r5*cats*4)
+	for _, k := range []struct {
+		name string
+		fn   func()
+	}{
+		{"side/625", func() { SideRows4(side, t4, pr.m1, r4, cats) }},
+		{"side/625/go", func() { sideRows4Cats(side, t4, pr.m1, r4, cats) }},
+		{"side/3125", func() { SideRows4(side, t5, pr.m1, r5, cats) }},
+		{"side/3125/go", func() { sideRows4Cats(side, t5, pr.m1, r5, cats) }},
+		{"table/625", func() { ClassTable4(side, s2, r2, s2, r2, cats) }},
+		{"table/625/go", func() { classTable4Cats(side, s2, r2, s2, r2, cats) }},
+		{"table/3125", func() { ClassTable4(side, s2, r2, s3, r3, cats) }},
+		{"table/3125/go", func() { classTable4Cats(side, s2, r2, s3, r3, cats) }},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				k.fn()
+			}
+		})
+	}
 }
 
 // compactSide is a subtree's side table through m, fresh: the tip side for
@@ -265,5 +389,20 @@ func compactSideInto[T Real](out, tab []T, rows int, m []T, cats int) {
 		TipSide4(out, m, cats)
 	} else {
 		SideRows4(out, tab, m, rows, cats)
+	}
+}
+
+// sideRows4Cats is SideRows4 run on its Go body alone, category by category.
+func sideRows4Cats[T Real](out, tab, m []T, rows, cats int) {
+	for c := 0; c < cats; c++ {
+		sideRows4Go(out[c*rows*4:(c+1)*rows*4], tab[c*rows*4:(c+1)*rows*4], m[c*16:c*16+16])
+	}
+}
+
+// classTable4Cats is ClassTable4 run on its Go body alone, category by
+// category.
+func classTable4Cats[T Real](tab, s1 []T, r1 int, s2 []T, r2, cats int) {
+	for c := 0; c < cats; c++ {
+		classTable4Go(tab[c*r1*r2*4:(c+1)*r1*r2*4], s1[c*r1*4:(c+1)*r1*4], s2[c*r2*4:(c+1)*r2*4])
 	}
 }

@@ -47,7 +47,9 @@ func TestKernelsAllocateNothing(t *testing.T) {
 		TipSide4(side2, pr.m2, d.CategoryCount)
 		ClassTable4(tab, side1, 5, side2, 5, d.CategoryCount)
 		ClassIDs(ids, pr.s1, 5, pr.s2)
-		SideRows4(tab32, tab32, pr32.m1, 25, d.CategoryCount)
+		SideRows4(tab32, tab32, pr32.m1, 25, d.CategoryCount) // odd row count: Go-body tail
+		SideRows4(tab, tab, pr.m1, 25, d.CategoryCount)
+		ClassTable4(tab32, side32, 5, side32, 5, d.CategoryCount) // odd second child: one 128-bit row
 		ExpandClasses4(dest, tab, ids, 25, d)
 		GatherGather4(dest, ids, tab, 25, pr.s2, side2, 5, d, 0, d.PatternCount)
 		GatherGather4(dest32, ids, side32, 25, ids, tab32, 25, d, 1, d.PatternCount)

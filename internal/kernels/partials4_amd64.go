@@ -117,3 +117,61 @@ func gatherPartials4F64AVX2(dest []float64, g []int32, t1, p2, mt []float64)
 //beagle:noalloc
 //go:noescape
 func gatherPartials4F32AVX2(dest []float32, g []int32, t1, p2, mt []float32)
+
+// sideRows4Asm runs one category of SideRows4 over whole rows in assembly:
+// out and tab are cut to them (an even count in float32) and mt holds the
+// category's matrix transposed.
+//
+//beagle:noalloc
+func sideRows4Asm[T Real](out, tab, mt []T) {
+	switch dst := any(out).(type) { //beagle:allow noalloc the boxed slice headers never leave this frame; TestKernelsAllocateNothing holds it to zero
+	case []float64:
+		sideRows4F64AVX2(dst, any(tab).([]float64), any(mt).([]float64)) //beagle:allow noalloc as above
+	case []float32:
+		sideRows4F32AVX2(dst, any(tab).([]float32), any(mt).([]float32)) //beagle:allow noalloc as above
+	}
+}
+
+// classTable4Asm runs one category of ClassTable4 in assembly and reports
+// whether it did: tab, s1 and s2 are cut to the category's rows.
+//
+//beagle:noalloc
+func classTable4Asm[T Real](tab, s1, s2 []T) bool {
+	if !vecMatAccelerated {
+		return false
+	}
+	switch dst := any(tab).(type) { //beagle:allow noalloc the boxed slice headers never leave this frame; TestKernelsAllocateNothing holds it to zero
+	case []float64:
+		classTable4F64AVX2(dst, any(s1).([]float64), any(s2).([]float64)) //beagle:allow noalloc as above
+	case []float32:
+		classTable4F32AVX2(dst, any(s1).([]float32), any(s2).([]float32)) //beagle:allow noalloc as above
+	}
+	return true
+}
+
+// sideRows4F64AVX2 requires len(tab) ≥ len(out), len(out)%4 == 0 and
+// len(mt) ≥ 16.
+//
+//beagle:noalloc
+//go:noescape
+func sideRows4F64AVX2(out, tab, mt []float64)
+
+// sideRows4F32AVX2 requires len(tab) ≥ len(out), len(out)%8 == 0 and
+// len(mt) ≥ 16.
+//
+//beagle:noalloc
+//go:noescape
+func sideRows4F32AVX2(out, tab, mt []float32)
+
+// classTable4F64AVX2 requires len(tab) ≥ len(s1)·len(s2)/4 and len(s1),
+// len(s2) multiples of 4.
+//
+//beagle:noalloc
+//go:noescape
+func classTable4F64AVX2(tab, s1, s2 []float64)
+
+// classTable4F32AVX2 is classTable4F64AVX2 in float32.
+//
+//beagle:noalloc
+//go:noescape
+func classTable4F32AVX2(tab, s1, s2 []float32)

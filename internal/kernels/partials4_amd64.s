@@ -318,3 +318,141 @@ loop:
 
 done:
 	RET
+
+// Compact-table builders (compact4.go). A side row is DOT4 of a table row
+// through the category's transposed matrix, the lanes across the four
+// states, stored as is; a class-table row is one row of the first side table,
+// held in a register, times each row of the second.
+//
+//	DI out cursor   SI tab / s1 cursor   DX s2   R9 s2 cursor
+//	BX s1 rows left   CX iterations left
+//	R8 s2 rows (row pairs in float32)   R10 1 if float32's s2 rows are odd
+//	Y8–Y11 the matrix's columns, or Y8 the s1 row
+
+// func sideRows4F64AVX2(out, tab, mt []float64)
+TEXT ·sideRows4F64AVX2(SB), NOSPLIT, $0-72
+	MOVQ out_base+0(FP), DI
+	MOVQ out_len+8(FP), CX
+	MOVQ tab_base+24(FP), SI
+	MOVQ mt_base+48(FP), AX
+	SHRQ $2, CX
+	JZ   done
+	VMOVUPD 0(AX), Y8
+	VMOVUPD 32(AX), Y9
+	VMOVUPD 64(AX), Y10
+	VMOVUPD 96(AX), Y11
+
+loop:
+	DOT4F64(SI, Y8, Y9, Y10, Y11, Y0, Y1)
+	VMOVUPD Y0, 0(DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     loop
+	VZEROUPPER
+
+done:
+	RET
+
+// func sideRows4F32AVX2(out, tab, mt []float32)
+TEXT ·sideRows4F32AVX2(SB), NOSPLIT, $0-72
+	MOVQ out_base+0(FP), DI
+	MOVQ out_len+8(FP), CX
+	MOVQ tab_base+24(FP), SI
+	MOVQ mt_base+48(FP), AX
+	SHRQ $3, CX
+	JZ   done
+	VBROADCASTF128 0(AX), Y8
+	VBROADCASTF128 16(AX), Y9
+	VBROADCASTF128 32(AX), Y10
+	VBROADCASTF128 48(AX), Y11
+
+loop:
+	DOT4F32(SI, Y8, Y9, Y10, Y11, Y0, Y1, Y4)
+	VMOVUPS Y0, 0(DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     loop
+	VZEROUPPER
+
+done:
+	RET
+
+// func classTable4F64AVX2(tab, s1, s2 []float64)
+TEXT ·classTable4F64AVX2(SB), NOSPLIT, $0-72
+	MOVQ tab_base+0(FP), DI
+	MOVQ s1_base+24(FP), SI
+	MOVQ s1_len+32(FP), BX
+	MOVQ s2_base+48(FP), DX
+	MOVQ s2_len+56(FP), R8
+	SHRQ $2, BX
+	JZ   done
+	SHRQ $2, R8
+	JZ   done
+
+outer:
+	VMOVUPD 0(SI), Y8
+	MOVQ    DX, R9
+	MOVQ    R8, CX
+
+inner:
+	VMULPD  0(R9), Y8, Y0
+	VMOVUPD Y0, 0(DI)
+	ADDQ    $32, R9
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     inner
+	ADDQ    $32, SI
+	DECQ    BX
+	JNZ     outer
+	VZEROUPPER
+
+done:
+	RET
+
+// func classTable4F32AVX2(tab, s1, s2 []float32)
+TEXT ·classTable4F32AVX2(SB), NOSPLIT, $0-72
+	MOVQ tab_base+0(FP), DI
+	MOVQ s1_base+24(FP), SI
+	MOVQ s1_len+32(FP), BX
+	MOVQ s2_base+48(FP), DX
+	MOVQ s2_len+56(FP), R8
+	SHRQ $2, BX
+	JZ   done
+	SHRQ $2, R8
+	JZ   done
+	MOVQ R8, R10
+	ANDQ $1, R10
+	SHRQ $1, R8
+
+outer:
+	VBROADCASTF128 0(SI), Y8
+	MOVQ           DX, R9
+	MOVQ           R8, CX
+	TESTQ          CX, CX
+	JZ             odd
+
+pairs:
+	VMULPS  0(R9), Y8, Y0
+	VMOVUPS Y0, 0(DI)
+	ADDQ    $32, R9
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     pairs
+
+odd:
+	TESTQ   R10, R10
+	JZ      next
+	VMULPS  0(R9), X8, X0
+	VMOVUPS X0, 0(DI)
+	ADDQ    $16, DI
+
+next:
+	ADDQ $16, SI
+	DECQ BX
+	JNZ  outer
+	VZEROUPPER
+
+done:
+	RET

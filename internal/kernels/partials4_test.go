@@ -280,18 +280,11 @@ func TestStatesPartials4ClampsNegativeStates(t *testing.T) {
 // generic StatesStates and SiteLikelihoods to the loop over states, canaries
 // included.
 func FuzzPartials4(f *testing.F) {
-	b64 := func(vs ...float64) []byte {
-		out := make([]byte, 0, 8*len(vs))
-		for _, v := range vs {
-			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
-		}
-		return out
-	}
 	negZero, inf, nan := math.Copysign(0, -1), math.Inf(1), math.NaN()
-	f.Add(b64(0.25, 0.5, 1, 2, 3, 0.125), uint8(9), uint8(1), uint8(1), uint8(7), false)
-	f.Add(b64(0.25, 0.5, 1, 2, 3, 0.125), uint8(9), uint8(1), uint8(1), uint8(7), true)
-	f.Add(b64(negZero, 1e-310, inf, -inf, nan, 1), uint8(5), uint8(2), uint8(0), uint8(5), false)
-	f.Add(b64(1e-40, -1e-45, 3, -0.5, 1e38, 2), uint8(4), uint8(3), uint8(1), uint8(3), true)
+	f.Add(float64Bytes(0.25, 0.5, 1, 2, 3, 0.125), uint8(9), uint8(1), uint8(1), uint8(7), false)
+	f.Add(float64Bytes(0.25, 0.5, 1, 2, 3, 0.125), uint8(9), uint8(1), uint8(1), uint8(7), true)
+	f.Add(float64Bytes(negZero, 1e-310, inf, -inf, nan, 1), uint8(5), uint8(2), uint8(0), uint8(5), false)
+	f.Add(float64Bytes(1e-40, -1e-45, 3, -0.5, 1e38, 2), uint8(4), uint8(3), uint8(1), uint8(3), true)
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 4, 5, 6}, uint8(40), uint8(0), uint8(3), uint8(200), true)
 	f.Add([]byte{}, uint8(0), uint8(0), uint8(0), uint8(0), false)
 	f.Fuzz(func(t *testing.T, data []byte, patterns, cats, loSel, lenSel uint8, single bool) {
@@ -301,33 +294,50 @@ func FuzzPartials4(f *testing.F) {
 		hi := lo + int(lenSel)%(p-lo+1)
 		name := fmt.Sprintf("P=%d C=%d [%d,%d) single=%v", p, d.CategoryCount, lo, hi, single)
 		if single {
-			fuzzPartials4(t, name, d, lo, hi, data, 4, func(b []byte) float32 {
-				return math.Float32frombits(binary.LittleEndian.Uint32(b))
-			})
+			fuzzPartials4(t, name, d, lo, hi, data, fuzzEntries[float32](data))
 		} else {
-			fuzzPartials4(t, name, d, lo, hi, data, 8, func(b []byte) float64 {
-				return math.Float64frombits(binary.LittleEndian.Uint64(b))
-			})
+			fuzzPartials4(t, name, d, lo, hi, data, fuzzEntries[float64](data))
 		}
 	})
 }
 
-// fuzzPartials4 decodes the operands from data, cycling through it (all
-// zeros when it is shorter than an entry), and checks one partials4Case.
-func fuzzPartials4[T Real](t *testing.T, name string, d Dims, lo, hi int, data []byte, width int, decode func([]byte) T) {
+// float64Bytes encodes vs little-endian, 8 bytes each: a fuzz seed's
+// entries.
+func float64Bytes(vs ...float64) []byte {
+	out := make([]byte, 0, 8*len(vs))
+	for _, v := range vs {
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+	}
+	return out
+}
+
+// fuzzEntries returns a function that decodes n entries of T from data at a
+// time, little-endian, continuing where the last call stopped and cycling
+// through data; the entries are all zeros when data is shorter than one.
+func fuzzEntries[T Real](data []byte) func(n int) []T {
 	next := 0
-	entries := func(n int) []T {
+	return func(n int) []T {
 		out := make([]T, n)
+		width := 32 / lanes[T]() // bytes an entry
 		if len(data) < width {
 			return out
 		}
 		for i := range out {
 			off := next % (len(data) - width + 1)
-			out[i] = decode(data[off : off+width])
+			if width == 4 {
+				out[i] = T(math.Float32frombits(binary.LittleEndian.Uint32(data[off:])))
+			} else {
+				out[i] = T(math.Float64frombits(binary.LittleEndian.Uint64(data[off:])))
+			}
 			next += width
 		}
 		return out
 	}
+}
+
+// fuzzPartials4 decodes the operands with entries and checks one
+// partials4Case.
+func fuzzPartials4[T Real](t *testing.T, name string, d Dims, lo, hi int, data []byte, entries func(int) []T) {
 	widen := func(v []T) []float64 {
 		out := make([]float64, len(v))
 		for i, x := range v {

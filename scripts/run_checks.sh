@@ -42,9 +42,10 @@ go -C "$ROOT" test -run 'TestKernelBinding|TestForStateCount' -v ./internal/kern
 
 # The portable path — the Go body of the vectorised primitive and the
 # generic-kernel binding every other architecture gets — on this host,
-# accelerators included.
-section "go test -tags purego ./internal/kernels ./internal/cpuimpl ./internal/accelimpl"
-go -C "$ROOT" test -tags purego -timeout "$TIMEOUT" ./internal/kernels ./internal/cpuimpl ./internal/accelimpl
+# accelerators, the engine's compact tables and the call-sequence seeds
+# included: the same package list as CI's purego step.
+section "go test -tags purego ./internal/kernels ./internal/cpuimpl ./internal/accelimpl ./internal/engine ./internal/multiimpl"
+go -C "$ROOT" test -tags purego -timeout "$TIMEOUT" ./internal/kernels ./internal/cpuimpl ./internal/accelimpl ./internal/engine ./internal/multiimpl
 
 # The telemetry snapshot guarantee (exact at quiescence, monotone in flight)
 # only fails intermittently when broken, so it is run many times. The
@@ -76,6 +77,17 @@ go -C "$ROOT" test -count=200 -cpu 1 -run TestDrainSpansStitchesWorkerSpans ./in
 # request may panic a worker or leave its engine unable to evaluate.
 section "fuzz FuzzApplyRequest 30s"
 go -C "$ROOT" test -run '^$' -fuzz FuzzApplyRequest -fuzztime 30s ./internal/remoteimpl
+
+# The 4-state kernels against their references: the assembly against the Go
+# bodies, StatesStates4 against generic StatesStates, the root integration
+# against the loop over states.
+section "fuzz FuzzPartials4 30s"
+go -C "$ROOT" test -run '^$' -fuzz FuzzPartials4 -fuzztime 30s ./internal/kernels
+
+# The compact-table builders: SideRows4's and ClassTable4's assembly against
+# their Go bodies on any row counts, canaries past each table's end.
+section "fuzz FuzzCompact4 30s"
+go -C "$ROOT" test -run '^$' -fuzz FuzzCompact4 -fuzztime 30s ./internal/kernels
 
 # The site log likelihoods' log: the AVX2 body, the Go body and amd64's
 # math.Log must agree bit for bit on every bit pattern, NaN payloads included.
