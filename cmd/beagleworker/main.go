@@ -190,12 +190,8 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 
 	var debugDone chan struct{}
 	if debugLn != nil {
-		muxOpts := []metricsx.MuxOption{}
-		if *pprofOn {
-			muxOpts = append(muxOpts, metricsx.WithPprof())
-		}
 		srv := &http.Server{
-			Handler:           metricsx.NewMux(&workerSource{worker: worker, start: time.Now()}, muxOpts...),
+			Handler:           metricsx.NewMux(&workerSource{worker: worker, start: time.Now()}, *pprofOn),
 			ReadHeaderTimeout: 5 * time.Second,
 		}
 		debugDone = make(chan struct{})

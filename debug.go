@@ -78,11 +78,7 @@ func (in *Instance) ServeDebug(addr string, opts ...DebugOption) (*DebugServer, 
 	if err != nil {
 		return nil, err
 	}
-	var muxOpts []metricsx.MuxOption
-	if cfg.pprof {
-		muxOpts = append(muxOpts, metricsx.WithPprof())
-	}
-	srv := &http.Server{Handler: metricsx.NewMux(instanceSource{in}, muxOpts...)}
+	srv := &http.Server{Handler: metricsx.NewMux(instanceSource{in}, cfg.pprof)}
 	s := &DebugServer{srv: srv, ln: ln, done: make(chan struct{})}
 	go func() {
 		defer close(s.done)

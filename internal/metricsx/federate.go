@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"time"
 )
@@ -227,9 +226,4 @@ func injectLabel(line, key, value string) string {
 		return line // malformed; pass through untouched
 	}
 	return line[:space] + "{" + pair + "}" + line[space:]
-}
-
-// SortTargets orders targets by label for a stable federation layout.
-func SortTargets(targets []Target) {
-	sort.Slice(targets, func(i, j int) bool { return targets[i].Label < targets[j].Label })
 }

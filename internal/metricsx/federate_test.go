@@ -85,11 +85,3 @@ func TestWriteClusterFederatesAndStaysLintClean(t *testing.T) {
 		t.Fatalf("federated document fails lint:\n%s\n---\n%s", strings.Join(problems, "\n"), out)
 	}
 }
-
-func TestSortTargets(t *testing.T) {
-	targets := []Target{{Label: "b"}, {Label: "a"}, {Label: "c"}}
-	SortTargets(targets)
-	if targets[0].Label != "a" || targets[2].Label != "c" {
-		t.Fatalf("SortTargets gave %v", targets)
-	}
-}

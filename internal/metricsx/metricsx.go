@@ -40,20 +40,6 @@ type Source interface {
 	TraceSummary() any
 }
 
-// MuxOption customizes the debug mux built by NewMux.
-type MuxOption func(*muxConfig)
-
-type muxConfig struct {
-	pprof bool
-}
-
-// WithPprof registers the net/http/pprof handlers (/debug/pprof/...) on the
-// mux. Profiling is opt-in: the endpoints expose CPU and heap internals, so
-// commands gate this behind an explicit flag.
-func WithPprof() MuxOption {
-	return func(c *muxConfig) { c.pprof = true }
-}
-
 // NewMux builds the debug server's routes:
 //
 //	/              endpoint index
@@ -61,12 +47,11 @@ func WithPprof() MuxOption {
 //	/debug/vars    expvar-style JSON variables
 //	/debug/rebalance  multi-device repartition history (JSON)
 //	/debug/trace   span-tracer summary per layer and kind (JSON)
-//	/debug/pprof/  runtime profiling (only with WithPprof)
-func NewMux(src Source, opts ...MuxOption) *http.ServeMux {
-	var cfg muxConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
+//	/debug/pprof/  runtime profiling (only with pprof)
+//
+// Profiling is opt-in: the endpoints expose CPU and heap internals, so
+// commands gate pprof behind an explicit flag.
+func NewMux(src Source, pprof bool) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
@@ -78,11 +63,11 @@ func NewMux(src Source, opts ...MuxOption) *http.ServeMux {
 		fmt.Fprintln(w, "  /debug/vars       expvar-style JSON variables")
 		fmt.Fprintln(w, "  /debug/rebalance  multi-device repartition history")
 		fmt.Fprintln(w, "  /debug/trace      span-tracer summary")
-		if cfg.pprof {
+		if pprof {
 			fmt.Fprintln(w, "  /debug/pprof/     runtime profiling")
 		}
 	})
-	if cfg.pprof {
+	if pprof {
 		registerPprof(mux)
 	}
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {

@@ -64,7 +64,7 @@ func TestFormatLabelsEscaping(t *testing.T) {
 }
 
 func TestMuxEndpoints(t *testing.T) {
-	srv := httptest.NewServer(NewMux(fakeSource{samples: testSamples()}))
+	srv := httptest.NewServer(NewMux(fakeSource{samples: testSamples()}, false))
 	defer srv.Close()
 
 	get := func(path string) (string, string) {

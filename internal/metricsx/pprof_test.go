@@ -18,9 +18,9 @@ func (nullSource) Vars() map[string]any { return map[string]any{} }
 func (nullSource) RebalanceEvents() any { return nil }
 func (nullSource) TraceSummary() any    { return nil }
 
-// TestPprofOptIn asserts the profiling endpoints exist only with WithPprof.
+// TestPprofOptIn asserts the profiling endpoints exist only with pprof on.
 func TestPprofOptIn(t *testing.T) {
-	plain := httptest.NewServer(NewMux(nullSource{}))
+	plain := httptest.NewServer(NewMux(nullSource{}, false))
 	defer plain.Close()
 	resp, err := http.Get(plain.URL + "/debug/pprof/")
 	if err != nil {
@@ -28,10 +28,10 @@ func TestPprofOptIn(t *testing.T) {
 	}
 	resp.Body.Close()
 	if resp.StatusCode == http.StatusOK {
-		t.Fatalf("/debug/pprof/ served without WithPprof (status %d)", resp.StatusCode)
+		t.Fatalf("/debug/pprof/ served with pprof off (status %d)", resp.StatusCode)
 	}
 
-	prof := httptest.NewServer(NewMux(nullSource{}, WithPprof()))
+	prof := httptest.NewServer(NewMux(nullSource{}, true))
 	defer prof.Close()
 	resp, err = http.Get(prof.URL + "/debug/pprof/")
 	if err != nil {
@@ -50,7 +50,7 @@ func TestPprofProfileIsParseable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1-second CPU profile capture")
 	}
-	srv := httptest.NewServer(NewMux(nullSource{}, WithPprof()))
+	srv := httptest.NewServer(NewMux(nullSource{}, true))
 	defer srv.Close()
 
 	// Burn a little CPU during the capture window so the profile has samples.

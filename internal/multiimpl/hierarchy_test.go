@@ -1,6 +1,7 @@
 package multiimpl
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -245,6 +246,55 @@ func TestHierarchyIntraNodeTier(t *testing.T) {
 	}
 	if span0, span1 := hiAfter[0], hiAfter[1]-hiAfter[0]; span0 <= span1 {
 		t.Fatalf("node 0 split %d:%d has not moved toward its fast device", span0, span1)
+	}
+}
+
+// TestHierarchyRoundingMoveIsNotCrossNode: when the global target keeps
+// every node boundary where it is and only rounds the spans inside the nodes
+// better than the intra-node target, it is an on-host move. It is adopted
+// without a cost gate and never counted or reported as cross-node, however
+// slow the links. The throughput estimates are set directly, so the decision
+// is deterministic.
+func TestHierarchyRoundingMoveIsNotCrossNode(t *testing.T) {
+	tr, _, _, _ := problem(t, 21, 6, 200)
+	cfg := multiConfig(tr, 133)
+	builders := make([]Builder, 4)
+	for i := range builders {
+		builders[i] = linkedBuilder(0, 1) // 1 byte/sec: no cross-node move could pay
+	}
+	multi, err := NewBalanced(cfg, builders, []float64{35, 32, 38, 28},
+		Options{Rebalance: true, Interval: 1, Nodes: []int{0, 0, 1, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer multi.Close()
+	if _, hi := multi.Ranges(); !slices.Equal(hi, []int{35, 67, 105, 133}) {
+		t.Fatalf("initial boundaries %v", hi)
+	}
+
+	// Both nodes have the same total throughput, so the global target keeps
+	// boundary 67: intra-node [26 67 108 133], global [25 67 108 133].
+	multi.mu.Lock()
+	for i, rate := range []float64{0.8, 1.3, 1.3, 0.8} {
+		multi.reb.Observe(i, 1, 1/rate)
+	}
+	multi.reb.noteBatch(5)
+	err = multi.maybeRebalance()
+	multi.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stats, _ := multi.RebalanceStats()
+	if stats.Rebalances != 1 || len(stats.Events) != 1 {
+		t.Fatalf("want one rebalance, got %+v", stats)
+	}
+	ev := stats.Events[0]
+	if stats.CrossNodeRebalances != 0 || ev.CrossNode || ev.CostSeconds != 0 {
+		t.Errorf("a move that keeps node boundary 67 was reported cross-node: %+v", ev)
+	}
+	if want := []int{25, 67, 108, 133}; !slices.Equal(ev.NewHi, want) || !slices.Equal(stats.Hi, want) {
+		t.Errorf("adopted boundaries %v (event %v), want the better-rounded %v", stats.Hi, ev.NewHi, want)
 	}
 }
 

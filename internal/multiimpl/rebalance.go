@@ -29,14 +29,15 @@ import (
 // computes two candidate targets: the intra-node target, which
 // redistributes each node's current span among that node's own backends
 // (node boundaries fixed, migrations stay on-host), and the global target,
-// which also moves patterns across node boundaries. The global target is
-// adopted only when it beats the intra-node one AND its predicted per-batch
-// saving amortizes the estimated cross-node transfer time within
-// crossNodeHorizon batches — transfer time charged from the remote
-// backends' measured link bandwidth (LinkReporter). Otherwise the decision
-// falls back to the intra-node target, so local devices keep rebalancing
-// freely while patterns cross the network only when the imbalance is
-// persistent enough to pay for the trip.
+// which also moves patterns across node boundaries. A global target that
+// moves some node boundary is adopted only when it beats the intra-node one
+// AND its predicted per-batch saving amortizes the estimated transfer time
+// within crossNodeHorizon batches — transfer time charged from the remote
+// backends' measured link bandwidth (LinkReporter); one that keeps every
+// node boundary is an on-host move and competes with the intra-node target
+// on speed alone. Otherwise the decision falls back to the intra-node
+// target, so local devices keep rebalancing freely while patterns cross the
+// network only when the imbalance is persistent enough to pay for the trip.
 
 // The default for Options.Interval left zero, and the rebalancer's fixed
 // parameters.
@@ -289,6 +290,18 @@ func (r *rebalancer) intraNodeTarget(lo, hi []int) (newLo, newHi []int) {
 	return newLo, newHi
 }
 
+// movesNodeBoundary reports whether moving from hi to newHi shifts a
+// boundary between backends on different nodes: only such a move sends
+// patterns over a network link.
+func (r *rebalancer) movesNodeBoundary(hi, newHi []int) bool {
+	for b := 0; b+1 < len(hi); b++ {
+		if r.nodes[b] != r.nodes[b+1] && newHi[b] != hi[b] {
+			return true
+		}
+	}
+	return false
+}
+
 // bytesPerPattern estimates the serialized size of one pattern's migrating
 // state: every partials buffer's category×state block, plus its scale and
 // tip-state entries, at 8 bytes a value.
@@ -359,12 +372,18 @@ func (e *Engine) maybeRebalance() error {
 	if r.multiNode() {
 		gLo, gHi := partition(p, r.ewma)
 		if gSpeed := r.predictSpeedup(e.lo, e.hi, gLo, gHi); gSpeed > speedup && gSpeed >= DefaultThreshold {
-			c := e.migrationCostSeconds(gHi)
-			saved := r.savedSecondsPerBatch(e.lo, e.hi, gLo, gHi) -
-				r.savedSecondsPerBatch(e.lo, e.hi, newLo, newHi)
-			if saved*crossNodeHorizon > c {
+			if !r.movesNodeBoundary(e.hi, gHi) {
+				// Every node keeps its span, so the global target is an
+				// on-host move that rounds better than the intra-node one.
 				newLo, newHi, speedup = gLo, gHi, gSpeed
-				cross, cost = true, c
+			} else {
+				c := e.migrationCostSeconds(gHi)
+				saved := r.savedSecondsPerBatch(e.lo, e.hi, gLo, gHi) -
+					r.savedSecondsPerBatch(e.lo, e.hi, newLo, newHi)
+				if saved*crossNodeHorizon > c {
+					newLo, newHi, speedup = gLo, gHi, gSpeed
+					cross, cost = true, c
+				}
 			}
 		}
 	}

@@ -414,25 +414,3 @@ func cloneRequest(req *request) *request {
 	}
 	return &c
 }
-
-// approxWireBytes estimates the payload size of a request for bandwidth
-// accounting and journal budgeting.
-func approxWireBytes(req *request) int {
-	n := 64
-	n += 8 * (len(req.Ints) + len(req.Ints2))
-	n += 8 * (len(req.Floats) + len(req.Floats2) + len(req.Floats3))
-	n += 56 * len(req.Ops)
-	if req.Block != nil {
-		n += 8 * len(req.Block.Weights)
-		for _, s := range req.Block.TipStates {
-			n += 4 * len(s)
-		}
-		for _, s := range req.Block.Partials {
-			n += 8 * len(s)
-		}
-		for _, s := range req.Block.Scale {
-			n += 8 * len(s)
-		}
-	}
-	return n
-}

@@ -10,6 +10,23 @@ import (
 	"gobeagle/internal/trace"
 )
 
+// goldenRatio is the growth factor applied when a batch outgrows the slot
+// capacity, as the sts exemplar grows its partials-buffer space.
+const goldenRatio = 1.61803398875
+
+// growSlots returns the slot capacity that holds n jobs: capacity grown by
+// the golden ratio, at least one slot a step, until it reaches n.
+func growSlots(capacity, n int) int {
+	for capacity < n {
+		grown := int(float64(capacity) * goldenRatio)
+		if grown <= capacity {
+			grown = capacity + 1
+		}
+		capacity = grown
+	}
+	return capacity
+}
+
 // derivSlots is the number of extra matrix buffers reserved per slot beyond
 // the 2·maxTips−1 branch matrices: the root-branch first- and second-
 // derivative matrices and the summed root-branch transition matrix.
@@ -37,8 +54,9 @@ type job struct {
 // key, carved into slots: slot s holds a private range of tip, internal-
 // partials, matrix and eigen buffers sized for the key's tip bucket, so
 // compatible requests evaluate side by side in one scheduler submission.
-// Slots are recycled through a SlotAllocator (get/free LIFO, golden-ratio
-// growth) exactly as the sts OnlineCalculator recycles buffer ids.
+// Slots hold nothing from one batch to the next, so a job's slot is its
+// position among the batch's loaded jobs; a batch larger than the capacity
+// grows it by the golden ratio and rebuilds the instance.
 //
 // A single executor goroutine drains the queue, coalescing up to MaxBatch
 // requests that queued while the previous batch ran into one merged
@@ -61,8 +79,7 @@ type Calculator struct {
 	// executor finalizes an instance.
 	inst    *gobeagle.Instance
 	instPub atomic.Pointer[gobeagle.Instance]
-	slots   *SlotAllocator
-	built   int // slot capacity the current instance was built for
+	slots   int // slot capacity; a built instance always holds this many
 
 	// Counters read concurrently by the metrics endpoints.
 	batches   atomic.Uint64 // merged submissions executed
@@ -72,7 +89,7 @@ type Calculator struct {
 	batchFill atomic.Uint64 // sum of batch sizes (fill = batchFill/batches)
 	errors    atomic.Uint64
 	lastUsed  atomic.Int64 // unix nanos of the last completed batch
-	slotCap   atomic.Int64 // slots.Capacity() mirrored for concurrent readers
+	slotCap   atomic.Int64 // slots mirrored for concurrent readers
 }
 
 // newCalculator builds a cold calculator for one pool key; the caller starts
@@ -86,10 +103,10 @@ func newCalculator(key PoolKey, opts Options, tr *trace.Tracer) *Calculator {
 		queue:   make(chan *job, opts.QueueDepth),
 		closing: make(chan struct{}),
 		closed:  make(chan struct{}),
-		slots:   NewSlotAllocator(opts.InitialSlots),
+		slots:   max(opts.InitialSlots, 1),
 	}
 	c.lastUsed.Store(time.Now().UnixNano())
-	c.slotCap.Store(int64(c.slots.Capacity()))
+	c.slotCap.Store(int64(c.slots))
 	return c
 }
 
@@ -170,8 +187,8 @@ func (c *Calculator) drain() {
 }
 
 // Slot buffer layout within the shared instance. The tip region of the
-// engine is [0, built·maxTips); slot s owns tips [s·maxTips, (s+1)·maxTips),
-// internal partials built·maxTips + s·(maxTips−1) + k, matrices
+// engine is [0, slots·maxTips); slot s owns tips [s·maxTips, (s+1)·maxTips),
+// internal partials slots·maxTips + s·(maxTips−1) + k, matrices
 // s·matStride + m, and eigen slot s.
 func (c *Calculator) matStride() int { return 2*c.key.Tips - 1 + derivSlots }
 
@@ -179,7 +196,7 @@ func (c *Calculator) mapPartials(slot, idx, tips int) int {
 	if idx < tips {
 		return slot*c.key.Tips + idx
 	}
-	return c.built*c.key.Tips + slot*(c.key.Tips-1) + (idx - tips)
+	return c.slots*c.key.Tips + slot*(c.key.Tips-1) + (idx - tips)
 }
 
 func (c *Calculator) mapMatrix(slot, m int) int { return slot*c.matStride() + m }
@@ -199,7 +216,7 @@ func (c *Calculator) rebuild() error {
 		c.inst.Finalize()
 		c.inst = nil
 	}
-	n := c.slots.Capacity()
+	n := c.slots
 	flags := c.key.Flags
 	if c.opts.Trace {
 		flags |= gobeagle.FlagTrace
@@ -232,7 +249,6 @@ func (c *Calculator) rebuild() error {
 	}
 	c.inst = inst
 	c.instPub.Store(inst)
-	c.built = n
 	c.rebuilds.Add(1)
 	return nil
 }
@@ -250,16 +266,13 @@ func (c *Calculator) runBatch(batch []*job) {
 		batchID = c.tr.NextBatch()
 	}
 
-	grew := false
-	for c.slots.Capacity() < len(batch) {
-		c.slots.Grow()
-		grew = true
+	grew := len(batch) > c.slots
+	if grew {
+		c.slots = growSlots(c.slots, len(batch))
+		c.slotCap.Store(int64(c.slots))
+		c.grows.Add(1)
 	}
-	c.slotCap.Store(int64(c.slots.Capacity()))
-	if c.inst == nil || grew || c.built != c.slots.Capacity() {
-		if grew {
-			c.grows.Add(1)
-		}
+	if c.inst == nil || grew {
 		if err := c.rebuild(); err != nil {
 			c.failBatch(batch, err)
 			return
@@ -268,7 +281,6 @@ func (c *Calculator) runBatch(batch []*job) {
 
 	var merged []gobeagle.Operation
 	live := batch[:0:0]
-	var liveSlots []int
 	for i, j := range batch {
 		j.batchID = batchID
 		j.batched = len(batch)
@@ -280,20 +292,13 @@ func (c *Calculator) runBatch(batch []*job) {
 				Start: now - wait, Dur: wait, Arg0: int64(j.c.patterns),
 				Batch: batchID, Req: j.reqID})
 		}
-		slot := c.slots.Get()
-		if slot < 0 {
-			// Unreachable: capacity was grown to len(batch) above and every
-			// slot is free between batches.
-			j.err = fmt.Errorf("serve: slot space exhausted")
-			continue
-		}
+		slot := len(live)
 		// Tag the engine-side spans this job's slot loads record — and, over
 		// the wire, the worker-side spans — with the job's request identity.
 		c.inst.SetTraceRequest(j.reqID)
 		if err := c.loadJob(slot, j.c); err != nil {
 			j.err = err
 			c.errors.Add(1)
-			c.slots.Free(slot)
 			j.runNs = time.Since(bstart).Nanoseconds()
 			continue
 		}
@@ -318,7 +323,6 @@ func (c *Calculator) runBatch(batch []*job) {
 			},
 		}
 		live = append(live, j)
-		liveSlots = append(liveSlots, slot)
 	}
 
 	if len(live) > 0 {
@@ -335,15 +339,14 @@ func (c *Calculator) runBatch(batch []*job) {
 		}
 	}
 
-	for i, j := range live {
+	for slot, j := range live {
 		c.inst.SetTraceRequest(j.reqID)
-		if err := c.integrate(liveSlots[i], j); err != nil {
+		if err := c.integrate(slot, j); err != nil {
 			j.err = err
 			c.errors.Add(1)
 		} else {
 			c.requests.Add(1)
 		}
-		c.slots.Free(liveSlots[i])
 		j.runNs = time.Since(bstart).Nanoseconds()
 	}
 	c.inst.SetTraceRequest(0)
@@ -354,7 +357,7 @@ func (c *Calculator) runBatch(batch []*job) {
 	if traceOn {
 		c.tr.Record(trace.Span{Kind: trace.KindServeBatch, Lane: -1,
 			Start: tstart, Dur: c.tr.Now() - tstart, Batch: batchID,
-			Arg0: int64(len(batch)), Arg1: int64(c.slots.Capacity())})
+			Arg0: int64(len(batch)), Arg1: int64(c.slots)})
 	}
 	// Release the jobs only now: a caller that reads Stats or scrapes
 	// /metrics the moment its answer arrives must find its batch counted.

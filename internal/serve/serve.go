@@ -1,7 +1,8 @@
 // Package serve is the likelihood-as-a-service layer: it exposes the
 // library's evaluation pipeline over a small JSON wire API, backed by a pool
-// of warm instances keyed on problem shape with get/free slot recycling and
-// golden-ratio growth (the sts OnlineCalculator pattern), cross-request
+// of warm instances keyed on problem shape, each carved into per-request
+// slots (a job's slot is its position in the batch; capacity grows by the
+// golden ratio, as the sts OnlineCalculator grows its buffers), cross-request
 // micro-batching that coalesces compatible small queries into the wide
 // scheduler submissions the CPU strategies are good at, admission control
 // (bounded queues answering 429 on overload) and per-tenant token-bucket
@@ -224,11 +225,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 
 func (s *Server) buildMux() *http.ServeMux {
 	mux := http.NewServeMux()
-	var muxOpts []metricsx.MuxOption
-	if s.opts.Pprof {
-		muxOpts = append(muxOpts, metricsx.WithPprof())
-	}
-	debug := metricsx.NewMux(serveSource{s}, muxOpts...)
+	debug := metricsx.NewMux(serveSource{s}, s.opts.Pprof)
 	mux.Handle("/metrics", debug)
 	mux.Handle("/debug/", debug)
 	mux.HandleFunc("/debug/slow", s.handleSlow)

@@ -93,23 +93,17 @@ type Process struct {
 // (1..numLayers) with room for future layers.
 const remotePidBase = 100
 
-// WriteJSON writes the spans as a Chrome trace-event JSON document. Spans
-// should come from Tracer.Snapshot; an empty slice yields a valid trace with
-// only metadata.
-func WriteJSON(w io.Writer, spans []Span) error {
-	return WriteStitched(w, spans, nil)
-}
-
 // WriteStitched writes one Chrome trace-event JSON document combining the
-// local spans (rendered as one process per layer, exactly like WriteJSON)
-// with per-remote-process tracks: each Process becomes its own pid whose
-// threads are the worker's layer/lane pairs. Processes with the same Name
-// (the same worker drained through several pooled instances) are merged
-// into one track. Request identities survive stitching — every span's
-// args.req carries the served request id across process boundaries, so a
-// viewer (or cmd/beagletrace) can follow one request from the serve layer
-// through the client RPC span into the worker's scheduler and kernels, with
-// the wire-time gap visible between them.
+// local spans (rendered as one process per layer; nil procs gives the
+// local-only trace) with per-remote-process tracks: each Process becomes its
+// own pid whose threads are the worker's layer/lane pairs. Processes with
+// the same Name (the same worker drained through several pooled instances)
+// are merged into one track. Request identities survive stitching — every
+// span's args.req carries the served request id across process boundaries,
+// so a viewer (or cmd/beagletrace) can follow one request from the serve
+// layer through the client RPC span into the worker's scheduler and kernels,
+// with the wire-time gap visible between them. An empty trace is valid and
+// holds only metadata.
 func WriteStitched(w io.Writer, local []Span, procs []Process) error {
 	type laneKey struct {
 		layer Layer

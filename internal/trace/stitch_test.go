@@ -85,22 +85,3 @@ func TestWriteStitchedRendersProcessTracks(t *testing.T) {
 		t.Fatalf("request 77 seen in %d processes, want >= 2 (stitching broken)", len(pidsForReq))
 	}
 }
-
-// TestWriteStitchedNilProcsMatchesWriteJSON asserts WriteJSON is exactly the
-// stitched export with no remote processes.
-func TestWriteStitchedNilProcsMatchesWriteJSON(t *testing.T) {
-	spans := []Span{
-		{Kind: KindBatch, Start: 10, Dur: 50, Arg0: 1},
-		{Kind: KindServeCompile, Lane: -1, Start: 5, Dur: 20, Req: 9},
-	}
-	var a, b bytes.Buffer
-	if err := WriteJSON(&a, spans); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteStitched(&b, spans, nil); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatalf("WriteJSON and WriteStitched(nil procs) diverge:\n%s\nvs\n%s", a.String(), b.String())
-	}
-}

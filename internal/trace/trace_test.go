@@ -197,7 +197,7 @@ func TestWriteJSONShape(t *testing.T) {
 	tr.Record(Span{Kind: KindBarrier, Lane: -1, Batch: b, Start: 900, Dur: 6000, Arg0: 2})
 
 	var buf bytes.Buffer
-	if err := WriteJSON(&buf, tr.Snapshot()); err != nil {
+	if err := WriteStitched(&buf, tr.Snapshot(), nil); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -252,7 +252,7 @@ func TestWriteJSONShape(t *testing.T) {
 
 func TestWriteJSONEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteJSON(&buf, nil); err != nil {
+	if err := WriteStitched(&buf, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

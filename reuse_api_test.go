@@ -1,6 +1,7 @@
 package gobeagle
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
 	"sync"
@@ -420,5 +421,22 @@ func TestUpdatePartialsDoesNotAllocate(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("UpdatePartials allocates %.1f times per clean resubmission, want 0", allocs)
+	}
+}
+
+// TestReuseStatsJSON pins ReuseStats' wire form, keys in order, and its hit
+// rates, which clients reading the JSON depend on.
+func TestReuseStatsJSON(t *testing.T) {
+	rs := ReuseStats{Enabled: true, OpHits: 3, OpMisses: 1, MatrixHits: 1, MatrixMisses: 3, Invalidations: 5}
+	got, err := json.Marshal(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"enabled":true,"op_hits":3,"op_misses":1,"matrix_hits":1,"matrix_misses":3,"invalidations":5}`
+	if string(got) != want {
+		t.Errorf("ReuseStats JSON = %s, want %s", got, want)
+	}
+	if rs.OpHitRate() != 0.75 || rs.MatrixHitRate() != 0.25 || (ReuseStats{}).OpHitRate() != 0 {
+		t.Errorf("hit rates %v, %v; want 0.75, 0.25 and 0 with nothing submitted", rs.OpHitRate(), rs.MatrixHitRate())
 	}
 }

@@ -20,6 +20,14 @@ section() {
     echo "== $SECTION"
 }
 
+section "gofmt -l ."
+unformatted=$(cd "$ROOT" && gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "gofmt needed on:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
+
 section "go vet ./..."
 go -C "$ROOT" vet ./...
 
@@ -73,10 +81,31 @@ go -C "$ROOT" test -race -count=20 -run 'Golden|MatchCPUSerial|ReferenceBits|Lau
 section "remoteimpl span stitching -count=200 -cpu 1"
 go -C "$ROOT" test -count=200 -cpu 1 -run TestDrainSpansStitchesWorkerSpans ./internal/remoteimpl
 
+# The Newick parser on arbitrary input: no panic, and an accepted tree
+# renders to a Newick fixed point.
+section "fuzz FuzzParseNewick 30s"
+go -C "$ROOT" test -run '^$' -fuzz FuzzParseNewick -fuzztime 30s ./internal/tree
+
+# The wire frame reader under an arbitrary limit: no panic, and a decoded
+# frame lies within the limit and the bytes given.
+section "fuzz FuzzReadMsg 30s"
+go -C "$ROOT" test -run '^$' -fuzz FuzzReadMsg -fuzztime 30s ./internal/remoteimpl
+
 # Wire requests off the network through the worker's dispatch table: no
 # request may panic a worker or leave its engine unable to evaluate.
 section "fuzz FuzzApplyRequest 30s"
 go -C "$ROOT" test -run '^$' -fuzz FuzzApplyRequest -fuzztime 30s ./internal/remoteimpl
+
+# The vectorised primitive behind the wide-state kernels on arbitrary
+# geometry: the scalar loop's bits or a Go bounds panic, never a stray access
+# across the Go/assembly boundary.
+section "fuzz FuzzVecMatT 30s"
+go -C "$ROOT" test -run '^$' -fuzz FuzzVecMatT -fuzztime 30s ./internal/kernels
+
+# Power-of-two rescaling: the 4-state path against the generic one, exact
+# factors, non-finite inputs, nothing touched outside [lo, hi).
+section "fuzz FuzzRescalePartials 30s"
+go -C "$ROOT" test -run '^$' -fuzz FuzzRescalePartials -fuzztime 30s ./internal/kernels
 
 # The 4-state kernels against their references: the assembly against the Go
 # bodies, StatesStates4 against generic StatesStates, the root integration
@@ -98,6 +127,11 @@ go -C "$ROOT" test -run '^$' -fuzz FuzzLogSites -fuzztime 30s ./internal/kernels
 # between evaluations, reuse, compact subtrees and a forced rebalance.
 section "fuzz FuzzInstanceSequence 30s"
 go -C "$ROOT" test -run '^$' -fuzz FuzzInstanceSequence -fuzztime 30s ./internal/multiimpl
+
+# beagled's compile on arbitrary JSON bodies: no panic, and a warm cache
+# gives the cold compile's error or result.
+section "fuzz FuzzCompileRequest 30s"
+go -C "$ROOT" test -run '^$' -fuzz FuzzCompileRequest -fuzztime 30s ./internal/serve
 
 run() {
     section "genomictest -check $*"

@@ -164,33 +164,8 @@ func (in *Instance) Stats() Stats {
 // transition-matrix updates were skipped because their inputs were unchanged
 // (hits) versus computed (misses), and how many buffer invalidations setters
 // reported. An instance without FlagReuse yields Enabled == false and zero
-// counters.
-type ReuseStats struct {
-	Enabled       bool   `json:"enabled"`
-	OpHits        uint64 `json:"op_hits"`
-	OpMisses      uint64 `json:"op_misses"`
-	MatrixHits    uint64 `json:"matrix_hits"`
-	MatrixMisses  uint64 `json:"matrix_misses"`
-	Invalidations uint64 `json:"invalidations"`
-}
-
-// OpHitRate is the fraction of submitted partials operations skipped, in
-// [0, 1]; 0 when none were submitted.
-func (s ReuseStats) OpHitRate() float64 {
-	if t := s.OpHits + s.OpMisses; t > 0 {
-		return float64(s.OpHits) / float64(t)
-	}
-	return 0
-}
-
-// MatrixHitRate is the fraction of requested transition-matrix updates
-// skipped, in [0, 1]; 0 when none were requested.
-func (s ReuseStats) MatrixHitRate() float64 {
-	if t := s.MatrixHits + s.MatrixMisses; t > 0 {
-		return float64(s.MatrixHits) / float64(t)
-	}
-	return 0
-}
+// counters. OpHitRate and MatrixHitRate give the skipped fractions.
+type ReuseStats = reuse.Stats
 
 // ReuseStats returns the instance's incremental re-evaluation counters.
 // Counters accumulate over the instance's lifetime; on multi-device
@@ -198,15 +173,7 @@ func (s ReuseStats) MatrixHitRate() float64 {
 // skip decisions, see multiimpl).
 func (in *Instance) ReuseStats() ReuseStats {
 	if r, ok := in.eng.(interface{ ReuseStats() reuse.Stats }); ok {
-		s := r.ReuseStats()
-		return ReuseStats{
-			Enabled:       s.Enabled,
-			OpHits:        s.OpHits,
-			OpMisses:      s.OpMisses,
-			MatrixHits:    s.MatrixHits,
-			MatrixMisses:  s.MatrixMisses,
-			Invalidations: s.Invalidations,
-		}
+		return r.ReuseStats()
 	}
 	return ReuseStats{}
 }
