@@ -394,6 +394,72 @@ func TestResubmissionDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestScaledEvaluationDoesNotAllocate pins a whole rescaled evaluation —
+// every transition matrix, the peel with every operation rescaling (its
+// cherries compact), resetting and accumulating the scale factors, and the
+// root — to zero allocations once warm, in Serial, SSE and both pool modes,
+// where the matrices run as a phase on the workers. Futures and
+// ThreadCreate start goroutines per phase and are not held to it.
+func TestScaledEvaluationDoesNotAllocate(t *testing.T) {
+	tr, _, _, ps := compactProblem(t)
+	m, rates := hkyModel(t)
+	sched := tr.FullSchedule()
+	mats := make([]int, len(sched.Matrices))
+	lens := make([]float64, len(sched.Matrices))
+	for i, mu := range sched.Matrices {
+		mats[i], lens[i] = mu.Matrix, mu.Length
+	}
+	ops := scheduleOps(tr, ownScale, noScale)
+	scaleBufs := make([]int, len(ops))
+	for i := range scaleBufs {
+		scaleBufs[i] = i
+	}
+	cum := len(ops)
+	for _, mode := range []Mode{Serial, SSE, ThreadPool, ThreadPoolHybrid} {
+		cfg := testConfig(tr, 4, ps.PatternCount(), 4, false)
+		cfg.Threads = 2
+		e, err := New(cfg, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := driveEngine(t, e, tr, m, rates, ps, true, true) // warm up
+		if mode != Serial && e.(*Engine[float64]).Compacted() == 0 {
+			t.Fatalf("%v: no operation ran compact; the scaled table path was not exercised", mode)
+		}
+		var lnL float64
+		eval := func() error {
+			if err := e.UpdateTransitionMatrices(0, mats, lens); err != nil {
+				return err
+			}
+			if err := e.UpdatePartials(ops); err != nil {
+				return err
+			}
+			if err := e.ResetScaleFactors(cum); err != nil {
+				return err
+			}
+			if err := e.AccumulateScaleFactors(scaleBufs, cum); err != nil {
+				return err
+			}
+			lnL, err = e.CalculateRootLogLikelihoods(sched.Root, cum)
+			return err
+		}
+		if err := eval(); err != nil {
+			t.Fatal(err)
+		}
+		var sink error
+		if allocs := testing.AllocsPerRun(50, func() { sink = eval() }); allocs != 0 {
+			t.Errorf("%v: a scaled evaluation allocates %.1f times, want 0", mode, allocs)
+		}
+		if sink != nil {
+			t.Fatal(sink)
+		}
+		if lnL != want {
+			t.Errorf("%v: warm lnL %v, cold %v", mode, lnL, want)
+		}
+		e.Close()
+	}
+}
+
 // TestRootLikelihoodDoesNotAllocate pins the store-owned integration
 // scratch: integrating the root allocates nothing once warm — inline, and as
 // a slab phase on the pool modes' workers — and neither do the edge

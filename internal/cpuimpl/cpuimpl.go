@@ -23,8 +23,10 @@
 //     inline slab below a minimum pattern count (§VI-B);
 //   - ThreadPool: the same slabs on a persistent worker pool, which also
 //     runs the root's site likelihoods and their logs for the store's
-//     integration (engine.Storage) as one more slab phase (§VI-C), the
-//     design that won in Table III;
+//     integration (engine.Storage) as one more slab phase (§VI-C), and a
+//     matrix request's transition matrices as one contiguous run of them
+//     per worker (inline below two a worker), the design that won in
+//     Table III;
 //   - ThreadPoolHybrid: slabs on the pool with no whole-problem threshold,
 //     min(Threads, ⌈patterns / HybridMinChunk⌉) of them, so small pattern
 //     counts still use the workers instead of degrading to serial.
@@ -43,14 +45,15 @@
 // so does the 4-state family on amd64, where Go never fuses multiply-adds, so
 // there every mode returns Serial's exact result. The modes on the 4-state
 // kernels also keep compact subtrees (engine.Storage.EnableCompact): an
-// unscaled operation over at most P/4 distinct child-class pairs is a class
-// table that Resolve builds before the plan's phase, not P rows the slabs
-// compute, and a full-width operation over one gathers its rows by class id
-// (DESIGN.md, "Compact subtrees"). The plans see only the full-width
-// operations; the batch span and level 0 count the compact ones too. The
-// wide kernels keep
-// their scratch (one transposed matrix) on the calling goroutine's stack, so
-// nothing here owns or plumbs it: a pool worker's stack grows once and stays.
+// operation that reads no scale buffer and spans at most P/4 distinct
+// child-class pairs is a class table (rescaled per class row when it
+// rescales) that Resolve builds before the plan's phase, not P rows the
+// slabs compute, and a full-width operation over one gathers its rows by
+// class id (DESIGN.md, "Compact subtrees"). The plans see only the
+// full-width operations; the batch span and level 0 count the compact ones
+// too. The wide kernels keep their scratch (one transposed matrix) on the
+// calling goroutine's stack, so nothing here owns or plumbs it: a pool
+// worker's stack grows once and stays.
 package cpuimpl
 
 import (
@@ -144,12 +147,14 @@ type Engine[T kernels.Real] struct {
 	pool        *engine.WorkerPool
 
 	// The three tasks are bound once, so a phase allocates nothing; they
-	// read the call's state below, set before each phase.
-	slabTask, opTask, siteTask engine.Task
-	batch                      []engine.ResolvedOp[T]  // slabTask: the resolved list
-	level                      []*engine.ResolvedOp[T] // opTask: one dependency level
-	rootBody                   func(lo, hi int)        // siteTask: the store's root body
-	batchID                    uint64                  // the batch's id, 0 when not recording
+	// read the call's state below, set before each phase. rangeTask runs
+	// the store's bodies: the root's sites and a request's matrices.
+	slabTask, opTask, rangeTask engine.Task
+	batch                       []engine.ResolvedOp[T]  // slabTask: the resolved list
+	level                       []*engine.ResolvedOp[T] // opTask: one dependency level
+	body                        func(lo, hi int)        // rangeTask: a store body over [0, bodyLen)
+	bodyLen                     int
+	batchID                     uint64 // the batch's id, 0 when not recording
 }
 
 func newEngine[T kernels.Real](cfg engine.Config, mode Mode) *Engine[T] {
@@ -181,9 +186,10 @@ func newEngine[T kernels.Real](cfg engine.Config, mode Mode) *Engine[T] {
 	if mode == ThreadPool || mode == ThreadPoolHybrid {
 		e.pool = engine.NewWorkerPool(threads, mode.String())
 	}
-	e.slabTask, e.opTask, e.siteTask = e.runSlab, e.runOp, e.siteSlab
+	e.slabTask, e.opTask, e.rangeTask = e.runSlab, e.runOp, e.runRange
 	if e.pool != nil {
 		e.SetIntegrator(e.integrate)
+		e.SetMatrixRunner(e.matrices)
 	}
 	return e
 }
@@ -340,19 +346,34 @@ func (e *Engine[T]) runOp(i, _, _ int) { e.exec(e.level[i], 0, e.Cfg.Dims.Patter
 // inline. The other modes leave every integration inline in the store.
 func (e *Engine[T]) integrate(kind engine.Integration, body func(lo, hi int), _ []float64) error {
 	if kind == engine.IntegrateRoot {
-		e.rootBody = body
-		e.phase(e.slabs(), e.siteTask)
+		e.ranges(e.slabs(), body, e.Cfg.Dims.PatternCount)
 	} else {
 		body(0, e.Cfg.Dims.PatternCount)
 	}
 	return nil
 }
 
-// siteSlab is the root task: the site log likelihoods of pattern slab i of
-// n.
-func (e *Engine[T]) siteSlab(i, n, _ int) {
-	e.rootBody(slab(i, n, e.Cfg.Dims.PatternCount))
+// matrices is the pool modes' MatrixRunner: the n matrices a request
+// computes are cut into one contiguous run per worker, or computed inline
+// when there are fewer than two a worker. The other modes compute them
+// inline in the store.
+func (e *Engine[T]) matrices(n int, body func(lo, hi int)) {
+	if n < 2*e.threads {
+		body(0, n)
+		return
+	}
+	e.ranges(e.threads, body, n)
 }
+
+// ranges runs body over [0, count) as the n ranges of its equal split, one
+// task each.
+func (e *Engine[T]) ranges(n int, body func(lo, hi int), count int) {
+	e.body, e.bodyLen = body, count
+	e.phase(n, e.rangeTask)
+}
+
+// runRange is the range task: range i of n of the running body's.
+func (e *Engine[T]) runRange(i, n, _ int) { e.body(slab(i, n, e.bodyLen)) }
 
 // opLevels groups operations into dependency levels so that all operations
 // within a level can run concurrently without data races. An operation is

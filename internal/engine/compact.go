@@ -3,10 +3,12 @@ package engine
 import "gobeagle/internal/kernels"
 
 // Compact subtrees (DESIGN.md, "Compact subtrees"). A store whose backend
-// runs the 4-state kernels keeps an unscaled operation whose children are
-// both compact — compact-state tips (five classes) or compact nodes — as a
-// class table plus one class id per pattern (internal/kernels/compact4.go),
-// as long as the children's class counts multiply to at most P/4. Such an
+// runs the 4-state kernels keeps an operation that reads no scale buffer and
+// whose children are both compact — compact-state tips (five classes) or
+// compact nodes — as a class table plus one class id per pattern
+// (internal/kernels/compact4.go), as long as the children's class counts
+// multiply to at most P/4. A rescaling one rescales its table per class row
+// and writes each pattern its class's factor. Such an
 // operation never writes its P-row partials buffer; Resolve runs it inline,
 // before the backend's plan runs the full-width rest of the batch, and a
 // full-width operation reads a compact child by gathering the child's side
@@ -40,15 +42,17 @@ type compactStore[T kernels.Real] struct {
 	// run, nil before.
 	bufs  []classes[T]
 	clock uint64
-	// touched[b] == the store's batch epoch marks b as touched by an
-	// earlier full-width operation of the batch being planned.
-	touched []uint64
+	// touched[b] == the store's batch epoch marks partials buffer b, and
+	// scaleTouched[b] scale buffer b, as touched by an earlier full-width
+	// operation of the batch being planned.
+	touched, scaleTouched []uint64
 	// sides holds the side tables the batch's full-width operations gather
-	// from (used of it so far), tmp a compact operation's children's, and
-	// exp the integrations' expanded operands.
+	// from (used of it so far), tmp a compact operation's children's, cls its
+	// class rows' scale factors, and exp the integrations' expanded operands.
 	sides []T
 	used  int
 	tmp   []T
+	cls   []float64
 	exp   [2][]T
 	// ran counts the compact operations the last Resolve ran.
 	ran int
@@ -68,8 +72,8 @@ type compactChild[T kernels.Real] struct {
 // runs the 4-state kernels on the host opts in, once, before any data is
 // set; the store must have four states.
 func (s *Storage[T]) EnableCompact() {
-	n := s.Cfg.PartialsBuffers
-	s.cp = &compactStore[T]{touched: make([]uint64, n)}
+	s.cp = &compactStore[T]{touched: make([]uint64, s.Cfg.PartialsBuffers),
+		scaleTouched: make([]uint64, s.Cfg.ScaleBuffers)}
 }
 
 // Compacted is how many operations the last Resolve ran compact: computed,
@@ -146,11 +150,12 @@ func (s *Storage[T]) gatherSide(child compactChild[T], m []T) []T {
 // planCompact is Resolve's last step on a compact store, over the validated
 // batch: it applies the reuse filter, runs every operation that can be
 // compact and returns the rest with their operands bound. An operation is
-// compact when it is unscaled, both its children are compact at its place in
-// the batch, their class counts multiply to at most P/4, and no earlier
-// full-width operation of the batch touches its destination — the one
-// condition under which running it before the backend's plan cannot change
-// what an earlier operation reads or writes.
+// compact when it reads no scale buffer, both its children are compact at its
+// place in the batch, their class counts multiply to at most P/4, and no
+// earlier full-width operation of the batch touches its destination or the
+// scale buffer it writes — the one condition under which running it before
+// the backend's plan cannot change what an earlier operation reads or
+// writes.
 func (s *Storage[T]) planCompact(rops []ResolvedOp[T]) []ResolvedOp[T] {
 	cp := s.cp
 	rops = s.dropUnchanged(rops)
@@ -161,14 +166,20 @@ func (s *Storage[T]) planCompact(rops []ResolvedOp[T]) []ResolvedOp[T] {
 		r := rops[i]
 		a, aok := s.asCompact(r.Child1)
 		b, bok := s.asCompact(r.Child2)
-		if aok && bok && r.DestScaleWrite == None && r.DestScaleRead == None &&
-			a.rows*b.rows*4 <= p && cp.touched[r.Dest] != s.epoch {
+		if aok && bok && r.DestScaleRead == None && a.rows*b.rows*4 <= p && cp.touched[r.Dest] != s.epoch &&
+			(r.DestScaleWrite == None || cp.scaleTouched[r.DestScaleWrite] != s.epoch) {
 			s.runCompact(&r, a, b)
 			cp.ran++
 			continue
 		}
 		s.bindFull(&r, a, aok, b, bok)
 		cp.touched[r.Dest], cp.touched[r.Child1], cp.touched[r.Child2] = s.epoch, s.epoch, s.epoch
+		if r.DestScaleWrite != None {
+			cp.scaleTouched[r.DestScaleWrite] = s.epoch
+		}
+		if r.DestScaleRead != None {
+			cp.scaleTouched[r.DestScaleRead] = s.epoch
+		}
 		kept = append(kept, r)
 	}
 	return kept
@@ -177,7 +188,10 @@ func (s *Storage[T]) planCompact(rops []ResolvedOp[T]) []ResolvedOp[T] {
 // runCompact computes a compact operation into its destination's record:
 // the children's side tables, their products as the class table, and the
 // mixed-radix class ids unless the record already holds them for these
-// children's versions.
+// children's versions. A rescaling operation rescales the table as a
+// partials buffer of rows patterns: a pattern's row in every category is its
+// class's, so its maximum, factor and log factor are the class's, which
+// its entry of the scale buffer receives.
 func (s *Storage[T]) runCompact(r *ResolvedOp[T], a, b compactChild[T]) {
 	cp, c := s.cp, s.Cfg.Dims.CategoryCount
 	rows := a.rows * b.rows
@@ -205,6 +219,16 @@ func (s *Storage[T]) runCompact(r *ResolvedOp[T], a, b compactChild[T]) {
 		rec.tab = rec.tab[:n]
 	}
 	kernels.ClassTable4(rec.tab, s1, a.rows, s2, b.rows, c)
+	if r.WriteScale != nil {
+		if len(cp.cls) < rows {
+			cp.cls = make([]float64, rows)
+		}
+		cls := cp.cls[:rows]
+		kernels.RescalePartials(rec.tab, cls, kernels.Dims{StateCount: 4, PatternCount: rows, CategoryCount: c}, 0, rows)
+		for p, id := range rec.ids {
+			r.WriteScale[p] = cls[id]
+		}
+	}
 	rec.rows, rec.live = rows, true
 	s.Partials[r.Dest] = nil
 }

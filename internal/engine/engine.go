@@ -15,7 +15,8 @@
 // in cpuimpl; kernel launches, device-memory reservation and transfer charges
 // in accelimpl — and the store knows nothing of either. The seams are
 // UpdateMatricesWith, as an accelerator computes a matrix in a device kernel,
-// and the Integrator that runs an integration's per-pattern body.
+// the MatrixRunner that computes a host request's queued matrices, and the
+// Integrator that runs an integration's per-pattern body.
 // Resolve and DropUnchanged are separate calls so that a backend with its own
 // reason to refuse a batch (accelimpl: the destinations Resolve allocated do
 // not fit in device memory) can do so after validation and before the reuse

@@ -42,8 +42,11 @@ type Storage[T kernels.Real] struct {
 	Site []float64
 
 	in     integration[T]
+	mx     matrixQueue
 	cp     *compactStore[T] // compact subtrees, nil unless EnableCompact
 	closed bool
+	// factors is ScaleFactors' list of the buffers it returns.
+	factors [][]float64
 	// resolved holds the current batch's resolved operations between
 	// batches, so resubmitting a schedule (including the reuse filter's skip
 	// path) allocates nothing once warmed up.
@@ -70,8 +73,10 @@ func NewStorage[T kernels.Real](cfg Config) *Storage[T] {
 		Scale:     make([][]float64, cfg.ScaleBuffers),
 		Site:      make([]float64, cfg.Dims.PatternCount),
 		written:   make([]uint64, cfg.PartialsBuffers),
+		mx:        matrixQueue{at: make([]int, cfg.MatrixBuffers)},
 	}
 	s.bindIntegration()
+	s.mx.body = s.matrixBody
 	// Sensible defaults: unit rates, uniform weights and frequencies,
 	// weight-1 patterns.
 	for i := range s.CatRates {
@@ -334,24 +339,84 @@ func (s *Storage[T]) matrixRequest(eigenSlot int, edgeLengths []float64, lists .
 	return s.Eigens[eigenSlot], nil
 }
 
-// UpdateTransitionMatrices computes the listed matrices from an eigen slot
-// on the host.
-func (s *Storage[T]) UpdateTransitionMatrices(eigenSlot int, matrices []int, edgeLengths []float64) error {
-	return s.UpdateMatricesWith(eigenSlot, matrices, edgeLengths, s.computeMatrix)
+// MatrixRunner is the one step of a matrix request a backend on the host
+// supplies: it runs body over the queued matrices [0, n), as one range or as
+// disjoint ranges concurrently, and returns when all have run. Every range
+// computes each of its matrices alone, so every runner returns the same bits.
+type MatrixRunner func(n int, body func(lo, hi int))
+
+// matrixQueue is the matrices a host UpdateTransitionMatrices call computes:
+// the backend's MatrixRunner (nil runs the body inline), the body, bound once
+// so handing it on allocates nothing, and the call's eigendecomposition and
+// queue — each matrix once, with its last listed edge length, at[m] one past
+// its place while the call runs and 0 otherwise.
+type matrixQueue struct {
+	run  MatrixRunner
+	body func(lo, hi int)
+	e    *kernels.Eigen
+	ms   []int
+	ts   []float64
+	at   []int
 }
 
-func (s *Storage[T]) computeMatrix(m int, e *kernels.Eigen, edgeLength float64) error {
+// SetMatrixRunner makes run the way the store's host matrix requests compute
+// their matrices; without one they are computed inline, in request order.
+func (s *Storage[T]) SetMatrixRunner(run MatrixRunner) { s.mx.run = run }
+
+// UpdateTransitionMatrices computes the listed matrices from an eigen slot
+// on the host: the store decides which to compute and queues them, and the
+// backend's MatrixRunner computes the queue.
+func (s *Storage[T]) UpdateTransitionMatrices(eigenSlot int, matrices []int, edgeLengths []float64) error {
+	return s.UpdateMatricesWith(eigenSlot, matrices, edgeLengths, s.queueMatrix)
+}
+
+// queueMatrix is the host's compute step: it allocates matrix m if needed
+// and queues it. A matrix listed twice is computed once, from its last edge
+// length, which leaves what computing both in order would.
+func (s *Storage[T]) queueMatrix(m int, e *kernels.Eigen, edgeLength float64) error {
+	q := &s.mx
 	if s.Matrices[m] == nil {
 		s.Matrices[m] = make([]T, s.Cfg.Dims.MatrixLen())
 	}
-	kernels.UpdateTransitionMatrix(s.Matrices[m], e, edgeLength, s.CatRates)
+	if k := q.at[m]; k > 0 {
+		q.ts[k-1] = edgeLength
+		return nil
+	}
+	q.e, q.ms, q.ts = e, append(q.ms, m), append(q.ts, edgeLength)
+	q.at[m] = len(q.ms)
 	return nil
+}
+
+// runMatrices computes the queued matrices, if any, and empties the queue.
+func (s *Storage[T]) runMatrices() {
+	q := &s.mx
+	if len(q.ms) == 0 {
+		return
+	}
+	if q.run == nil {
+		q.body(0, len(q.ms))
+	} else {
+		q.run(len(q.ms), q.body)
+	}
+	for _, m := range q.ms {
+		q.at[m] = 0
+	}
+	q.e, q.ms, q.ts = nil, q.ms[:0], q.ts[:0]
+}
+
+// matrixBody computes queued matrices [lo, hi).
+func (s *Storage[T]) matrixBody(lo, hi int) {
+	q := &s.mx
+	for i := lo; i < hi; i++ {
+		kernels.UpdateTransitionMatrix(s.Matrices[q.ms[i]], q.e, q.ts[i], s.CatRates)
+	}
 }
 
 // UpdateMatricesWith is UpdateTransitionMatrices with the computation of one
 // matrix left to the backend — the one step of the store an accelerator
 // replaces, because it computes matrices in a device kernel. compute must
-// leave Matrices[m] holding P(rate_c·edgeLength) for every category; the
+// leave Matrices[m] holding P(rate_c·edgeLength) for every category, or
+// queue m (queueMatrix), which this call computes before it returns; the
 // request validation, the content-addressed reuse decision and the span
 // stay here.
 func (s *Storage[T]) UpdateMatricesWith(eigenSlot int, matrices []int, edgeLengths []float64,
@@ -373,6 +438,7 @@ func (s *Storage[T]) UpdateMatricesWith(eigenSlot int, matrices []int, edgeLengt
 		}
 		computed++
 	}
+	s.runMatrices()
 	if on {
 		s.Cfg.Trace.End(trace.Span{Kind: trace.KindMatrices, Lane: int32(s.Cfg.TraceLane), Arg0: int64(computed)}, start)
 	}
@@ -428,20 +494,24 @@ func (s *Storage[T]) ResetScaleFactors(scaleBuf int) error {
 
 // ScaleFactors validates the scale buffers AccumulateScaleFactors sums and
 // returns them with the cumulative buffer they are added into, allocated if
-// needed.
+// needed. The list of factors is the store's scratch, valid until the next
+// call.
 func (s *Storage[T]) ScaleFactors(scaleBufs []int, cumBuf int) (factors [][]float64, cum []float64, err error) {
 	if err := s.checkScaleIndex(cumBuf); err != nil {
 		return nil, nil, err
 	}
-	factors = make([][]float64, len(scaleBufs))
-	for i, b := range scaleBufs {
+	factors = s.factors[:0]
+	for _, b := range scaleBufs {
 		if b == cumBuf {
 			return nil, nil, fmt.Errorf("engine: cumulative scale buffer %d is also listed as a factor", cumBuf)
 		}
-		if factors[i], err = s.writtenScale(b); err != nil {
+		f, err := s.writtenScale(b)
+		if err != nil {
 			return nil, nil, err
 		}
+		factors = append(factors, f)
 	}
+	s.factors = factors
 	cum, err = s.ScaleWriteTarget(cumBuf)
 	return factors, cum, err
 }

@@ -21,7 +21,8 @@ package kernels
 // broadcast to both 128-bit halves, each half's entries broadcast within it).
 // An odd float32 tail pattern, a CPU without AVX2 and -tags purego run the
 // unrolled Go bodies below, which compute the same results: every non-NaN
-// output bit for bit, a NaN as a NaN.
+// output bit for bit, a NaN as a NaN. Every product there is rounded before
+// it is added, so no architecture fuses it.
 //
 // StatesStates4 needs no assembly: with both children compact states, a
 // category has 25 distinct destination rows, so it builds them once and
@@ -30,8 +31,9 @@ package kernels
 // distinct rows from the same operations in the same order — a side is
 // ((m0·a0 + m1·a1) + m2·a2) + m3·a3 or a matrix column, a row is one side
 // times the other — and never writes the node at full width, so it runs
-// StatesStates4 only where a cherry cannot be compact: scaled, under 100
-// patterns, or listed after a full-width operation on its destination.
+// StatesStates4 only where a cherry cannot be compact: reading a scale
+// buffer, under 100 patterns, or listed after a full-width operation on its
+// destination or the scale buffer it writes.
 //
 // The other 4-state paths live beside their generic kernels: RescalePartials
 // runs its pattern loop in AVX2 assembly under the same gate
@@ -122,14 +124,14 @@ func partialsPartials4Go[T Real](dest, p1, m1, p2, m2 []T, d Dims, lo, hi int) {
 			o := (c*d.PatternCount + p) * 4
 			a0, a1, a2, a3 := p1[o], p1[o+1], p1[o+2], p1[o+3]
 			b0, b1, b2, b3 := p2[o], p2[o+1], p2[o+2], p2[o+3]
-			dest[o] = (m[0]*a0 + m[1]*a1 + m[2]*a2 + m[3]*a3) *
-				(n[0]*b0 + n[1]*b1 + n[2]*b2 + n[3]*b3)
-			dest[o+1] = (m[4]*a0 + m[5]*a1 + m[6]*a2 + m[7]*a3) *
-				(n[4]*b0 + n[5]*b1 + n[6]*b2 + n[7]*b3)
-			dest[o+2] = (m[8]*a0 + m[9]*a1 + m[10]*a2 + m[11]*a3) *
-				(n[8]*b0 + n[9]*b1 + n[10]*b2 + n[11]*b3)
-			dest[o+3] = (m[12]*a0 + m[13]*a1 + m[14]*a2 + m[15]*a3) *
-				(n[12]*b0 + n[13]*b1 + n[14]*b2 + n[15]*b3)
+			dest[o] = (T(m[0]*a0) + T(m[1]*a1) + T(m[2]*a2) + T(m[3]*a3)) *
+				(T(n[0]*b0) + T(n[1]*b1) + T(n[2]*b2) + T(n[3]*b3))
+			dest[o+1] = (T(m[4]*a0) + T(m[5]*a1) + T(m[6]*a2) + T(m[7]*a3)) *
+				(T(n[4]*b0) + T(n[5]*b1) + T(n[6]*b2) + T(n[7]*b3))
+			dest[o+2] = (T(m[8]*a0) + T(m[9]*a1) + T(m[10]*a2) + T(m[11]*a3)) *
+				(T(n[8]*b0) + T(n[9]*b1) + T(n[10]*b2) + T(n[11]*b3))
+			dest[o+3] = (T(m[12]*a0) + T(m[13]*a1) + T(m[14]*a2) + T(m[15]*a3)) *
+				(T(n[12]*b0) + T(n[13]*b1) + T(n[14]*b2) + T(n[15]*b3))
 		}
 	}
 }
@@ -145,10 +147,10 @@ func statesPartials4Go[T Real](dest []T, s1 []int32, m1 []T, p2, m2 []T, d Dims,
 		for p := lo; p < hi; p++ {
 			o := (c*d.PatternCount + p) * 4
 			b0, b1, b2, b3 := p2[o], p2[o+1], p2[o+2], p2[o+3]
-			t0 := n[0]*b0 + n[1]*b1 + n[2]*b2 + n[3]*b3
-			t1 := n[4]*b0 + n[5]*b1 + n[6]*b2 + n[7]*b3
-			t2 := n[8]*b0 + n[9]*b1 + n[10]*b2 + n[11]*b3
-			t3 := n[12]*b0 + n[13]*b1 + n[14]*b2 + n[15]*b3
+			t0 := T(n[0]*b0) + T(n[1]*b1) + T(n[2]*b2) + T(n[3]*b3)
+			t1 := T(n[4]*b0) + T(n[5]*b1) + T(n[6]*b2) + T(n[7]*b3)
+			t2 := T(n[8]*b0) + T(n[9]*b1) + T(n[10]*b2) + T(n[11]*b3)
+			t3 := T(n[12]*b0) + T(n[13]*b1) + T(n[14]*b2) + T(n[15]*b3)
 			if st := s1[p]; uint32(st) < 4 {
 				dest[o] = m[st] * t0
 				dest[o+1] = m[4+st] * t1

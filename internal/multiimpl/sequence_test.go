@@ -428,6 +428,14 @@ func seqOp(dest, c1, m1, c2, m2 int) []byte {
 	return []byte{byte(dest - seqTips), byte(c1), byte(m1), byte(c2), byte(m2), seqNoScale}
 }
 
+// seqScaled is op with scale byte sc: it writes scale buffer seqScale(sc)
+// and reads seqScale(sc>>4).
+func seqScaled(op []byte, sc byte) []byte {
+	out := append([]byte(nil), op...)
+	out[len(out)-1] = sc
+	return out
+}
+
 // seqUpdate encodes an UpdatePartials call of the given operations.
 func seqUpdate(ops ...[]byte) []byte {
 	out := []byte{callUpdate, byte(len(ops) - 1)}
@@ -449,6 +457,11 @@ func seqSeeds() [][]byte {
 	get := func(b int) []byte { return []byte{callGetPartials, byte(b)} }
 	edge := []byte{callEdge, 9, 5, 6}
 	deriv := []byte{callDerivatives, 7, 8, 2, 20}
+	// A peel whose cherries and triple rescale into buffers 0, 1 and 2, the
+	// factors reset and accumulated into 3, and the root integrated with them.
+	scaled := seqUpdate(seqScaled(cherry, 1), seqScaled(triple, 9), quad, seqScaled(pair, 5), root)
+	accumulate := []byte{callScale, 0, 3, callScale, 15, 3}
+	scaledRoot := []byte{callRoot, 9, 13}
 	return [][]byte{
 		// A compact tree, read back at every boundary.
 		seqProgram(false, seqUpdate(cherry, triple, quad, pair, root), evalRoot, get(5), get(6), get(7), edge, deriv),
@@ -470,6 +483,17 @@ func seqSeeds() [][]byte {
 		// no operation computes in place.
 		seqProgram(false, seqUpdate(cherry, seqOp(6, 5, 5, 7, 7)), []byte{callRoot, 6, 0}, get(6),
 			seqUpdate(cherry, seqOp(6, 6, 6, 0, 0)), get(6)),
+		// Rescaling cherries and a rescaling triple kept as class tables,
+		// read at every boundary, across a forced rebalance and back.
+		seqProgram(false, scaled, accumulate, scaledRoot, get(5), []byte{callRebalance, 40}, accumulate, scaledRoot,
+			get(6), scaled, accumulate, scaledRoot, []byte{callRebalance, 200}, scaled, accumulate, scaledRoot, edge),
+		seqProgram(true, scaled, accumulate, scaledRoot, []byte{callRebalance, 40}, scaled, accumulate, scaledRoot, get(5)),
+		// A rescaling cherry listed after a full-width writer of its scale
+		// buffer, then after a full-width reader of it: both stay full width.
+		seqProgram(false, []byte{callPartials, 8, 4}, seqUpdate(seqScaled(cherry, 1)),
+			seqUpdate(seqScaled(seqOp(7, 5, 1, 8, 2), 1), seqScaled(seqOp(5, 3, 3, 4, 4), 1)), get(7), get(5),
+			seqUpdate(seqScaled(seqOp(7, 5, 1, 8, 2), 0x10), seqScaled(seqOp(6, 0, 0, 1, 1), 1)), get(7), get(6),
+			[]byte{callScale, 0, 3, callScale, 3, 3}, []byte{callRoot, 7, 13}),
 		// Scaled operations over compact children, and the reuse filter
 		// after a partials setter.
 		seqProgram(false, seqUpdate(cherry, []byte{byte(6 - seqTips), 5, 5, 2, 2, 1}), []byte{callRoot, 6, 0},

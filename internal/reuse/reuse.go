@@ -39,7 +39,8 @@ import "sync/atomic"
 const None = -1
 
 // opSig records how a destination buffer was last computed: the operation
-// shape plus the version of every input at execution time.
+// shape plus the version of every input at execution time, and the version
+// its write left the scale buffer it rescales into at.
 type opSig struct {
 	valid              bool
 	child1, child1Mat  int
@@ -49,6 +50,7 @@ type opSig struct {
 	child1Ver, mat1Ver uint64
 	child2Ver, mat2Ver uint64
 	scaleReadVer       uint64
+	scaleWriteVer      uint64
 }
 
 // matEntry content-addresses a transition-matrix buffer: the model version,
@@ -164,7 +166,8 @@ func (t *Tracker) ShouldComputeMatrix(m, eigenSlot int, length float64) bool {
 
 // ShouldComputeOp decides one partials operation. It returns false (skip)
 // when dest already holds the result of an identical operation over inputs
-// whose versions are unchanged; otherwise it records the new signature,
+// whose versions are unchanged, and the scale buffer it writes, if any,
+// still holds its factors; otherwise it records the new signature,
 // bumps the destination's partials version (and the written scale buffer's
 // version, when scaleWrite is not None), and returns true.
 //
@@ -188,7 +191,8 @@ func (t *Tracker) ShouldComputeOp(dest, child1, child1Mat, child2, child2Mat, sc
 		s.scaleWrite == scaleWrite && s.scaleRead == scaleRead &&
 		s.child1Ver == t.partialsVer[child1] && s.mat1Ver == t.matrixVer[child1Mat] &&
 		s.child2Ver == t.partialsVer[child2] && s.mat2Ver == t.matrixVer[child2Mat] &&
-		s.scaleReadVer == scaleReadVer {
+		s.scaleReadVer == scaleReadVer &&
+		(scaleWrite == None || s.scaleWriteVer == t.scaleVer[scaleWrite]) {
 		t.opHits.Add(1)
 		return false
 	}
@@ -207,6 +211,7 @@ func (t *Tracker) ShouldComputeOp(dest, child1, child1Mat, child2, child2Mat, sc
 	t.partialsVer[dest]++
 	if scaleWrite != None {
 		t.scaleVer[scaleWrite]++
+		s.scaleWriteVer = t.scaleVer[scaleWrite]
 	}
 	t.opMisses.Add(1)
 	return true

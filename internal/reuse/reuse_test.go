@@ -108,11 +108,6 @@ func TestScaleSemantics(t *testing.T) {
 	if tr.ShouldComputeOp(5, 4, 2, 2, 3, None, 1) {
 		t.Fatal("unchanged scale-reading op must skip")
 	}
-	// ...and recomputes when the scale buffer is externally rewritten.
-	tr.InvalidateScale(1)
-	if !tr.ShouldComputeOp(5, 4, 2, 2, 3, None, 1) {
-		t.Fatal("scale-reading op must recompute after scale invalidation")
-	}
 	// The writer itself skips on resubmission without bumping the scale
 	// version (its stored contents are unchanged), so downstream readers
 	// stay clean.
@@ -121,6 +116,24 @@ func TestScaleSemantics(t *testing.T) {
 	}
 	if tr.ShouldComputeOp(5, 4, 2, 2, 3, None, 1) {
 		t.Fatal("reader must stay clean after writer skip")
+	}
+	// When the scale buffer is externally rewritten (ResetScaleFactors),
+	// the reader recomputes, and so does the writer: skipping it would
+	// leave the rewritten factors where its own belong.
+	tr.InvalidateScale(1)
+	if !tr.ShouldComputeOp(5, 4, 2, 2, 3, None, 1) {
+		t.Fatal("scale-reading op must recompute after scale invalidation")
+	}
+	if !tr.ShouldComputeOp(4, 0, 0, 1, 1, 1, None) {
+		t.Fatal("scale-writing op must recompute after its scale buffer is rewritten")
+	}
+	if tr.ShouldComputeOp(4, 0, 0, 1, 1, 1, None) {
+		t.Fatal("rewritten scale-writing op must skip on its next resubmission")
+	}
+	// Another operation writing the same scale buffer dirties it too.
+	tr.ShouldComputeOp(6, 2, 2, 3, 3, 1, None)
+	if !tr.ShouldComputeOp(4, 0, 0, 1, 1, 1, None) {
+		t.Fatal("scale-writing op must recompute after another op wrote its scale buffer")
 	}
 }
 

@@ -64,9 +64,10 @@ go -C "$ROOT" test -race -run '^TestConcurrentRecording$' -count=200 ./internal/
 # The worker pool (internal/engine) publishes each phase's task in a field
 # before the channel sends that hand out task indices; a broken ordering only
 # races intermittently, so the executor tests are run many times. The root
-# integration's operands, bound in the store, reach the workers the same way.
+# integration's operands and the queue of matrices to compute, bound in the
+# store, reach the workers the same way.
 section "executor -race -count=50"
-go -C "$ROOT" test -race -count=50 -run 'Aliased|MatchSerial|KernelBinding|TraceSpans|LevelTraces|WorkerPool|RootLikelihood|Compact' ./internal/cpuimpl ./internal/engine
+go -C "$ROOT" test -race -count=50 -run 'Aliased|MatchSerial|KernelBinding|TraceSpans|LevelTraces|WorkerPool|RootLikelihood|Compact|PoolMatrices' ./internal/cpuimpl ./internal/engine
 
 # A device launch runs its work-groups concurrently on the engine's worker
 # pool, and each group writes its own per-category pattern runs of the
