@@ -330,3 +330,127 @@ func TestCompactRescaleRareRows(t *testing.T) {
 			[]map[int]bool{{4: true, 5: false, 6: false}})
 	}
 }
+
+// TestCompactStoreGathersTips holds a compact store to binding no
+// compact-state operand: Resolve gathers a tip below a full-width operation
+// through its five-row side table, so every operation it returns has S1 and
+// S2 nil. It covers the four places where a tip meets a full-width
+// operation: beside a partials child, and in a cherry under 100 patterns, a
+// cherry reading a scale buffer, or a cherry listed after a full-width
+// operation on its destination. Every mode's root and edge lnL and internal
+// partials are Serial's, bit for bit, in both precisions.
+func TestCompactStoreGathersTips(t *testing.T) {
+	n := engine.None
+	cases := []struct {
+		name     string
+		patterns int
+		batches  [][]engine.Operation
+	}{
+		{"tip beside partials", 128, [][]engine.Operation{
+			{op(4, 0, 3, n, n), op(5, 3, 1, n, n), op(6, 4, 5, n, n)}}},
+		{"cherry under 100 patterns", 99, [][]engine.Operation{
+			{op(4, 0, 1, n, n), op(5, 2, 3, n, n), op(6, 4, 5, n, n)}}},
+		{"cherry reading a scale buffer", 128, [][]engine.Operation{
+			{op(4, 0, 1, 0, n), op(5, 1, 2, n, 0), op(6, 4, 5, n, n)}}},
+		{"cherry after a full-width operation on its destination", 128, [][]engine.Operation{
+			{op(4, 0, 1, n, n), op(5, 2, 3, n, n), op(6, 4, 5, n, n)},
+			{op(5, 4, 3, n, n), op(4, 0, 2, n, n), op(6, 4, 5, n, n)}}},
+	}
+	mats := hkyMatrices(t, 8)
+	for _, tc := range cases {
+		for _, single := range []bool{false, true} {
+			c := newScaleCase(4, single, mats...)
+			c.cfg.Dims.PatternCount = tc.patterns
+			want := c.evaluate(t, Serial, tc.batches)
+			for _, mode := range Modes()[1:] {
+				got := c.evaluate(t, mode, tc.batches)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s, %v single=%v: value %d is %v, Serial %v", tc.name, mode, single, i, got[i], want[i])
+					}
+				}
+				for i, ops := range tc.batches {
+					if k := c.statesOperands(t, mode, tc.batches[:i], ops); k != 0 {
+						t.Errorf("%s, %v single=%v: batch %d binds %d compact-state operations", tc.name, mode, single, i, k)
+					}
+				}
+			}
+		}
+	}
+}
+
+// open is a fresh engine of mode with the case's tips and matrices, the
+// model the integrations need and the batches before run.
+func (c scaleCase) open(t *testing.T, mode Mode, before [][]engine.Operation) engine.Engine {
+	t.Helper()
+	e, err := New(c.cfg, mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.load(t, e)
+	m, rates := hkyModel(t)
+	weights := make([]float64, c.cfg.Dims.PatternCount)
+	for i := range weights {
+		weights[i] = 1
+	}
+	for _, err := range []error{e.SetCategoryWeights(rates.Weights), e.SetStateFrequencies(m.Frequencies), e.SetPatternWeights(weights)} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, ops := range before {
+		if err := e.UpdatePartials(ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return e
+}
+
+// evaluate runs the batches on mode and returns the root lnL at buffer 6,
+// the edge lnL from 6 to 4, then every internal partials buffer.
+func (c scaleCase) evaluate(t *testing.T, mode Mode, batches [][]engine.Operation) []float64 {
+	t.Helper()
+	e := c.open(t, mode, batches)
+	defer e.Close()
+	root, err := e.CalculateRootLogLikelihoods(6, engine.None)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge, err := e.CalculateEdgeLogLikelihoods(6, 4, 4, engine.None)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append([]float64{root, edge}, c.state(t, e)...)
+}
+
+// statesOperands resolves ops on mode's store after the batches before, with
+// Storage.Resolve itself, and counts the operations it binds with a
+// compact-state operand.
+func (c scaleCase) statesOperands(t *testing.T, mode Mode, before [][]engine.Operation, ops []engine.Operation) int {
+	t.Helper()
+	e := c.open(t, mode, before)
+	defer e.Close()
+	switch e := e.(type) {
+	case *Engine[float64]:
+		return countStatesOperands(t, e.Storage, ops)
+	case *Engine[float32]:
+		return countStatesOperands(t, e.Storage, ops)
+	}
+	t.Fatalf("%v is not a cpuimpl engine", mode)
+	return 0
+}
+
+func countStatesOperands[T kernels.Real](t *testing.T, st *engine.Storage[T], ops []engine.Operation) int {
+	t.Helper()
+	rops, err := st.Resolve(ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := 0
+	for _, r := range rops {
+		if r.S1 != nil || r.S2 != nil {
+			k++
+		}
+	}
+	return k
+}

@@ -11,8 +11,10 @@ import "gobeagle/internal/kernels"
 // and writes each pattern its class's factor. Such an
 // operation never writes its P-row partials buffer; Resolve runs it inline,
 // before the backend's plan runs the full-width rest of the batch, and a
-// full-width operation reads a compact child by gathering the child's side
-// rows, which Resolve builds the same way. Every row is the full-width
+// full-width operation reads a compact child — a compact-state tip
+// included, so no full-width operation here runs a compact-state kernel —
+// by gathering the child's side rows, which Resolve builds the same way.
+// Every row is the full-width
 // kernels' row, bit for bit, so the representation is invisible: the four
 // boundaries that hand partials out — GetPartials, the integrations'
 // operands, DetachPatterns and AttachPatterns — expand a compact node with
@@ -105,7 +107,12 @@ func (s *Storage[T]) compactLive(buf int) *classes[T] {
 	return &s.cp.bufs[buf]
 }
 
-// asCompact returns buf as a compact child, if it is one now.
+// asCompact returns buf as a compact child, if it is one now. A
+// compact-state tip is a compact child of five classes whose ids are its
+// states. The gather kernels read a side table at an id unchecked, so the
+// store keeps every tip state in [0, 4]: SetTipStates refuses negative states
+// and sets those above 4 to 4, and AttachPatterns refuses a state outside
+// [0, 4].
 func (s *Storage[T]) asCompact(buf int) (compactChild[T], bool) {
 	if buf < s.Cfg.TipCount && s.TipStates[buf] != nil {
 		var ver uint64
@@ -234,28 +241,22 @@ func (s *Storage[T]) runCompact(r *ResolvedOp[T], a, b compactChild[T]) {
 }
 
 // bindFull binds a full-width operation's destination and operands: a
-// compact node child is gathered through its side table, as is the other
-// child when compact too, and the gathered child comes first; otherwise the
-// compact-state and partials kernels apply as without compact subtrees.
+// compact child, a compact-state tip included, is gathered through its side
+// table, the other child too when compact, and the gathered child comes
+// first. A full-width operation on a compact store therefore never carries
+// compact-state operands (S1, S2).
 func (s *Storage[T]) bindFull(r *ResolvedOp[T], a compactChild[T], aok bool, b compactChild[T], bok bool) {
 	r.Out = s.fullDest(r.Dest)
-	r.S1, r.P1 = s.operand(r.Child1)
-	r.S2, r.P2 = s.operand(r.Child2)
-	switch {
-	case (aok && a.tab != nil) || (bok && b.tab != nil):
-		r.S1, r.S2 = nil, nil
-		if aok {
-			r.G1, r.T1, r.R1 = a.ids, s.gatherSide(a, r.M1), a.rows
-		}
-		if bok {
-			r.G2, r.T2, r.R2 = b.ids, s.gatherSide(b, r.M2), b.rows
-		}
-		if !aok {
-			r.G1, r.G2, r.T1, r.T2, r.R1, r.R2 = r.G2, nil, r.T2, nil, r.R2, 0
-			r.P1, r.P2, r.M1, r.M2 = nil, r.P1, r.M2, r.M1
-		}
-	default:
-		r.normalize()
+	r.P1, r.P2 = s.Partials[r.Child1], s.Partials[r.Child2]
+	if aok {
+		r.G1, r.T1, r.R1 = a.ids, s.gatherSide(a, r.M1), a.rows
+	}
+	if bok {
+		r.G2, r.T2, r.R2 = b.ids, s.gatherSide(b, r.M2), b.rows
+	}
+	if !aok && bok {
+		r.G1, r.G2, r.T1, r.T2, r.R1, r.R2 = r.G2, nil, r.T2, nil, r.R2, 0
+		r.P1, r.P2, r.M1, r.M2 = nil, r.P1, r.M2, r.M1
 	}
 }
 

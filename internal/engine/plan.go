@@ -12,9 +12,12 @@ import (
 // the reuse filter.
 type ResolvedOp[T kernels.Real] struct {
 	Operation
-	Out    []T     // destination partials
-	S1, S2 []int32 // compact-state operands; S2 only when both children are
-	P1, P2 []T     // partials operands
+	Out []T // destination partials
+	// S1 and S2 are compact-state operands, S2 only when both children are.
+	// A compact store never sets them: it gathers a tip as a five-class
+	// compact child (compact.go).
+	S1, S2 []int32
+	P1, P2 []T // partials operands
 	M1, M2 []T
 	// G1 and G2 are gathered operands' class ids, T1 and T2 their side
 	// tables with R1 and R2 rows a category (compact.go); G2 only when

@@ -15,7 +15,7 @@ package kernels
 //     child's matrix M: for a compact node, M·row with
 //     ((m0·a0 + m1·a1) + m2·a2) + m3·a3 per state, as partialsPartials4Go
 //     computes for a partials child; for a compact-state tip, column a of M,
-//     or ones for the gap, as statesPartials4Go and StatesStates4 use;
+//     or ones for the gap (TipSide4);
 //   - a parent row is the product of its two children's side rows.
 //
 // A compact parent's table is therefore every product of its children's side
@@ -27,11 +27,17 @@ package kernels
 // Every loop here but TipSide4's, ClassIDs' and ExpandClasses4's runs in AVX2
 // assembly under the gate of the other 4-state kernels (partials4_amd64.s),
 // with the Go bodies as the portable path and the references the assembly is
-// held to. GatherPartials4 is StatesPartials4's loop with the five tip
-// columns replaced by a side table of any height; SideRows4 is its matrix
-// half with a plain store, one row a register in float64 and two in float32
-// (an odd last row runs the Go body); ClassTable4 holds a row of the first
-// side table in a register and multiplies the second table's rows by it.
+// held to. GatherPartials4 is PartialsPartials4's loop with one child's
+// matrix half replaced by a row of its side table, found by class id;
+// SideRows4 is that matrix half with a plain store, one row a register in
+// float64 and two in float32 (an odd last row runs the Go body); ClassTable4
+// holds a row of the first side table in a register and multiplies the
+// second table's rows by it. A compact-state tip is a compact node of five
+// classes, so StatesPartials4 and StatesStates4 (partials4.go) are these
+// gathers over TipSide4's table. The gathers read a table at an id
+// unchecked: every id must be below its table's row count, which the
+// wrappers ensure by checking and clamping states and the engine by the
+// states it stores.
 
 // TipSide4 writes a compact-state tip's side table through m into out: five
 // rows per category, row a (< 4) column a of that category's matrix and row
@@ -166,8 +172,8 @@ func gatherGather4Go[T Real](out []T, g1 []int32, t1 []T, g2 []int32, t2 []T) {
 // GatherPartials4 computes a full-width destination whose first child is
 // compact and whose second holds partials, for patterns [lo, hi): the first
 // child's side row for the pattern's class id g1[p] into s1 (r1 rows a
-// category) times m2 applied to the second child's row, as statesPartials4Go
-// multiplies a tip's column by the partials child's sum.
+// category) times m2 applied to the second child's row, summed as
+// partialsPartials4Go sums a child's row.
 //
 //beagle:noalloc
 func GatherPartials4[T Real](dest []T, g1 []int32, s1 []T, r1 int, p2, m2 []T, d Dims, lo, hi int) {

@@ -12,12 +12,13 @@
 //
 //   - generic state-count kernels with an inner loop over states (§VII-B2);
 //   - 4-state kernels, the analogue of the SSE code path: AVX2 assembly
-//     for PartialsPartials4 and StatesPartials4 with lanes across the four
-//     states, their unrolled Go bodies, and StatesStates4 as a table of the
-//     25 possible destination rows (partials4.go), and the compact-subtree
-//     kernels that build a small subtree's distinct rows as a class table
-//     and gather them by class id, in the same operations and order
-//     (compact4.go, the gathers in AVX2). Outside the partials
+//     for PartialsPartials4 with lanes across the four states and its
+//     unrolled Go body (partials4.go), and the compact-subtree kernels that
+//     build a small subtree's distinct rows as a class table and gather them
+//     by class id, in the same operations and order (compact4.go, the
+//     gathers in AVX2). A compact-state tip is such a subtree of five
+//     classes, so StatesPartials4 and StatesStates4 are thin wrappers that
+//     gather its side table. Outside the partials
 //     kernels, RescalePartials' and SiteLikelihoods' 4-state paths are
 //     AVX2 assembly as well, lanes across four patterns (rescale4_amd64.s,
 //     root4_amd64.s), and UpdateTransitionMatrix's 4-state body is

@@ -17,20 +17,6 @@ func partialsPartials4Asm[T Real](dest, p1, p2, mt []T) {
 	}
 }
 
-// statesPartials4Asm is partialsPartials4Asm for StatesPartials4: s holds the
-// span's tip states and mt the partials child's matrix transposed, then the
-// states child's columns and the gap column.
-//
-//beagle:noalloc
-func statesPartials4Asm[T Real](dest []T, s []int32, p2, mt []T) {
-	switch dst := any(dest).(type) { //beagle:allow noalloc the boxed slice headers never leave this frame; TestKernelsAllocateNothing holds it to zero
-	case []float64:
-		statesPartials4F64AVX2(dst, s, any(p2).([]float64), any(mt).([]float64)) //beagle:allow noalloc as above
-	case []float32:
-		statesPartials4F32AVX2(dst, s, any(p2).([]float32), any(mt).([]float32)) //beagle:allow noalloc as above
-	}
-}
-
 // partialsPartials4F64AVX2 requires len(p1), len(p2) ≥ len(dest),
 // len(dest)%4 == 0 and len(mt) ≥ 32.
 //
@@ -44,20 +30,6 @@ func partialsPartials4F64AVX2(dest, p1, p2, mt []float64)
 //beagle:noalloc
 //go:noescape
 func partialsPartials4F32AVX2(dest, p1, p2, mt []float32)
-
-// statesPartials4F64AVX2 requires len(p2) ≥ len(dest), len(dest)%4 == 0,
-// len(s) ≥ len(dest)/4 and len(mt) ≥ 36.
-//
-//beagle:noalloc
-//go:noescape
-func statesPartials4F64AVX2(dest []float64, s []int32, p2, mt []float64)
-
-// statesPartials4F32AVX2 requires len(p2) ≥ len(dest), len(dest)%8 == 0,
-// len(s) ≥ len(dest)/4 and len(mt) ≥ 36.
-//
-//beagle:noalloc
-//go:noescape
-func statesPartials4F32AVX2(dest []float32, s []int32, p2, mt []float32)
 
 // gatherGather4Asm runs one category of GatherGather4 over a pattern span in
 // assembly and reports whether it did: dest is cut to the span, g1 and g2
@@ -77,9 +49,9 @@ func gatherGather4Asm[T Real](dest []T, g1 []int32, t1 []T, g2 []int32, t2 []T) 
 	return true
 }
 
-// gatherPartials4Asm is statesPartials4Asm for GatherPartials4: g holds the
-// span's class ids, t1 the compact child's side table for the category and
-// mt the partials child's matrix transposed.
+// gatherPartials4Asm is partialsPartials4Asm for GatherPartials4: g holds
+// the span's class ids, t1 the compact child's side table for the category
+// and mt the partials child's matrix transposed.
 //
 //beagle:noalloc
 func gatherPartials4Asm[T Real](dest []T, g []int32, t1, p2, mt []T) {

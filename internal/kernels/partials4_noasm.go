@@ -11,9 +11,6 @@ package kernels
 func partialsPartials4Asm[T Real](dest, p1, p2, mt []T) {}
 
 //beagle:noalloc
-func statesPartials4Asm[T Real](dest []T, s []int32, p2, mt []T) {}
-
-//beagle:noalloc
 func rescale4Asm[T Real](partials []T, scale []float64, d Dims, lo, hi int) int { return hi }
 
 //beagle:noalloc

@@ -236,13 +236,16 @@ func seqLoad(t *testing.T, kinds []seqKind) {
 }
 
 // seqStates is a tip's states drawn from seed: the four states, the gap
-// code and a value past it, which the engines store as the gap. Seed 255
-// also puts a negative state in, which every engine must refuse.
+// code and values past it (5…99), which the engines store as the gap. Seed
+// 255 also puts a negative state in, which every engine must refuse.
 func seqStates(seed int) []int {
 	s := seqStream(seed)
 	out := make([]int, seqPatterns)
 	for p := range out {
-		out[p] = int(s.next() % 6)
+		v := s.next()
+		if out[p] = int(v % 6); out[p] == 5 {
+			out[p] += int(v / 6 % 95)
+		}
 	}
 	if seed == 255 {
 		out[3] = -1
@@ -462,6 +465,7 @@ func seqSeeds() [][]byte {
 	scaled := seqUpdate(seqScaled(cherry, 1), seqScaled(triple, 9), quad, seqScaled(pair, 5), root)
 	accumulate := []byte{callScale, 0, 3, callScale, 15, 3}
 	scaledRoot := []byte{callRoot, 9, 13}
+	tipsGathered := seqTipsGathered()
 	return [][]byte{
 		// A compact tree, read back at every boundary.
 		seqProgram(false, seqUpdate(cherry, triple, quad, pair, root), evalRoot, get(5), get(6), get(7), edge, deriv),
@@ -498,5 +502,33 @@ func seqSeeds() [][]byte {
 		// after a partials setter.
 		seqProgram(false, seqUpdate(cherry, []byte{byte(6 - seqTips), 5, 5, 2, 2, 1}), []byte{callRoot, 6, 0},
 			[]byte{callPartials, 5, 8}, seqUpdate([]byte{byte(6 - seqTips), 5, 5, 2, 2, 1}), []byte{callRoot, 6, 0}),
+		// Tips gathered beside full-width operations, in both precisions.
+		seqProgram(false, tipsGathered...),
+		seqProgram(true, tipsGathered...),
+	}
+}
+
+// seqTipsGathered is a program of fresh tip states (values up to 99) and
+// the places where a compact-state tip meets a full-width operation: beside
+// a partials child, in a cherry that reads a scale buffer, and in a cherry
+// listed after a full-width operation on its destination, run again after a
+// forced rebalance leaves one backend 82 patterns, where every cherry is
+// full width, and once more after a rebalance back.
+func seqTipsGathered() [][]byte {
+	gathered := seqUpdate(
+		seqOp(5, 0, 0, 3, 3),                  // a tip beside tip 3's partials
+		seqScaled(seqOp(6, 1, 1, 2, 2), 1),    // a cherry rescaling into scale buffer 0
+		seqScaled(seqOp(7, 0, 0, 1, 1), 0x10), // a cherry reading scale buffer 0
+		seqOp(9, 5, 5, 7, 7))
+	after := seqUpdate(
+		seqOp(8, 6, 6, 3, 3), // a full-width reader of buffer 6
+		seqOp(6, 0, 0, 1, 1), // then a cherry into it
+		seqOp(9, 6, 6, 8, 8))
+	read := []byte{callRoot, 9, 0, callEdge, 9, 6, 6, callGetPartials, 5, callGetPartials, 6, callGetPartials, 7}
+	return [][]byte{
+		{callTipStates, 0, 200}, {callTipStates, 1, 201}, {callTipStates, 2, 202}, {callTipPartials, 3, 9},
+		gathered, read, after, read,
+		{callRebalance, 40}, gathered, read, after, read,
+		{callRebalance, 200}, gathered, read, after, read,
 	}
 }
