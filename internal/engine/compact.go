@@ -11,14 +11,12 @@ import "gobeagle/internal/kernels"
 // and writes each pattern its class's factor. Such an
 // operation never writes its P-row partials buffer; Resolve runs it inline,
 // before the backend's plan runs the full-width rest of the batch, and a
-// full-width operation reads a compact child — a compact-state tip
-// included, so no full-width operation here runs a compact-state kernel —
+// full-width operation reads a compact child, compact-state tips among them,
 // by gathering the child's side rows, which Resolve builds the same way.
-// Every row is the full-width
-// kernels' row, bit for bit, so the representation is invisible: the four
-// boundaries that hand partials out — GetPartials, the integrations'
-// operands, DetachPatterns and AttachPatterns — expand a compact node with
-// ExpandClasses4.
+// Every row is the full-width kernels' row, bit for bit, so the
+// representation is invisible: the four boundaries that hand partials out —
+// GetPartials, the integrations' operands, DetachPatterns and
+// AttachPatterns — expand a compact node with ExpandClasses4.
 
 // classes is one partials buffer's compact record. ids, and the version
 // naming them, outlive live: a buffer that turns full-width and back keeps

@@ -93,9 +93,9 @@ func BenchmarkStatesPartialsWideCodon(b *testing.B) {
 
 // BenchmarkPartials4 times the 4-state kernels on 4096 patterns in four
 // categories: unrolled4 (the bound kernels: assembly on an AVX2 host for
-// PartialsPartials and StatesPartials, the product table for StatesStates),
-// go (the unrolled Go body the assembly is held to) and generic (the loop
-// over states).
+// PartialsPartials, and for StatesPartials and StatesStates the gathers over
+// the tips' TipSide4 tables), go (the unrolled Go body each is held to) and
+// generic (the loop over states).
 func BenchmarkPartials4(b *testing.B) {
 	b.Run("PartialsPartials/float32", func(b *testing.B) { benchPartials4[float32](b, "pp") })
 	b.Run("PartialsPartials/float64", func(b *testing.B) { benchPartials4[float64](b, "pp") })

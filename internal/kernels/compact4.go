@@ -36,8 +36,8 @@ package kernels
 // classes, so StatesPartials4 and StatesStates4 (partials4.go) are these
 // gathers over TipSide4's table. The gathers read a table at an id
 // unchecked: every id must be below its table's row count, which the
-// wrappers ensure by checking and clamping states and the engine by the
-// states it stores.
+// wrappers ensure by clamping states and the engine by the states it
+// stores.
 
 // TipSide4 writes a compact-state tip's side table through m into out: five
 // rows per category, row a (< 4) column a of that category's matrix and row

@@ -1,7 +1,7 @@
 package kernels
 
 // The 4-state kernels' unrolled Go bodies, for the external test package's
-// benchmarks, which time the assembly against them.
+// benchmarks, which time the bound kernels against them.
 
 func PartialsPartials4Go[T Real](dest, p1, m1, p2, m2 []T, d Dims, lo, hi int) {
 	partialsPartials4Go(dest, p1, m1, p2, m2, d, lo, hi)
@@ -11,10 +11,10 @@ func StatesPartials4Go[T Real](dest []T, s1 []int32, m1 []T, p2, m2 []T, d Dims,
 	statesPartials4Go(dest, s1, m1, p2, m2, d, lo, hi)
 }
 
-// statesPartials4Go is the unrolled Go body StatesPartials4 had before a tip
-// became a five-class compact node, kept as the reference the gather form is
-// held to: column a of the tip's matrix times the partials child's sum, or
-// the sum alone for a gap (any state outside [0, 4)).
+// statesPartials4Go is the reference StatesPartials4 is held to, one
+// pattern at a time with no side table: column a of the tip's matrix times
+// the partials child's sum, or the sum alone for a gap (any state outside
+// [0, 4)).
 func statesPartials4Go[T Real](dest []T, s1 []int32, m1 []T, p2, m2 []T, d Dims, lo, hi int) {
 	for c := 0; c < d.CategoryCount; c++ {
 		m := m1[c*16 : c*16+16]

@@ -60,23 +60,23 @@ func PartialsPartials4[T Real](dest, p1, m1, p2, m2 []T, d Dims, lo, hi int) {
 
 // StatesPartials4 is StatesPartials specialized for StateCount == 4: a
 // compact-state tip is a compact node of five classes, its states the class
-// ids, so this is GatherPartials4 over the tip's side table (TipSide4), one
-// category's table at a time on the stack, a block of patterns at a time.
+// ids, so this is GatherPartials4 over the tip's side table (TipSide4), a
+// block of clamped states at a time and one category's table at a time, both
+// on the stack.
 //
 //beagle:noalloc
 func StatesPartials4[T Real](dest []T, s1 []int32, m1 []T, p2, m2 []T, d Dims, lo, hi int) {
-	var buf [256]int32
+	var ids [256]int32
 	var side [20]T
-	for b := lo; b < hi; {
-		g := tipIDs4(buf[:], s1[b:min(hi, b+tipBlock4)])
-		n := len(g)
+	for b := lo; b < hi; b += len(ids) {
+		n := min(hi-b, len(ids))
+		clampStates4(ids[:n], s1[b:b+n])
 		for c := 0; c < d.CategoryCount; c++ {
 			TipSide4(side[:], m1[c*16:c*16+16], 1)
 			o := (c*d.PatternCount + b) * 4
-			GatherPartials4(dest[o:o+4*n], g, side[:], 5, p2[o:o+4*n], m2[c*16:c*16+16],
+			GatherPartials4(dest[o:o+4*n], ids[:n], side[:], 5, p2[o:o+4*n], m2[c*16:c*16+16],
 				Dims{StateCount: 4, PatternCount: n, CategoryCount: 1}, 0, n)
 		}
-		b += n
 	}
 }
 
@@ -87,63 +87,33 @@ func StatesPartials4[T Real](dest []T, s1 []int32, m1 []T, p2, m2 []T, d Dims, l
 //
 //beagle:noalloc
 func StatesStates4[T Real](dest []T, s1 []int32, m1 []T, s2 []int32, m2 []T, d Dims, lo, hi int) {
-	var buf1, buf2 [256]int32
+	var ids1, ids2 [256]int32
 	var side1, side2 [20]T
-	for b := lo; b < hi; {
-		g1 := tipIDs4(buf1[:], s1[b:min(hi, b+tipBlock4)])
-		g2 := tipIDs4(buf2[:], s2[b:b+len(g1)])
-		n := len(g2)
-		g1 = g1[:n]
+	for b := lo; b < hi; b += len(ids1) {
+		n := min(hi-b, len(ids1))
+		clampStates4(ids1[:n], s1[b:b+n])
+		clampStates4(ids2[:n], s2[b:b+n])
 		for c := 0; c < d.CategoryCount; c++ {
 			TipSide4(side1[:], m1[c*16:c*16+16], 1)
 			TipSide4(side2[:], m2[c*16:c*16+16], 1)
 			o := (c*d.PatternCount + b) * 4
-			GatherGather4(dest[o:o+4*n], g1, side1[:], 5, g2, side2[:], 5,
+			GatherGather4(dest[o:o+4*n], ids1[:n], side1[:], 5, ids2[:n], side2[:], 5,
 				Dims{StateCount: 4, PatternCount: n, CategoryCount: 1}, 0, n)
 		}
-		b += n
 	}
 }
 
-// tipBlock4 is how many patterns the tip wrappers gather at most per call:
-// a block's states, checked once, stay in the first-level cache while every
-// category gathers them.
-const tipBlock4 = 2048
-
-// tipIDs4 returns a tip's states, from the first, as ids of its side table
-// for as many patterns as it returns. The gather bodies read a table at an id
-// unchecked, so when every state is in [0, 4] that is all of them, as they
-// are; otherwise it is as many as buf holds, copied into buf with any state
-// outside [0, 4) clamped to 4, the gap.
+// clampStates4 writes a tip's states into ids as ids of its side table: a
+// state in [0, 4) is its own row, and any other is 4, the gap. The gather
+// bodies read a table at an id unchecked, so every id they get from a tip
+// passes through here.
 //
 //beagle:noalloc
-func tipIDs4(buf, states []int32) []int32 {
-	if statesInRange4(states) {
-		return states
+func clampStates4(ids, states []int32) {
+	states = states[:len(ids)]
+	for i, s := range states {
+		ids[i] = int32(min(uint32(s), 4))
 	}
-	ids := buf[:min(len(states), len(buf))]
-	for i := range ids {
-		ids[i] = int32(min(uint32(states[i]), 4))
-	}
-	return ids
-}
-
-// statesInRange4 reports whether every state is in [0, 4]. uint32(s)+3,
-// widened, fits in three bits exactly then, so ORs answer for all of them
-// without a branch, eight states an iteration.
-//
-//beagle:noalloc
-func statesInRange4(states []int32) bool {
-	var a, b uint64
-	for ; len(states) >= 8; states = states[8:] {
-		s := (*[8]int32)(states)
-		a |= (uint64(uint32(s[0])) + 3) | (uint64(uint32(s[1])) + 3) | (uint64(uint32(s[2])) + 3) | (uint64(uint32(s[3])) + 3)
-		b |= (uint64(uint32(s[4])) + 3) | (uint64(uint32(s[5])) + 3) | (uint64(uint32(s[6])) + 3) | (uint64(uint32(s[7])) + 3)
-	}
-	for _, s := range states {
-		a |= uint64(uint32(s)) + 3
-	}
-	return (a|b)&^7 == 0
 }
 
 // asmPatterns4 returns how many patterns of [lo, hi), from lo, the 4-state

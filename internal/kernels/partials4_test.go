@@ -124,7 +124,7 @@ func testPartials4Exact[T Real](t *testing.T, specials []T, kernels ...string) {
 	}
 	negZero := T(math.Copysign(0, -1))
 	f64Specials := partials4Specials[float64](math.SmallestNonzeroFloat64, 1e150)
-	for _, patterns := range []int{0, 1, 2, 3, 7, 129} {
+	for _, patterns := range []int{0, 1, 2, 3, 7, 129, 2400} {
 		for _, cats := range []int{1, 4} {
 			d := Dims{StateCount: 4, PatternCount: patterns, CategoryCount: cats}
 			k := &partials4Case[T]{d: d,
@@ -180,7 +180,7 @@ func TestPartials4Exact(t *testing.T) {
 	testPartials4ExactBoth(t, kernelPP4, kernelSP4)
 }
 
-// TestStatesStates4Exact holds the product table to generic StatesStates on
+// TestStatesStates4Exact holds StatesStates4 to generic StatesStates on
 // the same operands, gap codes in either child and spans as
 // TestPartials4Exact.
 func TestStatesStates4Exact(t *testing.T) {

@@ -236,14 +236,15 @@ func seqLoad(t *testing.T, kinds []seqKind) {
 }
 
 // seqStates is a tip's states drawn from seed: the four states, the gap
-// code and values past it (5…99), which the engines store as the gap. Seed
-// 255 also puts a negative state in, which every engine must refuse.
+// code and a value past it, which the engines store as the gap. Seeds 200 to
+// 202 draw that value from 5…99 instead, and seed 255 also puts a negative
+// state in, which every engine must refuse.
 func seqStates(seed int) []int {
 	s := seqStream(seed)
 	out := make([]int, seqPatterns)
 	for p := range out {
 		v := s.next()
-		if out[p] = int(v % 6); out[p] == 5 {
+		if out[p] = int(v % 6); out[p] == 5 && seed >= 200 && seed <= 202 {
 			out[p] += int(v / 6 % 95)
 		}
 	}
